@@ -67,6 +67,7 @@ from .linkbudget import (
     REGULATOR_PRESETS,
     DeviceProfile,
     ProtectionCriteria,
+    SeparationReport,
     quantize_distance,
     separation_report,
 )
@@ -490,6 +491,24 @@ def _require_devices(cfg: RunConfig) -> None:
         raise ConfigError("no [device.NAME] sections configured")
 
 
+def _separation_reports(cfg: RunConfig) -> list[SeparationReport]:
+    """Link budget of every configured device, in device order.
+
+    Built before anything is written, so a propagation domain error (a
+    non-finite frequency, a base height that flattens the Hata slope) is
+    a configuration error naming the sections involved.
+    """
+    reports = []
+    for device in cfg.devices:
+        try:
+            reports.append(
+                separation_report(device, cfg.criteria, _hata_for_device(cfg, device))
+            )
+        except DomainError as exc:
+            raise ConfigError(f"[hata] with [device.{device.label}]: {exc}") from None
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # linkbudget
 
@@ -512,8 +531,8 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
 
     rows = []
     warnings: list[str] = []
-    for device in cfg.devices:
-        report = separation_report(device, cfg.criteria, _hata_for_device(cfg, device))
+    for report in _separation_reports(cfg):
+        device = report.device
         warnings.extend(report.warnings)
         for relation in RELATIONS:
             for res in resolutions:
@@ -702,6 +721,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     _apply_overrides(cfg, args)
     _require_devices(cfg)
+    hata = {report.device.label: report.hata for report in _separation_reports(cfg)}
     grid, grid_path = _load_selected_grid(cfg)
     capacity = gray_space_capacity(cfg.plan)
     white = white_space_amount(cfg.plan)
@@ -714,7 +734,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             grid,
             device,
             cfg.criteria,
-            _hata_for_device(cfg, device),
+            hata[device.label],
             cfg.plan,
             knowledge,
             realizations=cfg.realizations,

@@ -228,14 +228,16 @@ def _accumulate(state: _RunState, indices: Sequence[int]):
     slot_sum = np.zeros(grid.counts.shape, dtype=np.int64)
     count_ge = np.zeros(n_slots + 1, dtype=np.int64)
     bucket_households = np.zeros(int(state.slot_bucket.max()) + 1, dtype=np.int64)
+    # cells without households add nothing to any bucket
+    household_cells = np.flatnonzero(grid.counts)
+    households = grid.counts.ravel()[household_cells]
     for r in indices:
         avail = _realization_slots(state, r)
         slot_sum += avail
         hist = np.bincount(avail[grid.valid], minlength=n_slots + 1)
         count_ge += hist[::-1].cumsum()[::-1]
-        cell_bucket = state.slot_bucket[avail]
-        for b in range(len(bucket_households)):
-            bucket_households[b] += grid.counts[cell_bucket == b].sum()
+        cell_bucket = state.slot_bucket[avail.ravel()[household_cells]]
+        np.add.at(bucket_households, cell_bucket, households)
     return slot_sum, count_ge, bucket_households
 
 

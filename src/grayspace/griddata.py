@@ -11,6 +11,14 @@ The module covers CSV ingestion with sidecar metadata, compensation of the
 mismatch between grid area and municipal area, disc-footprint construction,
 mask dilation (delegating the hot loop to the compiled/fallback kernel), and
 matrix export in plain CSV and run-length-encoded form.
+
+Plain-CSV export formats each distinct value of the matrix once and builds
+the rows by indexing that token table.  A gray-space map holds a handful of
+distinct values (slot counts times a bandwidth, over a fixed realization
+count) across hundreds of thousands of cells, so this is what makes export
+cheap.  Values are told apart by bit pattern, so ``-0.0`` and ``0.0`` (and
+differently signed NaNs) keep their own text; the bytes are those of
+formatting every cell with ``%.10g`` in the array's dtype.
 """
 
 from __future__ import annotations
@@ -444,19 +452,27 @@ def _matrix_rows(values: np.ndarray) -> np.ndarray:
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
     """Rows of comma-separated values (%.10g); NaN marks invalid cells."""
     arr = _matrix_rows(values)
-    lines = [",".join(_fmt(v) for v in row) for row in arr]
+    bits = arr.view(f"u{arr.dtype.itemsize}")
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    tokens = np.array([_fmt(v) for v in distinct.view(arr.dtype)], dtype=object)
+    lines = [",".join(row) for row in tokens[inverse.reshape(arr.shape)]]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise DataError(f"{path}: empty or ragged matrix")
-    return np.array(rows, dtype=np.float64)
+    """Inverse of :func:`write_matrix_csv`; blank lines are skipped.
+
+    A non-numeric token (``#`` lines included), a ragged row or an empty
+    file is a data error.
+    """
+    # loadtxt does not skip whitespace-only lines itself
+    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    if not lines:
+        raise DataError(f"{path}: empty matrix")
+    try:
+        return np.loadtxt(lines, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_matrix_rle(path: str | Path, values: np.ndarray) -> None:

@@ -7,7 +7,10 @@ model's nominal validity window (frequency 150-1500 MHz, base antenna
 30-200 m, mobile antenna 1-10 m, distance 1-20 km) is *not* enforced:
 low-power transmitters sit well below a 30 m mast, so out-of-range inputs
 are computed normally and merely flagged via :meth:`HataParams.nominal_range`
-so callers can attach a warning to their results.
+so callers can attach a warning to their results.  The one exception is a
+base height of about 7,160 km or more, where the distance slope
+44.9 - 6.55 log10(h_b) is no longer positive and the inversion breaks
+down; such parameters are rejected.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ class HataParams:
         if self.environment not in ENVIRONMENTS:
             raise DomainError(
                 f"environment must be one of {ENVIRONMENTS}, got {self.environment!r}"
+            )
+        if not _slope(self) > 0:
+            raise DomainError(
+                f"base_height_m ({self.base_height_m}) makes the distance slope "
+                "44.9 - 6.55 log10(h_b) non-positive: path loss would not grow "
+                "with distance"
             )
 
     def nominal_range(self) -> bool:

@@ -167,6 +167,30 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(workspace)]) == 2
         assert "frequency_mhz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new,fragment",
+        [
+            ("frequency_mhz = 650", "frequency_mhz = nan", "must be finite"),
+            ("antenna_height_m = 30", "antenna_height_m = 1e7", "slope"),
+        ],
+        ids=["nan-frequency", "flat-hata-slope"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "linkbudget"])
+    def test_bad_propagation_input_is_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, old, new, fragment, command
+    ):
+        workspace.write_text(workspace.read_text().replace(old, new))
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--config", str(workspace), "--out", str(out)],
+            "linkbudget": ["linkbudget", "--config", str(workspace),
+                           "--resolution", "1000", "--csv", str(out / "sep.csv")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[device.cpe-4w]" in err and fragment in err
+        assert not out.exists()
+
 
 class TestLinkbudget:
     def test_table_and_csv(self, workspace, tmp_path, capsys):
@@ -323,3 +347,13 @@ class TestReport:
         assert main(
             ["report", "--config", str(workspace), "--map", "/no/such/map.csv"]
         ) == 3
+
+    def test_malformed_map_is_3(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "map.csv"
+        bad.write_text("1,2\n3,abc\n")
+        assert main(
+            ["report", "--config", str(workspace), "--map", str(bad),
+             "--out", str(tmp_path / "rep")]
+        ) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from grayspace.errors import DataError, DomainError
 from grayspace.griddata import (
@@ -262,6 +267,42 @@ class TestDilate:
         assert out.radius_m == 1000.0
 
 
+def _per_cell_csv(values: np.ndarray) -> str:
+    """The per-cell formatter write_matrix_csv replaced; the byte oracle."""
+    arr = np.asarray(values)
+    if arr.dtype == np.bool_:
+        arr = arr.astype(np.int64)
+    return "\n".join(",".join(f"{v:.10g}" for v in row) for row in arr) + "\n"
+
+
+_MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)
+_TEN_DIGIT_FLOATS = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.integers(-(10**10), 10**10),
+    st.integers(-12, 12),
+)
+_MATRICES = st.one_of(
+    hnp.arrays(
+        np.float64,
+        _MATRIX_SHAPES,
+        elements=st.one_of(
+            st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]),
+            st.floats(allow_nan=True, allow_infinity=True),
+            _TEN_DIGIT_FLOATS,
+        ),
+    ),
+    hnp.arrays(
+        np.int64,
+        _MATRIX_SHAPES,
+        elements=st.one_of(
+            st.integers(-(2**63), 2**63 - 1), st.integers(10**10, 10**12)
+        ),
+    ),
+    hnp.arrays(np.bool_, _MATRIX_SHAPES),
+    hnp.arrays(np.uint8, _MATRIX_SHAPES),
+)
+
+
 class TestMatrixIO:
     def test_csv_roundtrip_with_nan(self, tmp_path):
         values = np.array([[1.0, np.nan], [0.25, 120.0]])
@@ -270,9 +311,42 @@ class TestMatrixIO:
         back = read_matrix_csv(path)
         assert np.array_equal(back, values, equal_nan=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_MATRICES)
+    def test_csv_bytes_match_per_cell_formatting(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            write_matrix_csv(path, values)
+            assert path.read_text() == _per_cell_csv(values)
+
+    def test_csv_bytes_of_strided_view(self, tmp_path):
+        values = np.arange(48, dtype=np.float64).reshape(6, 8) / 7.0
+        values[1, 1] = -0.0
+        view = values[::2, ::3]
+        write_matrix_csv(tmp_path / "m.csv", view)
+        assert (tmp_path / "m.csv").read_text() == _per_cell_csv(view)
+
+    def test_csv_reads_single_row_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3\n")
+        assert read_matrix_csv(path).shape == (1, 3)
+        path.write_text("1\n\n  \n2\n")
+        assert read_matrix_csv(path).shape == (2, 1)
+
     def test_csv_rejects_ragged(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3\n")
+        with pytest.raises(DataError):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,2\n3,abc\n", "# comment\n1,2\n", "1,2,\n", "", "\n  \n"],
+        ids=["bad-token", "hash-line", "empty-field", "empty", "blank"],
+    )
+    def test_csv_rejects_malformed(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
         with pytest.raises(DataError):
             read_matrix_csv(path)
 

@@ -122,6 +122,7 @@ class TestValidation:
             dict(base_height_m=0.0),
             dict(base_height_m=-3.0),
             dict(mobile_height_m=-1.0),
+            dict(base_height_m=1e7),  # distance slope 44.9 - 6.55 log10(h_b) < 0
         ],
     )
     def test_rejects_bad_numbers(self, kwargs):
