@@ -16,11 +16,16 @@ Subcommands:
     statistics *of the mean map*; they equal the averaged per-realization
     statistics only where the map is deterministic (e.g. KL1).
 
-Configuration files are INI.  Relative paths inside a config resolve
-against the config file's directory.  ``simulate`` writes one directory per
-combination containing ``map.csv``, ``cdf.csv``, ``utilization.csv`` and
-``summary.txt``; the summary is itself a valid config pinned to that single
-combination, so feeding it back to ``simulate`` reproduces the run.
+Configuration files are INI.  One table, ``_SCHEMA`` (section -> key ->
+kind), defines them: ``load_run_config`` parses with it, the command-line
+options named after [run] keys are parsed and checked as those keys, and
+``summary.txt`` is written from it.  Relative paths resolve against the
+config file's directory (on the command line, the working directory).
+``simulate`` checks every combination before it creates the output
+directory, then writes one directory per combination containing
+``map.csv``, ``cdf.csv``, ``utilization.csv`` and ``summary.txt``; the
+summary is a config pinned to that combination, and it parses back to the
+same values, so feeding it back to ``simulate`` reproduces the run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 anything else.
 """
@@ -37,6 +42,7 @@ import tempfile
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -82,28 +88,8 @@ from .scenario import (
     white_space_amount,
 )
 
-DEFAULT_BUCKETS_TEXT = "24-64,72-96,96<"
-
 _GRID_PATH_RE = re.compile(r"^path_(\d+(?:\.\d+)?)m$")
 _DEVICE_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-_CRITERIA_FLOAT_KEYS = {
-    "min_field_strength_dbuvm",
-    "ci_cochannel_db",
-    "ci_adjacent_db",
-    "ci_adjacent_lower_db",
-    "channel_bandwidth_mhz",
-    "location_accuracy_m",
-    "receiver_height_m",
-}
-_CRITERIA_STR_KEYS = {"label", "power_limit_cochannel", "power_limit_adjacent"}
-_CRITERIA_REQUIRED = {
-    "min_field_strength_dbuvm",
-    "ci_cochannel_db",
-    "ci_adjacent_db",
-    "channel_bandwidth_mhz",
-    "location_accuracy_m",
-}
 
 
 def _g(value: float) -> str:
@@ -111,7 +97,7 @@ def _g(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 
 
 @dataclass
@@ -123,7 +109,6 @@ class RunConfig:
     out: Path = Path("out")
     resolution: float | None = None
     buckets: tuple[Bucket, ...] = DEFAULT_BUCKETS
-    buckets_text: str = DEFAULT_BUCKETS_TEXT
     criteria: ProtectionCriteria = REGULATOR_PRESETS["ofcom"]
     devices: tuple[DeviceProfile, ...] = ()
     frequency_mhz: float | None = None
@@ -139,85 +124,173 @@ class RunConfig:
     grid_paths: dict[float, Path] = dataclasses.field(default_factory=dict)
 
 
-def _check_keys(source: str, section: str, data: dict[str, str], allowed: set[str]) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"{source}: [{section}] has unknown keys: {', '.join(unknown)}")
+@dataclass(frozen=True)
+class _Kind:
+    """How one config value is read from text and written back.
+
+    ``parse`` raises ValueError whose message says why the text is rejected.
+    """
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str] = str
 
 
-def _to_float(source: str, section: str, key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a number") from None
-
-
-def _to_int(source: str, section: str, key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not an integer") from None
-
-
-def _to_bool(source: str, section: str, key: str, text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a boolean")
+def _float_text(value: float) -> str:
+    """``%.10g`` where that reads back as the same float, else ``repr``."""
+    short = f"{value:.10g}"
+    return short if float(short) == value else repr(float(value))
 
 
 def _split_list(text: str) -> list[str]:
     return [token.strip() for token in text.split(",") if token.strip()]
 
 
-def _validate_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+def _cast(convert: Callable[[str], Any], noun: str) -> Callable[[str], Any]:
+    def parse(text: str) -> Any:
+        try:
+            return convert(text)
+        except (ValueError, KeyError):
+            raise ValueError(f"is not {noun}") from None
+
+    return parse
 
 
-def _parse_criteria(source: str, data: dict[str, str]) -> ProtectionCriteria:
-    data = dict(data)
-    _check_keys(
-        source, "criteria", data, _CRITERIA_FLOAT_KEYS | _CRITERIA_STR_KEYS | {"preset"}
-    )
-    preset_name = data.pop("preset", None)
-    kwargs: dict[str, object] = {}
-    for key, text in data.items():
-        if key in _CRITERIA_STR_KEYS:
-            kwargs[key] = text
-        elif key == "ci_adjacent_lower_db" and text.strip().lower() == "none":
-            kwargs[key] = None
-        else:
-            kwargs[key] = _to_float(source, "criteria", key, text)
+def _limited(kind: _Kind, ok: Callable[[Any], bool], rule: str) -> _Kind:
+    def parse(text: str) -> Any:
+        value = kind.parse(text)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+
+    return _Kind(parse, kind.format)
+
+
+def _list(kind: _Kind) -> _Kind:
+    return _Kind(lambda text: tuple(map(kind.parse, _split_list(text))),
+                 lambda values: ",".join(map(kind.format, values)))
+
+
+def _choice(options: tuple[str, ...]) -> _Kind:
+    return _limited(_Kind(lambda text: text.strip().lower()), options.__contains__,
+                    f"must be one of {options}")
+
+
+def _names(options: tuple[str, ...], noun: str) -> _Kind:
+    """A comma-separated list of distinct names from ``options``."""
+    name = _limited(_Kind(str.upper), options.__contains__,
+                    f"has unknown {noun}s; choose from {options}")
+    names = _limited(_list(name), bool, "is empty")
+    return _limited(names, lambda values: len(set(values)) == len(values), "has duplicates")
+
+
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+_INT = _Kind(_cast(int, "an integer"))
+_FLOAT = _Kind(_cast(float, "a number"), _float_text)
+_PATH = _Kind(Path)
+
+#: Kinds of dataclass fields, by annotation (the modules use postponed
+#: annotations, so ``Field.type`` is the annotation text).
+_FIELD_KINDS = {
+    "str": _Kind(str),
+    "float": _FLOAT,
+    "float | None": _Kind(
+        lambda text: None if text.strip().lower() == "none" else _FLOAT.parse(text),
+        _float_text,
+    ),
+    "bool": _Kind(_cast(lambda text: _BOOLEANS[text.strip().lower()], "a boolean"),
+                  lambda value: "true" if value else "false"),
+    "tuple[int, ...]": _list(_INT),
+}
+
+
+def _field_kinds(model: type, *skip: str) -> dict[str, _Kind]:
+    return {f.name: _FIELD_KINDS[f.type] for f in dataclasses.fields(model)
+            if f.name not in skip}
+
+
+def _required(model: type) -> set[str]:
+    return {f.name for f in dataclasses.fields(model)
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING}
+
+
+#: Section -> key -> kind.  It drives load_run_config, the command-line
+#: overrides of [run] keys and the config part of summary.txt.  A section
+#: in _MODELS is that dataclass, one key per field; the keys of the other
+#: sections are RunConfig attributes (named as in _ATTRS where they
+#: differ).  _SPECIAL_KEYS are read by hand: a [criteria] preset that the
+#: other keys override, and one [grid] path_<res>m per resolution.
+_SCHEMA: dict[str, dict[str, _Kind]] = {
+    "run": {
+        "seed": _limited(_INT, lambda n: 0 <= n < 2**64, "must be an unsigned 64-bit integer"),
+        "realizations": _limited(_INT, lambda n: n >= 1, "must be >= 1"),
+        "workers": _limited(_INT, lambda n: n >= 1, "must be >= 1"),
+        "out": _PATH,
+        "resolution": _limited(_FLOAT, lambda x: x > 0, "must be positive"),
+        "buckets": _Kind(parse_buckets, lambda buckets: ",".join(b.label for b in buckets)),
+    },
+    "criteria": _field_kinds(ProtectionCriteria),
+    "hata": {"frequency_mhz": _FLOAT, "environment": _choice(ENVIRONMENTS)},
+    "device": _field_kinds(DeviceProfile, "label"),
+    "plan": _field_kinds(ChannelPlan),
+    "knowledge": {
+        "levels": _names(KNOWLEDGE_LEVELS, "knowledge level"),
+        "periods": _names(TIME_PERIODS, "time period"),
+        "shares": _list(_FLOAT),
+        "interpretation": _choice(SHARE_INTERPRETATIONS),
+        "p_mux1_capable": _FLOAT,
+        "p_subscribe_mux2to5": _FLOAT,
+    },
+    "grid": {"path": _PATH},
+}
+_MODELS = {"criteria": ProtectionCriteria, "device": DeviceProfile, "plan": ChannelPlan}
+_ATTRS = {"path": "grid_path"}
+_SPECIAL_KEYS = {"criteria": ["preset"], "grid": ["path_<res>m"]}
+
+
+def _parse(where: str, kind: _Kind, text: str, base: Path) -> Any:
+    """``text`` as a value of ``kind``; relative paths resolve against ``base``."""
     try:
-        if preset_name is not None:
-            preset = REGULATOR_PRESETS.get(preset_name.strip().lower())
-            if preset is None:
-                raise ConfigError(
-                    f"{source}: unknown criteria preset {preset_name!r}; "
-                    f"choose from {sorted(REGULATOR_PRESETS)}"
-                )
-            return dataclasses.replace(preset, **kwargs) if kwargs else preset
-        missing = sorted(_CRITERIA_REQUIRED - set(kwargs))
-        if missing:
-            raise ConfigError(
-                f"{source}: [criteria] needs a preset or the keys: {', '.join(missing)}"
-            )
-        kwargs.setdefault("label", "custom")
-        return ProtectionCriteria(**kwargs)  # type: ignore[arg-type]
+        value = kind.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc} (got {text!r})") from None
+    if isinstance(value, Path) and not value.is_absolute():
+        value = (base / value).resolve()
+    return value
+
+
+def _build(model: type, where: str, values: dict[str, Any]) -> Any:
+    missing = sorted(_required(model) - set(values))
+    if missing:
+        raise ConfigError(f"{where} is missing {', '.join(missing)}")
+    try:
+        return model(**values)
     except DomainError as exc:
-        raise ConfigError(f"{source}: [criteria] {exc}") from None
+        raise ConfigError(f"{where} {exc}") from None
+
+
+def _criteria(where: str, values: dict[str, Any], preset_name: str | None) -> ProtectionCriteria:
+    if preset_name is not None:
+        preset = REGULATOR_PRESETS.get(preset_name.strip().lower())
+        if preset is None:
+            raise ConfigError(
+                f"{where} unknown criteria preset {preset_name!r}; "
+                f"choose from {sorted(REGULATOR_PRESETS)}"
+            )
+        values = dataclasses.asdict(preset) | values
+    elif missing := sorted(_required(ProtectionCriteria) - {"label"} - set(values)):
+        raise ConfigError(f"{where} needs a preset or the keys: {', '.join(missing)}")
+    return _build(ProtectionCriteria, where, {"label": "custom", **values})
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse an INI run configuration.
 
-    Sections: [run], [criteria], [hata], [plan], [knowledge], [grid] and one
-    [device.NAME] per candidate transmitter.  A [result] section (written by
-    ``simulate`` into summary files) is tolerated and ignored.
+    Sections and keys are those of the schema table ``_SCHEMA``: [run],
+    [criteria], [hata], [plan], [knowledge], [grid] and one [device.NAME]
+    per candidate transmitter.  A [result] section (written by ``simulate``
+    into summary files) is tolerated and ignored.
     """
     path = Path(path)
     if not path.is_file():
@@ -230,204 +303,87 @@ def load_run_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
-    known = {"run", "criteria", "hata", "plan", "knowledge", "grid", "result"}
     cfg = RunConfig(config_dir=path.parent.resolve())
-
-    for section in parser.sections():
-        if section not in known and not section.startswith("device."):
-            raise ConfigError(f"{source}: unknown section [{section}]")
-
-    def absolute(text: str) -> Path:
-        p = Path(text)
-        return p if p.is_absolute() else (cfg.config_dir / p).resolve()
-
-    if parser.has_section("run"):
-        data = dict(parser["run"])
-        _check_keys(
-            source, "run", data,
-            {"seed", "realizations", "workers", "out", "resolution", "buckets"},
-        )
-        if "seed" in data:
-            cfg.seed = _validate_seed(_to_int(source, "run", "seed", data["seed"]))
-        if "realizations" in data:
-            cfg.realizations = _to_int(source, "run", "realizations", data["realizations"])
-            if cfg.realizations < 1:
-                raise ConfigError(f"{source}: realizations must be >= 1")
-        if "workers" in data:
-            cfg.workers = _to_int(source, "run", "workers", data["workers"])
-            if cfg.workers < 1:
-                raise ConfigError(f"{source}: workers must be >= 1")
-        if "out" in data:
-            cfg.out = absolute(data["out"])
-        if "resolution" in data:
-            cfg.resolution = _to_float(source, "run", "resolution", data["resolution"])
-            if not cfg.resolution > 0:
-                raise ConfigError(f"{source}: resolution must be positive")
-        if "buckets" in data:
-            cfg.buckets_text = data["buckets"].strip()
-            cfg.buckets = parse_buckets(cfg.buckets_text)
-
-    if parser.has_section("criteria"):
-        cfg.criteria = _parse_criteria(source, dict(parser["criteria"]))
-
-    if parser.has_section("hata"):
-        data = dict(parser["hata"])
-        _check_keys(source, "hata", data, {"frequency_mhz", "environment"})
-        if "frequency_mhz" in data:
-            cfg.frequency_mhz = _to_float(source, "hata", "frequency_mhz", data["frequency_mhz"])
-        if "environment" in data:
-            cfg.environment = data["environment"].strip().lower()
-            if cfg.environment not in ENVIRONMENTS:
-                raise ConfigError(
-                    f"{source}: environment must be one of {ENVIRONMENTS}, "
-                    f"got {cfg.environment!r}"
-                )
-
     devices: list[DeviceProfile] = []
-    for section in parser.sections():
-        if not section.startswith("device."):
+    for header in parser.sections():
+        if header == "result":
             continue
-        label = section[len("device."):]
-        if not _DEVICE_NAME_RE.match(label):
+        name, dot, label = header.partition(".")
+        if name not in _SCHEMA or bool(dot) != (name == "device"):
+            raise ConfigError(f"{source}: unknown section [{header}]")
+        if dot and not _DEVICE_NAME_RE.match(label):
             raise ConfigError(f"{source}: bad device name {label!r}")
-        data = dict(parser[section])
-        _check_keys(source, section, data, {"eirp_mw", "antenna_height_m"})
-        for key in ("eirp_mw", "antenna_height_m"):
-            if key not in data:
-                raise ConfigError(f"{source}: [{section}] is missing {key}")
-        try:
-            devices.append(
-                DeviceProfile(
-                    label=label,
-                    eirp_mw=_to_float(source, section, "eirp_mw", data["eirp_mw"]),
-                    antenna_height_m=_to_float(
-                        source, section, "antenna_height_m", data["antenna_height_m"]
-                    ),
-                )
-            )
-        except DomainError as exc:
-            raise ConfigError(f"{source}: [{section}] {exc}") from None
-    if len({d.label for d in devices}) != len(devices):
-        raise ConfigError(f"{source}: duplicate device names")
-    cfg.devices = tuple(devices)
-
-    if parser.has_section("plan"):
-        data = dict(parser["plan"])
-        _check_keys(
-            source, "plan", data,
-            {"total_band_mhz", "channel_bandwidth_mhz", "used_channels", "dedup_adjacent"},
-        )
-        kwargs: dict[str, object] = {}
-        if "total_band_mhz" in data:
-            kwargs["total_band_mhz"] = _to_float(
-                source, "plan", "total_band_mhz", data["total_band_mhz"]
-            )
-        if "channel_bandwidth_mhz" in data:
-            kwargs["channel_bandwidth_mhz"] = _to_float(
-                source, "plan", "channel_bandwidth_mhz", data["channel_bandwidth_mhz"]
-            )
-        if "used_channels" in data:
-            kwargs["used_channels"] = tuple(
-                _to_int(source, "plan", "used_channels", tok)
-                for tok in _split_list(data["used_channels"])
-            )
-        if "dedup_adjacent" in data:
-            kwargs["dedup_adjacent"] = _to_bool(
-                source, "plan", "dedup_adjacent", data["dedup_adjacent"]
-            )
-        cfg.plan = ChannelPlan(**kwargs)  # type: ignore[arg-type]
-
-    if parser.has_section("knowledge"):
-        data = dict(parser["knowledge"])
-        _check_keys(
-            source, "knowledge", data,
-            {"levels", "periods", "interpretation", "p_mux1_capable",
-             "p_subscribe_mux2to5", "shares"},
-        )
-        if "levels" in data:
-            levels = tuple(token.upper() for token in _split_list(data["levels"]))
-            if not levels:
-                raise ConfigError(f"{source}: [knowledge] levels is empty")
-            for level in levels:
-                if level not in KNOWLEDGE_LEVELS:
-                    raise ConfigError(
-                        f"{source}: unknown knowledge level {level!r}; "
-                        f"choose from {KNOWLEDGE_LEVELS}"
-                    )
-            if len(set(levels)) != len(levels):
-                raise ConfigError(f"{source}: [knowledge] levels has duplicates")
-            cfg.levels = levels
-        if "periods" in data and "shares" in data:
-            raise ConfigError(f"{source}: [knowledge] give periods or shares, not both")
-        if "periods" in data:
-            periods = tuple(token.upper() for token in _split_list(data["periods"]))
-            if not periods:
-                raise ConfigError(f"{source}: [knowledge] periods is empty")
-            for period in periods:
-                if period not in TIME_PERIODS:
-                    raise ConfigError(
-                        f"{source}: unknown time period {period!r}; "
-                        f"choose from {TIME_PERIODS}"
-                    )
-            if len(set(periods)) != len(periods):
-                raise ConfigError(f"{source}: [knowledge] periods has duplicates")
-            cfg.periods = periods
-        if "shares" in data:
-            cfg.shares = tuple(
-                _to_float(source, "knowledge", "shares", tok)
-                for tok in _split_list(data["shares"])
-            )
-        if "interpretation" in data:
-            cfg.interpretation = data["interpretation"].strip().lower()
-            if cfg.interpretation not in SHARE_INTERPRETATIONS:
-                raise ConfigError(
-                    f"{source}: interpretation must be one of "
-                    f"{SHARE_INTERPRETATIONS}, got {cfg.interpretation!r}"
-                )
-        if "p_mux1_capable" in data:
-            cfg.p_mux1_capable = _to_float(
-                source, "knowledge", "p_mux1_capable", data["p_mux1_capable"]
-            )
-        if "p_subscribe_mux2to5" in data:
-            cfg.p_subscribe_mux2to5 = _to_float(
-                source, "knowledge", "p_subscribe_mux2to5", data["p_subscribe_mux2to5"]
-            )
-
-    if parser.has_section("grid"):
-        data = dict(parser["grid"])
-        for key, value in data.items():
-            if key == "path":
-                cfg.grid_path = absolute(value)
+        where = f"{source}: [{header}]"
+        keys = _SCHEMA[name]
+        values: dict[str, Any] = {}
+        preset = None
+        unknown = []
+        for key, text in parser[header].items():
+            grid_res = _GRID_PATH_RE.match(key) if name == "grid" else None
+            if key in keys:
+                values[key] = _parse(f"{where} {key}", keys[key], text, cfg.config_dir)
+            elif grid_res is not None:
+                res = float(grid_res.group(1))
+                if res in cfg.grid_paths:
+                    raise ConfigError(f"{where} {key} repeats the resolution of "
+                                      "another path_<res>m key")
+                cfg.grid_paths[res] = _parse(f"{where} {key}", _PATH, text, cfg.config_dir)
+            elif name == "criteria" and key == "preset":
+                preset = text
             else:
-                match = _GRID_PATH_RE.match(key)
-                if match is None:
-                    raise ConfigError(
-                        f"{source}: [grid] keys must be 'path' or 'path_<res>m', got {key!r}"
-                    )
-                cfg.grid_paths[float(match.group(1))] = absolute(value)
-        if cfg.grid_path is not None and cfg.grid_paths:
-            raise ConfigError(f"{source}: [grid] mixes 'path' with 'path_<res>m' keys")
-
+                unknown.append(key)
+        if unknown:
+            raise ConfigError(
+                f"{where} has unknown keys: {', '.join(sorted(unknown))}; known keys: "
+                f"{', '.join([*keys, *_SPECIAL_KEYS.get(name, [])])}"
+            )
+        if name == "criteria":
+            cfg.criteria = _criteria(where, values, preset)
+        elif name == "device":
+            devices.append(_build(DeviceProfile, where, {"label": label, **values}))
+        elif name == "plan":
+            cfg.plan = _build(ChannelPlan, where, values)
+        elif "periods" in values and "shares" in values:
+            raise ConfigError(f"{where} give periods or shares, not both")
+        else:
+            for key, value in values.items():
+                setattr(cfg, _ATTRS.get(key, key), value)
+    if cfg.grid_path is not None and cfg.grid_paths:
+        raise ConfigError(f"{source}: [grid] mixes 'path' with 'path_<res>m' keys")
+    cfg.devices = tuple(devices)
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = _validate_seed(args.seed)
-    if getattr(args, "realizations", None) is not None:
-        if args.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
-        cfg.realizations = args.realizations
-    if getattr(args, "workers", None) is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        cfg.workers = args.workers
-    if getattr(args, "out", None) is not None:
-        cfg.out = Path(args.out)
-    if getattr(args, "resolution", None) is not None:
-        if not args.resolution > 0:
-            raise ConfigError("resolution must be positive")
-        cfg.resolution = args.resolution
+    """Command-line values of [run] keys, parsed and checked like config text."""
+    for key, kind in _SCHEMA["run"].items():
+        text = getattr(args, key, None)
+        if text is not None:
+            setattr(cfg, key, _parse(f"--{key}", kind, text, Path.cwd()))
+
+
+def _config_lines(cfg: RunConfig) -> list[str]:
+    """``cfg`` as INI text in schema order; ``load_run_config`` reads it back.
+
+    A key whose value is None, or empty where the field is optional, is
+    left out: parsing restores its default.
+    """
+    lines: list[str] = []
+    for name, keys in _SCHEMA.items():
+        model = _MODELS.get(name)
+        if name == "device":
+            sections = [(f"device.{d.label}", d) for d in cfg.devices]
+        else:
+            sections = [(name, getattr(cfg, name) if model else cfg)]
+        required = _required(model) if model else set()
+        for header, owner in sections:
+            lines += ["", f"[{header}]"]
+            for key, kind in keys.items():
+                value = getattr(owner, _ATTRS.get(key, key))
+                if value is None or (value == "" and key not in required):
+                    continue
+                lines.append(f"{key} = {kind.format(value)}")
+    return lines
 
 
 def _select_grid_path(cfg: RunConfig) -> Path:
@@ -435,10 +391,9 @@ def _select_grid_path(cfg: RunConfig) -> Path:
         return cfg.grid_path
     if not cfg.grid_paths:
         raise ConfigError("no [grid] path configured")
+    if cfg.resolution in cfg.grid_paths:
+        return cfg.grid_paths[cfg.resolution]
     if cfg.resolution is not None:
-        for res, p in cfg.grid_paths.items():
-            if res == cfg.resolution:
-                return p
         raise ConfigError(
             f"no grid for resolution {_g(cfg.resolution)} m; available: "
             f"{', '.join(_g(r) + ' m' for r in sorted(cfg.grid_paths))}"
@@ -475,22 +430,6 @@ def _load_selected_grid(cfg: RunConfig) -> tuple[HouseholdGrid, Path]:
     return grid, grid_path
 
 
-def _hata_for_device(cfg: RunConfig, device: DeviceProfile) -> HataParams:
-    if cfg.frequency_mhz is None:
-        raise ConfigError("[hata] frequency_mhz is required")
-    return HataParams(
-        carrier_frequency_mhz=cfg.frequency_mhz,
-        base_height_m=device.antenna_height_m,
-        mobile_height_m=cfg.criteria.receiver_height_m,
-        environment=cfg.environment,
-    )
-
-
-def _require_devices(cfg: RunConfig) -> None:
-    if not cfg.devices:
-        raise ConfigError("no [device.NAME] sections configured")
-
-
 def _separation_reports(cfg: RunConfig) -> list[SeparationReport]:
     """Link budget of every configured device, in device order.
 
@@ -498,12 +437,20 @@ def _separation_reports(cfg: RunConfig) -> list[SeparationReport]:
     non-finite frequency, a base height that flattens the Hata slope) is
     a configuration error naming the sections involved.
     """
+    if not cfg.devices:
+        raise ConfigError("no [device.NAME] sections configured")
+    if cfg.frequency_mhz is None:
+        raise ConfigError("[hata] frequency_mhz is required")
     reports = []
     for device in cfg.devices:
         try:
-            reports.append(
-                separation_report(device, cfg.criteria, _hata_for_device(cfg, device))
+            hata = HataParams(
+                carrier_frequency_mhz=cfg.frequency_mhz,
+                base_height_m=device.antenna_height_m,
+                mobile_height_m=cfg.criteria.receiver_height_m,
+                environment=cfg.environment,
             )
+            reports.append(separation_report(device, cfg.criteria, hata))
         except DomainError as exc:
             raise ConfigError(f"[hata] with [device.{device.label}]: {exc}") from None
     return reports
@@ -526,7 +473,6 @@ def _linkbudget_resolutions(cfg: RunConfig) -> tuple[float, ...]:
 def _cmd_linkbudget(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     _apply_overrides(cfg, args)
-    _require_devices(cfg)
     resolutions = _linkbudget_resolutions(cfg)
 
     rows = []
@@ -611,105 +557,59 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _combinations(cfg: RunConfig) -> list[tuple[DeviceProfile, str, str | None]]:
-    combos: list[tuple[DeviceProfile, str, str | None]] = []
-    for device in cfg.devices:
-        for level in cfg.levels:
-            if level == "KL3" and cfg.shares is None:
-                combos.extend((device, level, period) for period in cfg.periods)
-            else:
-                combos.append((device, level, None))
-    return combos
-
-
-def _knowledge_for(cfg: RunConfig, level: str, period: str | None) -> KnowledgeConfig:
-    return KnowledgeConfig(
-        level=level,
-        p_mux1_capable=cfg.p_mux1_capable,
-        p_subscribe_mux2to5=cfg.p_subscribe_mux2to5,
-        time_period=period,
-        mux_shares=cfg.shares if level == "KL3" and cfg.shares is not None else None,
-        share_interpretation=cfg.interpretation,
-    )
+def _combinations(cfg: RunConfig) -> list[tuple[DeviceProfile, KnowledgeConfig]]:
+    """Every (device, knowledge) pair to run, each built and checked, once
+    the plan is known to fit its band and to carry the 5 MUXs."""
+    white_space_amount(cfg.plan)
+    if len(cfg.plan.used_channels) != 5:
+        raise ConfigError("[plan] used_channels must list the channels of the 5 MUXs, "
+                          f"got {len(cfg.plan.used_channels)}")
+    knowledge = [
+        KnowledgeConfig(
+            level=level,
+            p_mux1_capable=cfg.p_mux1_capable,
+            p_subscribe_mux2to5=cfg.p_subscribe_mux2to5,
+            time_period=period,
+            mux_shares=cfg.shares if level == "KL3" else None,
+            share_interpretation=cfg.interpretation,
+        )
+        for level in cfg.levels
+        for period in (cfg.periods if level == "KL3" and cfg.shares is None else (None,))
+    ]
+    return [(device, k) for device in cfg.devices for k in knowledge]
 
 
 def _summary_text(
     cfg: RunConfig,
     device: DeviceProfile,
-    level: str,
-    period: str | None,
+    knowledge: KnowledgeConfig,
     grid: HouseholdGrid,
     grid_path: Path,
     result,
-    capacity_mhz: float,
-    white_mhz: float,
 ) -> str:
-    criteria = cfg.criteria
+    period = knowledge.time_period
+    pinned = dataclasses.replace(
+        cfg,
+        out=cfg.out.resolve(),
+        resolution=grid.resolution_m,
+        devices=(device,),
+        levels=(knowledge.level,),
+        periods=None if period is None else (period,),
+        shares=knowledge.mux_shares,
+        grid_path=grid_path.resolve(),
+        grid_paths={},
+    )
     lines = ["# run summary; also a valid config reproducing this single combination"]
-    for warning in result.warnings:
-        lines.append(f"# warning: {warning}")
+    lines += [f"# warning: {warning}" for warning in result.warnings]
+    lines += _config_lines(pinned)
     lines += [
-        "",
-        "[run]",
-        f"seed = {cfg.seed}",
-        f"realizations = {cfg.realizations}",
-        f"workers = {cfg.workers}",
-        f"out = {cfg.out.resolve()}",
-        f"resolution = {_g(grid.resolution_m)}",
-        f"buckets = {cfg.buckets_text}",
-        "",
-        "[criteria]",
-        f"label = {criteria.label}",
-        f"min_field_strength_dbuvm = {_g(criteria.min_field_strength_dbuvm)}",
-        f"ci_cochannel_db = {_g(criteria.ci_cochannel_db)}",
-        f"ci_adjacent_db = {_g(criteria.ci_adjacent_db)}",
-        f"channel_bandwidth_mhz = {_g(criteria.channel_bandwidth_mhz)}",
-        f"location_accuracy_m = {_g(criteria.location_accuracy_m)}",
-        f"receiver_height_m = {_g(criteria.receiver_height_m)}",
-    ]
-    if criteria.ci_adjacent_lower_db is not None:
-        lines.append(f"ci_adjacent_lower_db = {_g(criteria.ci_adjacent_lower_db)}")
-    if criteria.power_limit_cochannel:
-        lines.append(f"power_limit_cochannel = {criteria.power_limit_cochannel}")
-    if criteria.power_limit_adjacent:
-        lines.append(f"power_limit_adjacent = {criteria.power_limit_adjacent}")
-    lines += [
-        "",
-        "[hata]",
-        f"frequency_mhz = {_g(cfg.frequency_mhz)}",
-        f"environment = {cfg.environment}",
-        "",
-        f"[device.{device.label}]",
-        f"eirp_mw = {_g(device.eirp_mw)}",
-        f"antenna_height_m = {_g(device.antenna_height_m)}",
-        "",
-        "[plan]",
-        f"total_band_mhz = {_g(cfg.plan.total_band_mhz)}",
-        f"channel_bandwidth_mhz = {_g(cfg.plan.channel_bandwidth_mhz)}",
-        f"used_channels = {','.join(str(c) for c in cfg.plan.used_channels)}",
-        f"dedup_adjacent = {'true' if cfg.plan.dedup_adjacent else 'false'}",
-        "",
-        "[knowledge]",
-        f"levels = {level}",
-    ]
-    if period is not None:
-        lines.append(f"periods = {period}")
-    elif level == "KL3" and cfg.shares is not None:
-        lines.append(f"shares = {','.join(_g(s) for s in cfg.shares)}")
-    lines += [
-        f"interpretation = {cfg.interpretation}",
-        f"p_mux1_capable = {_g(cfg.p_mux1_capable)}",
-        f"p_subscribe_mux2to5 = {_g(cfg.p_subscribe_mux2to5)}",
-        "",
-        "[grid]",
-        f"path = {grid_path.resolve()}",
         "",
         "[result]",
         f"backend = {BACKEND}",
         f"co_radius_m = {_g(result.co_radius_m)}",
         f"adjacent_radius_m = {_g(result.adjacent_radius_m)}",
-        f"capacity_mhz = {_g(capacity_mhz)}",
-        f"white_space_mhz = {_g(white_mhz)}",
+        f"capacity_mhz = {_g(gray_space_capacity(cfg.plan))}",
+        f"white_space_mhz = {_g(white_space_amount(cfg.plan))}",
         f"valid_cells = {int(grid.valid.sum())}",
         f"total_households = {grid.total_households}",
         f"mean_gray_space_mhz = {_g(float(np.nanmean(result.mean_map.values)))}",
@@ -720,16 +620,12 @@ def _summary_text(
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     _apply_overrides(cfg, args)
-    _require_devices(cfg)
     hata = {report.device.label: report.hata for report in _separation_reports(cfg)}
-    grid, grid_path = _load_selected_grid(cfg)
-    capacity = gray_space_capacity(cfg.plan)
-    white = white_space_amount(cfg.plan)
-
     combos = _combinations(cfg)
+    grid, grid_path = _load_selected_grid(cfg)
+
     cfg.out.mkdir(parents=True, exist_ok=True)
-    for device, level, period in combos:
-        knowledge = _knowledge_for(cfg, level, period)
+    for device, knowledge in combos:
         result = run_monte_carlo(
             grid,
             device,
@@ -742,24 +638,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             buckets=cfg.buckets,
             workers=cfg.workers,
         )
-        name = f"{device.label}_{level}" + (f"_{period}" if period else "")
+        period = knowledge.time_period
+        name = f"{device.label}_{knowledge.level}" + (f"_{period}" if period else "")
         outdir = cfg.out / name
         outdir.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(dir=cfg.out, prefix=".stage-"))
-        try:
+        with tempfile.TemporaryDirectory(dir=cfg.out, prefix=".stage-") as tmp:
+            stage = Path(tmp)
             write_matrix_csv(stage / "map.csv", result.mean_map.values)
             write_cdf_csv(stage / "cdf.csv", result.cdf)
             write_utilization_csv(stage / "utilization.csv", result.utilization)
             (stage / "summary.txt").write_text(
-                _summary_text(cfg, device, level, period, grid, grid_path,
-                              result, capacity, white)
+                _summary_text(cfg, device, knowledge, grid, grid_path, result)
             )
             for fname in ("map.csv", "cdf.csv", "utilization.csv", "summary.txt"):
                 os.replace(stage / fname, outdir / fname)
-        finally:
-            for leftover in stage.glob("*"):
-                leftover.unlink()
-            stage.rmdir()
         mean_mhz = float(np.nanmean(result.mean_map.values))
         print(f"{name}: mean gray space {mean_mhz:.1f} MHz "
               f"over {int(grid.valid.sum())} valid cells -> {outdir}")
@@ -819,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linkbudget", help="minimum separation distances per device")
     p.add_argument("--config", required=True, help="INI run configuration")
     p.add_argument("--csv", type=Path, help="also write the table to this CSV file")
-    p.add_argument("--resolution", type=float, help="quantization resolution override (m)")
+    p.add_argument("--resolution", help="quantization resolution override (m)")
     p.set_defaults(func=_cmd_linkbudget)
 
     p = sub.add_parser("ingest", help="normalize a household grid CSV")
@@ -834,18 +726,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the Monte Carlo evaluation")
     p.add_argument("--config", required=True, help="INI run configuration")
-    p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--realizations", type=int, help="realization count override")
-    p.add_argument("--workers", type=int, help="process count override")
-    p.add_argument("--out", type=Path, help="output directory override")
-    p.add_argument("--resolution", type=float, help="grid resolution to run (m)")
+    p.add_argument("--seed", help="master seed override")
+    p.add_argument("--realizations", help="realization count override")
+    p.add_argument("--workers", help="process count override")
+    p.add_argument("--out", help="output directory override")
+    p.add_argument("--resolution", help="grid resolution to run (m)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report", help="re-derive statistics from a stored mean map")
     p.add_argument("--config", required=True, help="INI run configuration")
     p.add_argument("--map", required=True, dest="map_path", help="mean map (.csv or .rle)")
-    p.add_argument("--resolution", type=float, help="grid resolution to pair with (m)")
-    p.add_argument("--out", type=Path, help="output directory (default: map's directory)")
+    p.add_argument("--resolution", help="grid resolution to pair with (m)")
+    p.add_argument("--out", help="output directory (default: map's directory)")
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -126,9 +126,13 @@ def distance_for_loss(params: HataParams, loss_db: float) -> float:
     Closed-form inversion: with L(d) = C + S log10(d) where C is the loss
     at 1 km and S the distance slope, d = 10**((L - C) / S).  Losses below
     any physical value are still inverted (the result is simply < 1 km);
-    only non-finite input is rejected.
+    non-finite input is rejected, and so is a loss whose distance lies
+    outside 1e-300..1e300 km, where the power would over- or underflow.
     """
     if not math.isfinite(loss_db):
         raise DomainError("loss_db must be finite")
-    c = path_loss(params, 1.0)
-    return 10.0 ** ((loss_db - c) / _slope(params))
+    exponent = (loss_db - path_loss(params, 1.0)) / _slope(params)
+    if not abs(exponent) < 300:
+        raise DomainError(f"loss_db ({loss_db!r}) needs a distance of 10**{exponent:.6g} km, "
+                          "outside the 1e-300..1e300 km the inversion covers")
+    return 10.0 ** exponent

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from grayspace.cli import load_run_config, main
+from grayspace.cli import _combinations, load_run_config, main
 from grayspace.errors import ConfigError
 from grayspace.griddata import (
     HouseholdGrid,
@@ -16,6 +20,9 @@ from grayspace.griddata import (
     read_matrix_rle,
     write_grid_csv,
 )
+from grayspace.linkbudget import OFCOM
+from grayspace.propagation import ENVIRONMENTS
+from grayspace.scenario import KNOWLEDGE_LEVELS, SHARE_INTERPRETATIONS, TIME_PERIODS
 
 
 def write_grid(path: Path, municipal_area_km2=None) -> None:
@@ -107,6 +114,7 @@ class TestConfigParsing:
             ("[knowledge]\ninterpretation = sideways\n", "interpretation must be"),
             ("[grid]\nroute = town.csv\n", "path"),
             ("[grid]\npath = a.csv\npath_1000m = b.csv\n", "mixes"),
+            ("[grid]\npath_1000m = a.csv\npath_1000.0m = b.csv\n", "repeats the resolution"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -172,8 +180,12 @@ class TestExitCodes:
         [
             ("frequency_mhz = 650", "frequency_mhz = nan", "must be finite"),
             ("antenna_height_m = 30", "antenna_height_m = 1e7", "slope"),
+            ("preset = ofcom", "preset = ofcom\nmin_field_strength_dbuvm = -1e7",
+             "the inversion covers"),
+            ("preset = ofcom", "preset = ofcom\nmin_field_strength_dbuvm = 1e7",
+             "the inversion covers"),
         ],
-        ids=["nan-frequency", "flat-hata-slope"],
+        ids=["nan-frequency", "flat-hata-slope", "distance-overflow", "distance-underflow"],
     )
     @pytest.mark.parametrize("command", ["simulate", "linkbudget"])
     def test_bad_propagation_input_is_2_and_writes_nothing(
@@ -190,6 +202,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "[device.cpe-4w]" in err and fragment in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "old,new,fragment",
+        [
+            ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 0.5,0.3,0.3,0.3,0.3", "sum to"),
+            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30", "5 MUXs"),
+        ],
+        ids=["kl3-shares-over-1", "four-channel-plan"],
+    )
+    def test_bad_combination_is_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, old, new, fragment
+    ):
+        workspace.write_text(workspace.read_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,fragment",
+        [
+            ("--realizations", "0", "--realizations must be >= 1"),
+            ("--seed", "eleven", "--seed is not an integer"),
+            ("--workers", "-2", "--workers must be >= 1"),
+            ("--resolution", "nan", "--resolution must be positive"),
+        ],
+    )
+    def test_bad_override_is_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, flag, value, fragment
+    ):
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(workspace), "--out", str(out), flag, value]
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (Path(__file__).parents[1] / "configs").glob("*.cfg"))
+    )
+    def test_loads_and_linkbudget_runs(self, configs_dir, name, capsys):
+        cfg = load_run_config(configs_dir / name)
+        assert cfg.devices
+        assert main(["linkbudget", "--config", str(configs_dir / name)]) == 0
+        assert "criteria: " in capsys.readouterr().out
+
+    def test_ofcom_suburban_spells_out_the_ofcom_preset(self, configs_dir):
+        assert load_run_config(configs_dir / "ofcom-suburban.cfg").criteria == OFCOM
 
 
 class TestLinkbudget:
@@ -278,6 +340,19 @@ class TestSimulate:
         ]
         assert len(diff) == 1 and diff[0][0].startswith("out = ")
 
+    def test_summary_keeps_float_precision(self, workspace, tmp_path, capsys):
+        text = workspace.read_text().replace(
+            "levels = KL1,KL2", "levels = KL2\np_mux1_capable = 0.98000000001"
+        )
+        workspace.write_text(text)
+        assert main(["simulate", "--config", str(workspace), "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "cpe-4w_KL2" / "summary.txt").read_text()
+        assert "p_mux1_capable = 0.98000000001\n" in summary
+        assert "p_subscribe_mux2to5 = 0.15\n" in summary
+        assert load_run_config(tmp_path / "cpe-4w_KL2" / "summary.txt").p_mux1_capable == (
+            0.98000000001
+        )
+
     def test_seed_override(self, workspace, tmp_path, capsys):
         main(["simulate", "--config", str(workspace), "--out", str(tmp_path / "a")])
         main(["simulate", "--config", str(workspace), "--out", str(tmp_path / "b"),
@@ -357,3 +432,236 @@ class TestReport:
         ) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# properties over the config schema
+
+
+def _simulate_quietly(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_text = st.text(alphabet="abcXYZ019 -_/.,:;#%=()", max_size=12).map(str.strip)
+
+
+def _floats(low: float, high: float) -> st.SearchStrategy[float]:
+    return st.floats(low, high, allow_nan=False)
+
+
+@st.composite
+def _configs(draw) -> dict[str, dict[str, object]]:
+    """Valid configs over every schema key; floats keep full precision."""
+    sections: dict[str, dict[str, object]] = {
+        "run": {
+            "seed": draw(st.integers(0, 2**64 - 1)),
+            "realizations": draw(st.integers(1, 2)),
+            "workers": 1,
+            "out": "results",
+            "resolution": draw(st.sampled_from(["1000", "1e3", None])),
+            "buckets": draw(st.sampled_from(["24-64,72-96,96<", " 0-8, 16-40 ,48<", "100<"])),
+        },
+        "criteria": {
+            "label": draw(_text),
+            "min_field_strength_dbuvm": draw(_floats(30, 70)),
+            "ci_cochannel_db": draw(_floats(10, 40)),
+            "ci_adjacent_db": draw(_floats(-40, 0)),
+            "channel_bandwidth_mhz": draw(_floats(0.5, 10)),
+            "location_accuracy_m": draw(_floats(1, 500)),
+            "receiver_height_m": draw(_floats(1, 20)),
+            "ci_adjacent_lower_db": draw(st.one_of(st.just("none"), _floats(-50, 0))),
+            "power_limit_cochannel": draw(_text),
+            "power_limit_adjacent": draw(_text),
+        },
+        "hata": {
+            "frequency_mhz": draw(_floats(470, 790)),
+            "environment": draw(st.sampled_from(ENVIRONMENTS)).title(),
+        },
+        "device." + draw(st.from_regex(r"\A[A-Za-z0-9][A-Za-z0-9._-]{0,8}\Z")): {
+            "eirp_mw": draw(_floats(1, 1e4)),
+            "antenna_height_m": draw(_floats(1.5, 60)),
+        },
+        "plan": {
+            "total_band_mhz": draw(_floats(150, 1000)),
+            "channel_bandwidth_mhz": draw(_floats(1, 8)),
+            "used_channels": ",".join(map(str, draw(
+                st.lists(st.integers(21, 69), min_size=5, max_size=5, unique=True)
+            ))),
+            "dedup_adjacent": draw(st.sampled_from(["true", "no", "On", "0"])),
+        },
+        "knowledge": {
+            "levels": ",".join(draw(st.lists(
+                st.sampled_from(KNOWLEDGE_LEVELS), min_size=1, max_size=3, unique=True
+            ))).lower(),
+            "interpretation": draw(st.sampled_from(SHARE_INTERPRETATIONS)),
+            "p_mux1_capable": draw(_floats(0, 1)),
+            "p_subscribe_mux2to5": draw(_floats(0, 1)),
+        },
+        "grid": {"path": "town.csv"},
+    }
+    viewing = draw(st.sampled_from(["periods", "shares", None]))
+    if viewing == "periods":
+        sections["knowledge"]["periods"] = ",".join(draw(st.lists(
+            st.sampled_from(TIME_PERIODS), min_size=1, max_size=2, unique=True
+        )))
+    elif viewing == "shares":
+        sections["knowledge"]["shares"] = ",".join(
+            repr(s) for s in draw(st.lists(_floats(0, 0.2), min_size=5, max_size=5))
+        )
+    return sections
+
+
+def _ini(sections: dict[str, dict[str, object]]) -> str:
+    lines = []
+    for header, keys in sections.items():
+        lines.append(f"[{header}]")
+        lines += [f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
+                  for key, value in keys.items() if value is not None]
+    return "\n".join(lines) + "\n"
+
+
+class TestSummaryRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(_configs())
+    @example({
+        "run": {"seed": 0, "out": "results"},
+        "criteria": {"preset": "fcc", "ci_adjacent_lower_db": "none"},
+        "hata": {"frequency_mhz": 650.0},
+        "device.a": {"eirp_mw": 0.1 + 0.2, "antenna_height_m": 30.000000000000004},
+        "knowledge": {"levels": "KL2,KL3", "p_mux1_capable": 0.98000000001,
+                      "shares": "0.1,0.1,0.1,0.1,1e-17"},
+        "grid": {"path": "town.csv"},
+    })
+    def test_summary_parses_back_to_its_combination(self, sections):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_grid(root / "town.csv")
+            config = write_config(root / "run.cfg", _ini(sections))
+            cfg = load_run_config(config)
+            code, err = _simulate_quietly(["simulate", "--config", str(config)])
+            assert code == 0, err
+            for device, knowledge in _combinations(cfg):
+                period = knowledge.time_period
+                name = f"{device.label}_{knowledge.level}" + (f"_{period}" if period else "")
+                again = load_run_config(cfg.out / name / "summary.txt")
+                assert repr(again.criteria) == repr(cfg.criteria)
+                assert repr(again.devices) == repr((device,))
+                assert repr(again.plan) == repr(cfg.plan)
+                assert repr(_combinations(again)) == repr([(device, knowledge)])
+                assert (again.frequency_mhz, again.environment) == (
+                    cfg.frequency_mhz, cfg.environment
+                )
+                assert (again.seed, again.realizations, again.workers, again.buckets) == (
+                    cfg.seed, cfg.realizations, cfg.workers, cfg.buckets
+                )
+                assert (again.out, again.resolution, again.grid_path) == (
+                    cfg.out, 1000.0, cfg.grid_path
+                )
+
+
+_FUZZ_BASE = """\
+[run]
+seed = 7
+realizations = 1
+workers = 1
+resolution = 1000
+buckets = 24-64,72-96,96<
+
+[criteria]
+label = ofcom
+min_field_strength_dbuvm = 50
+ci_cochannel_db = 33
+ci_adjacent_db = -17
+channel_bandwidth_mhz = 8
+location_accuracy_m = 100
+receiver_height_m = 10
+
+[hata]
+frequency_mhz = 650
+environment = suburban
+
+[device.cpe-4w]
+eirp_mw = 4000
+antenna_height_m = 30
+
+[plan]
+total_band_mhz = 320
+channel_bandwidth_mhz = 8
+used_channels = 21,24,27,30,33
+dedup_adjacent = true
+
+[knowledge]
+levels = KL1,KL3
+periods = TP2
+interpretation = conditional_on_subscription
+p_mux1_capable = 0.98
+p_subscribe_mux2to5 = 0.15
+
+[grid]
+path = town.csv
+"""
+
+# Replacement values.  Finite numbers whose link budget gives a protection
+# reach of millions of cells (frequency_mhz = 1e-7, eirp_mw = 1e300) are
+# left out: building such a footprint takes time and memory in proportion
+# to its reach.
+_FUZZ_NUMBERS = ["", "0", "-0", "-1", "0.5", "1e7", "-1e7", "1e-300", "1e400", "nan", "inf", "-inf"]
+_FUZZ_WORDS = [
+    "abc", "none", "true", "KL3", "TP9", "fcc", "urban", "0.5,0.3,0.3,0.3,0.3",
+    "21,24,27,30", "21,24,27,30,33,36", "24-64,60-70", "nope.csv", "town.csv",
+]
+_FUZZ_KEYS = [
+    "seed", "realizations", "resolution", "buckets", "colour", "preset", "label",
+    "min_field_strength_dbuvm", "ci_cochannel_db", "ci_adjacent_db",
+    "ci_adjacent_lower_db", "receiver_height_m", "frequency_mhz", "environment",
+    "eirp_mw", "antenna_height_m", "total_band_mhz", "channel_bandwidth_mhz",
+    "used_channels", "dedup_adjacent", "levels", "periods", "shares",
+    "interpretation", "p_mux1_capable", "path", "path_1000m", "path_1000.0m",
+]
+_FUZZ_HEADERS = ["[result]", "[device.extra]", "[device.bad name]", "[bogus]", "[knowledge]"]
+_line = st.integers(0, _FUZZ_BASE.count("\n") - 1)
+_key_line = st.sampled_from([i for i, line in enumerate(_FUZZ_BASE.splitlines()) if "=" in line])
+_mutation = st.one_of(
+    st.tuples(st.just("set"), _key_line, st.sampled_from(_FUZZ_NUMBERS)),
+    st.tuples(st.just("set"), _key_line, st.sampled_from(_FUZZ_WORDS) | _text),
+    st.tuples(st.just("drop"), _line),
+    st.tuples(st.just("add"), _line, st.sampled_from(_FUZZ_KEYS),
+              st.sampled_from(_FUZZ_NUMBERS + _FUZZ_WORDS)),
+    st.tuples(st.just("header"), _line, st.sampled_from(_FUZZ_HEADERS)),
+)
+
+
+def _mutate(text: str, mutations) -> str:
+    lines = text.splitlines()
+    for op, at, *args in mutations:
+        at %= len(lines) or 1
+        if op == "set" and "=" in lines[at] and not lines[at].startswith("["):
+            lines[at] = lines[at].split("=")[0] + "= " + args[0]
+        elif op == "drop" and lines:
+            del lines[at]
+        elif op == "add":
+            lines.insert(at + 1, f"{args[0]} = {args[1]}")
+        elif op == "header":
+            lines.insert(at, args[0])
+    return "\n".join(lines) + "\n"
+
+
+class TestSimulateFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_mutation, min_size=1, max_size=4))
+    def test_mutated_config_exits_cleanly(self, mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_grid(root / "town.csv")
+            config = write_config(root / "run.cfg", _mutate(_FUZZ_BASE, mutations))
+            out = root / "out"
+            code, err = _simulate_quietly(
+                ["simulate", "--config", str(config), "--out", str(out),
+                 "--realizations", "1", "--workers", "1"]
+            )
+            assert code in (0, 2, 3), err
+            assert "Traceback" not in err
+            assert code == 0 or not out.exists(), err

@@ -133,6 +133,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             HataParams(**base)
 
+    @pytest.mark.parametrize("loss_db", [1e7, -1e7, float("inf")])
+    def test_inversion_rejects_losses_out_of_range(self, loss_db):
+        # 10**x of these would overflow (OverflowError) or underflow to 0 m
+        with pytest.raises(DomainError):
+            distance_for_loss(SUBURBAN, loss_db)
+
     def test_nominal_range_flag(self):
         assert SUBURBAN.nominal_range()
         assert not HataParams(650.0, 2.0, 10.0, "suburban").nominal_range()
