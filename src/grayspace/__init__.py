@@ -8,21 +8,17 @@ protected.  The pipeline:
 2. :mod:`grayspace.linkbudget` — regulator protection criteria, device
    profiles, minimum separation distances.
 3. :mod:`grayspace.griddata` — household rasters, municipal-area
-   compensation, disc footprints and protection-mask dilation.
+   compensation, disc footprints and protection geometry.
 4. :mod:`grayspace.scenario` — channel plans and the three knowledge levels
    describing what a spectrum database knows about receiver channel usage.
 5. :mod:`grayspace.engine` — the Monte Carlo evaluation.
 6. :mod:`grayspace.cli` — the ``grayspace`` command.
 
-The dilation hot loop has a compiled extension with a pure-NumPy fallback;
-``grayspace._kernels.BACKEND`` names the one in use and the
-``GRAYSPACE_KERNELS`` environment variable (``native``/``fallback``)
-overrides the choice.  Both produce bit-identical masks.
+Everything is plain NumPy; there is nothing to compile.
 """
 
 from __future__ import annotations
 
-from ._kernels import BACKEND
 from .engine import (
     Bucket,
     CdfCurve,
@@ -87,6 +83,9 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
+
+#: Name of the compute path, kept for tools that record it; there is only one.
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -46,7 +46,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._kernels import BACKEND
 from .engine import (
     Bucket,
     DEFAULT_BUCKETS,
@@ -253,7 +252,7 @@ def _parse(where: str, kind: _Kind, text: str, base: Path) -> Any:
     """``text`` as a value of ``kind``; relative paths resolve against ``base``."""
     try:
         value = kind.parse(text)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{where} {exc} (got {text!r})") from None
     if isinstance(value, Path) and not value.is_absolute():
         value = (base / value).resolve()
@@ -266,7 +265,7 @@ def _build(model: type, where: str, values: dict[str, Any]) -> Any:
         raise ConfigError(f"{where} is missing {', '.join(missing)}")
     try:
         return model(**values)
-    except DomainError as exc:
+    except (DomainError, ConfigError) as exc:
         raise ConfigError(f"{where} {exc}") from None
 
 
@@ -493,7 +492,7 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
                     quantize_distance(distance, res),
                 ))
 
-    print(f"criteria: {cfg.criteria.label}   backend: {BACKEND}")
+    print(f"criteria: {cfg.criteria.label}")
     header = (
         f"{'device':<16} {'relation':<9} {'res_m':>7} {'field_dbuvm':>12} "
         f"{'min_loss_db':>12} {'distance_m':>12} {'quantized_m':>12}"
@@ -605,7 +604,6 @@ def _summary_text(
     lines += [
         "",
         "[result]",
-        f"backend = {BACKEND}",
         f"co_radius_m = {_g(result.co_radius_m)}",
         f"adjacent_radius_m = {_g(result.adjacent_radius_m)}",
         f"capacity_mhz = {_g(gray_space_capacity(cfg.plan))}",
@@ -655,7 +653,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         mean_mhz = float(np.nanmean(result.mean_map.values))
         print(f"{name}: mean gray space {mean_mhz:.1f} MHz "
               f"over {int(grid.valid.sum())} valid cells -> {outdir}")
-    print(f"{len(combos)} result set(s) in {cfg.out} (backend: {BACKEND})")
+    print(f"{len(combos)} result set(s) in {cfg.out}")
     return 0
 
 

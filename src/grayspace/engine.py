@@ -1,9 +1,15 @@
 """Monte Carlo gray-space engine.
 
-For each realization the engine samples per-cell MUX usage, dilates the
-receiver cells into co-channel and adjacent-channel protection masks, and
-counts per cell how many channel slots (used channels plus adjacent-channel
-slots) remain usable.  Statistics are averaged over realizations:
+A cell's usable gray space depends only on which receiver cells' protection
+footprints cover it.  So once per run the engine stamps the co-channel and
+adjacent-channel footprints of every household cell and cuts the grid into
+segments, stretches of consecutive cells (row-major) covered by one fixed
+set of receivers, each with a receiver bitset per footprint.  For each
+realization it samples per-cell MUX usage, packs the usage flags at the
+receiver cells into bitsets, and counts per segment how many channel slots
+(used channels plus adjacent-channel slots) remain usable: a slot is lost
+where a segment's bitset meets a receiver using a MUX it protects.
+Statistics are averaged over realizations:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality),
 * a survival-form CDF: percent of valid area with at least g MHz free,
@@ -11,7 +17,7 @@ slots) remain usable.  Statistics are averaged over realizations:
 
 All per-realization quantities are integers (slot counts, cell counts,
 household sums), and workers return integer partial sums, so results are
-bit-identical for any worker count and for both kernel backends.  The
+bit-identical for any worker count.  The
 per-realization RNG is keyed on (master_seed, realization_index); see
 :mod:`grayspace.scenario`.
 """
@@ -27,12 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .griddata import (
-    DiscFootprint,
-    HouseholdGrid,
-    dilate,
-    protection_disc_offsets,
-)
+from .griddata import HouseholdGrid, protection_disc_offsets, receiver_segments
 from .linkbudget import (
     DeviceProfile,
     ProtectionCriteria,
@@ -168,10 +169,15 @@ class _RunState:
 
     grid: HouseholdGrid
     knowledge: KnowledgeConfig
-    footprint_co: DiscFootprint
-    footprint_adj: DiscFootprint
+    receiver_rows: np.ndarray  # household cells, np.nonzero order
+    receiver_cols: np.ndarray
+    segment_lengths: np.ndarray  # cells per segment, in flat cell order
+    co_bits: np.ndarray  # (words, segments) receiver bitsets
+    adj_bits: np.ndarray
+    segment_valid: np.ndarray  # valid cells per segment
+    segment_households: np.ndarray  # households per segment
     used_count: int
-    guard_indices: tuple[tuple[int, ...], ...]
+    guards: np.ndarray  # (adjacent slots, 5) uint8: 1 where a MUX guards a slot
     slot_bucket: np.ndarray  # slot count -> bucket index (len n_slots + 1)
     master_seed: int
 
@@ -189,31 +195,26 @@ def _slot_bucket_map(
     return out
 
 
-def _available_slots(state: _RunState, flags: np.ndarray) -> np.ndarray:
-    """Count usable channel slots per cell for one realization's flags."""
-    cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    co_masks: list[np.ndarray] = []
-    adj_masks: list[np.ndarray] = []
-    for m in range(state.used_count):
-        key = flags[m].tobytes()
-        if key not in cache:
-            cache[key] = (
-                dilate(flags[m], state.footprint_co, "co").values,
-                dilate(flags[m], state.footprint_adj, "adjacent").values,
-            )
-        co, adj = cache[key]
-        co_masks.append(co)
-        adj_masks.append(adj)
+def _hits(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
+    """(MUXs, segments) booleans: a receiver flagged for the MUX covers the
+    segment.  One word at a time, which keeps every temporary 2-D."""
+    hit = np.zeros((flag_words.shape[0], bits.shape[1]), dtype=bool)
+    for w in range(bits.shape[0]):
+        hit |= (bits[w] & flag_words[:, w, None]) != 0
+    return hit
 
-    avail = np.zeros(flags.shape[1:], dtype=np.int64)
-    for co in co_masks:
-        avail += ~co
-    for guards in state.guard_indices:
-        free = ~adj_masks[guards[0]]
-        for g in guards[1:]:
-            free = free & ~adj_masks[g]
-        avail += free
-    return avail
+
+def _available_slots(state: _RunState, flags: np.ndarray) -> np.ndarray:
+    """Count usable channel slots per segment for one realization's flags."""
+    at_receivers = flags[:, state.receiver_rows, state.receiver_cols]
+    packed = np.packbits(at_receivers, axis=1, bitorder="little")
+    padded = np.zeros((len(flags), 8 * state.co_bits.shape[0]), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    flag_words = padded.view("<u8")
+    co_hit = _hits(state.co_bits, flag_words)
+    adj_hit = _hits(state.adj_bits, flag_words).view(np.uint8)
+    guarded = state.guards @ adj_hit  # hit guarding MUXs per (slot, segment)
+    return state.used_count - co_hit.sum(axis=0) + (guarded == 0).sum(axis=0)
 
 
 def _realization_slots(state: _RunState, index: int) -> np.ndarray:
@@ -223,22 +224,23 @@ def _realization_slots(state: _RunState, index: int) -> np.ndarray:
 
 def _accumulate(state: _RunState, indices: Sequence[int]):
     """Integer totals over a batch of realizations (order-independent)."""
-    grid = state.grid
-    n_slots = state.used_count + len(state.guard_indices)
-    slot_sum = np.zeros(grid.counts.shape, dtype=np.int64)
+    n_slots = state.used_count + len(state.guards)
+    slot_sum = np.zeros(len(state.segment_lengths), dtype=np.int64)
     count_ge = np.zeros(n_slots + 1, dtype=np.int64)
     bucket_households = np.zeros(int(state.slot_bucket.max()) + 1, dtype=np.int64)
-    # cells without households add nothing to any bucket
-    household_cells = np.flatnonzero(grid.counts)
-    households = grid.counts.ravel()[household_cells]
     for r in indices:
         avail = _realization_slots(state, r)
         slot_sum += avail
-        hist = np.bincount(avail[grid.valid], minlength=n_slots + 1)
+        hist = np.zeros(n_slots + 1, dtype=np.int64)
+        np.add.at(hist, avail, state.segment_valid)
         count_ge += hist[::-1].cumsum()[::-1]
-        cell_bucket = state.slot_bucket[avail.ravel()[household_cells]]
-        np.add.at(bucket_households, cell_bucket, households)
+        np.add.at(bucket_households, state.slot_bucket[avail], state.segment_households)
     return slot_sum, count_ge, bucket_households
+
+
+def _per_cell(state: _RunState, per_segment: np.ndarray) -> np.ndarray:
+    """Expand per-segment values onto the grid."""
+    return np.repeat(per_segment, state.segment_lengths).reshape(state.grid.counts.shape)
 
 
 _WORKER_STATE: _RunState | None = None
@@ -276,18 +278,34 @@ def _build_state(
     sep = separation_report(device, criteria, hata)
     co_radius = quantize_distance(sep.min_distance_co_m, grid.resolution_m)
     adj_radius = quantize_distance(sep.min_distance_adjacent_m, grid.resolution_m)
-    used_index = {m: i for i, m in enumerate(plan.used_channels)}
-    guard_indices = tuple(
-        tuple(used_index[m] for m in guards) for _, guards in plan.adjacent_entries()
+    # Past this reach every receiver already covers every cell, so a larger
+    # footprint gives the same coverage at a cost growing with the radius.
+    reach_cap = (grid.rows + grid.cols) * grid.resolution_m
+    footprints = [
+        protection_disc_offsets(min(radius, reach_cap), grid.resolution_m)
+        for radius in (co_radius, adj_radius)
+    ]
+    receiver_rows, receiver_cols = np.nonzero(grid.counts)
+    starts, (co_bits, adj_bits) = receiver_segments(
+        grid.counts.shape, receiver_rows, receiver_cols, footprints
     )
-    n_slots = len(plan.used_channels) + len(guard_indices)
+    used_index = {m: i for i, m in enumerate(plan.used_channels)}
+    guards = np.zeros((len(plan.adjacent_entries()), len(used_index)), dtype=np.uint8)
+    for slot, (_, guarding) in enumerate(plan.adjacent_entries()):
+        guards[slot, [used_index[m] for m in guarding]] = 1
+    n_slots = len(plan.used_channels) + len(guards)
     state = _RunState(
         grid=grid,
         knowledge=knowledge,
-        footprint_co=protection_disc_offsets(co_radius, grid.resolution_m),
-        footprint_adj=protection_disc_offsets(adj_radius, grid.resolution_m),
+        receiver_rows=receiver_rows,
+        receiver_cols=receiver_cols,
+        segment_lengths=np.diff(starts, append=grid.counts.size),
+        co_bits=co_bits,
+        adj_bits=adj_bits,
+        segment_valid=np.add.reduceat(grid.valid.ravel().astype(np.int64), starts),
+        segment_households=np.add.reduceat(grid.counts.ravel(), starts),
         used_count=len(plan.used_channels),
-        guard_indices=guard_indices,
+        guards=guards,
         slot_bucket=_slot_bucket_map(n_slots, plan.channel_bandwidth_mhz, buckets),
         master_seed=master_seed,
     )
@@ -318,8 +336,8 @@ def single_realization_map(
     state, _ = _build_state(
         grid, device, criteria, hata, plan, knowledge, master_seed, DEFAULT_BUCKETS
     )
-    values = _realization_slots(state, realization_index) * plan.channel_bandwidth_mhz
-    values = values.astype(np.float64)
+    slots = _per_cell(state, _realization_slots(state, realization_index))
+    values = (slots * plan.channel_bandwidth_mhz).astype(np.float64)
     values[~grid.valid] = np.nan
     return GraySpaceMap(values=values, resolution_m=grid.resolution_m)
 
@@ -359,7 +377,7 @@ def run_monte_carlo(
     else:
         n_workers = min(workers, effective)
         chunks = [list(indices[i::n_workers]) for i in range(n_workers)]
-        slot_sum = np.zeros(grid.counts.shape, dtype=np.int64)
+        slot_sum = np.zeros(len(state.segment_lengths), dtype=np.int64)
         count_ge = np.zeros(extras["n_slots"] + 1, dtype=np.int64)
         bucket_households = np.zeros(int(state.slot_bucket.max()) + 1, dtype=np.int64)
         with ProcessPoolExecutor(
@@ -374,7 +392,7 @@ def run_monte_carlo(
 
     bandwidth = plan.channel_bandwidth_mhz
     n_valid = int(grid.valid.sum())
-    mean_values = slot_sum * (bandwidth / effective)
+    mean_values = _per_cell(state, slot_sum) * (bandwidth / effective)
     mean_values[~grid.valid] = np.nan
     levels = np.arange(extras["n_slots"] + 1) * bandwidth
     percent = count_ge * (100.0 / (effective * n_valid))

@@ -9,8 +9,15 @@ anywhere in its cell and the interferer anywhere in the protected cell.
 
 The module covers CSV ingestion with sidecar metadata, compensation of the
 mismatch between grid area and municipal area, disc-footprint construction,
-mask dilation (delegating the hot loop to the compiled/fallback kernel), and
-matrix export in plain CSV and run-length-encoded form.
+protection geometry, and matrix export in plain CSV and run-length-encoded
+form.
+
+Protection geometry is built from footprint *runs*: a footprint stamped at
+a receiver covers, on each grid row, one contiguous stretch of cells, which
+is one half-open interval of the row-major flat cell index.  :func:`dilate`
+unions the runs of many receivers into a mask; :func:`receiver_segments`
+cuts the flat cell order at every run end, so that each resulting segment
+is covered by one fixed set of receivers, and records that set as a bitset.
 
 Plain-CSV export formats each distinct value of the matrix once and builds
 the rows by indexing that token table.  A gray-space map holds a handful of
@@ -30,7 +37,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import dilate_footprint
 from .errors import DataError, DomainError
 
 _METADATA_KEYS = ("rows", "cols", "resolution_m", "municipal_area_km2")
@@ -410,26 +416,97 @@ class ProtectionMask:
         object.__setattr__(self, "values", values)
 
 
+def _footprint_runs(
+    shape: tuple[int, int],
+    seed_rows: np.ndarray,
+    seed_cols: np.ndarray,
+    footprint: DiscFootprint,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row runs of ``footprint`` stamped at every seed, clipped to the grid.
+
+    Returns ``(seed, start, stop)``: run i covers the flat row-major cell
+    indices ``start[i] <= j < stop[i]`` around seed number ``seed[i]``.
+    A seed's runs lie on distinct rows, so they never overlap.
+    """
+    rows, cols = shape
+    seed_rows = np.asarray(seed_rows, dtype=np.int64)
+    seed_cols = np.asarray(seed_cols, dtype=np.int64)
+    reach = min(footprint.reach, rows - 1)  # farther rows never land on the grid
+    dy = np.arange(-reach, reach + 1, dtype=np.int64)
+    hw = footprint.halfwidths[footprint.reach - reach : footprint.reach + reach + 1]
+    run_rows = seed_rows[:, None] + dy
+    inside = (run_rows >= 0) & (run_rows < rows)
+    lo = np.maximum(seed_cols[:, None] - hw, 0)
+    hi = np.minimum(seed_cols[:, None] + hw, cols - 1)
+    seed = np.broadcast_to(np.arange(len(seed_rows))[:, None], run_rows.shape)
+    return (
+        seed[inside],
+        (run_rows * cols + lo)[inside],
+        (run_rows * cols + hi + 1)[inside],
+    )
+
+
 def dilate(receiver_mask: np.ndarray, footprint: DiscFootprint, relation: str = "") -> ProtectionMask:
     """Mark every cell covered by the footprint of any receiver cell.
 
     Equivalent to scanning all (cell, receiver) pairs for a minimum
-    square-to-square distance below the radius, but computed by stamping
-    the footprint at each receiver.
+    square-to-square distance below the radius, but computed from the
+    footprint runs: +1 at each run start, -1 at each run stop, and a
+    running sum over the flat cell order counts the runs covering a cell.
     """
     mask = np.asarray(receiver_mask)
     if mask.ndim != 2 or mask.dtype != np.bool_:
         raise DomainError("receiver_mask must be a 2-D boolean array")
     ys, xs = np.nonzero(mask)
-    covered = dilate_footprint(
-        mask.shape[0],
-        mask.shape[1],
-        ys.astype(np.int64),
-        xs.astype(np.int64),
-        footprint.halfwidths,
-        footprint.reach,
+    _, start, stop = _footprint_runs(mask.shape, ys, xs, footprint)
+    n_cells = mask.size
+    diff = np.bincount(start, minlength=n_cells + 1) - np.bincount(stop, minlength=n_cells + 1)
+    covered = np.cumsum(diff[:n_cells]) > 0
+    return ProtectionMask(
+        values=covered.reshape(mask.shape), radius_m=footprint.radius_m, relation=relation
     )
-    return ProtectionMask(values=covered, radius_m=footprint.radius_m, relation=relation)
+
+
+def receiver_segments(
+    shape: tuple[int, int],
+    seed_rows: np.ndarray,
+    seed_cols: np.ndarray,
+    footprints: Sequence[DiscFootprint],
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Split the grid into segments covered by fixed sets of receivers.
+
+    Receiver k sits at ``(seed_rows[k], seed_cols[k])``.  The flat
+    row-major cell order is cut at every run end of every footprint, so
+    within a segment no footprint's coverage changes.  Returns
+    ``(starts, bitsets)``: ``starts`` are the first flat cell index of each
+    segment (beginning at 0, strictly increasing), and ``bitsets[f]`` is a
+    ``(words, segments)`` uint64 array, words little-endian in receiver
+    order, whose bit k of word ``k // 64`` is set where footprint f of
+    receiver k covers the segment.
+    """
+    rows, cols = shape
+    n_cells = rows * cols
+    runs = [_footprint_runs(shape, seed_rows, seed_cols, fp) for fp in footprints]
+    cuts = np.concatenate([np.zeros(1, np.int64)] + [np.concatenate(r[1:]) for r in runs])
+    starts = np.unique(cuts)
+    starts = starts[starts < n_cells]
+    words = -(-len(seed_rows) // 64)
+    bitsets = []
+    for seed, start, stop in runs:
+        # Toggle bit k where a run of receiver k begins and where it ends,
+        # then a running XOR along the segments leaves it set in between.
+        ends = np.concatenate((start, stop))
+        owner = np.concatenate((seed, seed))
+        keep = ends < n_cells
+        ends, owner = ends[keep], owner[keep]
+        bits = np.zeros((words, len(starts)), dtype=np.uint64)
+        np.bitwise_xor.at(
+            bits.reshape(-1),
+            owner // 64 * len(starts) + np.searchsorted(starts, ends),
+            np.left_shift(np.uint64(1), (owner % 64).astype(np.uint64)),
+        )
+        bitsets.append(np.bitwise_xor.accumulate(bits, axis=1))
+    return starts, tuple(bitsets)
 
 
 # ---------------------------------------------------------------------------

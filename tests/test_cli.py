@@ -115,6 +115,11 @@ class TestConfigParsing:
             ("[grid]\nroute = town.csv\n", "path"),
             ("[grid]\npath = a.csv\npath_1000m = b.csv\n", "mixes"),
             ("[grid]\npath_1000m = a.csv\npath_1000.0m = b.csv\n", "repeats the resolution"),
+            ("[run]\nbuckets = 24-64,60-70\n", r"bad\.cfg: \[run\] buckets .*overlap"),
+            (
+                "[plan]\nused_channels = 21,21,27,30,33\n",
+                r"bad\.cfg: \[plan\] used_channels contains duplicates",
+            ),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -352,6 +357,21 @@ class TestSimulate:
         assert load_run_config(tmp_path / "cpe-4w_KL2" / "summary.txt").p_mux1_capable == (
             0.98000000001
         )
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [("eirp_mw = 4000", "eirp_mw = 1e300"), ("frequency_mhz = 650", "frequency_mhz = 1e-7")],
+        ids=["eirp-1e300", "frequency-1e-7"],
+    )
+    def test_reach_past_the_grid_protects_every_cell(self, workspace, tmp_path, capsys, old, new):
+        workspace.write_text(workspace.read_text().replace(old, new))
+        assert main(["simulate", "--config", str(workspace), "--out", str(tmp_path)]) == 0
+        # every receiver protects every cell, and under KL1 every MUX is used
+        assert not read_matrix_csv(tmp_path / "cpe-4w_KL1" / "map.csv").any()
+        # the summary keeps the radius of the link budget, not the capped one
+        summary = (tmp_path / "cpe-4w_KL1" / "summary.txt").read_text()
+        co_radius = float(summary.split("co_radius_m = ")[1].split()[0])
+        assert co_radius > 100 * 8 * 1000.0
 
     def test_seed_override(self, workspace, tmp_path, capsys):
         main(["simulate", "--config", str(workspace), "--out", str(tmp_path / "a")])
@@ -604,11 +624,12 @@ p_subscribe_mux2to5 = 0.15
 path = town.csv
 """
 
-# Replacement values.  Finite numbers whose link budget gives a protection
-# reach of millions of cells (frequency_mhz = 1e-7, eirp_mw = 1e300) are
-# left out: building such a footprint takes time and memory in proportion
-# to its reach.
-_FUZZ_NUMBERS = ["", "0", "-0", "-1", "0.5", "1e7", "-1e7", "1e-300", "1e400", "nan", "inf", "-inf"]
+# Replacement values.  1e-7 (as frequency_mhz) and 1e300 (as eirp_mw) give
+# a protection reach of billions of cells, which the engine caps at the grid.
+_FUZZ_NUMBERS = [
+    "", "0", "-0", "-1", "0.5", "1e-7", "1e7", "-1e7", "1e-300", "1e300", "1e400",
+    "nan", "inf", "-inf",
+]
 _FUZZ_WORDS = [
     "abc", "none", "true", "KL3", "TP9", "fcc", "urban", "0.5,0.3,0.3,0.3,0.3",
     "21,24,27,30", "21,24,27,30,33,36", "24-64,60-70", "nope.csv", "town.csv",

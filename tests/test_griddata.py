@@ -19,6 +19,7 @@ from grayspace.griddata import (
     protection_disc_offsets,
     read_matrix_csv,
     read_matrix_rle,
+    receiver_segments,
     refine_grid,
     write_grid_csv,
     write_matrix_csv,
@@ -265,6 +266,42 @@ class TestDilate:
         out = dilate(np.zeros((2, 2), dtype=bool), fp, relation="co")
         assert out.relation == "co"
         assert out.radius_m == 1000.0
+
+
+@st.composite
+def _receivers(draw):
+    """A small grid, distinct receiver cells in any order (up to 150, so
+    bitsets span several words) and two reaches, some past the grid."""
+    rows, cols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    n = draw(st.integers(0, min(150, rows * cols)))
+    cells = draw(st.permutations(range(rows * cols)))[:n]
+    reaches = draw(st.lists(st.integers(1, 30), min_size=2, max_size=2))
+    return rows, cols, np.array(cells, dtype=np.int64), reaches
+
+
+class TestReceiverSegments:
+    @settings(max_examples=80, deadline=None)
+    @given(_receivers())
+    def test_bits_expand_to_each_receivers_scan(self, case):
+        rows, cols, cells, reaches = case
+        res = 100.0
+        ys, xs = np.divmod(cells, cols)
+        footprints = [protection_disc_offsets(r * res, res) for r in reaches]
+        starts, bitsets = receiver_segments((rows, cols), ys, xs, footprints)
+        assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < rows * cols
+        lengths = np.diff(starts, append=rows * cols)
+        words = -(-len(cells) // 64)
+        for fp, bits in zip(footprints, bitsets):
+            assert bits.dtype == np.uint64 and bits.shape == (words, len(starts))
+            for k, (y, x) in enumerate(zip(ys, xs)):
+                bit = (bits[k // 64] >> np.uint64(k % 64)) & np.uint64(1)
+                alone = np.zeros((rows, cols), dtype=bool)
+                alone[y, x] = True
+                want = naive_protection_scan(alone, fp.radius_m, res)
+                got = np.repeat(bit.astype(bool), lengths).reshape(rows, cols)
+                assert np.array_equal(got, want), (k, fp.reach)
+            if len(cells) % 64:
+                assert not (bits[-1] >> np.uint64(len(cells) % 64)).any()
 
 
 def _per_cell_csv(values: np.ndarray) -> str:

@@ -1,12 +1,9 @@
-"""Both dilation kernels must agree bit for bit on every input."""
+"""Run-based dilation must match a cell-by-cell footprint stamp on every input."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from grayspace import _kernels
-from grayspace._kernels import fallback
-from grayspace.griddata import protection_disc_offsets
+from grayspace.griddata import dilate, protection_disc_offsets
 
 
 def disc(reach):
@@ -29,81 +26,41 @@ def naive(seeds, fp):
     return out
 
 
-def run(impl, seeds, fp):
-    rr, cc = np.nonzero(seeds)
-    return impl(seeds.shape[0], seeds.shape[1], rr, cc, fp.halfwidths, fp.reach)
-
-
-def backends():
-    impls = [("fallback", fallback.dilate_footprint)]
-    if _kernels.BACKEND == "native":
-        from grayspace._kernels import _native
-
-        impls.append(("native", _native.dilate_footprint))
-    return impls
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert _kernels.BACKEND in ("native", "fallback")
-
-    def test_dispatch_matches_fallback(self):
-        seeds = np.zeros((8, 8), dtype=bool)
-        seeds[3, 4] = True
-        fp = disc(2)
-        got = run(_kernels.dilate_footprint, seeds, fp)
-        assert np.array_equal(got, run(fallback.dilate_footprint, seeds, fp))
+def run(seeds, fp):
+    return dilate(seeds, fp).values
 
 
 class TestAgreement:
-    @pytest.mark.parametrize("name,impl", backends())
-    def test_against_naive(self, name, impl):
+    def test_against_naive(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
             rows = int(rng.integers(1, 40))
             cols = int(rng.integers(1, 40))
             fp = disc(int(rng.integers(1, 12)))
             seeds = rng.random((rows, cols)) < 0.08
-            got = run(impl, seeds, fp)
-            assert np.array_equal(got, naive(seeds, fp)), (name, rows, cols, fp.reach)
-
-    def test_native_vs_fallback_bitwise(self):
-        if _kernels.BACKEND != "native":
-            pytest.skip("compiled kernel unavailable")
-        from grayspace._kernels import _native
-
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            seeds = rng.random((64, 96)) < 0.05
-            fp = disc(int(rng.integers(1, 20)))
-            a = run(_native.dilate_footprint, seeds, fp)
-            b = run(fallback.dilate_footprint, seeds, fp)
-            assert a.tobytes() == b.tobytes()
+            got = run(seeds, fp)
+            assert np.array_equal(got, naive(seeds, fp)), (rows, cols, fp.reach)
 
 
 class TestEdges:
-    @pytest.mark.parametrize("name,impl", backends())
-    def test_empty_seeds(self, name, impl):
+    def test_empty_seeds(self):
         seeds = np.zeros((5, 9), dtype=bool)
-        assert not run(impl, seeds, disc(4)).any()
+        assert not run(seeds, disc(4)).any()
 
-    @pytest.mark.parametrize("name,impl", backends())
-    def test_reach_one_is_three_by_three(self, name, impl):
+    def test_reach_one_is_three_by_three(self):
         seeds = np.zeros((5, 5), dtype=bool)
         seeds[2, 2] = True
-        out = run(impl, seeds, disc(1))
+        out = run(seeds, disc(1))
         assert out.sum() == 9 and out[1:4, 1:4].all()
 
-    @pytest.mark.parametrize("name,impl", backends())
-    def test_tiny_grids(self, name, impl):
+    def test_tiny_grids(self):
         seeds = np.ones((1, 1), dtype=bool)
-        assert run(impl, seeds, disc(30)).all()
+        assert run(seeds, disc(30)).all()
         seeds = np.ones((1, 7), dtype=bool)
-        assert run(impl, seeds, disc(2)).all()
+        assert run(seeds, disc(2)).all()
 
-    @pytest.mark.parametrize("name,impl", backends())
-    def test_output_fresh_and_bool(self, name, impl):
+    def test_output_fresh_and_bool(self):
         seeds = np.zeros((4, 4), dtype=bool)
-        out = run(impl, seeds, disc(3))
+        out = run(seeds, disc(3))
         assert out.dtype == np.bool_
         assert out is not seeds
