@@ -28,6 +28,7 @@ from .engine import (
     UtilizationTable,
     cdf_from_map,
     parse_buckets,
+    run_combinations,
     run_monte_carlo,
     single_realization_map,
     utilization_from_map,
@@ -78,6 +79,7 @@ from .scenario import (
     ReceiverRealization,
     gray_space_capacity,
     realize_cells,
+    receiver_usage,
     sample_household,
     white_space_amount,
 )
@@ -135,7 +137,9 @@ __all__ = [
     "protection_disc_offsets",
     "quantize_distance",
     "realize_cells",
+    "receiver_usage",
     "refine_grid",
+    "run_combinations",
     "run_monte_carlo",
     "sample_household",
     "separation_report",

@@ -21,11 +21,12 @@ kind), defines them: ``load_run_config`` parses with it, the command-line
 options named after [run] keys are parsed and checked as those keys, and
 ``summary.txt`` is written from it.  Relative paths resolve against the
 config file's directory (on the command line, the working directory).
-``simulate`` checks every combination before it creates the output
-directory, then writes one directory per combination containing
-``map.csv``, ``cdf.csv``, ``utilization.csv`` and ``summary.txt``; the
-summary is a config pinned to that combination, and it parses back to the
-same values, so feeding it back to ``simulate`` reproduces the run.
+``simulate`` checks every combination and runs the Monte Carlo sweep
+before it creates the output directory, then writes one directory per
+combination containing ``map.csv``, ``cdf.csv``, ``utilization.csv`` and
+``summary.txt``; the summary is a config pinned to that combination, and it
+parses back to the same values, so feeding it back to ``simulate``
+reproduces the run.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 anything else.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -51,7 +53,7 @@ from .engine import (
     DEFAULT_BUCKETS,
     cdf_from_map,
     parse_buckets,
-    run_monte_carlo,
+    run_combinations,
     utilization_from_map,
     write_cdf_csv,
     write_utilization_csv,
@@ -226,7 +228,8 @@ _SCHEMA: dict[str, dict[str, _Kind]] = {
         "realizations": _limited(_INT, lambda n: n >= 1, "must be >= 1"),
         "workers": _limited(_INT, lambda n: n >= 1, "must be >= 1"),
         "out": _PATH,
-        "resolution": _limited(_FLOAT, lambda x: x > 0, "must be positive"),
+        "resolution": _limited(_FLOAT, lambda x: math.isfinite(x) and x > 0,
+                               "must be positive and finite"),
         "buckets": _Kind(parse_buckets, lambda buckets: ",".join(b.label for b in buckets)),
     },
     "criteria": _field_kinds(ProtectionCriteria),
@@ -526,9 +529,13 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    resolution = None
+    if args.resolution is not None:
+        resolution = _parse("--resolution", _SCHEMA["run"]["resolution"],
+                            args.resolution, Path.cwd())
     grid = load_grid_csv(
         args.grid,
-        resolution_m=args.resolution,
+        resolution_m=resolution,
         municipal_area_km2=args.municipal_area_km2,
     )
     compensated, invalidated = compensate_area(grid)
@@ -543,6 +550,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"wrote {out}")
     if args.valid_mask is not None:
         mask_path = Path(args.valid_mask)
+        mask_path.parent.mkdir(parents=True, exist_ok=True)
         mask = compensated.valid.astype(np.uint8)
         if mask_path.suffix == ".rle":
             write_matrix_rle(mask_path, mask)
@@ -622,20 +630,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     combos = _combinations(cfg)
     grid, grid_path = _load_selected_grid(cfg)
 
+    results = run_combinations(
+        grid,
+        [(device, hata[device.label], knowledge) for device, knowledge in combos],
+        cfg.criteria,
+        cfg.plan,
+        realizations=cfg.realizations,
+        master_seed=cfg.seed,
+        buckets=cfg.buckets,
+        workers=cfg.workers,
+    )
+
     cfg.out.mkdir(parents=True, exist_ok=True)
-    for device, knowledge in combos:
-        result = run_monte_carlo(
-            grid,
-            device,
-            cfg.criteria,
-            hata[device.label],
-            cfg.plan,
-            knowledge,
-            realizations=cfg.realizations,
-            master_seed=cfg.seed,
-            buckets=cfg.buckets,
-            workers=cfg.workers,
-        )
+    for (device, knowledge), result in zip(combos, results):
         period = knowledge.time_period
         name = f"{device.label}_{knowledge.level}" + (f"_{period}" if period else "")
         outdir = cfg.out / name
@@ -674,11 +681,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     n_slots = len(cfg.plan.used_channels) + len(cfg.plan.adjacent_entries())
     levels = np.arange(n_slots + 1) * cfg.plan.channel_bandwidth_mhz
     cdf = cdf_from_map(values, levels)
-
-    outdir = Path(args.out) if args.out is not None else map_path.parent
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_cdf_csv(outdir / "cdf_from_map.csv", cdf)
-    written = [outdir / "cdf_from_map.csv"]
+    table = None
     if cfg.grid_path is not None or cfg.grid_paths:
         grid, _ = _load_selected_grid(cfg)
         if grid.counts.shape != values.shape:
@@ -686,6 +689,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"map shape {values.shape} does not match grid shape {grid.counts.shape}"
             )
         table = utilization_from_map(values, grid.counts, cfg.buckets)
+
+    outdir = Path(args.out) if args.out is not None else map_path.parent
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_cdf_csv(outdir / "cdf_from_map.csv", cdf)
+    written = [outdir / "cdf_from_map.csv"]
+    if table is not None:
         write_utilization_csv(outdir / "utilization_from_map.csv", table)
         written.append(outdir / "utilization_from_map.csv")
     for p in written:
@@ -715,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="normalize a household grid CSV")
     p.add_argument("grid", type=Path, help="input grid CSV")
     p.add_argument("--out", required=True, type=Path, help="normalized grid CSV to write")
-    p.add_argument("--resolution", type=float, help="cell resolution override (m)")
+    p.add_argument("--resolution", help="cell resolution override (m)")
     p.add_argument("--municipal-area-km2", type=float, dest="municipal_area_km2",
                    help="municipal area override (km2)")
     p.add_argument("--valid-mask", type=Path,

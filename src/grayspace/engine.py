@@ -1,15 +1,17 @@
 """Monte Carlo gray-space engine.
 
 A cell's usable gray space depends only on which receiver cells' protection
-footprints cover it.  So once per run the engine stamps the co-channel and
-adjacent-channel footprints of every household cell and cuts the grid into
-segments, stretches of consecutive cells (row-major) covered by one fixed
-set of receivers, each with a receiver bitset per footprint.  For each
-realization it samples per-cell MUX usage, packs the usage flags at the
-receiver cells into bitsets, and counts per segment how many channel slots
-(used channels plus adjacent-channel slots) remain usable: a slot is lost
-where a segment's bitset meets a receiver using a MUX it protects.
-Statistics are averaged over realizations:
+footprints cover it.  So once per run, and once per device, the engine
+stamps the co-channel and adjacent-channel footprints of every household
+cell and cuts the grid into segments, stretches of consecutive cells
+(row-major) covered by one fixed set of receivers, each with a receiver
+bitset per footprint.  Then it sweeps the realizations once for every
+(device, knowledge) pair of the run: per realization it draws the household
+variates once, reduces each knowledge level's MUX usage to the receiver
+cells and packs it into bitsets, and for each pair counts per segment how
+many channel slots (used channels plus adjacent-channel slots) remain
+usable: a slot is lost where a segment's bitset meets a receiver using a
+MUX it protects.  Statistics are averaged over realizations:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality),
 * a survival-form CDF: percent of valid area with at least g MHz free,
@@ -17,9 +19,9 @@ Statistics are averaged over realizations:
 
 All per-realization quantities are integers (slot counts, cell counts,
 household sums), and workers return integer partial sums, so results are
-bit-identical for any worker count.  The
-per-realization RNG is keyed on (master_seed, realization_index); see
-:mod:`grayspace.scenario`.
+bit-identical for any worker count, and each pair's result is the same
+whether it runs alone or with others.  The per-realization RNG is keyed on
+(master_seed, realization_index); see :mod:`grayspace.scenario`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .linkbudget import (
     separation_report,
 )
 from .propagation import HataParams
-from .scenario import ChannelPlan, KnowledgeConfig, gray_space_capacity, realize_cells
+from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage
 
 OTHER_BUCKET_LABEL = "other"
 
@@ -164,13 +166,10 @@ class MonteCarloResult:
 
 
 @dataclass(frozen=True)
-class _RunState:
-    """Everything a worker needs to evaluate realizations."""
+class _DeviceState:
+    """Segments and per-segment receiver bitsets and counts of one device;
+    none of it depends on the knowledge level."""
 
-    grid: HouseholdGrid
-    knowledge: KnowledgeConfig
-    receiver_rows: np.ndarray  # household cells, np.nonzero order
-    receiver_cols: np.ndarray
     segment_lengths: np.ndarray  # cells per segment, in flat cell order
     co_bits: np.ndarray  # (words, segments) receiver bitsets
     adj_bits: np.ndarray
@@ -179,6 +178,16 @@ class _RunState:
     used_count: int
     guards: np.ndarray  # (adjacent slots, 5) uint8: 1 where a MUX guards a slot
     slot_bucket: np.ndarray  # slot count -> bucket index (len n_slots + 1)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Everything a worker needs to evaluate realizations of every pair."""
+
+    households: np.ndarray  # households per receiver cell, np.nonzero order
+    devices: tuple[_DeviceState, ...]
+    knowledge: tuple[KnowledgeConfig, ...]
+    pairs: tuple[tuple[int, int, int], ...]  # (device, knowledge, realizations)
     master_seed: int
 
 
@@ -204,56 +213,59 @@ def _hits(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _available_slots(state: _RunState, flags: np.ndarray) -> np.ndarray:
-    """Count usable channel slots per segment for one realization's flags."""
-    at_receivers = flags[:, state.receiver_rows, state.receiver_cols]
-    packed = np.packbits(at_receivers, axis=1, bitorder="little")
-    padded = np.zeros((len(flags), 8 * state.co_bits.shape[0]), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    flag_words = padded.view("<u8")
+def _available_slots(state: _DeviceState, flag_words: np.ndarray) -> np.ndarray:
+    """Count usable channel slots per segment, given the (5, words) packed
+    receiver flags of one realization."""
     co_hit = _hits(state.co_bits, flag_words)
     adj_hit = _hits(state.adj_bits, flag_words).view(np.uint8)
     guarded = state.guards @ adj_hit  # hit guarding MUXs per (slot, segment)
     return state.used_count - co_hit.sum(axis=0) + (guarded == 0).sum(axis=0)
 
 
-def _realization_slots(state: _RunState, index: int) -> np.ndarray:
-    flags = realize_cells(state.grid, state.knowledge, state.master_seed, index).flags
-    return _available_slots(state, flags)
+def _accumulate(sweep: _Sweep, indices: Sequence[int]):
+    """Integer totals per pair over a batch of realizations (order-independent).
 
-
-def _accumulate(state: _RunState, indices: Sequence[int]):
-    """Integer totals over a batch of realizations (order-independent)."""
-    n_slots = state.used_count + len(state.guards)
-    slot_sum = np.zeros(len(state.segment_lengths), dtype=np.int64)
-    count_ge = np.zeros(n_slots + 1, dtype=np.int64)
-    bucket_households = np.zeros(int(state.slot_bucket.max()) + 1, dtype=np.int64)
+    A pair takes part in the indices below its realization count.  Each
+    index draws the household variates once and packs the receiver flags
+    once per knowledge config; every pair reads them."""
+    totals = [
+        (
+            np.zeros(len(sweep.devices[d].segment_lengths), dtype=np.int64),
+            np.zeros(len(sweep.devices[d].slot_bucket), dtype=np.int64),
+            np.zeros(int(sweep.devices[d].slot_bucket.max()) + 1, dtype=np.int64),
+        )
+        for d, _, _ in sweep.pairs
+    ]
+    n_bytes = 8 * -(-len(sweep.households) // 64)  # whole little-endian words
     for r in indices:
-        avail = _realization_slots(state, r)
-        slot_sum += avail
-        hist = np.zeros(n_slots + 1, dtype=np.int64)
-        np.add.at(hist, avail, state.segment_valid)
-        count_ge += hist[::-1].cumsum()[::-1]
-        np.add.at(bucket_households, state.slot_bucket[avail], state.segment_households)
-    return slot_sum, count_ge, bucket_households
+        usage = receiver_usage(sweep.households, sweep.knowledge, sweep.master_seed, r)
+        packed = np.zeros(usage.shape[:2] + (n_bytes,), dtype=np.uint8)
+        packed[..., : -(-usage.shape[2] // 8)] = np.packbits(usage, axis=2, bitorder="little")
+        flag_words = packed.view("<u8")  # (knowledge, 5, words)
+        for (d, k, n), (slot_sum, count_ge, bucket_households) in zip(sweep.pairs, totals):
+            if r >= n:
+                continue
+            state = sweep.devices[d]
+            avail = _available_slots(state, flag_words[k])
+            slot_sum += avail
+            hist = np.zeros(len(count_ge), dtype=np.int64)
+            np.add.at(hist, avail, state.segment_valid)
+            count_ge += hist[::-1].cumsum()[::-1]
+            np.add.at(bucket_households, state.slot_bucket[avail], state.segment_households)
+    return totals
 
 
-def _per_cell(state: _RunState, per_segment: np.ndarray) -> np.ndarray:
-    """Expand per-segment values onto the grid."""
-    return np.repeat(per_segment, state.segment_lengths).reshape(state.grid.counts.shape)
+_WORKER_SWEEP: _Sweep | None = None
 
 
-_WORKER_STATE: _RunState | None = None
-
-
-def _init_worker(state: _RunState) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
+def _init_worker(sweep: _Sweep) -> None:
+    global _WORKER_SWEEP
+    _WORKER_SWEEP = sweep
 
 
 def _worker_accumulate(indices: Sequence[int]):
-    assert _WORKER_STATE is not None
-    return _accumulate(_WORKER_STATE, indices)
+    assert _WORKER_SWEEP is not None
+    return _accumulate(_WORKER_SWEEP, indices)
 
 
 def _build_state(
@@ -262,19 +274,8 @@ def _build_state(
     criteria: ProtectionCriteria,
     hata: HataParams,
     plan: ChannelPlan,
-    knowledge: KnowledgeConfig,
-    master_seed: int,
     buckets: Sequence[Bucket],
-) -> tuple[_RunState, dict]:
-    if len(plan.used_channels) != 5:
-        raise ConfigError(
-            "the usage model covers exactly 5 MUXs; the channel plan lists "
-            f"{len(plan.used_channels)} used channels"
-        )
-    if not grid.valid.any():
-        raise DataError("grid has no valid cells; nothing to evaluate")
-    _check_bucket_overlap(buckets)
-
+) -> tuple[_DeviceState, dict]:
     sep = separation_report(device, criteria, hata)
     co_radius = quantize_distance(sep.min_distance_co_m, grid.resolution_m)
     adj_radius = quantize_distance(sep.min_distance_adjacent_m, grid.resolution_m)
@@ -294,11 +295,7 @@ def _build_state(
     for slot, (_, guarding) in enumerate(plan.adjacent_entries()):
         guards[slot, [used_index[m] for m in guarding]] = 1
     n_slots = len(plan.used_channels) + len(guards)
-    state = _RunState(
-        grid=grid,
-        knowledge=knowledge,
-        receiver_rows=receiver_rows,
-        receiver_cols=receiver_cols,
+    state = _DeviceState(
         segment_lengths=np.diff(starts, append=grid.counts.size),
         co_bits=co_bits,
         adj_bits=adj_bits,
@@ -307,15 +304,47 @@ def _build_state(
         used_count=len(plan.used_channels),
         guards=guards,
         slot_bucket=_slot_bucket_map(n_slots, plan.channel_bandwidth_mhz, buckets),
-        master_seed=master_seed,
     )
     extras = {
         "co_radius_m": co_radius,
         "adj_radius_m": adj_radius,
         "warnings": sep.warnings,
-        "n_slots": n_slots,
     }
     return state, extras
+
+
+def _build_sweep(
+    grid: HouseholdGrid,
+    pairs: Sequence[tuple[DeviceProfile, HataParams, KnowledgeConfig]],
+    criteria: ProtectionCriteria,
+    plan: ChannelPlan,
+    buckets: Sequence[Bucket],
+    master_seed: int,
+    realizations: Sequence[int],
+) -> tuple[_Sweep, list[dict]]:
+    """Check the inputs and build the state of each distinct device once."""
+    if len(plan.used_channels) != 5:
+        raise ConfigError(
+            "the usage model covers exactly 5 MUXs; the channel plan lists "
+            f"{len(plan.used_channels)} used channels"
+        )
+    if not grid.valid.any():
+        raise DataError("grid has no valid cells; nothing to evaluate")
+    _check_bucket_overlap(buckets)
+    devices = list(dict.fromkeys((device, hata) for device, hata, _ in pairs))
+    knowledge = list(dict.fromkeys(k for _, _, k in pairs))
+    built = [_build_state(grid, d, criteria, h, plan, buckets) for d, h in devices]
+    sweep = _Sweep(
+        households=grid.counts[np.nonzero(grid.counts)],
+        devices=tuple(state for state, _ in built),
+        knowledge=tuple(knowledge),
+        pairs=tuple(
+            (devices.index((d, h)), knowledge.index(k), n)
+            for (d, h, k), n in zip(pairs, realizations)
+        ),
+        master_seed=master_seed,
+    )
+    return sweep, [extras for _, extras in built]
 
 
 def single_realization_map(
@@ -333,13 +362,96 @@ def single_realization_map(
     Useful for coupled per-realization comparisons across devices or
     knowledge levels (same seed and index => same household variates).
     """
-    state, _ = _build_state(
-        grid, device, criteria, hata, plan, knowledge, master_seed, DEFAULT_BUCKETS
+    # The pair takes part in every index up to realization_index, and the
+    # sweep visits that one.
+    sweep, _ = _build_sweep(
+        grid, [(device, hata, knowledge)], criteria, plan, DEFAULT_BUCKETS,
+        master_seed, [realization_index + 1],
     )
-    slots = _per_cell(state, _realization_slots(state, realization_index))
+    ((slot_sum, _, _),) = _accumulate(sweep, [realization_index])
+    slots = np.repeat(slot_sum, sweep.devices[0].segment_lengths).reshape(grid.counts.shape)
     values = (slots * plan.channel_bandwidth_mhz).astype(np.float64)
     values[~grid.valid] = np.nan
     return GraySpaceMap(values=values, resolution_m=grid.resolution_m)
+
+
+def run_combinations(
+    grid: HouseholdGrid,
+    pairs: Sequence[tuple[DeviceProfile, HataParams, KnowledgeConfig]],
+    criteria: ProtectionCriteria,
+    plan: ChannelPlan,
+    realizations: int = 100,
+    master_seed: int = 0,
+    buckets: Sequence[Bucket] = DEFAULT_BUCKETS,
+    workers: int = 1,
+) -> Iterator[MonteCarloResult]:
+    """Run the Monte Carlo evaluation of every (device, knowledge) pair.
+
+    A pair is ``(device, hata, knowledge)``: a device with its Hata
+    parameters and a knowledge config.  Each distinct device's segments
+    are built once, and the realizations are swept once: per index the
+    household variates are drawn once and every pair reads them, so each
+    result equals that of the pair run alone with the same seed.  KL1 is
+    deterministic (usage is assumed, not sampled), so its pairs evaluate
+    index 0 only; the output is identical for any ``realizations`` value.
+    With ``workers > 1`` the indices are split across processes; integer
+    partial sums keep the result bit-identical to the single-process run.
+
+    The sweep runs, and every input error is raised, before this returns.
+    The results are then yielded in pair order, one mean map at a time.
+    """
+    if realizations < 1:
+        raise DomainError("realizations must be >= 1")
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    effective = [1 if k.level == "KL1" else realizations for _, _, k in pairs]
+    sweep, extras = _build_sweep(grid, pairs, criteria, plan, buckets, master_seed, effective)
+    indices = range(max(effective, default=0))
+    n_workers = min(workers, len(indices))
+    if n_workers <= 1:
+        totals = _accumulate(sweep, indices)
+    else:
+        chunks = [list(indices[i::n_workers]) for i in range(n_workers)]
+        totals = _accumulate(sweep, [])
+        with ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_init_worker, initargs=(sweep,)
+        ) as pool:
+            for partial in pool.map(_worker_accumulate, chunks):
+                for total, part in zip(totals, partial):
+                    for into, add in zip(total, part):
+                        into += add
+    lengths = [state.segment_lengths for state in sweep.devices]
+    pair_devices = [d for d, _, _ in sweep.pairs]
+    bandwidth = plan.channel_bandwidth_mhz
+    n_valid = int(grid.valid.sum())
+    labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
+
+    # results() does not see the sweep, so the receiver bitsets are freed
+    # when this returns; it drops each pair's totals once used.
+    def results() -> Iterator[MonteCarloResult]:
+        for d, n in zip(pair_devices, effective):
+            slot_sum, count_ge, households = totals.pop(0)
+            mean_values = np.repeat(slot_sum * (bandwidth / n), lengths[d])
+            mean_values = mean_values.reshape(grid.counts.shape)
+            mean_values[~grid.valid] = np.nan
+            yield MonteCarloResult(
+                mean_map=GraySpaceMap(values=mean_values, resolution_m=grid.resolution_m),
+                cdf=CdfCurve(
+                    levels_mhz=np.arange(len(count_ge)) * bandwidth,
+                    percent_area=count_ge * (100.0 / (n * n_valid)),
+                    realizations=realizations,
+                ),
+                utilization=UtilizationTable(
+                    labels=labels, mean_households=households / n, realizations=realizations
+                ),
+                realizations=realizations,
+                master_seed=master_seed,
+                co_radius_m=extras[d]["co_radius_m"],
+                adjacent_radius_m=extras[d]["adj_radius_m"],
+                warnings=extras[d]["warnings"],
+            )
+
+    return results()
 
 
 def run_monte_carlo(
@@ -354,63 +466,12 @@ def run_monte_carlo(
     buckets: Sequence[Bucket] = DEFAULT_BUCKETS,
     workers: int = 1,
 ) -> MonteCarloResult:
-    """Run the full Monte Carlo evaluation and average the statistics.
-
-    KL1 is deterministic (usage is assumed, not sampled), so a single
-    realization is evaluated and reused — the output is identical for any
-    ``realizations`` value.  With ``workers > 1`` realizations are split
-    across processes; integer partial sums keep the result bit-identical
-    to the single-process run.
-    """
-    if realizations < 1:
-        raise DomainError("realizations must be >= 1")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
-    state, extras = _build_state(
-        grid, device, criteria, hata, plan, knowledge, master_seed, buckets
+    """Run the Monte Carlo evaluation of one pair; see :func:`run_combinations`."""
+    (result,) = run_combinations(
+        grid, [(device, hata, knowledge)], criteria, plan,
+        realizations, master_seed, buckets, workers,
     )
-    effective = 1 if knowledge.level == "KL1" else realizations
-    indices = range(effective)
-
-    if workers == 1 or effective == 1:
-        slot_sum, count_ge, bucket_households = _accumulate(state, indices)
-    else:
-        n_workers = min(workers, effective)
-        chunks = [list(indices[i::n_workers]) for i in range(n_workers)]
-        slot_sum = np.zeros(len(state.segment_lengths), dtype=np.int64)
-        count_ge = np.zeros(extras["n_slots"] + 1, dtype=np.int64)
-        bucket_households = np.zeros(int(state.slot_bucket.max()) + 1, dtype=np.int64)
-        with ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_init_worker, initargs=(state,)
-        ) as pool:
-            for part_slots, part_ge, part_buckets in pool.map(
-                _worker_accumulate, chunks
-            ):
-                slot_sum += part_slots
-                count_ge += part_ge
-                bucket_households += part_buckets
-
-    bandwidth = plan.channel_bandwidth_mhz
-    n_valid = int(grid.valid.sum())
-    mean_values = _per_cell(state, slot_sum) * (bandwidth / effective)
-    mean_values[~grid.valid] = np.nan
-    levels = np.arange(extras["n_slots"] + 1) * bandwidth
-    percent = count_ge * (100.0 / (effective * n_valid))
-    mean_households = bucket_households / effective
-
-    labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
-    return MonteCarloResult(
-        mean_map=GraySpaceMap(values=mean_values, resolution_m=grid.resolution_m),
-        cdf=CdfCurve(levels_mhz=levels, percent_area=percent, realizations=realizations),
-        utilization=UtilizationTable(
-            labels=labels, mean_households=mean_households, realizations=realizations
-        ),
-        realizations=realizations,
-        master_seed=master_seed,
-        co_radius_m=extras["co_radius_m"],
-        adjacent_radius_m=extras["adj_radius_m"],
-        warnings=extras["warnings"],
-    )
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,17 @@ KL2 vs KL1 and, under the conditional share interpretation, for KL3 vs
 KL2; MUX 2-5 viewing then implies subscription by construction).  Variates
 are generated by a counter-based (Philox) stream keyed on
 ``(master_seed, realization_index)``, so any partitioning of realizations
-across workers reproduces identical draws.
+across workers reproduces identical draws.  :func:`receiver_usage` draws
+one realization's variates once and reduces the usage of any number of
+knowledge configs to the household cells (the receivers);
+:func:`realize_cells` scatters one config's usage onto the raster.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -134,6 +137,8 @@ class KnowledgeConfig:
     share_interpretation: str = "unconditional"
 
     def __post_init__(self) -> None:
+        if self.mux_shares is not None:
+            object.__setattr__(self, "mux_shares", tuple(float(s) for s in self.mux_shares))
         if self.level not in KNOWLEDGE_LEVELS:
             raise ConfigError(
                 f"level must be one of {KNOWLEDGE_LEVELS}, got {self.level!r}"
@@ -167,7 +172,7 @@ class KnowledgeConfig:
     @property
     def effective_shares(self) -> tuple[float, ...]:
         if self.mux_shares is not None:
-            return tuple(float(s) for s in self.mux_shares)
+            return self.mux_shares
         assert self.time_period is not None
         return MUX_SHARES[self.time_period]
 
@@ -258,6 +263,37 @@ class ReceiverRealization:
         object.__setattr__(self, "flags", flags)
 
 
+def receiver_usage(
+    households_per_receiver: np.ndarray,
+    configs: Sequence[KnowledgeConfig],
+    master_seed: int,
+    realization_index: int,
+) -> np.ndarray:
+    """Per-receiver MUX usage of one realization under several configs.
+
+    Receiver j is a cell holding ``households_per_receiver[j]`` (>= 1)
+    households; households are enumerated receiver by receiver, each
+    consuming one variate triple.  Returns ``(len(configs), 5, receivers)``
+    booleans: True where at least one of the receiver's households uses
+    the MUX.  One variate draw serves every config, so the usage of
+    different knowledge levels is coupled draw by draw; KL1 rows are all
+    True and need no draw at all.
+    """
+    _check_stream_key(master_seed, realization_index)
+    k = np.asarray(households_per_receiver, dtype=np.int64)
+    if (k < 1).any():
+        raise DomainError("every receiver must hold at least one household")
+    usage = np.ones((len(configs), 5, len(k)), dtype=bool)
+    sampled = [i for i, config in enumerate(configs) if config.level != "KL1"]
+    if sampled and len(k):
+        u = household_variates(master_seed, realization_index, int(k.sum()))
+        first = np.cumsum(k) - k  # each receiver's first household
+        for i in sampled:
+            per_household = usage_from_variates(configs[i], u)
+            usage[i] = np.logical_or.reduceat(per_household, first, axis=0).T
+    return usage
+
+
 def realize_cells(
     grid: HouseholdGrid,
     config: KnowledgeConfig,
@@ -266,27 +302,13 @@ def realize_cells(
 ) -> ReceiverRealization:
     """Sample one realization of per-cell MUX usage for the whole grid.
 
-    Households are enumerated in row-major cell order (cells with zero
-    households draw nothing), each consuming one variate triple; a cell's
-    flag for a MUX is the OR over its households.  KL1 consumes no
-    randomness at all — its flags are simply ``counts > 0``.
+    The household cells, in row-major order, are the receivers of
+    :func:`receiver_usage`; their flags are scattered onto the raster and
+    every other cell is False.
     """
-    _check_stream_key(master_seed, realization_index)
-    rows, cols = grid.counts.shape
-    flags = np.zeros((5, rows, cols), dtype=bool)
-    if config.level == "KL1":
-        flags[:] = grid.counts > 0
-        return ReceiverRealization(flags, realization_index, master_seed)
-
     ys, xs = np.nonzero(grid.counts)
-    k = grid.counts[ys, xs]
-    total = int(k.sum())
-    u = household_variates(master_seed, realization_index, total)
-    usage = usage_from_variates(config, u)
-    household_cell = np.repeat(np.arange(len(k)), k)
-    for m in range(5):
-        cell_any = np.bincount(
-            household_cell, weights=usage[:, m], minlength=len(k)
-        ) > 0
-        flags[m, ys, xs] = cell_any
+    flags = np.zeros((5, *grid.counts.shape), dtype=bool)
+    flags[:, ys, xs] = receiver_usage(
+        grid.counts[ys, xs], [config], master_seed, realization_index
+    )[0]
     return ReceiverRealization(flags, realization_index, master_seed)

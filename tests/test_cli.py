@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import tempfile
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from grayspace import engine, scenario
 from grayspace.cli import _combinations, load_run_config, main
 from grayspace.errors import ConfigError
 from grayspace.griddata import (
@@ -309,6 +311,27 @@ class TestIngest:
               "--valid-mask", str(mask)])
         assert read_matrix_csv(mask).sum() == 63
 
+    def test_mask_into_a_missing_directory(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        write_grid(src, municipal_area_km2=63.0)
+        mask = tmp_path / "nodir" / "m.csv"
+        assert main(["ingest", str(src), "--out", str(tmp_path / "n.csv"),
+                     "--valid-mask", str(mask)]) == 0
+        assert read_matrix_csv(mask).sum() == 63
+
+    @pytest.mark.parametrize("value", ["-5", "inf", "nan", "0", "ten"])
+    def test_bad_resolution_is_2_and_writes_nothing(self, tmp_path, capsys, value):
+        src = tmp_path / "raw.csv"
+        write_grid(src)
+        out = tmp_path / "norm" / "n.csv"
+        argv = ["ingest", str(src), "--out", str(out), "--resolution", value]
+        assert main(argv) == 2
+        assert "config error: --resolution" in capsys.readouterr().err
+        assert not out.parent.exists()
+        # checked before the grid is read: a missing grid is not reached
+        argv[1] = str(tmp_path / "missing.csv")
+        assert main(argv) == 2
+
 
 class TestSimulate:
     def test_outputs_per_combination(self, workspace, capsys):
@@ -452,6 +475,38 @@ class TestReport:
         ) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+
+    def test_shape_mismatch_is_3_and_writes_nothing(self, workspace, tmp_path, capsys):
+        small = tmp_path / "map.csv"
+        small.write_text("0,8,16\n0,8,16\n0,8,16\n")
+        out = tmp_path / "rep"
+        assert main(
+            ["report", "--config", str(workspace), "--map", str(small), "--out", str(out)]
+        ) == 3
+        assert "map shape (3, 3) does not match grid shape (8, 8)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSharedSampling:
+    """simulate draws each realization once and builds segments once per
+    device, however many (device, knowledge) pairs share them."""
+
+    def test_draws_per_realization_and_builds_per_device(
+        self, configs_dir, tmp_path, monkeypatch, capsys
+    ):
+        calls: collections.Counter[str] = collections.Counter()
+        for module, name in ((scenario, "household_variates"), (engine, "receiver_segments")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        realizations = 5
+        assert main(
+            ["simulate", "--config", str(configs_dir / "scattered.cfg"), "--resolution", "1000",
+             "--realizations", str(realizations), "--workers", "1", "--out", str(tmp_path)]
+        ) == 0
+        assert len(list(tmp_path.iterdir())) == 8  # 2 devices x KL1, KL2, KL3-TP1, KL3-TP2
+        assert calls == {"household_variates": realizations, "receiver_segments": 2}
 
 
 # ---------------------------------------------------------------------------

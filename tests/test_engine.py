@@ -12,6 +12,7 @@ from grayspace.engine import (
     Bucket,
     cdf_from_map,
     parse_buckets,
+    run_combinations,
     run_monte_carlo,
     single_realization_map,
     utilization_from_map,
@@ -31,6 +32,10 @@ HATA_PORTABLE = HataParams(650.0, 2.0, 10.0, "suburban")
 PLAN = ChannelPlan()
 KL1 = KnowledgeConfig("KL1")
 KL2 = KnowledgeConfig("KL2")
+KL3_TP1 = KnowledgeConfig("KL3", time_period="TP1")
+KL3_TP2_COND = KnowledgeConfig(
+    "KL3", time_period="TP2", share_interpretation="conditional_on_subscription"
+)
 
 
 def run(grid, knowledge, device=FIXED, hata=HATA_FIXED, **kw):
@@ -212,6 +217,54 @@ class TestWorkers:
                 base.utilization.mean_households.tobytes()
                 == other.utilization.mean_households.tobytes()
             )
+
+
+class TestRunCombinations:
+    """One sweep over every pair gives what each pair gives alone."""
+
+    GRID = ingest_grid(
+        [(2, 2, 4), (7, 5, 3), (11, 9, 9), (0, 11, 2)],
+        resolution_m=1000.0, rows=12, cols=14,
+    )
+    HATA = {FIXED: HATA_FIXED, PORTABLE: HATA_PORTABLE}
+    # KL1 between sampled levels, and KL2 twice
+    KNOWLEDGE = (KL2, KL1, KL3_TP2_COND, KL2, KL3_TP1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "devices", [(FIXED, PORTABLE), (PORTABLE, FIXED)], ids=["fixed-first", "portable-first"]
+    )
+    def test_joint_equals_each_pair_alone(self, devices, workers):
+        pairs = [(d, self.HATA[d], k) for k in self.KNOWLEDGE for d in devices]
+        joint = list(run_combinations(
+            self.GRID, pairs, OFCOM, PLAN, realizations=7, master_seed=3, workers=workers
+        ))
+        assert len(joint) == len(pairs)
+        for (device, hata, knowledge), got in zip(pairs, joint):
+            alone = run_monte_carlo(
+                self.GRID, device, OFCOM, hata, PLAN, knowledge, realizations=7, master_seed=3
+            )
+            assert got.mean_map.values.tobytes() == alone.mean_map.values.tobytes()
+            assert got.cdf.levels_mhz.tobytes() == alone.cdf.levels_mhz.tobytes()
+            assert got.cdf.percent_area.tobytes() == alone.cdf.percent_area.tobytes()
+            assert got.utilization.labels == alone.utilization.labels
+            assert (
+                got.utilization.mean_households.tobytes()
+                == alone.utilization.mean_households.tobytes()
+            )
+            assert (got.co_radius_m, got.adjacent_radius_m, got.warnings, got.realizations) == (
+                alone.co_radius_m, alone.adjacent_radius_m, alone.warnings, alone.realizations
+            )
+
+    def test_no_pairs_no_results(self):
+        assert list(run_combinations(self.GRID, [], OFCOM, PLAN)) == []
+
+    def test_input_errors_raise_before_any_result(self):
+        pairs = [(FIXED, HATA_FIXED, KL2)]
+        with pytest.raises(DomainError):
+            run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=0)
+        with pytest.raises(ConfigError, match="5 MUX"):
+            run_combinations(self.GRID, pairs, OFCOM, ChannelPlan(used_channels=(21, 24, 27, 30)))
 
 
 class TestValidation:

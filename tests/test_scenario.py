@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grayspace.errors import ConfigError, DomainError
 from grayspace.griddata import ingest_grid
@@ -14,6 +15,7 @@ from grayspace.scenario import (
     gray_space_capacity,
     household_variates,
     realize_cells,
+    receiver_usage,
     sample_household,
     usage_from_variates,
     white_space_amount,
@@ -21,6 +23,7 @@ from grayspace.scenario import (
 
 KL1 = KnowledgeConfig("KL1")
 KL2 = KnowledgeConfig("KL2")
+KL3_TP1 = KnowledgeConfig("KL3", time_period="TP1")
 KL3_TP2 = KnowledgeConfig("KL3", time_period="TP2")
 KL3_TP2_COND = KnowledgeConfig(
     "KL3", time_period="TP2", share_interpretation="conditional_on_subscription"
@@ -277,3 +280,39 @@ class TestRealizeCells:
         for r in range(20):
             real = realize_cells(grid, KL3_TP2, 1, r)
             assert not real.flags[:, grid.counts == 0].any()
+
+
+class TestReceiverUsage:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        counts=st.integers(1, 6).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(0, 4), min_size=cols, max_size=cols),
+                min_size=1, max_size=6,
+            )
+        ),
+        configs=st.lists(
+            st.sampled_from([KL1, KL2, KL3_TP1, KL3_TP2, KL3_TP2_COND]), min_size=1, max_size=4
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 10_000),
+    )
+    def test_matches_per_household_oracle(self, counts, configs, seed, index):
+        counts = np.array(counts, dtype=np.int64)
+        ys, xs = np.nonzero(counts)
+        got = receiver_usage(counts[ys, xs], configs, seed, index)
+
+        # Households in row-major cell order, one variate triple each; a
+        # cell uses a MUX when any of its households does.
+        u = iter(household_variates(seed, index, int(counts.sum())))
+        expected = np.zeros((len(configs), 5, len(ys)), dtype=bool)
+        for j, (y, x) in enumerate(zip(ys, xs)):
+            for triple in [next(u) for _ in range(counts[y, x])]:
+                for c, config in enumerate(configs):
+                    for mux in sample_household(config, *triple):
+                        expected[c, mux - 1, j] = True
+        assert np.array_equal(got, expected)
+
+    def test_rejects_receivers_without_households(self):
+        with pytest.raises(DomainError):
+            receiver_usage(np.array([2, 0, 1]), [KL2], 0, 0)
