@@ -593,6 +593,7 @@ def _summary_text(
     grid: HouseholdGrid,
     grid_path: Path,
     result,
+    mean_mhz: float,
 ) -> str:
     period = knowledge.time_period
     pinned = dataclasses.replace(
@@ -618,7 +619,7 @@ def _summary_text(
         f"white_space_mhz = {_g(white_space_amount(cfg.plan))}",
         f"valid_cells = {int(grid.valid.sum())}",
         f"total_households = {grid.total_households}",
-        f"mean_gray_space_mhz = {_g(float(np.nanmean(result.mean_map.values)))}",
+        f"mean_gray_space_mhz = {_g(mean_mhz)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -647,17 +648,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         name = f"{device.label}_{knowledge.level}" + (f"_{period}" if period else "")
         outdir = cfg.out / name
         outdir.mkdir(parents=True, exist_ok=True)
+        mean_mhz = float(np.nanmean(result.mean_map.values))
         with tempfile.TemporaryDirectory(dir=cfg.out, prefix=".stage-") as tmp:
             stage = Path(tmp)
             write_matrix_csv(stage / "map.csv", result.mean_map.values)
             write_cdf_csv(stage / "cdf.csv", result.cdf)
             write_utilization_csv(stage / "utilization.csv", result.utilization)
             (stage / "summary.txt").write_text(
-                _summary_text(cfg, device, knowledge, grid, grid_path, result)
+                _summary_text(cfg, device, knowledge, grid, grid_path, result, mean_mhz)
             )
             for fname in ("map.csv", "cdf.csv", "utilization.csv", "summary.txt"):
                 os.replace(stage / fname, outdir / fname)
-        mean_mhz = float(np.nanmean(result.mean_map.values))
         print(f"{name}: mean gray space {mean_mhz:.1f} MHz "
               f"over {int(grid.valid.sum())} valid cells -> {outdir}")
     print(f"{len(combos)} result set(s) in {cfg.out}")

@@ -4,14 +4,15 @@ A cell's usable gray space depends only on which receiver cells' protection
 footprints cover it.  So once per run, and once per device, the engine
 stamps the co-channel and adjacent-channel footprints of every household
 cell and cuts the grid into segments, stretches of consecutive cells
-(row-major) covered by one fixed set of receivers, each with a receiver
-bitset per footprint.  Then it sweeps the realizations once for every
-(device, knowledge) pair of the run: per realization it draws the household
-variates once, reduces each knowledge level's MUX usage to the receiver
-cells and packs it into bitsets, and for each pair counts per segment how
-many channel slots (used channels plus adjacent-channel slots) remain
-usable: a slot is lost where a segment's bitset meets a receiver using a
-MUX it protects.  Statistics are averaged over realizations:
+(row-major) covered by one fixed set of receivers; segments with equal
+co-channel and adjacent-channel receiver bitsets form a class.  Then it
+sweeps the realizations once for every (device, knowledge) pair: per
+realization it draws the household variates once, packs each knowledge
+level's MUX usage at the receiver cells into bitsets, and for each pair
+counts per class how many channel slots (used channels plus adjacent-channel
+slots) remain usable: a slot is lost where a class's bitset meets a receiver
+using a MUX it protects.  Statistics are averaged over realizations, and a
+class's value holds on every cell of its segments:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality),
 * a survival-form CDF: percent of valid area with at least g MHz free,
@@ -167,14 +168,15 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class _DeviceState:
-    """Segments and per-segment receiver bitsets and counts of one device;
-    none of it depends on the knowledge level."""
+    """Segments, receiver-set classes and per-class receiver bitsets and
+    counts of one device; none of it depends on the knowledge level."""
 
     segment_lengths: np.ndarray  # cells per segment, in flat cell order
-    co_bits: np.ndarray  # (words, segments) receiver bitsets
+    segment_class: np.ndarray  # class of each segment
+    co_bits: np.ndarray  # (words, classes) receiver bitsets
     adj_bits: np.ndarray
-    segment_valid: np.ndarray  # valid cells per segment
-    segment_households: np.ndarray  # households per segment
+    class_valid: np.ndarray  # valid cells per class
+    class_households: np.ndarray  # households per class
     used_count: int
     guards: np.ndarray  # (adjacent slots, 5) uint8: 1 where a MUX guards a slot
     slot_bucket: np.ndarray  # slot count -> bucket index (len n_slots + 1)
@@ -205,8 +207,8 @@ def _slot_bucket_map(
 
 
 def _hits(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
-    """(MUXs, segments) booleans: a receiver flagged for the MUX covers the
-    segment.  One word at a time, which keeps every temporary 2-D."""
+    """(MUXs, classes) booleans: a receiver flagged for the MUX covers the
+    class.  One word at a time, which keeps every temporary 2-D."""
     hit = np.zeros((flag_words.shape[0], bits.shape[1]), dtype=bool)
     for w in range(bits.shape[0]):
         hit |= (bits[w] & flag_words[:, w, None]) != 0
@@ -214,11 +216,11 @@ def _hits(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
 
 
 def _available_slots(state: _DeviceState, flag_words: np.ndarray) -> np.ndarray:
-    """Count usable channel slots per segment, given the (5, words) packed
+    """Count usable channel slots per class, given the (5, words) packed
     receiver flags of one realization."""
     co_hit = _hits(state.co_bits, flag_words)
     adj_hit = _hits(state.adj_bits, flag_words).view(np.uint8)
-    guarded = state.guards @ adj_hit  # hit guarding MUXs per (slot, segment)
+    guarded = state.guards @ adj_hit  # hit guarding MUXs per (slot, class)
     return state.used_count - co_hit.sum(axis=0) + (guarded == 0).sum(axis=0)
 
 
@@ -230,7 +232,7 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
     once per knowledge config; every pair reads them."""
     totals = [
         (
-            np.zeros(len(sweep.devices[d].segment_lengths), dtype=np.int64),
+            np.zeros(len(sweep.devices[d].class_valid), dtype=np.int64),
             np.zeros(len(sweep.devices[d].slot_bucket), dtype=np.int64),
             np.zeros(int(sweep.devices[d].slot_bucket.max()) + 1, dtype=np.int64),
         )
@@ -249,9 +251,9 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
             avail = _available_slots(state, flag_words[k])
             slot_sum += avail
             hist = np.zeros(len(count_ge), dtype=np.int64)
-            np.add.at(hist, avail, state.segment_valid)
+            np.add.at(hist, avail, state.class_valid)
             count_ge += hist[::-1].cumsum()[::-1]
-            np.add.at(bucket_households, state.slot_bucket[avail], state.segment_households)
+            np.add.at(bucket_households, state.slot_bucket[avail], state.class_households)
     return totals
 
 
@@ -287,9 +289,17 @@ def _build_state(
         for radius in (co_radius, adj_radius)
     ]
     receiver_rows, receiver_cols = np.nonzero(grid.counts)
-    starts, (co_bits, adj_bits) = receiver_segments(
+    starts, bitsets = receiver_segments(
         grid.counts.shape, receiver_rows, receiver_cols, footprints
     )
+    # One void scalar per segment holds its co and adjacent words, plus a
+    # zero word for grids without receivers; a 1-D unique finds the classes.
+    keys = np.vstack(bitsets + (np.zeros(len(starts), np.uint64),)).T.copy()
+    _, first, segment_class = np.unique(
+        keys.view(f"V{keys[0].nbytes}").ravel(), return_index=True, return_inverse=True
+    )
+    segment_sums = np.add.reduceat(np.stack((grid.valid.ravel(), grid.counts.ravel())), starts, 1)
+    class_sums = [np.bincount(segment_class, s).astype(np.int64) for s in segment_sums]
     used_index = {m: i for i, m in enumerate(plan.used_channels)}
     guards = np.zeros((len(plan.adjacent_entries()), len(used_index)), dtype=np.uint8)
     for slot, (_, guarding) in enumerate(plan.adjacent_entries()):
@@ -297,10 +307,11 @@ def _build_state(
     n_slots = len(plan.used_channels) + len(guards)
     state = _DeviceState(
         segment_lengths=np.diff(starts, append=grid.counts.size),
-        co_bits=co_bits,
-        adj_bits=adj_bits,
-        segment_valid=np.add.reduceat(grid.valid.ravel().astype(np.int64), starts),
-        segment_households=np.add.reduceat(grid.counts.ravel(), starts),
+        segment_class=segment_class,
+        co_bits=bitsets[0][:, first],
+        adj_bits=bitsets[1][:, first],
+        class_valid=class_sums[0],
+        class_households=class_sums[1],
         used_count=len(plan.used_channels),
         guards=guards,
         slot_bucket=_slot_bucket_map(n_slots, plan.channel_bandwidth_mhz, buckets),
@@ -369,8 +380,9 @@ def single_realization_map(
         master_seed, [realization_index + 1],
     )
     ((slot_sum, _, _),) = _accumulate(sweep, [realization_index])
-    slots = np.repeat(slot_sum, sweep.devices[0].segment_lengths).reshape(grid.counts.shape)
-    values = (slots * plan.channel_bandwidth_mhz).astype(np.float64)
+    state = sweep.devices[0]
+    slots = np.repeat(slot_sum[state.segment_class], state.segment_lengths)
+    values = (slots.reshape(grid.counts.shape) * plan.channel_bandwidth_mhz).astype(np.float64)
     values[~grid.valid] = np.nan
     return GraySpaceMap(values=values, resolution_m=grid.resolution_m)
 
@@ -389,9 +401,9 @@ def run_combinations(
 
     A pair is ``(device, hata, knowledge)``: a device with its Hata
     parameters and a knowledge config.  Each distinct device's segments
-    are built once, and the realizations are swept once: per index the
-    household variates are drawn once and every pair reads them, so each
-    result equals that of the pair run alone with the same seed.  KL1 is
+    and classes are built once, and the realizations are swept once: per
+    index the household variates are drawn once and every pair reads them,
+    so each result equals that of the pair run alone with the same seed.  KL1 is
     deterministic (usage is assumed, not sampled), so its pairs evaluate
     index 0 only; the output is identical for any ``realizations`` value.
     With ``workers > 1`` the indices are split across processes; integer
@@ -420,7 +432,7 @@ def run_combinations(
                 for total, part in zip(totals, partial):
                     for into, add in zip(total, part):
                         into += add
-    lengths = [state.segment_lengths for state in sweep.devices]
+    segments = [(state.segment_class, state.segment_lengths) for state in sweep.devices]
     pair_devices = [d for d, _, _ in sweep.pairs]
     bandwidth = plan.channel_bandwidth_mhz
     n_valid = int(grid.valid.sum())
@@ -431,7 +443,8 @@ def run_combinations(
     def results() -> Iterator[MonteCarloResult]:
         for d, n in zip(pair_devices, effective):
             slot_sum, count_ge, households = totals.pop(0)
-            mean_values = np.repeat(slot_sum * (bandwidth / n), lengths[d])
+            segment_class, lengths = segments[d]
+            mean_values = np.repeat((slot_sum * (bandwidth / n))[segment_class], lengths)
             mean_values = mean_values.reshape(grid.counts.shape)
             mean_values[~grid.valid] = np.nan
             yield MonteCarloResult(

@@ -19,12 +19,12 @@ unions the runs of many receivers into a mask; :func:`receiver_segments`
 cuts the flat cell order at every run end, so that each resulting segment
 is covered by one fixed set of receivers, and records that set as a bitset.
 
-Plain-CSV export formats each distinct value of the matrix once and builds
-the rows by indexing that token table.  A gray-space map holds a handful of
-distinct values (slot counts times a bandwidth, over a fixed realization
-count) across hundreds of thousands of cells, so this is what makes export
-cheap.  Values are told apart by bit pattern, so ``-0.0`` and ``0.0`` (and
-differently signed NaNs) keep their own text; the bytes are those of
+Plain-CSV export works per run of equal cells: a gray-space map holds a few
+dozen distinct values in a few thousand runs over hundreds of thousands of
+cells.  Each distinct run value is formatted once into a fixed-width byte
+table (a second half ends rows), gathered per cell, and stripped of the
+padding.  Values are told apart by bit pattern, so ``-0.0`` and ``0.0``
+(and differently signed NaNs) keep their own text; the bytes are those of
 formatting every cell with ``%.10g`` in the array's dtype.
 """
 
@@ -529,11 +529,17 @@ def _matrix_rows(values: np.ndarray) -> np.ndarray:
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
     """Rows of comma-separated values (%.10g); NaN marks invalid cells."""
     arr = _matrix_rows(values)
-    bits = arr.view(f"u{arr.dtype.itemsize}")
-    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
-    tokens = np.array([_fmt(v) for v in distinct.view(arr.dtype)], dtype=object)
-    lines = [",".join(row) for row in tokens[inverse.reshape(arr.shape)]]
-    Path(path).write_text("\n".join(lines) + "\n")
+    bits = arr.view(f"u{arr.dtype.itemsize}").ravel()
+    if not bits.size:
+        Path(path).write_bytes(b"\n" * max(len(arr), 1))
+        return
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    distinct, run_token = np.unique(bits[starts], return_inverse=True)
+    token = np.repeat(run_token, np.diff(starts, append=bits.size)).reshape(arr.shape)
+    token[:, -1] += len(distinct)  # the second half of the table ends rows
+    text = [_fmt(v) for v in distinct.view(arr.dtype)]
+    table = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype="S")
+    Path(path).write_bytes(table[token].tobytes().replace(b"\0", b""))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from grayspace import engine
 from grayspace.engine import (
     DEFAULT_BUCKETS,
     OTHER_BUCKET_LABEL,
@@ -20,7 +24,7 @@ from grayspace.engine import (
     write_utilization_csv,
 )
 from grayspace.errors import ConfigError, DataError, DomainError
-from grayspace.griddata import HouseholdGrid, ingest_grid
+from grayspace.griddata import HouseholdGrid, ingest_grid, receiver_segments
 from grayspace.linkbudget import OFCOM, DeviceProfile
 from grayspace.propagation import HataParams
 from grayspace.scenario import ChannelPlan, KnowledgeConfig
@@ -265,6 +269,42 @@ class TestRunCombinations:
             run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=0)
         with pytest.raises(ConfigError, match="5 MUX"):
             run_combinations(self.GRID, pairs, OFCOM, ChannelPlan(used_channels=(21, 24, 27, 30)))
+
+
+class TestReceiverSetClasses:
+    """The device state keeps one bitset column per distinct (co, adj) pair
+    of segment bitsets, and per-class counts that add up to the grid's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        density=st.sampled_from([0.0, 0.2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        device=st.sampled_from([(FIXED, HATA_FIXED), (PORTABLE, HATA_PORTABLE)]),
+        resolution=st.sampled_from([250.0, 1000.0]),
+    )
+    @example(shape=(3, 3), density=0.0, seed=0, device=(FIXED, HATA_FIXED), resolution=1000.0)
+    @example(shape=(12, 12), density=1.0, seed=1, device=(PORTABLE, HATA_PORTABLE),
+             resolution=250.0)
+    def test_classes_reproduce_segment_bitsets(self, shape, density, seed, device, resolution):
+        rng = np.random.default_rng(seed)
+        valid = rng.random(shape) < 0.9
+        counts = np.where(valid & (rng.random(shape) < density), rng.integers(1, 4, shape), 0)
+        area = counts.size * (resolution / 1000.0) ** 2
+        grid = HouseholdGrid(counts, valid, resolution, municipal_area_km2=area)
+        with mock.patch.object(engine, "receiver_segments", wraps=receiver_segments) as spy:
+            state, _ = engine._build_state(grid, device[0], OFCOM, device[1], PLAN, DEFAULT_BUCKETS)
+        starts, (co_bits, adj_bits) = receiver_segments(*spy.call_args.args)
+
+        assert np.array_equal(state.segment_lengths, np.diff(starts, append=counts.size))
+        assert np.array_equal(state.co_bits[:, state.segment_class], co_bits)
+        assert np.array_equal(state.adj_bits[:, state.segment_class], adj_bits)
+        columns = np.concatenate((state.co_bits, state.adj_bits)).T
+        assert len({column.tobytes() for column in columns}) == len(columns)
+        assert len(state.class_valid) == len(state.class_households) == len(columns)
+        assert state.class_valid.dtype == state.class_households.dtype == np.int64
+        assert state.class_valid.sum() == grid.valid.sum()
+        assert state.class_households.sum() == grid.total_households
 
 
 class TestValidation:

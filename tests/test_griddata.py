@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from grayspace.errors import DataError, DomainError
@@ -312,13 +312,42 @@ def _per_cell_csv(values: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:.10g}" for v in row) for row in arr) + "\n"
 
 
-_MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)
+_MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)
 _TEN_DIGIT_FLOATS = st.builds(
     lambda mantissa, exponent: mantissa * 10.0**exponent,
     st.integers(-(10**10), 10**10),
     st.integers(-12, 12),
 )
+#: The longest %.10g token, padded against one-character tokens in the table.
+_LONGEST_TOKEN = float(np.finfo(np.float64).min)  # -1.797693135e+308
+
+
+@st.composite
+def _low_cardinality_matrices(draw):
+    """1-4 values, including both zeros and both NaN signs, in runs up to two
+    rows long, so that runs cross row ends and span whole rows."""
+    pool = draw(
+        st.lists(
+            st.sampled_from([0.0, -0.0, np.nan, -np.nan, 8.0, 0.5, _LONGEST_TOKEN]),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda v: np.float64(v).tobytes(),
+        )
+    )
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(1, 2 * cols)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    cells = np.repeat([v for v, _ in runs], [n for _, n in runs])
+    return np.resize(cells, (rows, cols))
+
+
 _MATRICES = st.one_of(
+    _low_cardinality_matrices(),
     hnp.arrays(
         np.float64,
         _MATRIX_SHAPES,
@@ -350,6 +379,12 @@ class TestMatrixIO:
 
     @settings(max_examples=300, deadline=None)
     @given(_MATRICES)
+    @example(np.zeros((0, 0)))
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    # runs equal under == but with different bits, crossing a row end
+    @example(np.repeat([0.0, -0.0, np.nan, -np.nan, 0.0], [5, 7, 3, 6, 3]).reshape(4, 6))
+    @example(np.array([[0.0, _LONGEST_TOKEN, 0.0], [_LONGEST_TOKEN, 0.0, 0.0]]))
     def test_csv_bytes_match_per_cell_formatting(self, values):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
