@@ -37,9 +37,7 @@ from .errors import ConfigError, DataError, DomainError, GrayspaceError
 from .griddata import (
     DiscFootprint,
     HouseholdGrid,
-    ProtectionMask,
     compensate_area,
-    dilate,
     ingest_grid,
     load_grid_csv,
     protection_disc_offsets,
@@ -114,7 +112,6 @@ __all__ = [
     "OFCOM",
     "PORTABLE_100MW",
     "ProtectionCriteria",
-    "ProtectionMask",
     "REGULATOR_PRESETS",
     "ReceiverRealization",
     "SeparationReport",
@@ -122,7 +119,6 @@ __all__ = [
     "UtilizationTable",
     "cdf_from_map",
     "compensate_area",
-    "dilate",
     "distance_for_loss",
     "eirp_to_field_strength",
     "environment_correction",

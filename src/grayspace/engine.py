@@ -65,10 +65,11 @@ class Bucket:
         if self.lower_mhz > self.upper_mhz:
             raise ConfigError(f"bucket {self.label!r} has lower > upper")
 
-    def contains(self, value_mhz: float) -> bool:
-        if self.lower_inclusive:
-            return self.lower_mhz <= value_mhz <= self.upper_mhz
-        return self.lower_mhz < value_mhz <= self.upper_mhz
+    def contains(self, value_mhz: float | np.ndarray) -> np.ndarray:
+        """Elementwise membership; NaN is in no bucket."""
+        value = np.asarray(value_mhz)
+        above = value >= self.lower_mhz if self.lower_inclusive else value > self.lower_mhz
+        return above & (value <= self.upper_mhz)
 
 
 DEFAULT_BUCKETS = (
@@ -191,19 +192,7 @@ class _Sweep:
     knowledge: tuple[KnowledgeConfig, ...]
     pairs: tuple[tuple[int, int, int], ...]  # (device, knowledge, realizations)
     master_seed: int
-
-
-def _slot_bucket_map(
-    n_slots: int, bandwidth_mhz: float, buckets: Sequence[Bucket]
-) -> np.ndarray:
-    out = np.full(n_slots + 1, len(buckets), dtype=np.int64)
-    for slot in range(n_slots + 1):
-        value = slot * bandwidth_mhz
-        for b, bucket in enumerate(buckets):
-            if bucket.contains(value):
-                out[slot] = b
-                break
-    return out
+    n_buckets: int  # configured buckets plus "other"
 
 
 def _hits(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
@@ -234,7 +223,7 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
         (
             np.zeros(len(sweep.devices[d].class_valid), dtype=np.int64),
             np.zeros(len(sweep.devices[d].slot_bucket), dtype=np.int64),
-            np.zeros(int(sweep.devices[d].slot_bucket.max()) + 1, dtype=np.int64),
+            np.zeros(sweep.n_buckets, dtype=np.int64),
         )
         for d, _, _ in sweep.pairs
     ]
@@ -305,6 +294,10 @@ def _build_state(
     for slot, (_, guarding) in enumerate(plan.adjacent_entries()):
         guards[slot, [used_index[m] for m in guarding]] = 1
     n_slots = len(plan.used_channels) + len(guards)
+    slot_mhz = np.arange(n_slots + 1) * plan.channel_bandwidth_mhz
+    slot_bucket = np.full(n_slots + 1, len(buckets), dtype=np.int64)
+    for b, bucket in enumerate(buckets):
+        slot_bucket[bucket.contains(slot_mhz)] = b
     state = _DeviceState(
         segment_lengths=np.diff(starts, append=grid.counts.size),
         segment_class=segment_class,
@@ -314,7 +307,7 @@ def _build_state(
         class_households=class_sums[1],
         used_count=len(plan.used_channels),
         guards=guards,
-        slot_bucket=_slot_bucket_map(n_slots, plan.channel_bandwidth_mhz, buckets),
+        slot_bucket=slot_bucket,
     )
     extras = {
         "co_radius_m": co_radius,
@@ -354,6 +347,7 @@ def _build_sweep(
             for (d, h, k), n in zip(pairs, realizations)
         ),
         master_seed=master_seed,
+        n_buckets=len(buckets) + 1,
     )
     return sweep, [extras for _, extras in built]
 
@@ -514,20 +508,9 @@ def utilization_from_map(
     if arr.shape != counts.shape:
         raise DataError("map and household grid shapes differ")
     _check_bucket_overlap(buckets)
-    sums = []
-    assigned = np.zeros(arr.shape, dtype=bool)
-    valid = ~np.isnan(arr)
-    with np.errstate(invalid="ignore"):
-        for bucket in buckets:
-            above = (
-                arr >= bucket.lower_mhz
-                if bucket.lower_inclusive
-                else arr > bucket.lower_mhz
-            )
-            member = valid & above & (arr <= bucket.upper_mhz) & ~assigned
-            assigned |= member
-            sums.append(int(counts[member].sum()))
-    sums.append(int(counts[valid & ~assigned].sum()))
+    # disjoint buckets: "other" is every valid cell's households not in one
+    sums = [int(counts[bucket.contains(arr)].sum()) for bucket in buckets]
+    sums.append(int(counts[~np.isnan(arr)].sum()) - sum(sums))
     labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
     return UtilizationTable(
         labels=labels,

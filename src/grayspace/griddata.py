@@ -14,18 +14,22 @@ form.
 
 Protection geometry is built from footprint *runs*: a footprint stamped at
 a receiver covers, on each grid row, one contiguous stretch of cells, which
-is one half-open interval of the row-major flat cell index.  :func:`dilate`
-unions the runs of many receivers into a mask; :func:`receiver_segments`
-cuts the flat cell order at every run end, so that each resulting segment
-is covered by one fixed set of receivers, and records that set as a bitset.
+is one half-open interval of the row-major flat cell index.
+:func:`receiver_segments` cuts the flat cell order at every run end, so
+that each resulting segment is covered by one fixed set of receivers, and
+records that set as a bitset; a cell is protected where its segment's
+bitset is non-zero.
 
-Plain-CSV export works per run of equal cells: a gray-space map holds a few
+Matrix export works per run of equal cells: a gray-space map holds a few
 dozen distinct values in a few thousand runs over hundreds of thousands of
-cells.  Each distinct run value is formatted once into a fixed-width byte
-table (a second half ends rows), gathered per cell, and stripped of the
-padding.  Values are told apart by bit pattern, so ``-0.0`` and ``0.0``
-(and differently signed NaNs) keep their own text; the bytes are those of
-formatting every cell with ``%.10g`` in the array's dtype.
+cells.  One run split feeds both writers.  It cuts the row-major cells
+where the bit pattern changes and at every row start, and formats each
+distinct value once with ``%.10g`` in the array's dtype.  Telling values
+apart by bit pattern keeps ``-0.0`` and ``0.0`` (and differently signed
+NaNs) as their own text.  The plain-CSV writer gathers a fixed-width byte
+table per cell (a second half ends rows) and strips the padding; the
+run-length writer prints one ``count*value`` token per run.  Both give the
+bytes of formatting every cell on its own.
 """
 
 from __future__ import annotations
@@ -402,20 +406,6 @@ def protection_disc_offsets(radius_m: float, resolution_m: float) -> DiscFootpri
     )
 
 
-@dataclass(frozen=True)
-class ProtectionMask:
-    """Boolean raster of cells where one channel relation is protected."""
-
-    values: np.ndarray
-    radius_m: float
-    relation: str
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=bool)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def _footprint_runs(
     shape: tuple[int, int],
     seed_rows: np.ndarray,
@@ -443,27 +433,6 @@ def _footprint_runs(
         seed[inside],
         (run_rows * cols + lo)[inside],
         (run_rows * cols + hi + 1)[inside],
-    )
-
-
-def dilate(receiver_mask: np.ndarray, footprint: DiscFootprint, relation: str = "") -> ProtectionMask:
-    """Mark every cell covered by the footprint of any receiver cell.
-
-    Equivalent to scanning all (cell, receiver) pairs for a minimum
-    square-to-square distance below the radius, but computed from the
-    footprint runs: +1 at each run start, -1 at each run stop, and a
-    running sum over the flat cell order counts the runs covering a cell.
-    """
-    mask = np.asarray(receiver_mask)
-    if mask.ndim != 2 or mask.dtype != np.bool_:
-        raise DomainError("receiver_mask must be a 2-D boolean array")
-    ys, xs = np.nonzero(mask)
-    _, start, stop = _footprint_runs(mask.shape, ys, xs, footprint)
-    n_cells = mask.size
-    diff = np.bincount(start, minlength=n_cells + 1) - np.bincount(stop, minlength=n_cells + 1)
-    covered = np.cumsum(diff[:n_cells]) > 0
-    return ProtectionMask(
-        values=covered.reshape(mask.shape), radius_m=footprint.radius_m, relation=relation
     )
 
 
@@ -526,20 +495,30 @@ def _matrix_rows(values: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _value_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Runs of one bit pattern in row-major order, also cut at every row
+    start.  Run i begins at flat cell ``starts[i]``; its text is
+    ``text[token[i]]``, one entry per distinct value."""
+    bits = arr.view(f"u{arr.dtype.itemsize}").ravel()
+    cut = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=cut[1:])
+    cut[:: max(arr.shape[1], 1)] = True
+    starts = np.flatnonzero(cut)
+    distinct, token = np.unique(bits[starts], return_inverse=True)
+    return starts, token, [_fmt(v) for v in distinct.view(arr.dtype)]
+
+
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
     """Rows of comma-separated values (%.10g); NaN marks invalid cells."""
     arr = _matrix_rows(values)
-    bits = arr.view(f"u{arr.dtype.itemsize}").ravel()
-    if not bits.size:
+    if not arr.size:
         Path(path).write_bytes(b"\n" * max(len(arr), 1))
         return
-    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-    distinct, run_token = np.unique(bits[starts], return_inverse=True)
-    token = np.repeat(run_token, np.diff(starts, append=bits.size)).reshape(arr.shape)
-    token[:, -1] += len(distinct)  # the second half of the table ends rows
-    text = [_fmt(v) for v in distinct.view(arr.dtype)]
+    starts, token, text = _value_runs(arr)
+    cell = np.repeat(token, np.diff(starts, append=arr.size)).reshape(arr.shape)
+    cell[:, -1] += len(text)  # the second half of the table ends rows
     table = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype="S")
-    Path(path).write_bytes(table[token].tobytes().replace(b"\0", b""))
+    Path(path).write_bytes(table[cell].tobytes().replace(b"\0", b""))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -562,37 +541,34 @@ def write_matrix_rle(path: str | Path, values: np.ndarray) -> None:
     """Run-length variant for large grids: one line per row, comma-separated
     ``count*value`` tokens (e.g. ``640*0,3*8``)."""
     arr = _matrix_rows(values)
-    lines = [f"# rle rows={arr.shape[0]} cols={arr.shape[1]}"]
-    for row in arr:
-        tokens = []
-        run_value = row[0]
-        run_len = 0
-        for v in row:
-            same = (v == run_value) or (np.isnan(v) and np.isnan(run_value))
-            if same:
-                run_len += 1
-            else:
-                tokens.append(f"{run_len}*{_fmt(run_value)}")
-                run_value, run_len = v, 1
-        tokens.append(f"{run_len}*{_fmt(run_value)}")
-        lines.append(",".join(tokens))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows, cols = arr.shape
+    starts, token, text = _value_runs(arr)
+    lengths = np.diff(starts, append=arr.size)
+    runs = [f"{n}*{text[t]}" for n, t in zip(lengths.tolist(), token.tolist())]
+    first = np.searchsorted(starts, np.arange(rows + 1) * cols).tolist()
+    lines = [",".join(runs[a:b]) for a, b in zip(first, first[1:])]
+    Path(path).write_text("\n".join([f"# rle rows={rows} cols={cols}", *lines]) + "\n")
 
 
 def read_matrix_rle(path: str | Path) -> np.ndarray:
+    """Inverse of :func:`write_matrix_rle`; blank lines are skipped.
+
+    The header's ``rows`` and ``cols`` must be non-negative integers, every
+    run count at least 1 and every row exactly ``cols`` cells long.
+    """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# rle"):
         raise DataError(f"{path}: missing RLE header")
-    header = dict(
-        part.split("=") for part in lines[0][5:].strip().split() if "=" in part
-    )
+    header = dict(part.partition("=")[::2] for part in lines[0][5:].split())
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
     except (KeyError, ValueError):
-        raise DataError(f"{path}: malformed RLE header") from None
-    out = np.empty((rows, cols), dtype=np.float64)
-    if len(lines) - 1 != rows:
+        rows = cols = -1  # rejected with the negative sizes
+    if rows < 0 or cols < 0:
+        raise DataError(f"{path}: malformed RLE header")
+    if len(lines) - 1 != (rows if cols else 0):  # a row of no cells is blank
         raise DataError(f"{path}: expected {rows} data lines")
+    out = np.empty((rows, cols), dtype=np.float64)
     for i, line in enumerate(lines[1:]):
         col = 0
         for token in line.split(","):
@@ -600,34 +576,13 @@ def read_matrix_rle(path: str | Path) -> np.ndarray:
                 count_s, _, value_s = token.partition("*")
                 count, value = int(count_s), float(value_s)
             except ValueError:
-                raise DataError(f"{path}: bad RLE token {token!r}") from None
+                count = 0  # rejected with the counts below 1
+            if count < 1:
+                raise DataError(f"{path}: bad RLE token {token!r}")
             if col + count > cols:
                 raise DataError(f"{path}: row {i} longer than {cols} cells")
             out[i, col : col + count] = value
             col += count
         if col != cols:
             raise DataError(f"{path}: row {i} has {col} cells, expected {cols}")
-    return out
-
-
-def naive_protection_scan(
-    receiver_mask: np.ndarray, radius_m: float, resolution_m: float
-) -> np.ndarray:
-    """Reference O(cells x receivers) protection computation.
-
-    Checks the minimum square-to-square distance of every (cell, receiver)
-    pair directly.  Exists as the independent route the dilation is tested
-    against; use :func:`dilate` for real workloads.
-    """
-    mask = np.asarray(receiver_mask, dtype=bool)
-    rows, cols = mask.shape
-    out = np.zeros_like(mask)
-    rys, rxs = np.nonzero(mask)
-    if len(rys) == 0:
-        return out
-    ys, xs = np.indices((rows, cols))
-    for ry, rx in zip(rys, rxs):
-        gap_y = np.maximum(np.abs(ys - ry) - 1, 0) * resolution_m
-        gap_x = np.maximum(np.abs(xs - rx) - 1, 0) * resolution_m
-        out |= np.hypot(gap_x, gap_y) < radius_m
     return out

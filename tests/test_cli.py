@@ -246,6 +246,25 @@ class TestExitCodes:
         assert fragment in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# rle rows=-1 cols=3\n",
+            "# rle rows=1=2 cols=3\n3*1\n",
+            "# rle rows=8 cols=8\n" + "3*1,-2*2,7*3\n" * 8,
+        ],
+        ids=["negative-rows", "double-equals", "negative-count"],
+    )
+    def test_bad_rle_map_is_3_and_writes_nothing(self, workspace, tmp_path, capsys, text):
+        bad = tmp_path / "bad.rle"
+        bad.write_text(text)
+        out = tmp_path / "rep"
+        argv = ["report", "--config", str(workspace), "--map", str(bad), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize(

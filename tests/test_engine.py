@@ -57,6 +57,16 @@ class TestBuckets:
         open_low = Bucket("96<", 96.0, math.inf, lower_inclusive=False)
         assert not open_low.contains(96.0)
         assert open_low.contains(96.0001) and open_low.contains(math.inf)
+        values = np.array([23.999, 24.0, 64.0, 64.001, 96.0, 96.0001, math.nan, -math.inf,
+                           math.inf])
+        for bucket, want in [
+            (closed, [False, True, True, False, False, False, False, False, False]),
+            (open_low, [False, False, False, False, False, True, False, False, True]),
+        ]:
+            got = bucket.contains(values)
+            assert got.dtype == np.bool_ and got.tolist() == want
+            assert [bool(bucket.contains(v)) for v in values] == want
+            assert got[:, None].tolist() == bucket.contains(values[:, None]).tolist()
 
     @pytest.mark.parametrize("text", ["abc", "", "64-24", "24--64"])
     def test_malformed(self, text):
@@ -334,7 +344,33 @@ class TestValidation:
             result.mean_map.values[0, 0] = 1.0
 
 
+@st.composite
+def _disjoint_buckets(draw):
+    """Closed buckets between increasing edges on a 4 MHz step (so half the
+    edges land on 8 MHz slot values), some left out as gaps, and maybe an
+    open ``X<`` bucket from the last edge; in any order."""
+    edges = [4.0 * e for e in sorted(draw(st.sets(st.integers(0, 32), min_size=2, max_size=10)))]
+    keep = draw(st.lists(st.booleans(), min_size=len(edges) // 2, max_size=len(edges) // 2))
+    buckets = [
+        Bucket(f"{lo:g}-{hi:g}", lo, hi)
+        for lo, hi, kept in zip(edges[::2], edges[1::2], keep)
+        if kept
+    ]
+    if draw(st.booleans()) or not buckets:
+        buckets.append(Bucket(f"{edges[-1]:g}<", edges[-1], math.inf, lower_inclusive=False))
+    return tuple(draw(st.permutations(buckets)))
+
+
 class TestMapStatistics:
+    # 40 receiver cells at 100 m.  For a portable device, one KL3
+    # realization leaves 88-120 MHz on them; KL1 leaves 0 MHz on them and
+    # 80 MHz elsewhere.
+    MIXED_GRID = ingest_grid(
+        [(c % 30, c // 30, 1 + c % 3)
+         for c in np.random.default_rng(0).choice(900, 40, replace=False).tolist()],
+        resolution_m=100.0, rows=30, cols=30,
+    )
+
     def test_cdf_from_map_matches_engine_for_kl1(self):
         grid = ingest_grid([(2, 2, 3)], resolution_m=1000.0, rows=6, cols=6)
         result = run(grid, KL1)
@@ -351,6 +387,23 @@ class TestMapStatistics:
             again.mean_households.tobytes()
             == result.utilization.mean_households.tobytes()
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(buckets=_disjoint_buckets())
+    @example(buckets=DEFAULT_BUCKETS)
+    @example(buckets=(Bucket("0-0", 0.0, 0.0), Bucket("120<", 120.0, math.inf, False)))
+    @example(buckets=(Bucket("0-120", 0.0, 120.0),))  # every slot value in a bucket
+    def test_utilization_from_map_matches_engine_for_any_buckets(self, buckets):
+        # one realization: the mean map holds that realization's values
+        for knowledge in (KL1, KL3_TP1):
+            result = run(self.MIXED_GRID, knowledge, device=PORTABLE, hata=HATA_PORTABLE,
+                         realizations=1, buckets=buckets)
+            again = utilization_from_map(result.mean_map.values, self.MIXED_GRID.counts, buckets)
+            assert again.labels == result.utilization.labels
+            assert (
+                again.mean_households.tobytes()
+                == result.utilization.mean_households.tobytes()
+            ), knowledge
 
     def test_other_bucket_collects_gaps(self):
         values = np.array([[0.0, 30.0, 70.0, 100.0, np.nan]])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -12,10 +13,8 @@ from grayspace.errors import DataError, DomainError
 from grayspace.griddata import (
     HouseholdGrid,
     compensate_area,
-    dilate,
     ingest_grid,
     load_grid_csv,
-    naive_protection_scan,
     protection_disc_offsets,
     read_matrix_csv,
     read_matrix_rle,
@@ -230,6 +229,34 @@ class TestFootprint:
                 assert ((dx, dy) in fp.offsets) == inside
 
 
+def naive_protection_scan(
+    receiver_mask: np.ndarray, radius_m: float, resolution_m: float
+) -> np.ndarray:
+    """Reference O(cells x receivers) protection computation, the oracle.
+
+    Checks the minimum square-to-square distance of every (cell, receiver)
+    pair directly, independently of footprints and segments.
+    """
+    mask = np.asarray(receiver_mask, dtype=bool)
+    rows, cols = mask.shape
+    out = np.zeros_like(mask)
+    rys, rxs = np.nonzero(mask)
+    if len(rys) == 0:
+        return out
+    ys, xs = np.indices((rows, cols))
+    for ry, rx in zip(rys, rxs):
+        gap_y = np.maximum(np.abs(ys - ry) - 1, 0) * resolution_m
+        gap_x = np.maximum(np.abs(xs - rx) - 1, 0) * resolution_m
+        out |= np.hypot(gap_x, gap_y) < radius_m
+    return out
+
+
+def segment_coverage(mask, fp):
+    """Cells whose segment bitset holds any receiver."""
+    starts, (bits,) = receiver_segments(mask.shape, *np.nonzero(mask), [fp])
+    return np.repeat(bits.any(axis=0), np.diff(starts, append=mask.size)).reshape(mask.shape)
+
+
 class TestDilate:
     def test_against_naive_scan(self):
         rng = np.random.default_rng(3)
@@ -238,7 +265,7 @@ class TestDilate:
             mask = rng.random((rows, cols)) < 0.1
             radius = float(rng.integers(1, 7)) * 1000.0
             fp = protection_disc_offsets(radius, 1000.0)
-            got = dilate(mask, fp).values
+            got = segment_coverage(mask, fp)
             want = naive_protection_scan(mask, radius, 1000.0)
             assert np.array_equal(got, want)
 
@@ -248,24 +275,12 @@ class TestDilate:
         for _ in range(10):
             a = rng.random((20, 25)) < 0.05
             b = rng.random((20, 25)) < 0.05
-            union = dilate(a | b, fp).values
-            assert np.array_equal(union, dilate(a, fp).values | dilate(b, fp).values)
+            union = segment_coverage(a | b, fp)
+            assert np.array_equal(union, segment_coverage(a, fp) | segment_coverage(b, fp))
 
     def test_empty_mask(self):
         fp = protection_disc_offsets(2000.0, 1000.0)
-        out = dilate(np.zeros((5, 8), dtype=bool), fp)
-        assert not out.values.any()
-
-    def test_requires_boolean_mask(self):
-        fp = protection_disc_offsets(1000.0, 1000.0)
-        with pytest.raises(DomainError):
-            dilate(np.zeros((4, 4), dtype=np.int64), fp)
-
-    def test_relation_is_recorded(self):
-        fp = protection_disc_offsets(1000.0, 1000.0)
-        out = dilate(np.zeros((2, 2), dtype=bool), fp, relation="co")
-        assert out.relation == "co"
-        assert out.radius_m == 1000.0
+        assert not segment_coverage(np.zeros((5, 8), dtype=bool), fp).any()
 
 
 @st.composite
@@ -310,6 +325,20 @@ def _per_cell_csv(values: np.ndarray) -> str:
     if arr.dtype == np.bool_:
         arr = arr.astype(np.int64)
     return "\n".join(",".join(f"{v:.10g}" for v in row) for row in arr) + "\n"
+
+
+def _per_cell_rle(values: np.ndarray) -> str:
+    """Runs of equal bit patterns found cell by cell; the byte oracle of
+    write_matrix_rle."""
+    arr = np.asarray(values)
+    if arr.dtype == np.bool_:
+        arr = arr.astype(np.int64)
+    bits = arr.view(f"u{arr.dtype.itemsize}")
+    lines = [f"# rle rows={arr.shape[0]} cols={arr.shape[1]}"]
+    for row, row_bits in zip(arr, bits):
+        runs = [list(run) for _, run in itertools.groupby(range(len(row)), row_bits.__getitem__)]
+        lines.append(",".join(f"{len(run)}*{row[run[0]]:.10g}" for run in runs))
+    return "\n".join(lines) + "\n"
 
 
 _MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)
@@ -431,6 +460,23 @@ class TestMatrixIO:
         back = read_matrix_rle(path)
         assert np.array_equal(back, values, equal_nan=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_MATRICES)
+    @example(np.array([[0.0, -0.0, 1.0]]))
+    @example(np.zeros((2, 0)))
+    @example(np.repeat([0.0, -0.0, np.nan, -np.nan, 0.0], [5, 7, 3, 6, 3]).reshape(4, 6))
+    def test_rle_bytes_match_per_cell_runs(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.rle"
+            write_matrix_rle(path, values)
+            assert path.read_text() == _per_cell_rle(values)
+            back = read_matrix_rle(path)
+        want = np.asarray(values).astype(np.float64)
+        assert back.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(np.signbit(back[~nan]), np.signbit(want[~nan]))
+
     def test_rle_header_required(self, tmp_path):
         path = tmp_path / "m.rle"
         path.write_text("3*1\n")
@@ -440,5 +486,29 @@ class TestMatrixIO:
     def test_rle_row_length_checked(self, tmp_path):
         path = tmp_path / "m.rle"
         path.write_text("# rle rows=1 cols=4\n3*1\n")
+        with pytest.raises(DataError):
+            read_matrix_rle(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# rle rows=-1 cols=3\n",
+            "# rle rows=1 cols=-3\n1*1\n",
+            "# rle rows=1=2 cols=3\n3*1\n",
+            "# rle rows=x cols=3\n3*1\n",
+            "# rle cols=3\n3*1\n",
+            "# rle rows=1 cols=4\n3*1,-2*2,3*3\n",
+            "# rle rows=1 cols=5\n0*5,5*1\n",
+            "# rle rows=1 cols=2\n2*abc\n",
+            "# rle rows=2 cols=2\n2*1\n",
+            "# rle rows=1000000000000 cols=1000000000000\n1*1\n",
+        ],
+        ids=["negative-rows", "negative-cols", "double-equals", "non-integer-rows",
+             "missing-rows", "negative-count", "zero-count", "bad-value", "too-few-lines",
+             "too-few-lines-huge"],
+    )
+    def test_rle_rejects_malformed(self, tmp_path, text):
+        path = tmp_path / "m.rle"
+        path.write_text(text)
         with pytest.raises(DataError):
             read_matrix_rle(path)

@@ -1,9 +1,13 @@
-"""Run-based dilation must match a cell-by-cell footprint stamp on every input."""
+"""Segment coverage must match a cell-by-cell footprint stamp on every input.
+
+A cell is covered where the receiver bitset of its segment, as cut by
+``receiver_segments``, is non-zero.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from grayspace.griddata import dilate, protection_disc_offsets
+from grayspace.griddata import protection_disc_offsets, receiver_segments
 
 
 def disc(reach):
@@ -27,7 +31,9 @@ def naive(seeds, fp):
 
 
 def run(seeds, fp):
-    return dilate(seeds, fp).values
+    starts, (bits,) = receiver_segments(seeds.shape, *np.nonzero(seeds), [fp])
+    lengths = np.diff(starts, append=seeds.size)
+    return np.repeat(bits.any(axis=0), lengths).reshape(seeds.shape)
 
 
 class TestAgreement:
