@@ -74,11 +74,8 @@ from .scenario import (
     TIME_PERIODS,
     ChannelPlan,
     KnowledgeConfig,
-    ReceiverRealization,
     gray_space_capacity,
-    realize_cells,
     receiver_usage,
-    sample_household,
     white_space_amount,
 )
 
@@ -113,7 +110,6 @@ __all__ = [
     "PORTABLE_100MW",
     "ProtectionCriteria",
     "REGULATOR_PRESETS",
-    "ReceiverRealization",
     "SeparationReport",
     "TIME_PERIODS",
     "UtilizationTable",
@@ -132,12 +128,10 @@ __all__ = [
     "path_loss",
     "protection_disc_offsets",
     "quantize_distance",
-    "realize_cells",
     "receiver_usage",
     "refine_grid",
     "run_combinations",
     "run_monte_carlo",
-    "sample_household",
     "separation_report",
     "single_realization_map",
     "utilization_from_map",

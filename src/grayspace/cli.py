@@ -86,6 +86,7 @@ from .scenario import (
     ChannelPlan,
     KnowledgeConfig,
     gray_space_capacity,
+    slot_count,
     white_space_amount,
 )
 
@@ -679,8 +680,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         values = read_matrix_rle(map_path)
     else:
         values = read_matrix_csv(map_path)
-    n_slots = len(cfg.plan.used_channels) + len(cfg.plan.adjacent_entries())
-    levels = np.arange(n_slots + 1) * cfg.plan.channel_bandwidth_mhz
+    levels = np.arange(slot_count(cfg.plan) + 1) * cfg.plan.channel_bandwidth_mhz
     cdf = cdf_from_map(values, levels)
     table = None
     if cfg.grid_path is not None or cfg.grid_paths:

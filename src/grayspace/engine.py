@@ -44,7 +44,7 @@ from .linkbudget import (
     separation_report,
 )
 from .propagation import HataParams
-from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage
+from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage, slot_count
 
 OTHER_BUCKET_LABEL = "other"
 
@@ -293,7 +293,7 @@ def _build_state(
     guards = np.zeros((len(plan.adjacent_entries()), len(used_index)), dtype=np.uint8)
     for slot, (_, guarding) in enumerate(plan.adjacent_entries()):
         guards[slot, [used_index[m] for m in guarding]] = 1
-    n_slots = len(plan.used_channels) + len(guards)
+    n_slots = slot_count(plan)
     slot_mhz = np.arange(n_slots + 1) * plan.channel_bandwidth_mhz
     slot_bucket = np.full(n_slots + 1, len(buckets), dtype=np.int64)
     for b, bucket in enumerate(buckets):

@@ -10,7 +10,10 @@ anywhere in its cell and the interferer anywhere in the protected cell.
 The module covers CSV ingestion with sidecar metadata, compensation of the
 mismatch between grid area and municipal area, disc-footprint construction,
 protection geometry, and matrix export in plain CSV and run-length-encoded
-form.
+form.  Input files are data: a malformed value, a repeated metadata key, a
+count past int64 or a declared size numpy cannot allocate is a
+:class:`DataError`, and a run-length file is checked in full before its
+matrix is allocated.  A disc footprint is kept as per-row halfwidths only.
 
 Protection geometry is built from footprint *runs*: a footprint stamped at
 a receiver covers, on each grid row, one contiguous stretch of cells, which
@@ -34,6 +37,7 @@ bytes of formatting every cell on its own.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,7 +77,12 @@ class HouseholdGrid:
             raise DataError("household counts must be zero in invalid cells")
         if not (math.isfinite(self.resolution_m) and self.resolution_m > 0):
             raise DomainError("resolution_m must be positive and finite")
-        physical = counts.size * (self.resolution_m / 1000.0) ** 2
+        physical = _area_km2(counts.size, self.resolution_m)
+        if not math.isfinite(physical):
+            raise DataError(
+                f"a {counts.shape[0]}x{counts.shape[1]} grid of {self.resolution_m} m "
+                "cells has no finite area"
+            )
         if not (0 < self.municipal_area_km2 <= physical * (1 + 1e-9)):
             raise DataError(
                 f"municipal_area_km2 ({self.municipal_area_km2}) must be positive "
@@ -105,6 +114,22 @@ class HouseholdGrid:
         return int(self.counts.sum())
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of an input file; one that cannot be read as text is data."""
+    try:
+        return Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _area_km2(cells: int, resolution_m: float) -> float:
+    """Area of ``cells`` square cells; inf where the square overflows."""
+    try:
+        return cells * (resolution_m / 1000.0) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def ingest_grid(
     records: Iterable[tuple[int, int, int]],
     resolution_m: float,
@@ -116,11 +141,13 @@ def ingest_grid(
 
     Dimensions come from explicit ``rows``/``cols`` or, failing that, from
     the largest indices present.  Cells not listed hold zero households.
-    Duplicate coordinates and negative values are rejected.  Without a
-    municipal area the grid area is used (no compensation will occur).
+    Duplicate coordinates, negative values, counts totalling past int64
+    and sizes numpy cannot allocate are rejected.  Without a municipal area
+    the grid area is used (no compensation will occur).
     """
     seen: set[tuple[int, int]] = set()
     entries: list[tuple[int, int, int]] = []
+    total = 0
     for x, y, households in records:
         if x < 0 or y < 0:
             raise DataError(f"cell coordinates must be non-negative, got ({x}, {y})")
@@ -130,6 +157,9 @@ def ingest_grid(
             raise DataError(f"duplicate cell record for ({x}, {y})")
         seen.add((x, y))
         entries.append((x, y, households))
+        total += households
+    if total > np.iinfo(np.int64).max:
+        raise DataError(f"household counts total {total}, past the int64 range")
 
     max_x = max((x for x, _, _ in entries), default=-1)
     max_y = max((_y for _, _y, _ in entries), default=-1)
@@ -143,11 +173,14 @@ def ingest_grid(
             f"{n_rows}x{n_cols} grid"
         )
 
-    counts = np.zeros((n_rows, n_cols), dtype=np.int64)
+    try:
+        counts = np.zeros((n_rows, n_cols), dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError past 2**63 bytes
+        raise DataError(f"cannot allocate a {n_rows}x{n_cols} grid") from None
     for x, y, households in entries:
         counts[y, x] = households
     if municipal_area_km2 is None:
-        municipal_area_km2 = counts.size * (resolution_m / 1000.0) ** 2
+        municipal_area_km2 = _area_km2(counts.size, resolution_m)
     return HouseholdGrid(
         counts=counts,
         valid=np.ones_like(counts, dtype=bool),
@@ -164,14 +197,16 @@ def load_grid_csv(
     """Read a grid CSV: ``# key=value`` metadata lines, an ``x,y,households``
     header, then one record per non-empty cell.
 
-    Recognized metadata keys: rows, cols, resolution_m, municipal_area_km2.
-    Explicit arguments override file metadata; the resolution must come from
-    one of the two.
+    Recognized metadata keys: rows, cols, resolution_m, municipal_area_km2,
+    each at most once.  ``rows`` and ``cols`` must be whole and non-negative,
+    the other two positive and finite, even where an argument overrides
+    them.  Explicit arguments override file metadata; the resolution must
+    come from one of the two.
     """
     meta: dict[str, float] = {}
     records: list[tuple[int, int, int]] = []
     header_seen = False
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -182,12 +217,22 @@ def load_grid_csv(
                 key = key.strip()
                 if key not in _METADATA_KEYS:
                     raise DataError(f"{path}:{lineno}: unknown metadata key {key!r}")
+                if key in meta:
+                    raise DataError(f"{path}:{lineno}: metadata key {key!r} repeated")
                 try:
-                    meta[key] = float(value.strip())
+                    number = float(value.strip())
                 except ValueError:
+                    number = math.nan  # rejected below
+                if key in ("rows", "cols"):
+                    ok, need = number.is_integer() and number >= 0, "a whole number >= 0"
+                else:
+                    ok, need = math.isfinite(number) and number > 0, "positive and finite"
+                if not ok:
                     raise DataError(
-                        f"{path}:{lineno}: bad value for metadata key {key!r}"
-                    ) from None
+                        f"{path}:{lineno}: metadata key {key!r} must be {need}, "
+                        f"got {value.strip()!r}"
+                    )
+                meta[key] = number
             continue
         if not header_seen:
             if [c.strip().lower() for c in line.split(",")] != ["x", "y", "households"]:
@@ -259,9 +304,7 @@ def _border_scan(rows: int, cols: int) -> Iterable[tuple[int, int]]:
         ring += 1
 
 
-def compensate_area(
-    grid: HouseholdGrid, municipal_area_km2: float | None = None
-) -> tuple[HouseholdGrid, int]:
+def compensate_area(grid: HouseholdGrid) -> tuple[HouseholdGrid, int]:
     """Invalidate border cells so the valid area matches the municipal area.
 
     Exactly floor((grid_area - municipal_area) / cell_area) zero-household
@@ -270,27 +313,12 @@ def compensate_area(
     empty cells are reachable the shortfall is reported as a data error.
     Returns the compensated grid and the number of cells invalidated.
     """
-    if municipal_area_km2 is None:
-        municipal_area_km2 = grid.municipal_area_km2
-    if not (0 < municipal_area_km2 <= grid.physical_area_km2 * (1 + 1e-9)):
-        raise DataError(
-            f"municipal area ({municipal_area_km2} km2) must be positive and "
-            f"no larger than the grid area ({grid.physical_area_km2} km2)"
-        )
     # The epsilon absorbs IEEE dust in cell_area (e.g. 0.1**2 != 0.01) that
     # could otherwise flip the floor by one whole cell.
-    excess = (grid.physical_area_km2 - municipal_area_km2) / grid.cell_area_km2
+    excess = (grid.physical_area_km2 - grid.municipal_area_km2) / grid.cell_area_km2
     target = int(math.floor(excess + 1e-9))
     if target <= 0:
-        return (
-            HouseholdGrid(
-                counts=grid.counts.copy(),
-                valid=grid.valid.copy(),
-                resolution_m=grid.resolution_m,
-                municipal_area_km2=float(municipal_area_km2),
-            ),
-            0,
-        )
+        return grid, 0
     valid = grid.valid.copy()
     remaining = target
     for y, x in _border_scan(grid.rows, grid.cols):
@@ -304,15 +332,7 @@ def compensate_area(
             f"area compensation needs {target} empty cells but only "
             f"{target - remaining} were available ({remaining} short)"
         )
-    return (
-        HouseholdGrid(
-            counts=grid.counts.copy(),
-            valid=valid,
-            resolution_m=grid.resolution_m,
-            municipal_area_km2=float(municipal_area_km2),
-        ),
-        target,
-    )
+    return dataclasses.replace(grid, valid=valid), target
 
 
 def refine_grid(grid: HouseholdGrid, factor: int) -> HouseholdGrid:
@@ -357,19 +377,6 @@ class DiscFootprint:
         hw = np.asarray(self.halfwidths, dtype=np.int64)
         hw.setflags(write=False)
         object.__setattr__(self, "halfwidths", hw)
-
-    @property
-    def offsets(self) -> frozenset[tuple[int, int]]:
-        """The explicit (dx, dy) offset set."""
-        out = set()
-        for dy in range(-self.reach, self.reach + 1):
-            w = int(self.halfwidths[dy + self.reach])
-            for dx in range(-w, w + 1):
-                out.add((dx, dy))
-        return frozenset(out)
-
-    def __len__(self) -> int:
-        return int(2 * self.halfwidths.sum() + self.halfwidths.size)
 
 
 def protection_disc_offsets(radius_m: float, resolution_m: float) -> DiscFootprint:
@@ -528,7 +535,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     file is a data error.
     """
     # loadtxt does not skip whitespace-only lines itself
-    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+    lines = [line for line in _read_lines(path) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty matrix")
     try:
@@ -554,9 +561,10 @@ def read_matrix_rle(path: str | Path) -> np.ndarray:
     """Inverse of :func:`write_matrix_rle`; blank lines are skipped.
 
     The header's ``rows`` and ``cols`` must be non-negative integers, every
-    run count at least 1 and every row exactly ``cols`` cells long.
+    run count at least 1 and every row exactly ``cols`` cells long; all of
+    it is checked before the matrix is allocated.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines or not lines[0].startswith("# rle"):
         raise DataError(f"{path}: missing RLE header")
     header = dict(part.partition("=")[::2] for part in lines[0][5:].split())
@@ -568,7 +576,8 @@ def read_matrix_rle(path: str | Path) -> np.ndarray:
         raise DataError(f"{path}: malformed RLE header")
     if len(lines) - 1 != (rows if cols else 0):  # a row of no cells is blank
         raise DataError(f"{path}: expected {rows} data lines")
-    out = np.empty((rows, cols), dtype=np.float64)
+    counts: list[int] = []
+    values: list[float] = []
     for i, line in enumerate(lines[1:]):
         col = 0
         for token in line.split(","):
@@ -579,10 +588,13 @@ def read_matrix_rle(path: str | Path) -> np.ndarray:
                 count = 0  # rejected with the counts below 1
             if count < 1:
                 raise DataError(f"{path}: bad RLE token {token!r}")
-            if col + count > cols:
-                raise DataError(f"{path}: row {i} longer than {cols} cells")
-            out[i, col : col + count] = value
+            counts.append(count)
+            values.append(value)
             col += count
         if col != cols:
             raise DataError(f"{path}: row {i} has {col} cells, expected {cols}")
-    return out
+    try:
+        out = np.repeat(np.array(values, np.float64), np.array(counts, np.int64))
+    except (MemoryError, ValueError, OverflowError):  # ValueError past 2**63 bytes
+        raise DataError(f"{path}: cannot allocate a {rows}x{cols} matrix") from None
+    return out.reshape(rows, cols)

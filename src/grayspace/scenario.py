@@ -21,8 +21,7 @@ are generated by a counter-based (Philox) stream keyed on
 ``(master_seed, realization_index)``, so any partitioning of realizations
 across workers reproduces identical draws.  :func:`receiver_usage` draws
 one realization's variates once and reduces the usage of any number of
-knowledge configs to the household cells (the receivers);
-:func:`realize_cells` scatters one config's usage onto the raster.
+knowledge configs to the household cells (the receivers).
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .griddata import HouseholdGrid
+from .errors import ConfigError, DataError, DomainError
 
 KNOWLEDGE_LEVELS = ("KL1", "KL2", "KL3")
 TIME_PERIODS = ("TP1", "TP2")
@@ -46,9 +44,6 @@ MUX_SHARES: dict[str, tuple[float, ...]] = {
     "TP1": (0.0346, 0.0245, 0.0159, 0.0178, 0.007),
     "TP2": (0.193, 0.127, 0.062, 0.057, 0.012),
 }
-
-#: Order of the uniform variates drawn per household.
-VARIATE_COLUMNS = ("coverage", "subscription", "viewing")
 
 
 @dataclass(frozen=True)
@@ -108,10 +103,15 @@ class ChannelPlan:
         return tuple(c for c, _ in self.adjacent_entries())
 
 
+def slot_count(plan: ChannelPlan) -> int:
+    """Channels a cell can offer inside the service area: the used
+    channels plus the adjacent slots."""
+    return len(plan.used_channels) + len(plan.adjacent_entries())
+
+
 def gray_space_capacity(plan: ChannelPlan) -> float:
     """MHz reachable inside the service area: used plus adjacent slots."""
-    n_slots = len(plan.used_channels) + len(plan.adjacent_entries())
-    return n_slots * plan.channel_bandwidth_mhz
+    return slot_count(plan) * plan.channel_bandwidth_mhz
 
 
 def white_space_amount(plan: ChannelPlan) -> float:
@@ -187,16 +187,20 @@ def _check_stream_key(master_seed: int, realization_index: int) -> None:
 def household_variates(master_seed: int, realization_index: int, n: int) -> np.ndarray:
     """The (n, 3) uniform variates for one realization, in household order.
 
-    Column meaning is :data:`VARIATE_COLUMNS`.  Keyed Philox streams make
-    the result a pure function of (master_seed, realization_index), whatever
-    process or worker asks for it.
+    The columns are the coverage, subscription and viewing variates, in
+    that order.  Keyed Philox streams make the result a pure function of
+    (master_seed, realization_index), whatever process or worker asks for
+    it.
     """
     _check_stream_key(master_seed, realization_index)
     if n < 0:
         raise DomainError("n must be non-negative")
     key = np.array([master_seed, realization_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((n, 3))
+    try:
+        return gen.random((n, 3))
+    except (MemoryError, ValueError):  # ValueError past 2**63 bytes
+        raise DataError(f"cannot hold the variates of {n} households") from None
 
 
 def usage_from_variates(config: KnowledgeConfig, u: np.ndarray) -> np.ndarray:
@@ -234,35 +238,6 @@ def usage_from_variates(config: KnowledgeConfig, u: np.ndarray) -> np.ndarray:
     return usage
 
 
-def sample_household(
-    config: KnowledgeConfig, u_cov: float, u_sub: float, u_watch: float
-) -> frozenset[int]:
-    """MUX numbers (1-5) one household uses, given its variate triple."""
-    u = np.array([[u_cov, u_sub, u_watch]], dtype=np.float64)
-    row = usage_from_variates(config, u)[0]
-    return frozenset(int(m) + 1 for m in np.nonzero(row)[0])
-
-
-@dataclass(frozen=True)
-class ReceiverRealization:
-    """Per-cell usage flags for one Monte Carlo realization.
-
-    ``flags[m]`` is a rows x cols boolean raster: True where at least one
-    household in the cell uses MUX m+1.
-    """
-
-    flags: np.ndarray
-    realization_index: int
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        flags = np.asarray(self.flags, dtype=bool)
-        if flags.ndim != 3 or flags.shape[0] != 5:
-            raise DomainError("flags must have shape (5, rows, cols)")
-        flags.setflags(write=False)
-        object.__setattr__(self, "flags", flags)
-
-
 def receiver_usage(
     households_per_receiver: np.ndarray,
     configs: Sequence[KnowledgeConfig],
@@ -293,22 +268,3 @@ def receiver_usage(
             usage[i] = np.logical_or.reduceat(per_household, first, axis=0).T
     return usage
 
-
-def realize_cells(
-    grid: HouseholdGrid,
-    config: KnowledgeConfig,
-    master_seed: int,
-    realization_index: int,
-) -> ReceiverRealization:
-    """Sample one realization of per-cell MUX usage for the whole grid.
-
-    The household cells, in row-major order, are the receivers of
-    :func:`receiver_usage`; their flags are scattered onto the raster and
-    every other cell is False.
-    """
-    ys, xs = np.nonzero(grid.counts)
-    flags = np.zeros((5, *grid.counts.shape), dtype=bool)
-    flags[:, ys, xs] = receiver_usage(
-        grid.counts[ys, xs], [config], master_seed, realization_index
-    )[0]
-    return ReceiverRealization(flags, realization_index, master_seed)

@@ -36,7 +36,6 @@ from grayspace.scenario import (
     KnowledgeConfig,
     gray_space_capacity,
     household_variates,
-    realize_cells,
     usage_from_variates,
     white_space_amount,
 )
@@ -191,7 +190,13 @@ def test_criterion_7a():
         device = FIXED_4W if seed % 2 == 0 else PORTABLE_100MW
         knowledge = (KL2, KL3_COND)[seed % 3 == 0]
 
-        flags = realize_cells(grid, knowledge, seed, 0).flags
+        # One variate triple per household, households in row-major cell
+        # order; a cell is flagged for a MUX when any household uses it.
+        u = iter(household_variates(seed, 0, grid.total_households))
+        flags = np.zeros((5, rows, cols), dtype=bool)
+        for y, x in zip(*np.nonzero(grid.counts)):
+            for _ in range(grid.counts[y, x]):
+                flags[:, y, x] |= usage_from_variates(knowledge, next(u)[None])[0]
         expected = _naive_map(grid, flags, CO_M[device.label], ADJ_M[device.label])
         got = single_realization_map(
             grid, device, OFCOM, hata_for(device), PLAN, knowledge, seed

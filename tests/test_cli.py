@@ -252,8 +252,9 @@ class TestExitCodes:
             "# rle rows=-1 cols=3\n",
             "# rle rows=1=2 cols=3\n3*1\n",
             "# rle rows=8 cols=8\n" + "3*1,-2*2,7*3\n" * 8,
+            "# rle rows=1 cols=1000000000000\n1*1\n",
         ],
-        ids=["negative-rows", "double-equals", "negative-count"],
+        ids=["negative-rows", "double-equals", "negative-count", "short-row-huge-cols"],
     )
     def test_bad_rle_map_is_3_and_writes_nothing(self, workspace, tmp_path, capsys, text):
         bad = tmp_path / "bad.rle"
@@ -264,6 +265,73 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("# rows=8", "# rows=nan"),
+            ("# rows=8\n# cols=8", "# rows=1e12\n# cols=1e12"),
+            ("# rows=8", "# rows=8.5"),
+            ("# resolution_m=1000", "# resolution_m=nan"),
+            ("# resolution_m=1000", "# resolution_m=inf"),
+            ("# resolution_m=1000", "# resolution_m=-5"),
+            ("# resolution_m=1000", "# resolution_m=0"),
+            ("# resolution_m=1000", "# resolution_m=1e300"),
+            ("# rows=8", "# rows=9\n# rows=8"),
+            ("6,6,7", "6,6,99999999999999999999"),
+            ("6,6,7", f"6,6,{2**62}\n7,7,{2**62}"),
+        ],
+        ids=["nan-rows", "size-past-2**63-bytes", "fractional-rows", "nan-resolution",
+             "inf-resolution", "negative-resolution", "zero-resolution", "area-overflow",
+             "repeated-key", "count-past-int64", "total-past-int64"],
+    )
+    @pytest.mark.parametrize("command", ["ingest", "simulate", "report"])
+    def test_bad_grid_is_3_and_writes_nothing(
+        self, workspace, tmp_path, capsys, old, new, command
+    ):
+        grid = tmp_path / "town.csv"
+        assert old in grid.read_text()
+        grid.write_text(grid.read_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main(_grid_argv(command, workspace, out)) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "simulate", "report"])
+    def test_grid_not_utf8_is_3_and_writes_nothing(self, workspace, tmp_path, capsys, command):
+        (tmp_path / "town.csv").write_bytes(b"# rows=8\xff\n")
+        out = tmp_path / "out"
+        assert main(_grid_argv(command, workspace, out)) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_households_past_sampling_are_3_and_write_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        grid = tmp_path / "town.csv"
+        grid.write_text(grid.read_text().replace("6,6,7", f"6,6,{2**62}"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def _grid_argv(command: str, config: Path, out: Path) -> list[str]:
+    """Arguments that make ``command`` read the grid next to ``config`` and
+    write only under ``out``; ``report`` reads an 8x8 map made here."""
+    root = config.parent
+    if command == "ingest":
+        return ["ingest", str(root / "town.csv"), "--out", str(out / "town.csv"),
+                "--valid-mask", str(out / "mask.rle")]
+    if command == "report":
+        (root / "map.csv").write_text("0,8,16,24,32,40,48,56\n" * 8)
+        return ["report", "--config", str(config), "--map", str(root / "map.csv"),
+                "--out", str(out)]
+    return ["simulate", "--config", str(config), "--out", str(out),
+            "--realizations", "1", "--workers", "1"]
 
 
 class TestShippedConfigs:
@@ -760,3 +828,75 @@ class TestSimulateFuzz:
             assert code in (0, 2, 3), err
             assert "Traceback" not in err
             assert code == 0 or not out.exists(), err
+
+
+# Grid CSV mutations.  Sizes are small or need more than 2**63 bytes:
+# a machine that overcommits memory could really allocate anything between.
+_GRID_SIZES = ["", "abc", "nan", "inf", "-1", "-0", "0", "1", "2.5", "3", "8", "9",
+               "1e19", "1e30"]
+_GRID_REALS = ["", "abc", "nan", "inf", "-inf", "-5", "0", "1e-300", "1e-150", "1",
+               "59.5", "63", "64", "100", "1000", "1e300"]
+_GRID_INTS = ["", "x", "1.5", "1e3", "-1", "0", "1", "7", "8", str(2**62),
+              str(2**63 - 1), str(2**63), "99999999999999999999", str(2**70)]
+_GRID_KEYS = {"rows": _GRID_SIZES, "cols": _GRID_SIZES,
+              "resolution_m": _GRID_REALS, "municipal_area_km2": _GRID_REALS}
+_grid_mutation = st.one_of(
+    st.sampled_from(sorted(_GRID_KEYS)).flatmap(
+        lambda key: st.tuples(st.just("meta"), st.integers(0, 8), st.just(key),
+                              st.sampled_from(_GRID_KEYS[key]))
+    ),
+    st.tuples(st.just("field"), st.integers(0, 8), st.integers(0, 2),
+              st.sampled_from(_GRID_INTS)),
+    st.tuples(st.just("width"), st.integers(0, 8), st.integers(1, 4)),
+    st.tuples(st.just("copy"), st.integers(0, 8)),
+    st.tuples(st.just("drop"), st.integers(0, 8)),
+)
+
+
+def _mutate_grid(text: str, mutations) -> str:
+    lines = text.splitlines()
+    for op, at, *args in mutations:
+        at %= len(lines) or 1
+        records = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+        record = records[at % len(records)] if records else None
+        if op == "meta":
+            line = f"# {args[0]}={args[1]}"
+            keyed = [i for i, old in enumerate(lines) if old.startswith(f"# {args[0]}=")]
+            if keyed:
+                lines[keyed[0]] = line
+            else:
+                lines.insert(at, line)
+        elif op == "field" and record is not None:
+            fields = lines[record].split(",")
+            fields[args[0] % len(fields)] = args[1]
+            lines[record] = ",".join(fields)
+        elif op == "width" and record is not None:
+            lines[record] = ",".join((lines[record].split(",") + ["1"] * 4)[: args[0]])
+        elif op == "copy" and lines:  # a copied metadata line repeats its key
+            lines.insert(at, lines[at])
+        elif op == "drop" and lines:
+            del lines[at]
+    return "\n".join(lines) + "\n"
+
+
+class TestGridFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_grid_mutation, min_size=1, max_size=4))
+    @example([("meta", 0, "rows", "nan")])
+    @example([("field", 2, 2, str(2**62))])
+    def test_mutated_grid_exits_cleanly(self, mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_grid(root / "town.csv")
+            grid = root / "town.csv"
+            grid.write_text(_mutate_grid(grid.read_text(), mutations))
+            config = write_config(
+                root / "run.cfg", _FUZZ_BASE.replace("resolution = 1000\n", "")
+            )
+            for command in ("ingest", "simulate", "report"):
+                out = root / command
+                code, err = _simulate_quietly(_grid_argv(command, config, out))
+                # 2 only where the grid's resolution has no [grid] path
+                assert code in ((0, 3) if command == "ingest" else (0, 2, 3)), err
+                assert "Traceback" not in err
+                assert code == 0 or not out.exists(), err

@@ -109,6 +109,51 @@ class TestGridCsv:
         path.write_text("# census export\n# resolution_m=1000\nx,y,households\n0,0,3\n")
         assert load_grid_csv(path).total_households == 3
 
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            "# rows=nan", "# rows=inf", "# rows=2.5", "# rows=-1", "# cols=abc",
+            "# rows=1e30", "# resolution_m=nan", "# resolution_m=inf",
+            "# resolution_m=-5", "# resolution_m=0",
+            "# municipal_area_km2=nan", "# municipal_area_km2=-1",
+            "# rows=2\n# rows=3",
+        ],
+    )
+    def test_rejects_bad_metadata(self, tmp_path, meta):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"{meta}\nx,y,households\n0,0,3\n")
+        with pytest.raises(DataError):  # checked even where an argument overrides it
+            load_grid_csv(path, resolution_m=1000.0)
+
+    @pytest.mark.parametrize(
+        "records",
+        [[(0, 0, 2**63)], [(0, 0, 2**62), (1, 0, 2**62)], [(2**62, 0, 1)], [(2**70, 0, 1)]],
+        ids=["count-past-int64", "total-past-int64", "size-past-2**63-bytes",
+             "size-past-any-dimension"],
+    )
+    def test_rejects_what_int64_cannot_hold(self, records):
+        with pytest.raises(DataError):
+            ingest_grid(records, resolution_m=1000.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["clustered_100m.csv", "clustered_1km.csv", "scattered_100m.csv",
+         "scattered_1km.csv", "vinje_synthetic_1km.csv"],
+    )
+    def test_shipped_grids_load_as_written(self, data_dir, name):
+        lines = (data_dir / name).read_text().splitlines()
+        meta = dict(line[2:].split("=") for line in lines if line.startswith("# "))
+        body = [line for line in lines if line and not line.startswith("#")]
+        assert body[0] == "x,y,households"
+        x, y, households = np.loadtxt(body[1:], dtype=np.int64, delimiter=",").T
+        counts = np.zeros((int(meta["rows"]), int(meta["cols"])), dtype=np.int64)
+        counts[y, x] = households
+        grid = load_grid_csv(data_dir / name)
+        assert np.array_equal(grid.counts, counts)
+        assert grid.valid.all()
+        assert grid.resolution_m == float(meta["resolution_m"])
+        assert grid.municipal_area_km2 == float(meta["municipal_area_km2"])
+
     def test_rejects_bad_records(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("# resolution_m=1000\nx,y,households\n0,0\n")
@@ -159,8 +204,10 @@ class TestCompensation:
             compensate_area(grid)
 
     def test_fractional_cell_excess_rounds_down(self):
-        grid = ingest_grid([(0, 0, 1)], resolution_m=1000.0, rows=4, cols=4)
-        out, n = compensate_area(grid, municipal_area_km2=14.5)
+        grid = ingest_grid(
+            [(0, 0, 1)], resolution_m=1000.0, rows=4, cols=4, municipal_area_km2=14.5
+        )
+        out, n = compensate_area(grid)
         assert n == 1  # 1.5 cells of excess -> 1 invalidated
 
 
@@ -189,17 +236,21 @@ class TestRefine:
         assert fine.valid[4, 4]
 
 
+def _covers(fp, dx, dy):
+    """Membership of offset (dx, dy) in a footprint, read off its halfwidths."""
+    return abs(dy) <= fp.reach and abs(dx) <= fp.halfwidths[dy + fp.reach]
+
+
 class TestFootprint:
     def test_single_cell_radius(self):
         fp = protection_disc_offsets(1000.0, 1000.0)
         assert fp.reach == 1
-        assert len(fp) == 9
-        assert (0, 0) in fp.offsets
+        assert list(fp.halfwidths) == [1, 1, 1]
+        assert _covers(fp, 0, 0)
 
     def test_four_cell_radius(self):
         fp = protection_disc_offsets(4000.0, 1000.0)
         assert list(fp.halfwidths) == [3, 4, 4, 4, 4, 4, 4, 4, 3]
-        assert len(fp) == 77
 
     def test_radius_must_be_cell_multiple(self):
         with pytest.raises(DomainError):
@@ -210,11 +261,12 @@ class TestFootprint:
     @pytest.mark.parametrize("reach", [1, 2, 3, 5, 8, 13, 40])
     def test_symmetry(self, reach):
         fp = protection_disc_offsets(reach * 100.0, 100.0)
-        offsets = fp.offsets
-        for dx, dy in offsets:
-            assert (-dx, dy) in offsets
-            assert (dx, -dy) in offsets
-            assert (dy, dx) in offsets
+        span = range(-reach - 1, reach + 2)
+        for dx, dy in itertools.product(span, span):
+            if _covers(fp, dx, dy):
+                assert _covers(fp, -dx, dy)
+                assert _covers(fp, dx, -dy)
+                assert _covers(fp, dy, dx)
 
     @pytest.mark.parametrize("reach", [1, 2, 4, 9])
     def test_matches_box_distance_definition(self, reach):
@@ -226,7 +278,7 @@ class TestFootprint:
                 gap_x = max(abs(dx) - 1, 0) * res
                 gap_y = max(abs(dy) - 1, 0) * res
                 inside = float(np.hypot(gap_x, gap_y)) < radius
-                assert ((dx, dy) in fp.offsets) == inside
+                assert _covers(fp, dx, dy) == inside
 
 
 def naive_protection_scan(
@@ -477,6 +529,14 @@ class TestMatrixIO:
         assert np.array_equal(np.isnan(back), nan)
         assert np.array_equal(np.signbit(back[~nan]), np.signbit(want[~nan]))
 
+    @pytest.mark.parametrize("reader", [load_grid_csv, read_matrix_csv, read_matrix_rle])
+    def test_unreadable_file_is_a_data_error(self, tmp_path, reader):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"# rle rows=1 cols=1\n1*\xff\n")
+        for target in (path, tmp_path, tmp_path / "missing.csv"):
+            with pytest.raises(DataError):
+                reader(target)
+
     def test_rle_header_required(self, tmp_path):
         path = tmp_path / "m.rle"
         path.write_text("3*1\n")
@@ -502,10 +562,12 @@ class TestMatrixIO:
             "# rle rows=1 cols=2\n2*abc\n",
             "# rle rows=2 cols=2\n2*1\n",
             "# rle rows=1000000000000 cols=1000000000000\n1*1\n",
+            "# rle rows=1 cols=1000000000000\n1*1\n",
+            f"# rle rows=1 cols={2**61}\n{2**61}*1\n",
         ],
         ids=["negative-rows", "negative-cols", "double-equals", "non-integer-rows",
              "missing-rows", "negative-count", "zero-count", "bad-value", "too-few-lines",
-             "too-few-lines-huge"],
+             "too-few-lines-huge", "short-row-huge-cols", "past-2**63-bytes"],
     )
     def test_rle_rejects_malformed(self, tmp_path, text):
         path = tmp_path / "m.rle"

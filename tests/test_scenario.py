@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grayspace.errors import ConfigError, DomainError
-from grayspace.griddata import ingest_grid
 from grayspace.scenario import (
     KNOWLEDGE_LEVELS,
     MUX_SHARES,
@@ -14,9 +13,7 @@ from grayspace.scenario import (
     KnowledgeConfig,
     gray_space_capacity,
     household_variates,
-    realize_cells,
     receiver_usage,
-    sample_household,
     usage_from_variates,
     white_space_amount,
 )
@@ -225,61 +222,39 @@ class TestUsage:
         assert (~kl3c | kl2).all()   # conditional KL3 within KL2
         assert (~kl3c | kl3u).all()  # conditional within unconditional
 
-    def test_sample_household_matches_matrix(self):
-        rng = np.random.default_rng(80)
-        for config in (KL1, KL2, KL3_TP2, KL3_TP2_COND):
-            for _ in range(50):
-                u = rng.random(3)
-                muxes = sample_household(config, *u)
-                row = usage_from_variates(config, u[None, :])[0]
-                assert muxes == frozenset(np.flatnonzero(row) + 1)
-
 
 class TestRealizeCells:
-    def grid(self, k=10, cells=200):
-        records = [(i % 20, i // 20, k) for i in range(cells)]
-        return ingest_grid(records, resolution_m=1000.0, rows=10, cols=20)
+    """One realization's flags for 200 receivers (the cells of a 10x20
+    grid) of k households each, drawn by :func:`receiver_usage`.  These
+    tests checked the per-cell raster before it was dropped for the
+    receivers, and keep their names."""
+
+    def usage(self, config, seed, index, k=10, cells=200):
+        return receiver_usage(np.full(cells, k), [config], seed, index)[0]
 
     def test_kl1_needs_no_sampling(self):
-        grid = self.grid()
-        real = realize_cells(grid, KL1, 0, 0)
-        assert np.array_equal(real.flags, np.broadcast_to(grid.counts > 0, real.flags.shape))
-
-    def test_flag_shape_and_immutability(self):
-        real = realize_cells(self.grid(), KL2, 5, 0)
-        assert real.flags.shape == (5, 10, 20)
-        with pytest.raises(ValueError):
-            real.flags[0, 0, 0] = True
+        assert self.usage(KL1, 0, 0).all()
 
     def test_deterministic_per_key(self):
-        grid = self.grid()
-        a = realize_cells(grid, KL2, 5, 3)
-        b = realize_cells(grid, KL2, 5, 3)
-        c = realize_cells(grid, KL2, 5, 4)
-        assert np.array_equal(a.flags, b.flags)
-        assert not np.array_equal(a.flags, c.flags)
+        a = self.usage(KL2, 5, 3)
+        b = self.usage(KL2, 5, 3)
+        c = self.usage(KL2, 5, 4)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize(
         "k,expect_empty",
         [(10, 0.20393431650418964), (20, 0.04158920544803099)],  # 0.853**k
     )
     def test_kl2_cell_flag_rate(self, k, expect_empty):
-        grid = self.grid(k=k)
-        cells = int((grid.counts > 0).sum())
+        cells = 200
         trials = 1500
         empty = 0
         for r in range(trials):
-            real = realize_cells(grid, KL2, 42, r)
-            empty += int(cells - real.flags[1][grid.counts > 0].sum())
+            empty += int(cells - self.usage(KL2, 42, r, k=k)[1].sum())
         n = trials * cells
         se = 3 * np.sqrt(expect_empty * (1 - expect_empty) / n)
         assert abs(empty / n - expect_empty) < se
-
-    def test_empty_cells_never_flagged(self):
-        grid = ingest_grid([(0, 0, 4)], resolution_m=1000.0, rows=3, cols=3)
-        for r in range(20):
-            real = realize_cells(grid, KL3_TP2, 1, r)
-            assert not real.flags[:, grid.counts == 0].any()
 
 
 class TestReceiverUsage:
@@ -309,8 +284,7 @@ class TestReceiverUsage:
         for j, (y, x) in enumerate(zip(ys, xs)):
             for triple in [next(u) for _ in range(counts[y, x])]:
                 for c, config in enumerate(configs):
-                    for mux in sample_household(config, *triple):
-                        expected[c, mux - 1, j] = True
+                    expected[c, :, j] |= usage_from_variates(config, triple[None])[0]
         assert np.array_equal(got, expected)
 
     def test_rejects_receivers_without_households(self):
