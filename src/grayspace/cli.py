@@ -190,6 +190,7 @@ _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
 _INT = _Kind(_cast(int, "an integer"))
 _FLOAT = _Kind(_cast(float, "a number"), _float_text)
 _PATH = _Kind(Path)
+_POSITIVE = _limited(_FLOAT, lambda x: math.isfinite(x) and x > 0, "must be positive and finite")
 
 #: Kinds of dataclass fields, by annotation (the modules use postponed
 #: annotations, so ``Field.type`` is the annotation text).
@@ -229,8 +230,7 @@ _SCHEMA: dict[str, dict[str, _Kind]] = {
         "realizations": _limited(_INT, lambda n: n >= 1, "must be >= 1"),
         "workers": _limited(_INT, lambda n: n >= 1, "must be >= 1"),
         "out": _PATH,
-        "resolution": _limited(_FLOAT, lambda x: math.isfinite(x) and x > 0,
-                               "must be positive and finite"),
+        "resolution": _POSITIVE,
         "buckets": _Kind(parse_buckets, lambda buckets: ",".join(b.label for b in buckets)),
     },
     "criteria": _field_kinds(ProtectionCriteria),
@@ -530,15 +530,12 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    resolution = None
-    if args.resolution is not None:
-        resolution = _parse("--resolution", _SCHEMA["run"]["resolution"],
-                            args.resolution, Path.cwd())
-    grid = load_grid_csv(
-        args.grid,
-        resolution_m=resolution,
-        municipal_area_km2=args.municipal_area_km2,
+    resolution, area = (
+        None if text is None else _parse(flag, _POSITIVE, text, Path.cwd())
+        for flag, text in [("--resolution", args.resolution),
+                           ("--municipal-area-km2", args.municipal_area_km2)]
     )
+    grid = load_grid_csv(args.grid, resolution_m=resolution, municipal_area_km2=area)
     compensated, invalidated = compensate_area(grid)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -726,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid", type=Path, help="input grid CSV")
     p.add_argument("--out", required=True, type=Path, help="normalized grid CSV to write")
     p.add_argument("--resolution", help="cell resolution override (m)")
-    p.add_argument("--municipal-area-km2", type=float, dest="municipal_area_km2",
+    p.add_argument("--municipal-area-km2", dest="municipal_area_km2",
                    help="municipal area override (km2)")
     p.add_argument("--valid-mask", type=Path,
                    help="also write the validity mask (.rle for run-length, else CSV)")

@@ -4,15 +4,16 @@ A cell's usable gray space depends only on which receiver cells' protection
 footprints cover it.  So once per run, and once per device, the engine
 stamps the co-channel and adjacent-channel footprints of every household
 cell and cuts the grid into segments, stretches of consecutive cells
-(row-major) covered by one fixed set of receivers; segments with equal
-co-channel and adjacent-channel receiver bitsets form a class.  Then it
-sweeps the realizations once for every (device, knowledge) pair: per
-realization it draws the household variates once, packs each knowledge
-level's MUX usage at the receiver cells into bitsets, and for each pair
-counts per class how many channel slots (used channels plus adjacent-channel
-slots) remain usable: a slot is lost where a class's bitset meets a receiver
-using a MUX it protects.  Statistics are averaged over realizations, and a
-class's value holds on every cell of its segments:
+(row-major) covered by one fixed set of receivers; it keeps each footprint's
+distinct receiver bitsets once, and segments with equal co-channel and
+adjacent-channel bitsets form a class.  Then it sweeps the realizations
+once for every (device, knowledge) pair: per realization it draws the
+household variates once and packs each knowledge level's MUX usage at the
+receiver cells into bitsets.  Per pair, each distinct bitset gives a 5-bit
+mask of the MUXs its receivers use, and a class's two masks key its usable
+slots (used plus adjacent channels) in :func:`~grayspace.scenario.slot_table`.
+Statistics are averaged over realizations, and a class's value holds on
+every cell of its segments:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality),
 * a survival-form CDF: percent of valid area with at least g MHz free,
@@ -28,7 +29,6 @@ whether it runs alone or with others.  The per-realization RNG is keyed on
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -44,7 +44,7 @@ from .linkbudget import (
     separation_report,
 )
 from .propagation import HataParams
-from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage, slot_count
+from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage, slot_count, slot_table
 
 OTHER_BUCKET_LABEL = "other"
 
@@ -169,18 +169,17 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class _DeviceState:
-    """Segments, receiver-set classes and per-class receiver bitsets and
-    counts of one device; none of it depends on the knowledge level."""
+    """Segments, receiver-set classes and the distinct receiver bitsets of
+    one device; none of it depends on the knowledge level."""
 
     segment_lengths: np.ndarray  # cells per segment, in flat cell order
     segment_class: np.ndarray  # class of each segment
-    co_bits: np.ndarray  # (words, classes) receiver bitsets
-    adj_bits: np.ndarray
+    co_bits: np.ndarray  # (words, distinct co-channel sets) receiver bitsets
+    adj_bits: np.ndarray  # (words, distinct adjacent sets)
+    co_index: np.ndarray  # co_bits column of each class
+    adj_index: np.ndarray  # adj_bits column of each class
     class_valid: np.ndarray  # valid cells per class
     class_households: np.ndarray  # households per class
-    used_count: int
-    guards: np.ndarray  # (adjacent slots, 5) uint8: 1 where a MUX guards a slot
-    slot_bucket: np.ndarray  # slot count -> bucket index (len n_slots + 1)
 
 
 @dataclass(frozen=True)
@@ -192,25 +191,21 @@ class _Sweep:
     knowledge: tuple[KnowledgeConfig, ...]
     pairs: tuple[tuple[int, int, int], ...]  # (device, knowledge, realizations)
     master_seed: int
+    slot_table: np.ndarray  # usable slots per hit-mask key co | adj << 5
+    slot_bucket: np.ndarray  # slot count -> bucket index (len n_slots + 1)
     n_buckets: int  # configured buckets plus "other"
 
 
-def _hits(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
-    """(MUXs, classes) booleans: a receiver flagged for the MUX covers the
-    class.  One word at a time, which keeps every temporary 2-D."""
-    hit = np.zeros((flag_words.shape[0], bits.shape[1]), dtype=bool)
+_MUX_BITS = np.array([1, 2, 4, 8, 16], dtype=np.uint8)
+
+
+def _hit_masks(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
+    """Per bitset column, the mask of the MUXs flagged for a receiver in it,
+    given (5, words) packed flags.  One word at a time keeps temporaries 2-D."""
+    hit = np.zeros((len(flag_words), bits.shape[1]), dtype=bool)
     for w in range(bits.shape[0]):
         hit |= (bits[w] & flag_words[:, w, None]) != 0
-    return hit
-
-
-def _available_slots(state: _DeviceState, flag_words: np.ndarray) -> np.ndarray:
-    """Count usable channel slots per class, given the (5, words) packed
-    receiver flags of one realization."""
-    co_hit = _hits(state.co_bits, flag_words)
-    adj_hit = _hits(state.adj_bits, flag_words).view(np.uint8)
-    guarded = state.guards @ adj_hit  # hit guarding MUXs per (slot, class)
-    return state.used_count - co_hit.sum(axis=0) + (guarded == 0).sum(axis=0)
+    return _MUX_BITS @ hit.view(np.uint8)
 
 
 def _accumulate(sweep: _Sweep, indices: Sequence[int]):
@@ -222,7 +217,7 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
     totals = [
         (
             np.zeros(len(sweep.devices[d].class_valid), dtype=np.int64),
-            np.zeros(len(sweep.devices[d].slot_bucket), dtype=np.int64),
+            np.zeros(len(sweep.slot_bucket), dtype=np.int64),
             np.zeros(sweep.n_buckets, dtype=np.int64),
         )
         for d, _, _ in sweep.pairs
@@ -230,19 +225,22 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
     n_bytes = 8 * -(-len(sweep.households) // 64)  # whole little-endian words
     for r in indices:
         usage = receiver_usage(sweep.households, sweep.knowledge, sweep.master_seed, r)
-        packed = np.zeros(usage.shape[:2] + (n_bytes,), dtype=np.uint8)
-        packed[..., : -(-usage.shape[2] // 8)] = np.packbits(usage, axis=2, bitorder="little")
+        flags = (usage[:, None, :] & _MUX_BITS[:, None]) != 0  # (knowledge, 5, receivers)
+        packed = np.zeros(flags.shape[:2] + (n_bytes,), dtype=np.uint8)
+        packed[..., : -(-flags.shape[2] // 8)] = np.packbits(flags, axis=2, bitorder="little")
         flag_words = packed.view("<u8")  # (knowledge, 5, words)
         for (d, k, n), (slot_sum, count_ge, bucket_households) in zip(sweep.pairs, totals):
             if r >= n:
                 continue
             state = sweep.devices[d]
-            avail = _available_slots(state, flag_words[k])
+            co = _hit_masks(state.co_bits, flag_words[k])
+            adj = _hit_masks(state.adj_bits, flag_words[k]).astype(np.uint16) << 5
+            avail = sweep.slot_table[co[state.co_index] | adj[state.adj_index]]
             slot_sum += avail
             hist = np.zeros(len(count_ge), dtype=np.int64)
             np.add.at(hist, avail, state.class_valid)
             count_ge += hist[::-1].cumsum()[::-1]
-            np.add.at(bucket_households, state.slot_bucket[avail], state.class_households)
+            np.add.at(bucket_households, sweep.slot_bucket[avail], state.class_households)
     return totals
 
 
@@ -259,13 +257,20 @@ def _worker_accumulate(indices: Sequence[int]):
     return _accumulate(_WORKER_SWEEP, indices)
 
 
+def _distinct_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of (words, n) bitsets and each column's index.
+    A zero word gives a grid without receivers (no words) its one empty set."""
+    keys = np.vstack((bits, np.zeros(bits.shape[1], np.uint64))).T.copy()
+    keys = keys.view(f"V{keys[0].nbytes}").ravel()  # one void scalar per column
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return bits[:, first], index
+
+
 def _build_state(
     grid: HouseholdGrid,
     device: DeviceProfile,
     criteria: ProtectionCriteria,
     hata: HataParams,
-    plan: ChannelPlan,
-    buckets: Sequence[Bucket],
 ) -> tuple[_DeviceState, dict]:
     sep = separation_report(device, criteria, hata)
     co_radius = quantize_distance(sep.min_distance_co_m, grid.resolution_m)
@@ -281,33 +286,20 @@ def _build_state(
     starts, bitsets = receiver_segments(
         grid.counts.shape, receiver_rows, receiver_cols, footprints
     )
-    # One void scalar per segment holds its co and adjacent words, plus a
-    # zero word for grids without receivers; a 1-D unique finds the classes.
-    keys = np.vstack(bitsets + (np.zeros(len(starts), np.uint64),)).T.copy()
-    _, first, segment_class = np.unique(
-        keys.view(f"V{keys[0].nbytes}").ravel(), return_index=True, return_inverse=True
-    )
+    (co_bits, co_of), (adj_bits, adj_of) = map(_distinct_columns, bitsets)
+    pair = co_of * adj_bits.shape[1] + adj_of  # segments of one pair form a class
+    _, first, segment_class = np.unique(pair, return_index=True, return_inverse=True)
     segment_sums = np.add.reduceat(np.stack((grid.valid.ravel(), grid.counts.ravel())), starts, 1)
     class_sums = [np.bincount(segment_class, s).astype(np.int64) for s in segment_sums]
-    used_index = {m: i for i, m in enumerate(plan.used_channels)}
-    guards = np.zeros((len(plan.adjacent_entries()), len(used_index)), dtype=np.uint8)
-    for slot, (_, guarding) in enumerate(plan.adjacent_entries()):
-        guards[slot, [used_index[m] for m in guarding]] = 1
-    n_slots = slot_count(plan)
-    slot_mhz = np.arange(n_slots + 1) * plan.channel_bandwidth_mhz
-    slot_bucket = np.full(n_slots + 1, len(buckets), dtype=np.int64)
-    for b, bucket in enumerate(buckets):
-        slot_bucket[bucket.contains(slot_mhz)] = b
     state = _DeviceState(
         segment_lengths=np.diff(starts, append=grid.counts.size),
         segment_class=segment_class,
-        co_bits=bitsets[0][:, first],
-        adj_bits=bitsets[1][:, first],
+        co_bits=co_bits,
+        adj_bits=adj_bits,
+        co_index=co_of[first],
+        adj_index=adj_of[first],
         class_valid=class_sums[0],
         class_households=class_sums[1],
-        used_count=len(plan.used_channels),
-        guards=guards,
-        slot_bucket=slot_bucket,
     )
     extras = {
         "co_radius_m": co_radius,
@@ -327,17 +319,18 @@ def _build_sweep(
     realizations: Sequence[int],
 ) -> tuple[_Sweep, list[dict]]:
     """Check the inputs and build the state of each distinct device once."""
-    if len(plan.used_channels) != 5:
-        raise ConfigError(
-            "the usage model covers exactly 5 MUXs; the channel plan lists "
-            f"{len(plan.used_channels)} used channels"
-        )
+    table = slot_table(plan)  # checks that the plan carries the 5 MUXs
     if not grid.valid.any():
         raise DataError("grid has no valid cells; nothing to evaluate")
     _check_bucket_overlap(buckets)
     devices = list(dict.fromkeys((device, hata) for device, hata, _ in pairs))
     knowledge = list(dict.fromkeys(k for _, _, k in pairs))
-    built = [_build_state(grid, d, criteria, h, plan, buckets) for d, h in devices]
+    built = [_build_state(grid, d, criteria, h) for d, h in devices]
+    n_slots = slot_count(plan)
+    slot_mhz = np.arange(n_slots + 1) * plan.channel_bandwidth_mhz
+    slot_bucket = np.full(n_slots + 1, len(buckets), dtype=np.int64)
+    for b, bucket in enumerate(buckets):
+        slot_bucket[bucket.contains(slot_mhz)] = b
     sweep = _Sweep(
         households=grid.counts[np.nonzero(grid.counts)],
         devices=tuple(state for state, _ in built),
@@ -347,6 +340,8 @@ def _build_sweep(
             for (d, h, k), n in zip(pairs, realizations)
         ),
         master_seed=master_seed,
+        slot_table=table,
+        slot_bucket=slot_bucket,
         n_buckets=len(buckets) + 1,
     )
     return sweep, [extras for _, extras in built]
@@ -417,6 +412,8 @@ def run_combinations(
     if n_workers <= 1:
         totals = _accumulate(sweep, indices)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [list(indices[i::n_workers]) for i in range(n_workers)]
         totals = _accumulate(sweep, [])
         with ProcessPoolExecutor(

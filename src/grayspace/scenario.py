@@ -21,7 +21,9 @@ are generated by a counter-based (Philox) stream keyed on
 ``(master_seed, realization_index)``, so any partitioning of realizations
 across workers reproduces identical draws.  :func:`receiver_usage` draws
 one realization's variates once and reduces the usage of any number of
-knowledge configs to the household cells (the receivers).
+knowledge configs to the household cells (the receivers) as 5-bit MUX masks;
+:func:`slot_table` maps the masks of a cell's co-channel and adjacent-channel
+footprints to its usable slots.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ MUX_SHARES: dict[str, tuple[float, ...]] = {
     "TP1": (0.0346, 0.0245, 0.0159, 0.0178, 0.007),
     "TP2": (0.193, 0.127, 0.062, 0.057, 0.012),
 }
+ALL_MUXES = 0b11111  #: the usage mask of every MUX; bit m stands for MUX m + 1
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,26 @@ def slot_count(plan: ChannelPlan) -> int:
     """Channels a cell can offer inside the service area: the used
     channels plus the adjacent slots."""
     return len(plan.used_channels) + len(plan.adjacent_entries())
+
+
+def slot_table(plan: ChannelPlan) -> np.ndarray:
+    """Usable slots of a cell per key ``co | adj << 5``, for all 1,024 keys.
+
+    ``co`` (``adj``) masks the MUXs used by a receiver whose co-channel
+    (adjacent-channel) footprint covers the cell, bit m for the m-th used
+    channel.  A used channel is lost when its MUX is in ``co``, an adjacent
+    slot when one of its guarding MUXs is in ``adj``."""
+    if len(plan.used_channels) != 5:
+        raise ConfigError(
+            "the usage model covers exactly 5 MUXs; the channel plan lists "
+            f"{len(plan.used_channels)} used channels"
+        )
+    co, adj = np.arange(1024) & ALL_MUXES, np.arange(1024) >> 5
+    bit = {m: 1 << i for i, m in enumerate(plan.used_channels)}
+    table = 5 - sum((co >> i) & 1 for i in range(5))
+    for _, guarding in plan.adjacent_entries():
+        table += (adj & sum(bit[m] for m in guarding)) == 0
+    return table
 
 
 def gray_space_capacity(plan: ChannelPlan) -> float:
@@ -203,8 +226,9 @@ def household_variates(master_seed: int, realization_index: int, n: int) -> np.n
         raise DataError(f"cannot hold the variates of {n} households") from None
 
 
-def usage_from_variates(config: KnowledgeConfig, u: np.ndarray) -> np.ndarray:
-    """Per-household MUX usage (n, 5 booleans) implied by variates ``u``.
+def usage_masks(config: KnowledgeConfig, u: np.ndarray) -> np.ndarray:
+    """Per-household MUX usage implied by variates ``u``, as ``(n,)`` uint8
+    masks: bit m is set when the household uses MUX m + 1.
 
     KL1 ignores the variates entirely (usage is assumed).  KL2/KL3 gate
     everything on coverage: an uncovered household uses nothing.  Under
@@ -215,17 +239,12 @@ def usage_from_variates(config: KnowledgeConfig, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 3:
         raise DomainError("u must have shape (n, 3)")
-    n = u.shape[0]
-    usage = np.zeros((n, 5), dtype=bool)
     if config.level == "KL1":
-        usage[:] = True
-        return usage
+        return np.full(u.shape[0], ALL_MUXES, dtype=np.uint8)
     covered = u[:, 0] < config.p_mux1_capable
     if config.level == "KL2":
         subscribed = u[:, 1] < config.p_subscribe_mux2to5
-        usage[:, 0] = covered
-        usage[:, 1:] = (covered & subscribed)[:, None]
-        return usage
+        return np.where(covered, np.where(subscribed, ALL_MUXES, 1), 0).astype(np.uint8)
     # KL3: one categorical draw over (MUX1..MUX5, idle)
     edges = np.cumsum(config.effective_shares)
     category = np.searchsorted(edges, u[:, 2], side="right")
@@ -233,9 +252,7 @@ def usage_from_variates(config: KnowledgeConfig, u: np.ndarray) -> np.ndarray:
     if config.share_interpretation == "conditional_on_subscription":
         subscribed = u[:, 1] < config.p_subscribe_mux2to5
         watching &= subscribed | (category == 0)
-    rows = np.nonzero(watching)[0]
-    usage[rows, category[rows]] = True
-    return usage
+    return np.where(watching, np.left_shift(1, category), 0).astype(np.uint8)
 
 
 def receiver_usage(
@@ -248,23 +265,22 @@ def receiver_usage(
 
     Receiver j is a cell holding ``households_per_receiver[j]`` (>= 1)
     households; households are enumerated receiver by receiver, each
-    consuming one variate triple.  Returns ``(len(configs), 5, receivers)``
-    booleans: True where at least one of the receiver's households uses
-    the MUX.  One variate draw serves every config, so the usage of
+    consuming one variate triple.  Returns ``(len(configs), receivers)``
+    uint8 masks, the union of the :func:`usage_masks` of the receiver's
+    households.  One variate draw serves every config, so the usage of
     different knowledge levels is coupled draw by draw; KL1 rows are all
-    True and need no draw at all.
+    :data:`ALL_MUXES` and need no draw at all.
     """
     _check_stream_key(master_seed, realization_index)
     k = np.asarray(households_per_receiver, dtype=np.int64)
     if (k < 1).any():
         raise DomainError("every receiver must hold at least one household")
-    usage = np.ones((len(configs), 5, len(k)), dtype=bool)
+    usage = np.full((len(configs), len(k)), ALL_MUXES, dtype=np.uint8)
     sampled = [i for i, config in enumerate(configs) if config.level != "KL1"]
     if sampled and len(k):
         u = household_variates(master_seed, realization_index, int(k.sum()))
         first = np.cumsum(k) - k  # each receiver's first household
         for i in sampled:
-            per_household = usage_from_variates(configs[i], u)
-            usage[i] = np.logical_or.reduceat(per_household, first, axis=0).T
+            usage[i] = np.bitwise_or.reduceat(usage_masks(configs[i], u), first)
     return usage
 

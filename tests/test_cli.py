@@ -3,6 +3,9 @@ from __future__ import annotations
 import collections
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -307,6 +310,30 @@ class TestExitCodes:
         assert "data error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "ten"])
+    def test_bad_municipal_area_is_2_and_writes_nothing(self, tmp_path, capsys, value):
+        src = tmp_path / "raw.csv"
+        write_grid(src)
+        out = tmp_path / "norm"
+        argv = ["ingest", str(src), "--out", str(out / "n.csv"),
+                "--valid-mask", str(out / "mask.rle"), "--municipal-area-km2", value]
+        assert main(argv) == 2
+        assert "config error: --municipal-area-km2" in capsys.readouterr().err
+        assert not out.exists()
+        # checked before the grid is read: a missing grid is not reached
+        argv[1] = str(tmp_path / "missing.csv")
+        assert main(argv) == 2
+
+    def test_municipal_area_past_the_grid_is_3_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        write_grid(src)
+        out = tmp_path / "norm"
+        argv = ["ingest", str(src), "--out", str(out / "n.csv"), "--municipal-area-km2", "1e9"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_households_past_sampling_are_3_and_write_nothing(
         self, workspace, tmp_path, capsys
     ):
@@ -572,6 +599,14 @@ class TestReport:
         ) == 3
         assert "map shape (3, 3) does not match grid shape (8, 8)" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_import_leaves_out_the_process_pool(data_dir):
+    """The process pool is imported only by a run with workers > 1, so no
+    CLI start pays for it."""
+    env = dict(os.environ, PYTHONPATH=str(data_dir.parent / "src"))
+    code = "import sys, grayspace.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSharedSampling:

@@ -28,6 +28,7 @@ from grayspace.griddata import HouseholdGrid, ingest_grid, receiver_segments
 from grayspace.linkbudget import OFCOM, DeviceProfile
 from grayspace.propagation import HataParams
 from grayspace.scenario import ChannelPlan, KnowledgeConfig
+from test_acceptance import ADJ_M, CO_M, _naive_flags, _naive_map
 
 FIXED = DeviceProfile("fixed-4w", eirp_mw=4000.0, antenna_height_m=30.0)
 PORTABLE = DeviceProfile("portable-100mw", eirp_mw=100.0, antenna_height_m=2.0)
@@ -233,6 +234,52 @@ class TestWorkers:
             )
 
 
+def _scattered_grid(seed, side, receivers):
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(side * side, size=receivers, replace=False).tolist()
+    records = [(c % side, c // side, int(rng.integers(1, 10))) for c in cells]
+    return ingest_grid(records, resolution_m=1000.0, rows=side, cols=side)
+
+
+class TestMultiWordReceivers:
+    """140 receiver cells, so the receiver flags and bitsets span three
+    uint64 words through the whole engine."""
+
+    GRID = _scattered_grid(64, 24, 140)
+    DEVICES = ((FIXED, HATA_FIXED), (PORTABLE, HATA_PORTABLE))
+    KNOWLEDGE = (KL2, KL3_TP2_COND)
+
+    @pytest.mark.parametrize("device", DEVICES, ids=["fixed-4w", "portable-100mw"])
+    def test_single_realization_matches_oracle(self, device):
+        state, _ = engine._build_state(self.GRID, device[0], OFCOM, device[1])
+        assert state.co_bits.shape[0] == state.adj_bits.shape[0] == 3
+        for knowledge in self.KNOWLEDGE:
+            for seed in (1, 2):
+                flags = _naive_flags(self.GRID, knowledge, seed)
+                label = device[0].label
+                expected = _naive_map(self.GRID, flags, CO_M[label], ADJ_M[label])
+                got = single_realization_map(
+                    self.GRID, device[0], OFCOM, device[1], PLAN, knowledge, seed
+                )
+                assert np.array_equal(got.values, expected), (knowledge.level, seed)
+                assert len(np.unique(expected)) >= 3  # the oracle is not trivial
+
+    def test_bit_identical_across_worker_counts(self):
+        pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]
+        base, other = (
+            list(run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=6,
+                                  master_seed=21, workers=workers))
+            for workers in (1, 2)
+        )
+        for a, b in zip(base, other, strict=True):
+            assert a.mean_map.values.tobytes() == b.mean_map.values.tobytes()
+            assert a.cdf.percent_area.tobytes() == b.cdf.percent_area.tobytes()
+            assert (
+                a.utilization.mean_households.tobytes()
+                == b.utilization.mean_households.tobytes()
+            )
+
+
 class TestRunCombinations:
     """One sweep over every pair gives what each pair gives alone."""
 
@@ -282,8 +329,9 @@ class TestRunCombinations:
 
 
 class TestReceiverSetClasses:
-    """The device state keeps one bitset column per distinct (co, adj) pair
-    of segment bitsets, and per-class counts that add up to the grid's."""
+    """The device state keeps one bitset column per distinct co-channel and
+    per distinct adjacent segment bitset, one class per distinct (co, adj)
+    pair of them, and per-class counts that add up to the grid's."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -303,15 +351,19 @@ class TestReceiverSetClasses:
         area = counts.size * (resolution / 1000.0) ** 2
         grid = HouseholdGrid(counts, valid, resolution, municipal_area_km2=area)
         with mock.patch.object(engine, "receiver_segments", wraps=receiver_segments) as spy:
-            state, _ = engine._build_state(grid, device[0], OFCOM, device[1], PLAN, DEFAULT_BUCKETS)
+            state, _ = engine._build_state(grid, device[0], OFCOM, device[1])
         starts, (co_bits, adj_bits) = receiver_segments(*spy.call_args.args)
 
         assert np.array_equal(state.segment_lengths, np.diff(starts, append=counts.size))
-        assert np.array_equal(state.co_bits[:, state.segment_class], co_bits)
-        assert np.array_equal(state.adj_bits[:, state.segment_class], adj_bits)
-        columns = np.concatenate((state.co_bits, state.adj_bits)).T
-        assert len({column.tobytes() for column in columns}) == len(columns)
-        assert len(state.class_valid) == len(state.class_households) == len(columns)
+        co_of = state.co_index[state.segment_class]
+        adj_of = state.adj_index[state.segment_class]
+        assert np.array_equal(state.co_bits[:, co_of], co_bits)
+        assert np.array_equal(state.adj_bits[:, adj_of], adj_bits)
+        for bits in (state.co_bits, state.adj_bits):
+            assert len({column.tobytes() for column in bits.T}) == bits.shape[1]
+        classes = set(zip(state.co_index.tolist(), state.adj_index.tolist()))
+        assert len(classes) == len(state.co_index) == len(state.adj_index)
+        assert len(state.class_valid) == len(state.class_households) == len(classes)
         assert state.class_valid.dtype == state.class_households.dtype == np.int64
         assert state.class_valid.sum() == grid.valid.sum()
         assert state.class_households.sum() == grid.total_households

@@ -14,7 +14,8 @@ from grayspace.scenario import (
     gray_space_capacity,
     household_variates,
     receiver_usage,
-    usage_from_variates,
+    slot_table,
+    usage_masks,
     white_space_amount,
 )
 
@@ -25,6 +26,15 @@ KL3_TP2 = KnowledgeConfig("KL3", time_period="TP2")
 KL3_TP2_COND = KnowledgeConfig(
     "KL3", time_period="TP2", share_interpretation="conditional_on_subscription"
 )
+
+
+def usage_bools(config, u):
+    """(n, 5) booleans from the usage masks: column m is MUX m + 1."""
+    return unpack(usage_masks(config, u))
+
+
+def unpack(masks):
+    return ((np.asarray(masks)[..., None] >> np.arange(5)) & 1).astype(bool)
 
 
 class TestChannelPlan:
@@ -137,10 +147,29 @@ class TestVariates:
             household_variates(0, -1, 4)
 
 
+class TestSlotTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channels=st.lists(st.integers(21, 40), min_size=5, max_size=5, unique=True),
+        dedup=st.booleans(),
+    )
+    def test_matches_brute_force_count(self, channels, dedup):
+        plan = ChannelPlan(used_channels=tuple(channels), dedup_adjacent=dedup)
+        mux_of = {ch: m for m, ch in enumerate(plan.used_channels)}
+        guards = [{mux_of[ch] for ch in guarding} for _, guarding in plan.adjacent_entries()]
+        table = slot_table(plan)
+        assert table.shape == (1024,)
+        for key in range(1024):
+            co = {m for m in range(5) if key >> m & 1}
+            adj = {m for m in range(5) if key >> (5 + m) & 1}
+            expected = sum(m not in co for m in range(5)) + sum(not adj & g for g in guards)
+            assert table[key] == expected, key
+
+
 class TestUsage:
     def test_kl1_is_certain(self):
         u = household_variates(1, 0, 50)
-        assert usage_from_variates(KL1, u).all()
+        assert usage_bools(KL1, u).all()
 
     def test_kl2_layout(self):
         u = np.array(
@@ -150,7 +179,7 @@ class TestUsage:
                 [0.99, 0.05, 0.3],  # not covered -> nothing
             ]
         )
-        usage = usage_from_variates(KL2, u)
+        usage = usage_bools(KL2, u)
         assert usage.tolist() == [
             [True, True, True, True, True],
             [True, False, False, False, False],
@@ -159,7 +188,7 @@ class TestUsage:
 
     def test_kl2_frequencies(self):
         u = household_variates(77, 0, 400_000)
-        usage = usage_from_variates(KL2, u)
+        usage = usage_bools(KL2, u)
         n = len(u)
         se = 3 * np.sqrt(0.98 * 0.02 / n)
         assert abs(usage[:, 0].mean() - 0.98) < se
@@ -170,7 +199,7 @@ class TestUsage:
 
     def test_kl3_categories_partition(self):
         u = household_variates(78, 0, 100_000)
-        usage = usage_from_variates(KL3_TP2, u)
+        usage = usage_bools(KL3_TP2, u)
         assert (usage.sum(axis=1) <= 1).all()
 
     def test_kl3_share_boundaries(self):
@@ -186,7 +215,7 @@ class TestUsage:
                 [0.0, 0.9, 0.625],    # beyond all shares -> watching nothing
             ]
         )
-        usage = usage_from_variates(config, u)
+        usage = usage_bools(config, u)
         assert usage[0].tolist() == [True, False, False, False, False]
         assert usage[1].tolist() == [True, False, False, False, False]
         assert usage[2].tolist() == [False, True, False, False, False]
@@ -201,7 +230,7 @@ class TestUsage:
             share_interpretation="conditional_on_subscription",
         )
         watching_mux2 = np.array([[0.0, 0.9, 0.125], [0.0, 0.05, 0.125]])
-        usage = usage_from_variates(config, watching_mux2)
+        usage = usage_bools(config, watching_mux2)
         assert not usage[0].any()  # not subscribed -> suppressed
         assert usage[1, 1]
 
@@ -211,14 +240,14 @@ class TestUsage:
             mux_shares=(0.125,) * 5,
             share_interpretation="conditional_on_subscription",
         )
-        usage = usage_from_variates(config, np.array([[0.0, 0.9, 0.0]]))
+        usage = usage_bools(config, np.array([[0.0, 0.9, 0.0]]))
         assert usage[0, 0]
 
     def test_nesting_properties(self):
         u = household_variates(79, 0, 200_000)
-        kl2 = usage_from_variates(KL2, u)
-        kl3u = usage_from_variates(KL3_TP2, u)
-        kl3c = usage_from_variates(KL3_TP2_COND, u)
+        kl2 = usage_bools(KL2, u)
+        kl3u = usage_bools(KL3_TP2, u)
+        kl3c = usage_bools(KL3_TP2_COND, u)
         assert (~kl3c | kl2).all()   # conditional KL3 within KL2
         assert (~kl3c | kl3u).all()  # conditional within unconditional
 
@@ -230,7 +259,8 @@ class TestRealizeCells:
     receivers, and keep their names."""
 
     def usage(self, config, seed, index, k=10, cells=200):
-        return receiver_usage(np.full(cells, k), [config], seed, index)[0]
+        """(5, cells) booleans: row m is MUX m + 1."""
+        return unpack(receiver_usage(np.full(cells, k), [config], seed, index)[0]).T
 
     def test_kl1_needs_no_sampling(self):
         assert self.usage(KL1, 0, 0).all()
@@ -280,12 +310,12 @@ class TestReceiverUsage:
         # Households in row-major cell order, one variate triple each; a
         # cell uses a MUX when any of its households does.
         u = iter(household_variates(seed, index, int(counts.sum())))
-        expected = np.zeros((len(configs), 5, len(ys)), dtype=bool)
+        expected = np.zeros((len(configs), len(ys)), dtype=np.uint8)
         for j, (y, x) in enumerate(zip(ys, xs)):
             for triple in [next(u) for _ in range(counts[y, x])]:
                 for c, config in enumerate(configs):
-                    expected[c, :, j] |= usage_from_variates(config, triple[None])[0]
-        assert np.array_equal(got, expected)
+                    expected[c, j] |= usage_masks(config, triple[None])[0]
+        assert got.dtype == np.uint8 and np.array_equal(got, expected)
 
     def test_rejects_receivers_without_households(self):
         with pytest.raises(DomainError):
