@@ -87,6 +87,7 @@ from .scenario import (
     KnowledgeConfig,
     gray_space_capacity,
     slot_count,
+    slot_table,
     white_space_amount,
 )
 
@@ -566,9 +567,7 @@ def _combinations(cfg: RunConfig) -> list[tuple[DeviceProfile, KnowledgeConfig]]
     """Every (device, knowledge) pair to run, each built and checked, once
     the plan is known to fit its band and to carry the 5 MUXs."""
     white_space_amount(cfg.plan)
-    if len(cfg.plan.used_channels) != 5:
-        raise ConfigError("[plan] used_channels must list the channels of the 5 MUXs, "
-                          f"got {len(cfg.plan.used_channels)}")
+    slot_table(cfg.plan)
     knowledge = [
         KnowledgeConfig(
             level=level,

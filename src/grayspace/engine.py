@@ -2,10 +2,11 @@
 
 A cell's usable gray space depends only on which receiver cells' protection
 footprints cover it.  So once per run, and once per device, the engine
-stamps the co-channel and adjacent-channel footprints of every household
-cell and cuts the grid into segments, stretches of consecutive cells
-(row-major) covered by one fixed set of receivers; it keeps each footprint's
-distinct receiver bitsets once, and segments with equal co-channel and
+builds one state: the link budget (co-channel and adjacent-channel radii,
+warnings), the footprints of both radii stamped at every household cell,
+and the grid cut into segments, stretches of consecutive cells (row-major)
+covered by one fixed set of receivers.  The state keeps each footprint's
+distinct receiver bitsets once; segments with equal co-channel and
 adjacent-channel bitsets form a class.  Then it sweeps the realizations
 once for every (device, knowledge) pair: per realization it draws the
 household variates once and packs each knowledge level's MUX usage at the
@@ -169,9 +170,12 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class _DeviceState:
-    """Segments, receiver-set classes and the distinct receiver bitsets of
-    one device; none of it depends on the knowledge level."""
+    """Link budget, segments, receiver-set classes and the distinct receiver
+    bitsets of one device; none of it depends on the knowledge level."""
 
+    co_radius_m: float
+    adjacent_radius_m: float
+    warnings: tuple[str, ...]
     segment_lengths: np.ndarray  # cells per segment, in flat cell order
     segment_class: np.ndarray  # class of each segment
     co_bits: np.ndarray  # (words, distinct co-channel sets) receiver bitsets
@@ -271,7 +275,7 @@ def _build_state(
     device: DeviceProfile,
     criteria: ProtectionCriteria,
     hata: HataParams,
-) -> tuple[_DeviceState, dict]:
+) -> _DeviceState:
     sep = separation_report(device, criteria, hata)
     co_radius = quantize_distance(sep.min_distance_co_m, grid.resolution_m)
     adj_radius = quantize_distance(sep.min_distance_adjacent_m, grid.resolution_m)
@@ -290,8 +294,12 @@ def _build_state(
     pair = co_of * adj_bits.shape[1] + adj_of  # segments of one pair form a class
     _, first, segment_class = np.unique(pair, return_index=True, return_inverse=True)
     segment_sums = np.add.reduceat(np.stack((grid.valid.ravel(), grid.counts.ravel())), starts, 1)
-    class_sums = [np.bincount(segment_class, s).astype(np.int64) for s in segment_sums]
-    state = _DeviceState(
+    class_sums = np.zeros((2, len(first)), dtype=np.int64)  # integers: exact past 2**53
+    np.add.at(class_sums, (slice(None), segment_class), segment_sums)
+    return _DeviceState(
+        co_radius_m=co_radius,
+        adjacent_radius_m=adj_radius,
+        warnings=sep.warnings,
         segment_lengths=np.diff(starts, append=grid.counts.size),
         segment_class=segment_class,
         co_bits=co_bits,
@@ -301,12 +309,6 @@ def _build_state(
         class_valid=class_sums[0],
         class_households=class_sums[1],
     )
-    extras = {
-        "co_radius_m": co_radius,
-        "adj_radius_m": adj_radius,
-        "warnings": sep.warnings,
-    }
-    return state, extras
 
 
 def _build_sweep(
@@ -317,7 +319,7 @@ def _build_sweep(
     buckets: Sequence[Bucket],
     master_seed: int,
     realizations: Sequence[int],
-) -> tuple[_Sweep, list[dict]]:
+) -> _Sweep:
     """Check the inputs and build the state of each distinct device once."""
     table = slot_table(plan)  # checks that the plan carries the 5 MUXs
     if not grid.valid.any():
@@ -325,15 +327,14 @@ def _build_sweep(
     _check_bucket_overlap(buckets)
     devices = list(dict.fromkeys((device, hata) for device, hata, _ in pairs))
     knowledge = list(dict.fromkeys(k for _, _, k in pairs))
-    built = [_build_state(grid, d, criteria, h) for d, h in devices]
     n_slots = slot_count(plan)
     slot_mhz = np.arange(n_slots + 1) * plan.channel_bandwidth_mhz
     slot_bucket = np.full(n_slots + 1, len(buckets), dtype=np.int64)
     for b, bucket in enumerate(buckets):
         slot_bucket[bucket.contains(slot_mhz)] = b
-    sweep = _Sweep(
+    return _Sweep(
         households=grid.counts[np.nonzero(grid.counts)],
-        devices=tuple(state for state, _ in built),
+        devices=tuple(_build_state(grid, d, criteria, h) for d, h in devices),
         knowledge=tuple(knowledge),
         pairs=tuple(
             (devices.index((d, h)), knowledge.index(k), n)
@@ -344,7 +345,15 @@ def _build_sweep(
         slot_bucket=slot_bucket,
         n_buckets=len(buckets) + 1,
     )
-    return sweep, [extras for _, extras in built]
+
+
+def _mean_map(
+    class_mhz: np.ndarray, segment_class: np.ndarray, lengths: np.ndarray, grid: HouseholdGrid
+) -> GraySpaceMap:
+    """Each class's value on the cells of its segments; NaN outside the valid area."""
+    values = np.repeat(class_mhz[segment_class], lengths).reshape(grid.counts.shape)
+    values[~grid.valid] = np.nan
+    return GraySpaceMap(values=values, resolution_m=grid.resolution_m)
 
 
 def single_realization_map(
@@ -364,16 +373,14 @@ def single_realization_map(
     """
     # The pair takes part in every index up to realization_index, and the
     # sweep visits that one.
-    sweep, _ = _build_sweep(
+    sweep = _build_sweep(
         grid, [(device, hata, knowledge)], criteria, plan, DEFAULT_BUCKETS,
         master_seed, [realization_index + 1],
     )
     ((slot_sum, _, _),) = _accumulate(sweep, [realization_index])
     state = sweep.devices[0]
-    slots = np.repeat(slot_sum[state.segment_class], state.segment_lengths)
-    values = (slots.reshape(grid.counts.shape) * plan.channel_bandwidth_mhz).astype(np.float64)
-    values[~grid.valid] = np.nan
-    return GraySpaceMap(values=values, resolution_m=grid.resolution_m)
+    slot_mhz = slot_sum * float(plan.channel_bandwidth_mhz)
+    return _mean_map(slot_mhz, state.segment_class, state.segment_lengths, grid)
 
 
 def run_combinations(
@@ -406,7 +413,7 @@ def run_combinations(
     if workers < 1:
         raise DomainError("workers must be >= 1")
     effective = [1 if k.level == "KL1" else realizations for _, _, k in pairs]
-    sweep, extras = _build_sweep(grid, pairs, criteria, plan, buckets, master_seed, effective)
+    sweep = _build_sweep(grid, pairs, criteria, plan, buckets, master_seed, effective)
     indices = range(max(effective, default=0))
     n_workers = min(workers, len(indices))
     if n_workers <= 1:
@@ -415,15 +422,16 @@ def run_combinations(
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [list(indices[i::n_workers]) for i in range(n_workers)]
-        totals = _accumulate(sweep, [])
+        # Forked workers inherit initargs unpickled; a partial would pickle the sweep per chunk.
         with ProcessPoolExecutor(
             max_workers=n_workers, initializer=_init_worker, initargs=(sweep,)
         ) as pool:
-            for partial in pool.map(_worker_accumulate, chunks):
-                for total, part in zip(totals, partial):
-                    for into, add in zip(total, part):
-                        into += add
-    segments = [(state.segment_class, state.segment_lengths) for state in sweep.devices]
+            parts = list(pool.map(_worker_accumulate, chunks))
+        totals = [tuple(map(sum, zip(*pair))) for pair in zip(*parts)]
+    devices = [
+        (s.segment_class, s.segment_lengths, s.co_radius_m, s.adjacent_radius_m, s.warnings)
+        for s in sweep.devices
+    ]
     pair_devices = [d for d, _, _ in sweep.pairs]
     bandwidth = plan.channel_bandwidth_mhz
     n_valid = int(grid.valid.sum())
@@ -434,12 +442,9 @@ def run_combinations(
     def results() -> Iterator[MonteCarloResult]:
         for d, n in zip(pair_devices, effective):
             slot_sum, count_ge, households = totals.pop(0)
-            segment_class, lengths = segments[d]
-            mean_values = np.repeat((slot_sum * (bandwidth / n))[segment_class], lengths)
-            mean_values = mean_values.reshape(grid.counts.shape)
-            mean_values[~grid.valid] = np.nan
+            segment_class, lengths, co_radius, adj_radius, warnings = devices[d]
             yield MonteCarloResult(
-                mean_map=GraySpaceMap(values=mean_values, resolution_m=grid.resolution_m),
+                mean_map=_mean_map(slot_sum * (bandwidth / n), segment_class, lengths, grid),
                 cdf=CdfCurve(
                     levels_mhz=np.arange(len(count_ge)) * bandwidth,
                     percent_area=count_ge * (100.0 / (n * n_valid)),
@@ -450,9 +455,9 @@ def run_combinations(
                 ),
                 realizations=realizations,
                 master_seed=master_seed,
-                co_radius_m=extras[d]["co_radius_m"],
-                adjacent_radius_m=extras[d]["adj_radius_m"],
-                warnings=extras[d]["warnings"],
+                co_radius_m=co_radius,
+                adjacent_radius_m=adj_radius,
+                warnings=warnings,
             )
 
     return results()

@@ -251,7 +251,7 @@ class TestMultiWordReceivers:
 
     @pytest.mark.parametrize("device", DEVICES, ids=["fixed-4w", "portable-100mw"])
     def test_single_realization_matches_oracle(self, device):
-        state, _ = engine._build_state(self.GRID, device[0], OFCOM, device[1])
+        state = engine._build_state(self.GRID, device[0], OFCOM, device[1])
         assert state.co_bits.shape[0] == state.adj_bits.shape[0] == 3
         for knowledge in self.KNOWLEDGE:
             for seed in (1, 2):
@@ -263,6 +263,15 @@ class TestMultiWordReceivers:
                 )
                 assert np.array_equal(got.values, expected), (knowledge.level, seed)
                 assert len(np.unique(expected)) >= 3  # the oracle is not trivial
+
+    @pytest.mark.parametrize("device", DEVICES, ids=["fixed-4w", "portable-100mw"])
+    def test_mean_of_one_realization_equals_single_realization(self, device):
+        for knowledge in self.KNOWLEDGE:
+            result = run(self.GRID, knowledge, *device, realizations=1, master_seed=5)
+            gsm = single_realization_map(
+                self.GRID, device[0], OFCOM, device[1], PLAN, knowledge, 5, 0
+            )
+            assert result.mean_map.values.tobytes() == gsm.values.tobytes(), knowledge.level
 
     def test_bit_identical_across_worker_counts(self):
         pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]
@@ -351,7 +360,7 @@ class TestReceiverSetClasses:
         area = counts.size * (resolution / 1000.0) ** 2
         grid = HouseholdGrid(counts, valid, resolution, municipal_area_km2=area)
         with mock.patch.object(engine, "receiver_segments", wraps=receiver_segments) as spy:
-            state, _ = engine._build_state(grid, device[0], OFCOM, device[1])
+            state = engine._build_state(grid, device[0], OFCOM, device[1])
         starts, (co_bits, adj_bits) = receiver_segments(*spy.call_args.args)
 
         assert np.array_equal(state.segment_lengths, np.diff(starts, append=counts.size))
@@ -430,15 +439,20 @@ class TestMapStatistics:
         assert again.percent_area.tobytes() == result.cdf.percent_area.tobytes()
 
     def test_utilization_from_map_matches_engine_for_kl1(self):
-        grid = ingest_grid([(2, 2, 3), (5, 1, 2)], resolution_m=1000.0, rows=6, cols=6)
-        result = run(grid, KL1)
-        again = utilization_from_map(
-            result.mean_map.values, grid.counts, DEFAULT_BUCKETS
-        )
-        assert (
-            again.mean_households.tobytes()
-            == result.utilization.mean_households.tobytes()
-        )
+        huge = 2**53 + 1  # per-class household sums must stay exact integers
+        for grid in (
+            ingest_grid([(2, 2, 3), (5, 1, 2)], resolution_m=1000.0, rows=6, cols=6),
+            ingest_grid([(c, c, huge) for c in (2, 20, 37)], resolution_m=1000.0,
+                        rows=40, cols=40),
+        ):
+            result = run(grid, KL1)
+            again = utilization_from_map(
+                result.mean_map.values, grid.counts, DEFAULT_BUCKETS
+            )
+            assert (
+                again.mean_households.tobytes()
+                == result.utilization.mean_households.tobytes()
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(buckets=_disjoint_buckets())
