@@ -105,7 +105,7 @@ def _g(value: float) -> str:
 
 @dataclass
 class RunConfig:
-    config_dir: Path
+    source: str  # the config file, as messages name it
     seed: int = 0
     realizations: int = 100
     workers: int = 1
@@ -304,10 +304,11 @@ def load_run_config(path: str | Path) -> RunConfig:
     parser.optionxform = str  # keep key case
     try:
         parser.read_string(path.read_text(), source=source)
-    except configparser.Error as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
-    cfg = RunConfig(config_dir=path.parent.resolve())
+    base = path.parent.resolve()
+    cfg = RunConfig(source)
     devices: list[DeviceProfile] = []
     for header in parser.sections():
         if header == "result":
@@ -325,13 +326,13 @@ def load_run_config(path: str | Path) -> RunConfig:
         for key, text in parser[header].items():
             grid_res = _GRID_PATH_RE.match(key) if name == "grid" else None
             if key in keys:
-                values[key] = _parse(f"{where} {key}", keys[key], text, cfg.config_dir)
+                values[key] = _parse(f"{where} {key}", keys[key], text, base)
             elif grid_res is not None:
                 res = float(grid_res.group(1))
                 if res in cfg.grid_paths:
                     raise ConfigError(f"{where} {key} repeats the resolution of "
                                       "another path_<res>m key")
-                cfg.grid_paths[res] = _parse(f"{where} {key}", _PATH, text, cfg.config_dir)
+                cfg.grid_paths[res] = _parse(f"{where} {key}", _PATH, text, base)
             elif name == "criteria" and key == "preset":
                 preset = text
             else:
@@ -565,21 +566,28 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _combinations(cfg: RunConfig) -> list[tuple[DeviceProfile, KnowledgeConfig]]:
     """Every (device, knowledge) pair to run, each built and checked, once
-    the plan is known to fit its band and to carry the 5 MUXs."""
-    white_space_amount(cfg.plan)
-    slot_table(cfg.plan)
-    knowledge = [
-        KnowledgeConfig(
-            level=level,
-            p_mux1_capable=cfg.p_mux1_capable,
-            p_subscribe_mux2to5=cfg.p_subscribe_mux2to5,
-            time_period=period,
-            mux_shares=cfg.shares if level == "KL3" else None,
-            share_interpretation=cfg.interpretation,
-        )
-        for level in cfg.levels
-        for period in (cfg.periods if level == "KL3" and cfg.shares is None else (None,))
-    ]
+    the plan is known to fit its band and to carry the 5 MUXs.  An error
+    names the config file and the section at fault."""
+    try:
+        white_space_amount(cfg.plan)
+        slot_table(cfg.plan)
+    except ConfigError as exc:
+        raise ConfigError(f"{cfg.source}: [plan] {exc}") from None
+    try:
+        knowledge = [
+            KnowledgeConfig(
+                level=level,
+                p_mux1_capable=cfg.p_mux1_capable,
+                p_subscribe_mux2to5=cfg.p_subscribe_mux2to5,
+                time_period=period,
+                mux_shares=cfg.shares if level == "KL3" else None,
+                share_interpretation=cfg.interpretation,
+            )
+            for level in cfg.levels
+            for period in (cfg.periods if level == "KL3" and cfg.shares is None else (None,))
+        ]
+    except ConfigError as exc:
+        raise ConfigError(f"{cfg.source}: [knowledge] {exc}") from None
     return [(device, k) for device in cfg.devices for k in knowledge]
 
 
@@ -751,6 +759,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Every input read raises DataError or ConfigError instead, so this
+        # is an output location that cannot be written.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -5,16 +5,15 @@ footprints cover it.  So once per run, and once per device, the engine
 builds one state: the link budget (co-channel and adjacent-channel radii,
 warnings), the footprints of both radii stamped at every household cell,
 and the grid cut into segments, stretches of consecutive cells (row-major)
-covered by one fixed set of receivers.  The state keeps each footprint's
-distinct receiver bitsets once; segments with equal co-channel and
-adjacent-channel bitsets form a class.  Then it sweeps the realizations
-once for every (device, knowledge) pair: per realization it draws the
-household variates once and packs each knowledge level's MUX usage at the
-receiver cells into bitsets.  Per pair, each distinct bitset gives a 5-bit
-mask of the MUXs its receivers use, and a class's two masks key its usable
-slots (used plus adjacent channels) in :func:`~grayspace.scenario.slot_table`.
-Statistics are averaged over realizations, and a class's value holds on
-every cell of its segments:
+covered by one fixed set of receivers.  One table holds each footprint's
+distinct receiver bitsets (sets); segments with equal co-channel and
+adjacent sets form a class.  Per realization the sweep draws the household
+variates once and packs each knowledge level's MUX usage at the receiver
+cells into bitsets.  Per (device, knowledge) pair, each set gives a 5-bit
+mask of the MUXs its receivers use, a class's two masks key its usable
+slots in :func:`~grayspace.scenario.slot_table`, and the pair adds them to
+its class slot sums and to one histogram of valid cells and households per
+slot count.  The outputs are read from these once, after the sweep:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality),
 * a survival-form CDF: percent of valid area with at least g MHz free,
@@ -178,12 +177,10 @@ class _DeviceState:
     warnings: tuple[str, ...]
     segment_lengths: np.ndarray  # cells per segment, in flat cell order
     segment_class: np.ndarray  # class of each segment
-    co_bits: np.ndarray  # (words, distinct co-channel sets) receiver bitsets
-    adj_bits: np.ndarray  # (words, distinct adjacent sets)
-    co_index: np.ndarray  # co_bits column of each class
-    adj_index: np.ndarray  # adj_bits column of each class
-    class_valid: np.ndarray  # valid cells per class
-    class_households: np.ndarray  # households per class
+    bits: np.ndarray  # (words, sets) distinct co-channel, then adjacent, receiver bitsets
+    co_index: np.ndarray  # bits column of each class's co-channel set
+    adj_index: np.ndarray  # bits column of each class's adjacent set
+    class_weights: np.ndarray  # (2, classes) valid cells and households per class
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,6 @@ class _Sweep:
     pairs: tuple[tuple[int, int, int], ...]  # (device, knowledge, realizations)
     master_seed: int
     slot_table: np.ndarray  # usable slots per hit-mask key co | adj << 5
-    slot_bucket: np.ndarray  # slot count -> bucket index (len n_slots + 1)
-    n_buckets: int  # configured buckets plus "other"
 
 
 _MUX_BITS = np.array([1, 2, 4, 8, 16], dtype=np.uint8)
@@ -213,16 +208,17 @@ def _hit_masks(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(sweep: _Sweep, indices: Sequence[int]):
-    """Integer totals per pair over a batch of realizations (order-independent).
+    """Integer totals per pair over a batch of realizations (order-independent):
+    class slot sums and a (2, n_slots + 1) valid-cell and household histogram.
 
     A pair takes part in the indices below its realization count.  Each
     index draws the household variates once and packs the receiver flags
-    once per knowledge config; every pair reads them."""
+    once per knowledge config; every pair reads them against its set table."""
+    n_levels = int(sweep.slot_table[0]) + 1  # key 0: nothing hit, every slot usable
     totals = [
         (
-            np.zeros(len(sweep.devices[d].class_valid), dtype=np.int64),
-            np.zeros(len(sweep.slot_bucket), dtype=np.int64),
-            np.zeros(sweep.n_buckets, dtype=np.int64),
+            np.zeros(len(sweep.devices[d].co_index), dtype=np.int64),
+            np.zeros((2, n_levels), dtype=np.int64),
         )
         for d, _, _ in sweep.pairs
     ]
@@ -233,18 +229,16 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
         packed = np.zeros(flags.shape[:2] + (n_bytes,), dtype=np.uint8)
         packed[..., : -(-flags.shape[2] // 8)] = np.packbits(flags, axis=2, bitorder="little")
         flag_words = packed.view("<u8")  # (knowledge, 5, words)
-        for (d, k, n), (slot_sum, count_ge, bucket_households) in zip(sweep.pairs, totals):
+        for (d, k, n), (slot_sum, hist) in zip(sweep.pairs, totals):
             if r >= n:
                 continue
             state = sweep.devices[d]
-            co = _hit_masks(state.co_bits, flag_words[k])
-            adj = _hit_masks(state.adj_bits, flag_words[k]).astype(np.uint16) << 5
-            avail = sweep.slot_table[co[state.co_index] | adj[state.adj_index]]
+            hit = _hit_masks(state.bits, flag_words[k]).astype(np.uint16)
+            avail = sweep.slot_table[hit[state.co_index] | hit[state.adj_index] << 5]
             slot_sum += avail
-            hist = np.zeros(len(count_ge), dtype=np.int64)
-            np.add.at(hist, avail, state.class_valid)
-            count_ge += hist[::-1].cumsum()[::-1]
-            np.add.at(bucket_households, sweep.slot_bucket[avail], state.class_households)
+            # two 1-D calls: a 2-D np.add.at over both rows is several times slower
+            np.add.at(hist[0], avail, state.class_weights[0])
+            np.add.at(hist[1], avail, state.class_weights[1])
     return totals
 
 
@@ -294,20 +288,18 @@ def _build_state(
     pair = co_of * adj_bits.shape[1] + adj_of  # segments of one pair form a class
     _, first, segment_class = np.unique(pair, return_index=True, return_inverse=True)
     segment_sums = np.add.reduceat(np.stack((grid.valid.ravel(), grid.counts.ravel())), starts, 1)
-    class_sums = np.zeros((2, len(first)), dtype=np.int64)  # integers: exact past 2**53
-    np.add.at(class_sums, (slice(None), segment_class), segment_sums)
+    class_weights = np.zeros((2, len(first)), dtype=np.int64)  # integers: exact past 2**53
+    np.add.at(class_weights, (slice(None), segment_class), segment_sums)
     return _DeviceState(
         co_radius_m=co_radius,
         adjacent_radius_m=adj_radius,
         warnings=sep.warnings,
         segment_lengths=np.diff(starts, append=grid.counts.size),
         segment_class=segment_class,
-        co_bits=co_bits,
-        adj_bits=adj_bits,
+        bits=np.hstack((co_bits, adj_bits)),
         co_index=co_of[first],
-        adj_index=adj_of[first],
-        class_valid=class_sums[0],
-        class_households=class_sums[1],
+        adj_index=co_bits.shape[1] + adj_of[first],
+        class_weights=class_weights,
     )
 
 
@@ -316,7 +308,6 @@ def _build_sweep(
     pairs: Sequence[tuple[DeviceProfile, HataParams, KnowledgeConfig]],
     criteria: ProtectionCriteria,
     plan: ChannelPlan,
-    buckets: Sequence[Bucket],
     master_seed: int,
     realizations: Sequence[int],
 ) -> _Sweep:
@@ -324,14 +315,8 @@ def _build_sweep(
     table = slot_table(plan)  # checks that the plan carries the 5 MUXs
     if not grid.valid.any():
         raise DataError("grid has no valid cells; nothing to evaluate")
-    _check_bucket_overlap(buckets)
     devices = list(dict.fromkeys((device, hata) for device, hata, _ in pairs))
     knowledge = list(dict.fromkeys(k for _, _, k in pairs))
-    n_slots = slot_count(plan)
-    slot_mhz = np.arange(n_slots + 1) * plan.channel_bandwidth_mhz
-    slot_bucket = np.full(n_slots + 1, len(buckets), dtype=np.int64)
-    for b, bucket in enumerate(buckets):
-        slot_bucket[bucket.contains(slot_mhz)] = b
     return _Sweep(
         households=grid.counts[np.nonzero(grid.counts)],
         devices=tuple(_build_state(grid, d, criteria, h) for d, h in devices),
@@ -342,8 +327,6 @@ def _build_sweep(
         ),
         master_seed=master_seed,
         slot_table=table,
-        slot_bucket=slot_bucket,
-        n_buckets=len(buckets) + 1,
     )
 
 
@@ -374,10 +357,9 @@ def single_realization_map(
     # The pair takes part in every index up to realization_index, and the
     # sweep visits that one.
     sweep = _build_sweep(
-        grid, [(device, hata, knowledge)], criteria, plan, DEFAULT_BUCKETS,
-        master_seed, [realization_index + 1],
+        grid, [(device, hata, knowledge)], criteria, plan, master_seed, [realization_index + 1]
     )
-    ((slot_sum, _, _),) = _accumulate(sweep, [realization_index])
+    ((slot_sum, _),) = _accumulate(sweep, [realization_index])
     state = sweep.devices[0]
     slot_mhz = slot_sum * float(plan.channel_bandwidth_mhz)
     return _mean_map(slot_mhz, state.segment_class, state.segment_lengths, grid)
@@ -412,8 +394,9 @@ def run_combinations(
         raise DomainError("realizations must be >= 1")
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    _check_bucket_overlap(buckets)
     effective = [1 if k.level == "KL1" else realizations for _, _, k in pairs]
-    sweep = _build_sweep(grid, pairs, criteria, plan, buckets, master_seed, effective)
+    sweep = _build_sweep(grid, pairs, criteria, plan, master_seed, effective)
     indices = range(max(effective, default=0))
     n_workers = min(workers, len(indices))
     if n_workers <= 1:
@@ -436,13 +419,20 @@ def run_combinations(
     bandwidth = plan.channel_bandwidth_mhz
     n_valid = int(grid.valid.sum())
     labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
+    slot_mhz = np.arange(slot_count(plan) + 1) * bandwidth
+    slot_bucket = np.full(len(slot_mhz), len(buckets))  # "other" last
+    for b, bucket in enumerate(buckets):
+        slot_bucket[bucket.contains(slot_mhz)] = b
 
     # results() does not see the sweep, so the receiver bitsets are freed
     # when this returns; it drops each pair's totals once used.
     def results() -> Iterator[MonteCarloResult]:
         for d, n in zip(pair_devices, effective):
-            slot_sum, count_ge, households = totals.pop(0)
+            slot_sum, hist = totals.pop(0)
             segment_class, lengths, co_radius, adj_radius, warnings = devices[d]
+            count_ge = hist[0, ::-1].cumsum()[::-1]
+            households = np.zeros(len(labels), dtype=np.int64)
+            np.add.at(households, slot_bucket, hist[1])
             yield MonteCarloResult(
                 mean_map=_mean_map(slot_sum * (bandwidth / n), segment_class, lengths, grid),
                 cdf=CdfCurve(

@@ -44,10 +44,10 @@ class ProtectionCriteria:
     power_limit_adjacent: str = ""
 
     def __post_init__(self) -> None:
-        if self.channel_bandwidth_mhz <= 0:
-            raise DomainError("channel_bandwidth_mhz must be positive")
-        if self.location_accuracy_m <= 0:
-            raise DomainError("location_accuracy_m must be positive")
+        if not (math.isfinite(self.channel_bandwidth_mhz) and self.channel_bandwidth_mhz > 0):
+            raise DomainError("channel_bandwidth_mhz must be positive and finite")
+        if not (math.isfinite(self.location_accuracy_m) and self.location_accuracy_m > 0):
+            raise DomainError("location_accuracy_m must be positive and finite")
         if not self.ci_cochannel_db > self.ci_adjacent_db:
             raise DomainError(
                 "co-channel C/I must exceed adjacent-channel C/I "

@@ -125,6 +125,11 @@ class TestConfigParsing:
                 "[plan]\nused_channels = 21,21,27,30,33\n",
                 r"bad\.cfg: \[plan\] used_channels contains duplicates",
             ),
+            (
+                "[criteria]\npreset = ofcom\nchannel_bandwidth_mhz = nan\n"
+                "location_accuracy_m = inf\n",
+                r"bad\.cfg: \[criteria\] channel_bandwidth_mhz must be positive and finite",
+            ),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -215,21 +220,67 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize(
-        "old,new,fragment",
+        "old,new,section,fragment",
         [
-            ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 0.5,0.3,0.3,0.3,0.3", "sum to"),
-            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30", "5 MUXs"),
+            ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 0.5,0.3,0.3,0.3,0.3",
+             "knowledge", "sum to"),
+            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30", "plan", "5 MUXs"),
+            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30,33\n"
+             "total_band_mhz = 16", "plan", "more than the 16.0 MHz band"),
+            ("levels = KL1,KL2", "levels = KL1,KL2\np_mux1_capable = 1.5",
+             "knowledge", "p_mux1_capable must be a probability"),
         ],
-        ids=["kl3-shares-over-1", "four-channel-plan"],
+        ids=["kl3-shares-over-1", "four-channel-plan", "plan-past-band", "p-mux1-over-1"],
     )
     def test_bad_combination_is_2_and_writes_nothing(
-        self, workspace, tmp_path, capsys, old, new, fragment
+        self, workspace, tmp_path, capsys, old, new, section, fragment
     ):
         workspace.write_text(workspace.read_text().replace(old, new))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 2
-        assert fragment in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {workspace}: [{section}] " in err and fragment in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["linkbudget", "simulate", "report"])
+    def test_config_not_utf8_is_2_and_writes_nothing(self, workspace, tmp_path, capsys, command):
+        workspace.write_bytes(workspace.read_bytes().replace(b"seed = 7", b"seed = 7\xff"))
+        out = tmp_path / "out"
+        argv = {
+            "linkbudget": ["linkbudget", "--config", str(workspace), "--resolution", "1000",
+                           "--csv", str(out / "sep.csv")],
+            "simulate": ["simulate", "--config", str(workspace), "--out", str(out)],
+            "report": ["report", "--config", str(workspace), "--map",
+                       str(tmp_path / "map.csv"), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {workspace}: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "linkbudget", "ingest"],
+        ids=["simulate-out-is-a-file", "linkbudget-csv-is-a-directory", "ingest-out-under-a-file"],
+    )
+    def test_unwritable_output_is_2(self, workspace, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        if command == "linkbudget":
+            taken.mkdir()
+        else:
+            taken.write_text("keep\n")
+        argv = {
+            "simulate": ["simulate", "--config", str(workspace), "--out", str(taken)],
+            "linkbudget": ["linkbudget", "--config", str(workspace), "--csv", str(taken)],
+            "ingest": ["ingest", str(tmp_path / "town.csv"), "--out", str(taken / "town.csv")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert str(taken) in err and "Traceback" not in err
+        if command == "linkbudget":
+            assert list(taken.iterdir()) == []
+        else:
+            assert taken.read_text() == "keep\n"
 
     @pytest.mark.parametrize(
         "flag,value,fragment",

@@ -252,7 +252,7 @@ class TestMultiWordReceivers:
     @pytest.mark.parametrize("device", DEVICES, ids=["fixed-4w", "portable-100mw"])
     def test_single_realization_matches_oracle(self, device):
         state = engine._build_state(self.GRID, device[0], OFCOM, device[1])
-        assert state.co_bits.shape[0] == state.adj_bits.shape[0] == 3
+        assert state.bits.shape[0] == 3
         for knowledge in self.KNOWLEDGE:
             for seed in (1, 2):
                 flags = _naive_flags(self.GRID, knowledge, seed)
@@ -272,6 +272,34 @@ class TestMultiWordReceivers:
                 self.GRID, device[0], OFCOM, device[1], PLAN, knowledge, 5, 0
             )
             assert result.mean_map.values.tobytes() == gsm.values.tobytes(), knowledge.level
+
+    def test_totals_are_sums_over_single_realizations(self):
+        # The CDF and utilization are read from totals summed over the
+        # realizations; each count must equal the sum of the same count
+        # taken from every realization's own map.
+        R, seed = 5, 17
+        pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]
+        results = run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=R,
+                                   master_seed=seed)
+        n_valid = int(self.GRID.valid.sum())
+        for (device, hata, knowledge), result in zip(pairs, results, strict=True):
+            area, households = [], []
+            for r in range(R):
+                values = single_realization_map(
+                    self.GRID, device, OFCOM, hata, PLAN, knowledge, seed, r
+                ).values
+                percent = cdf_from_map(values, result.cdf.levels_mhz).percent_area
+                area.append(np.rint(percent * n_valid / 100.0))
+                households.append(
+                    utilization_from_map(values, self.GRID.counts, DEFAULT_BUCKETS).mean_households
+                )
+            assert len({a.tobytes() for a in area}) > 1  # the realizations differ
+            assert np.array_equal(
+                np.rint(result.cdf.percent_area * R * n_valid / 100.0), np.sum(area, axis=0)
+            ), (device.label, knowledge.level)
+            assert np.array_equal(
+                np.rint(result.utilization.mean_households * R), np.sum(households, axis=0)
+            ), (device.label, knowledge.level)
 
     def test_bit_identical_across_worker_counts(self):
         pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]
@@ -366,16 +394,19 @@ class TestReceiverSetClasses:
         assert np.array_equal(state.segment_lengths, np.diff(starts, append=counts.size))
         co_of = state.co_index[state.segment_class]
         adj_of = state.adj_index[state.segment_class]
-        assert np.array_equal(state.co_bits[:, co_of], co_bits)
-        assert np.array_equal(state.adj_bits[:, adj_of], adj_bits)
-        for bits in (state.co_bits, state.adj_bits):
+        assert np.array_equal(state.bits[:, co_of], co_bits)
+        assert np.array_equal(state.bits[:, adj_of], adj_bits)
+        n_co = len(set(co_of.tolist()))  # the co-channel sets come first in the table
+        assert set(co_of.tolist()) == set(range(n_co))
+        assert set(adj_of.tolist()) == set(range(n_co, state.bits.shape[1]))
+        for bits in (state.bits[:, :n_co], state.bits[:, n_co:]):
             assert len({column.tobytes() for column in bits.T}) == bits.shape[1]
         classes = set(zip(state.co_index.tolist(), state.adj_index.tolist()))
         assert len(classes) == len(state.co_index) == len(state.adj_index)
-        assert len(state.class_valid) == len(state.class_households) == len(classes)
-        assert state.class_valid.dtype == state.class_households.dtype == np.int64
-        assert state.class_valid.sum() == grid.valid.sum()
-        assert state.class_households.sum() == grid.total_households
+        assert state.class_weights.shape == (2, len(classes))
+        assert state.class_weights.dtype == np.int64
+        assert state.class_weights[0].sum() == grid.valid.sum()
+        assert state.class_weights[1].sum() == grid.total_households
 
 
 class TestValidation:

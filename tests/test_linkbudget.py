@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +77,12 @@ class TestCriteria:
     def test_tolerable_field(self):
         assert max_cr_field_at_receiver(OFCOM, "co") == pytest.approx(17.0)
         assert max_cr_field_at_receiver(OFCOM, "adjacent") == pytest.approx(67.0)
+
+    def test_criteria_validation(self):
+        for field in ("channel_bandwidth_mhz", "location_accuracy_m"):
+            for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+                with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+                    dataclasses.replace(OFCOM, **{field: bad})
 
     def test_device_validation(self):
         with pytest.raises(DomainError):
