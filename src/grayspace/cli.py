@@ -21,10 +21,10 @@ kind), defines them: ``load_run_config`` parses with it, the command-line
 options named after [run] keys are parsed and checked as those keys, and
 ``summary.txt`` is written from it.  Relative paths resolve against the
 config file's directory (on the command line, the working directory).
-``simulate`` checks every combination and runs the Monte Carlo sweep
-before it creates the output directory, then writes one directory per
-combination containing ``map.csv``, ``cdf.csv``, ``utilization.csv`` and
-``summary.txt``; the summary is a config pinned to that combination, and it
+``simulate`` checks every combination and that the output directory can
+be used or created, and runs the Monte Carlo sweep before it creates that
+directory, then writes one directory per combination containing
+``map.csv``, ``cdf.csv``, ``utilization.csv`` and ``summary.txt``; the summary is a config pinned to that combination, and it
 parses back to the same values, so feeding it back to ``simulate``
 reproduces the run.
 
@@ -629,12 +629,26 @@ def _summary_text(
     return "\n".join(lines) + "\n"
 
 
+def _check_output_dir(path: Path) -> None:
+    """Reject, without creating anything, a directory path that is an
+    existing non-directory or whose nearest existing ancestor is not a
+    writable directory."""
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"output directory {path} exists and is not a directory")
+    ancestor = next(p for p in (path, *path.parents) if p.exists())
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(
+            f"output directory {path} cannot be created: {ancestor} is not a writable directory"
+        )
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     _apply_overrides(cfg, args)
     hata = {report.device.label: report.hata for report in _separation_reports(cfg)}
     combos = _combinations(cfg)
     grid, grid_path = _load_selected_grid(cfg)
+    _check_output_dir(cfg.out)
 
     results = run_combinations(
         grid,

@@ -257,11 +257,17 @@ def _worker_accumulate(indices: Sequence[int]):
 
 def _distinct_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns of (words, n) bitsets and each column's index.
-    A zero word gives a grid without receivers (no words) its one empty set."""
-    keys = np.vstack((bits, np.zeros(bits.shape[1], np.uint64))).T.copy()
-    keys = keys.view(f"V{keys[0].nbytes}").ravel()  # one void scalar per column
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return bits[:, first], index
+    ``np.lexsort`` orders the columns by their words; a sorted column is new
+    where it differs from the one before.  A grid without receivers has no
+    words, so no sort keys: its columns are all the one empty set."""
+    if not len(bits):
+        return bits[:, :1], np.zeros(bits.shape[1], dtype=np.intp)
+    order = np.lexsort(bits)
+    ordered = bits[:, order]
+    new = np.concatenate(([True], (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)))
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    return ordered[:, new], index
 
 
 def _build_state(
@@ -280,16 +286,19 @@ def _build_state(
         protection_disc_offsets(min(radius, reach_cap), grid.resolution_m)
         for radius in (co_radius, adj_radius)
     ]
-    receiver_rows, receiver_cols = np.nonzero(grid.counts)
+    receivers = np.flatnonzero(grid.counts)  # np.nonzero order, as _Sweep.households
     starts, bitsets = receiver_segments(
-        grid.counts.shape, receiver_rows, receiver_cols, footprints
+        grid.counts.shape, *np.divmod(receivers, grid.cols), footprints
     )
     (co_bits, co_of), (adj_bits, adj_of) = map(_distinct_columns, bitsets)
     pair = co_of * adj_bits.shape[1] + adj_of  # segments of one pair form a class
     _, first, segment_class = np.unique(pair, return_index=True, return_inverse=True)
-    segment_sums = np.add.reduceat(np.stack((grid.valid.ravel(), grid.counts.ravel())), starts, 1)
-    class_weights = np.zeros((2, len(first)), dtype=np.int64)  # integers: exact past 2**53
-    np.add.at(class_weights, (slice(None), segment_class), segment_sums)
+    # integers: exact past 2**53; np.add.at values have the index's own shape
+    class_weights = np.zeros((2, len(first)), dtype=np.int64)
+    valid = np.add.reduceat(grid.valid.ravel(), starts, dtype=np.int64)
+    np.add.at(class_weights[0], segment_class, valid)
+    receiver_class = segment_class[np.searchsorted(starts, receivers, "right") - 1]
+    np.add.at(class_weights[1], receiver_class, grid.counts.ravel()[receivers])
     return _DeviceState(
         co_radius_m=co_radius,
         adjacent_radius_m=adj_radius,

@@ -21,7 +21,9 @@ is one half-open interval of the row-major flat cell index.
 :func:`receiver_segments` cuts the flat cell order at every run end, so
 that each resulting segment is covered by one fixed set of receivers, and
 records that set as a bitset; a cell is protected where its segment's
-bitset is non-zero.
+bitset is non-zero.  The bitsets are a running sum along the segments:
+receiver k adds its bit where one of its runs starts and subtracts it
+where the run stops, and since its runs never overlap no bit ever carries.
 
 Matrix export works per run of equal cells: a gray-space map holds a few
 dozen distinct values in a few thousand runs over hundreds of thousands of
@@ -463,25 +465,24 @@ def receiver_segments(
     rows, cols = shape
     n_cells = rows * cols
     runs = [_footprint_runs(shape, seed_rows, seed_cols, fp) for fp in footprints]
-    cuts = np.concatenate([np.zeros(1, np.int64)] + [np.concatenate(r[1:]) for r in runs])
-    starts = np.unique(cuts)
-    starts = starts[starts < n_cells]
+    cut = np.zeros(n_cells + 1, dtype=bool)  # a run may stop at n_cells
+    cut[0] = True
+    for _, start, stop in runs:
+        cut[start] = cut[stop] = True
+    starts = np.flatnonzero(cut[:n_cells])
     words = -(-len(seed_rows) // 64)
+    width = len(starts) + 1  # the last column takes the stops at n_cells
     bitsets = []
     for seed, start, stop in runs:
-        # Toggle bit k where a run of receiver k begins and where it ends,
-        # then a running XOR along the segments leaves it set in between.
-        ends = np.concatenate((start, stop))
-        owner = np.concatenate((seed, seed))
-        keep = ends < n_cells
-        ends, owner = ends[keep], owner[keep]
-        bits = np.zeros((words, len(starts)), dtype=np.uint64)
-        np.bitwise_xor.at(
-            bits.reshape(-1),
-            owner // 64 * len(starts) + np.searchsorted(starts, ends),
-            np.left_shift(np.uint64(1), (owner % 64).astype(np.uint64)),
-        )
-        bitsets.append(np.bitwise_xor.accumulate(bits, axis=1))
+        # Add bit k where a run of receiver k begins and subtract it (mod
+        # 2**64) where the run stops, then a running sum along the segments
+        # leaves it set in between.  A receiver's runs lie on distinct rows
+        # and never overlap, so each bit counts 0 or 1 and never carries.
+        bit = np.left_shift(np.uint64(1), (seed % 64).astype(np.uint64))
+        at = np.tile(seed // 64 * width, 2) + np.searchsorted(starts, np.concatenate((start, stop)))
+        bits = np.zeros((words, width), dtype=np.uint64)
+        np.add.at(bits.reshape(-1), at, np.concatenate((bit, -bit)))
+        bitsets.append(np.cumsum(bits, axis=1, dtype=np.uint64)[:, :-1])
     return starts, tuple(bitsets)
 
 

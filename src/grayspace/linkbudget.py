@@ -187,7 +187,9 @@ def separation_report(
 
     The propagation parameters describe the device-to-receiver link, so the
     model's base height must equal the device antenna height; a mismatch is
-    a configuration error, not a warning.
+    a configuration error, not a warning.  Parameters outside the model's
+    nominal window, and separations outside its 1-20 km distance window,
+    are warned about in ``warnings``.
     """
     if hata.base_height_m != device.antenna_height_m:
         raise ConfigError(
@@ -203,6 +205,20 @@ def separation_report(
         )
     loss_co = min_required_loss(device, criteria, "co")
     loss_adj = min_required_loss(device, criteria, "adjacent")
+    distance_co_m = distance_for_loss(hata, loss_co) * 1000.0
+    distance_adj_m = distance_for_loss(hata, loss_adj) * 1000.0
+    # Hata is extrapolated, not clamped, outside its 1-20 km window: at short
+    # range it gives less loss than free space, so the error is protective.
+    outside = [
+        f"{relation} {distance_m:.4g} m"
+        for relation, distance_m in zip(RELATIONS, (distance_co_m, distance_adj_m))
+        if not 1000.0 <= distance_m <= 20000.0
+    ]
+    if outside:
+        warnings.append(
+            "separation outside the model's nominal 1-20 km distance range "
+            f"({', '.join(outside)})"
+        )
     return SeparationReport(
         device=device,
         criteria=criteria,
@@ -210,8 +226,8 @@ def separation_report(
         field_strength_dbuvm=eirp_to_field_strength(device.eirp_mw),
         min_loss_co_db=loss_co,
         min_loss_adjacent_db=loss_adj,
-        min_distance_co_m=distance_for_loss(hata, loss_co) * 1000.0,
-        min_distance_adjacent_m=distance_for_loss(hata, loss_adj) * 1000.0,
+        min_distance_co_m=distance_co_m,
+        min_distance_adjacent_m=distance_adj_m,
         warnings=tuple(warnings),
     )
 

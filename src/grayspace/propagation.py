@@ -7,7 +7,8 @@ model's nominal validity window (frequency 150-1500 MHz, base antenna
 30-200 m, mobile antenna 1-10 m, distance 1-20 km) is *not* enforced:
 low-power transmitters sit well below a 30 m mast, so out-of-range inputs
 are computed normally and merely flagged via :meth:`HataParams.nominal_range`
-so callers can attach a warning to their results.  The one exception is a
+so callers can attach a warning to their results (the link budget also
+warns about separations outside 1-20 km).  The one exception is a
 base height of about 7,160 km or more, where the distance slope
 44.9 - 6.55 log10(h_b) is no longer positive and the inversion breaks
 down; such parameters are rejected.

@@ -9,12 +9,13 @@ import sys
 import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grayspace import engine, scenario
+from grayspace import cli, engine, scenario
 from grayspace.cli import _combinations, load_run_config, main
 from grayspace.errors import ConfigError
 from grayspace.griddata import (
@@ -259,21 +260,28 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command", ["simulate", "linkbudget", "ingest"],
-        ids=["simulate-out-is-a-file", "linkbudget-csv-is-a-directory", "ingest-out-under-a-file"],
+        "command", ["simulate", "simulate-under", "linkbudget", "ingest"],
+        ids=["simulate-out-is-a-file", "simulate-out-under-a-file",
+             "linkbudget-csv-is-a-directory", "ingest-out-under-a-file"],
     )
-    def test_unwritable_output_is_2(self, workspace, tmp_path, capsys, command):
+    def test_unwritable_output_is_2(self, workspace, tmp_path, capsys, monkeypatch, command):
         taken = tmp_path / "taken"
         if command == "linkbudget":
             taken.mkdir()
         else:
             taken.write_text("keep\n")
+        # an unusable --out is rejected before the sweep runs
+        sweep = mock.Mock(side_effect=AssertionError("the sweep ran"))
+        monkeypatch.setattr(cli, "run_combinations", sweep)
         argv = {
             "simulate": ["simulate", "--config", str(workspace), "--out", str(taken)],
+            "simulate-under": ["simulate", "--config", str(workspace),
+                               "--out", str(taken / "a" / "b")],
             "linkbudget": ["linkbudget", "--config", str(workspace), "--csv", str(taken)],
             "ingest": ["ingest", str(tmp_path / "town.csv"), "--out", str(taken / "town.csv")],
         }[command]
         assert main(argv) == 2
+        assert not sweep.called
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert str(taken) in err and "Traceback" not in err

@@ -407,6 +407,10 @@ class TestReceiverSetClasses:
         assert state.class_weights.dtype == np.int64
         assert state.class_weights[0].sum() == grid.valid.sum()
         assert state.class_weights[1].sum() == grid.total_households
+        cell_class = np.repeat(state.segment_class, state.segment_lengths)
+        for c, (n_valid, households) in enumerate(state.class_weights.T):
+            assert n_valid == grid.valid.ravel()[cell_class == c].sum()
+            assert households == counts.ravel()[cell_class == c].sum()
 
 
 class TestValidation:

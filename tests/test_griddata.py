@@ -349,6 +349,11 @@ def _receivers(draw):
 class TestReceiverSegments:
     @settings(max_examples=80, deadline=None)
     @given(_receivers())
+    # a footprint wider than the grid: receiver 0's row runs abut, the stop
+    # of row y being the start of row y + 1
+    @example((3, 4, np.array([5, 0]), [30, 1]))
+    # a receiver in the last cell: its runs stop at the grid's end
+    @example((4, 5, np.array([19, 7]), [1, 2]))
     def test_bits_expand_to_each_receivers_scan(self, case):
         rows, cols, cells, reaches = case
         res = 100.0

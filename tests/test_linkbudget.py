@@ -152,7 +152,9 @@ class TestSeparationReport:
         assert report.min_distance_adjacent_m == pytest.approx(
             281.0426166341737, rel=1e-12
         )
-        assert report.warnings == ()
+        assert report.warnings == (
+            "separation outside the model's nominal 1-20 km distance range (adjacent 281 m)",
+        )
 
     def test_portable_device(self):
         report = separation_report(PORTABLE_100MW, OFCOM, HATA_PORTABLE)
@@ -160,8 +162,12 @@ class TestSeparationReport:
         assert report.min_distance_adjacent_m == pytest.approx(
             62.498881417450654, rel=1e-12
         )
-        assert len(report.warnings) == 1
+        assert len(report.warnings) == 2
         assert "nominal range" in report.warnings[0]
+        assert report.warnings[1] == (
+            "separation outside the model's nominal 1-20 km distance range "
+            "(co 913.3 m, adjacent 62.5 m)"
+        )
 
     def test_relation_accessor(self):
         report = separation_report(FIXED_4W, OFCOM, HATA_FIXED)
