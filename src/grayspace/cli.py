@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -694,10 +695,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     map_path = Path(args.map_path)
     if not map_path.is_file():
         raise DataError(f"map file not found: {map_path}")
-    if map_path.suffix == ".rle":
-        values = read_matrix_rle(map_path)
-    else:
-        values = read_matrix_csv(map_path)
+    values = (read_matrix_rle if map_path.suffix == ".rle" else read_matrix_csv)(map_path)
     levels = np.arange(slot_count(cfg.plan) + 1) * cfg.plan.channel_bandwidth_mhz
     cdf = cdf_from_map(values, levels)
     table = None
@@ -727,6 +725,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # entry point
 
 
+@functools.cache  # one tree per process; callers share it, and parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grayspace",

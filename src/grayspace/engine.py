@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .griddata import HouseholdGrid, protection_disc_offsets, receiver_segments
+from .griddata import HouseholdGrid, _value_runs, protection_disc_offsets, receiver_segments
 from .linkbudget import (
     DeviceProfile,
     ProtectionCriteria,
@@ -483,19 +483,29 @@ def run_monte_carlo(
 
 
 # ---------------------------------------------------------------------------
-# statistics over stored maps (used by the report command)
+# statistics over stored maps (used by the report command): cells and
+# households are summed per distinct value over the map's runs
+
+
+def _value_totals(values: np.ndarray, weights: np.ndarray | None = None):
+    """A map's distinct values, each with its cell count or its sum of ``weights``."""
+    arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    starts, token, distinct = _value_runs(arr)
+    per_run = (np.diff(starts, append=arr.size) if weights is None
+               else np.add.reduceat(weights.ravel(), starts))
+    totals = np.zeros(distinct.size, dtype=np.int64)
+    np.add.at(totals, token, per_run)
+    return distinct, totals
 
 
 def cdf_from_map(values: np.ndarray, levels_mhz: Sequence[float]) -> CdfCurve:
     """Survival CDF of a single stored map; NaN cells are outside the area."""
-    arr = np.asarray(values, dtype=np.float64)
-    valid = ~np.isnan(arr)
-    n_valid = int(valid.sum())
+    value, cells = _value_totals(values)
+    n_valid = int(cells[~np.isnan(value)].sum())
     if n_valid == 0:
         raise DataError("map has no valid cells")
-    flat = arr[valid]
     levels = np.asarray(list(levels_mhz), dtype=np.float64)
-    counts = np.array([(flat >= g).sum() for g in levels], dtype=np.int64)
+    counts = (value >= levels[:, None]) @ cells
     percent = counts * (100.0 / n_valid)
     return CdfCurve(levels_mhz=levels, percent_area=percent, realizations=1)
 
@@ -509,9 +519,10 @@ def utilization_from_map(
     if arr.shape != counts.shape:
         raise DataError("map and household grid shapes differ")
     _check_bucket_overlap(buckets)
+    value, households = _value_totals(arr, counts)
     # disjoint buckets: "other" is every valid cell's households not in one
-    sums = [int(counts[bucket.contains(arr)].sum()) for bucket in buckets]
-    sums.append(int(counts[~np.isnan(arr)].sum()) - sum(sums))
+    sums = [int(households[bucket.contains(value)].sum()) for bucket in buckets]
+    sums.append(int(households[~np.isnan(value)].sum()) - sum(sums))
     labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
     return UtilizationTable(
         labels=labels,

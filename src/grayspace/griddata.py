@@ -25,21 +25,23 @@ bitset is non-zero.  The bitsets are a running sum along the segments:
 receiver k adds its bit where one of its runs starts and subtracts it
 where the run stops, and since its runs never overlap no bit ever carries.
 
-Matrix export works per run of equal cells: a gray-space map holds a few
-dozen distinct values in a few thousand runs over hundreds of thousands of
-cells.  One run split feeds both writers.  It cuts the row-major cells
-where the bit pattern changes and at every row start, and formats each
-distinct value once with ``%.10g`` in the array's dtype.  Telling values
-apart by bit pattern keeps ``-0.0`` and ``0.0`` (and differently signed
-NaNs) as their own text.  The plain-CSV writer gathers a fixed-width byte
-table per cell (a second half ends rows) and strips the padding; the
-run-length writer prints one ``count*value`` token per run.  Both give the
-bytes of formatting every cell on its own.
+Matrices go by runs of equal cells: a gray-space map holds a few dozen
+distinct values in a few thousand runs over hundreds of thousands of cells.
+One run split, cut where the row-major bit pattern changes and at every row
+start, lists each distinct value once.  It feeds both writers, which format
+each value once with ``%.10g`` in the array's dtype, and the report
+statistics in :mod:`grayspace.engine`.  Telling values apart by bit pattern
+keeps ``-0.0`` and ``0.0`` (and differently signed NaNs) as their own text.
+The plain-CSV writer gathers a fixed-width byte table per cell (a second
+half ends rows) and strips the padding; the run-length writer prints one
+``count*value`` token per run.  Both give the bytes of formatting every
+cell on its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -503,17 +505,17 @@ def _matrix_rows(values: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _value_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _value_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Runs of one bit pattern in row-major order, also cut at every row
-    start.  Run i begins at flat cell ``starts[i]``; its text is
-    ``text[token[i]]``, one entry per distinct value."""
+    start.  Run i begins at flat cell ``starts[i]``; its value is
+    ``distinct[token[i]]``, one entry per distinct bit pattern."""
     bits = arr.view(f"u{arr.dtype.itemsize}").ravel()
     cut = np.ones(bits.size, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=cut[1:])
     cut[:: max(arr.shape[1], 1)] = True
     starts = np.flatnonzero(cut)
     distinct, token = np.unique(bits[starts], return_inverse=True)
-    return starts, token, [_fmt(v) for v in distinct.view(arr.dtype)]
+    return starts, token, distinct.view(arr.dtype)
 
 
 def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
@@ -522,7 +524,8 @@ def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
     if not arr.size:
         Path(path).write_bytes(b"\n" * max(len(arr), 1))
         return
-    starts, token, text = _value_runs(arr)
+    starts, token, distinct = _value_runs(arr)
+    text = [_fmt(v) for v in distinct]
     cell = np.repeat(token, np.diff(starts, append=arr.size)).reshape(arr.shape)
     cell[:, -1] += len(text)  # the second half of the table ends rows
     table = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype="S")
@@ -530,19 +533,25 @@ def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Inverse of :func:`write_matrix_csv`; blank lines are skipped.
-
-    A non-numeric token (``#`` lines included), a ragged row or an empty
-    file is a data error.
+    """Inverse of :func:`write_matrix_csv`; blank lines are skipped, and
+    each distinct row is parsed once.  A non-numeric token (``#`` lines
+    included), a ragged row or an empty file is a data error.
     """
     # loadtxt does not skip whitespace-only lines itself
     lines = [line for line in _read_lines(path) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty matrix")
+    distinct: dict[str, int] = {}  # each distinct row, in first-seen order
+    row = [distinct.setdefault(line, len(distinct)) for line in lines]
+    parse = functools.partial(np.loadtxt, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
     try:
-        return np.loadtxt(lines, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        values = parse(list(distinct))
+    except ValueError:
+        try:  # parsed again in full, so that the message names the file's row
+            return parse(lines)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+    return values if len(distinct) == len(lines) else values[row]
 
 
 def write_matrix_rle(path: str | Path, values: np.ndarray) -> None:
@@ -550,8 +559,9 @@ def write_matrix_rle(path: str | Path, values: np.ndarray) -> None:
     ``count*value`` tokens (e.g. ``640*0,3*8``)."""
     arr = _matrix_rows(values)
     rows, cols = arr.shape
-    starts, token, text = _value_runs(arr)
+    starts, token, distinct = _value_runs(arr)
     lengths = np.diff(starts, append=arr.size)
+    text = [_fmt(v) for v in distinct]
     runs = [f"{n}*{text[t]}" for n, t in zip(lengths.tolist(), token.tolist())]
     first = np.searchsorted(starts, np.arange(rows + 1) * cols).tolist()
     lines = [",".join(runs[a:b]) for a, b in zip(first, first[1:])]

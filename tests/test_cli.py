@@ -25,6 +25,7 @@ from grayspace.griddata import (
     read_matrix_csv,
     read_matrix_rle,
     write_grid_csv,
+    write_matrix_rle,
 )
 from grayspace.linkbudget import OFCOM
 from grayspace.propagation import ENVIRONMENTS
@@ -618,6 +619,19 @@ class TestReport:
             (combo / "utilization_from_map.csv").read_bytes()
             == (combo / "utilization.csv").read_bytes()
         )
+
+    def test_rle_map_gives_the_csv_maps_bytes(self, workspace, tmp_path, capsys):
+        main(["simulate", "--config", str(workspace)])
+        combo = workspace.parent / "results" / "cpe-4w_KL2"
+        rle = tmp_path / "map.rle"
+        write_matrix_rle(rle, read_matrix_csv(combo / "map.csv"))
+        for stored_map, out in ((combo / "map.csv", "from-csv"), (rle, "from-rle")):
+            assert main(["report", "--config", str(workspace), "--map", str(stored_map),
+                         "--out", str(tmp_path / out)]) == 0
+        for name in ("cdf_from_map.csv", "utilization_from_map.csv"):
+            assert (tmp_path / "from-rle" / name).read_bytes() == (
+                tmp_path / "from-csv" / name
+            ).read_bytes()
 
     def test_without_grid_only_cdf(self, workspace, tmp_path, capsys):
         main(["simulate", "--config", str(workspace)])

@@ -457,6 +457,41 @@ def _disjoint_buckets(draw):
     return tuple(draw(st.permutations(buckets)))
 
 
+#: Both zeros, both NaN signs, both infinities, and level and bucket edges.
+_EDGE_VALUES = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 4.0, 8.0, 24.0, 64.0, 96.0, 120.0]
+
+
+@st.composite
+def _stored_maps(draw):
+    """A map made of runs over a few values, which cross row ends, and its
+    household counts (some past 2**53, so sums must stay integers)."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
+                         min_size=1, max_size=6))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2 * cols)),
+                         min_size=1, max_size=16))
+    cells = np.repeat(np.array([v for v, _ in runs]), [n for _, n in runs])
+    counts = draw(hnp.arrays(np.int64, (rows, cols),
+                             elements=st.sampled_from([0, 1, 3, 2**53 + 1])))
+    return np.resize(cells, (rows, cols)), counts
+
+
+def _per_cell_cdf(values, levels):
+    """The per-cell survival CDF cdf_from_map replaced; the oracle."""
+    flat = values[~np.isnan(values)]
+    if not flat.size:
+        return None
+    counts = np.array([(flat >= g).sum() for g in levels], dtype=np.int64)
+    return counts * (100.0 / flat.size)
+
+
+def _per_cell_utilization(values, counts, buckets):
+    """The per-cell bucket sums utilization_from_map replaced; the oracle."""
+    sums = [int(counts[bucket.contains(values)].sum()) for bucket in buckets]
+    sums.append(int(counts[~np.isnan(values)].sum()) - sum(sums))
+    return np.asarray(sums, dtype=np.float64)
+
+
 class TestMapStatistics:
     # 40 receiver cells at 100 m.  For a portable device, one KL3
     # realization leaves 88-120 MHz on them; KL1 leaves 0 MHz on them and
@@ -505,6 +540,32 @@ class TestMapStatistics:
                 again.mean_households.tobytes()
                 == result.utilization.mean_households.tobytes()
             ), knowledge
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stored=_stored_maps(),
+        levels=st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()), max_size=8),
+        buckets=_disjoint_buckets(),
+    )
+    # every household in a NaN cell
+    @example(stored=(np.array([[np.nan, 8.0], [-np.nan, 0.0]]), np.array([[5, 0], [2, 0]])),
+             levels=[120.0, 0.0, -0.0, 8.0], buckets=DEFAULT_BUCKETS)
+    # values on the edges of unsorted levels and of an open-ended bucket
+    @example(stored=(np.array([[0.0, -0.0, 96.0, np.inf], [64.0, 24.0, -np.inf, 96.0]]),
+                     np.array([[1, 2, 4, 8], [16, 32, 64, 2**53 + 1]])),
+             levels=[96.0, 0.0, np.inf, 24.0, -np.inf], buckets=DEFAULT_BUCKETS)
+    def test_statistics_match_per_cell_formulas(self, stored, levels, buckets):
+        values, counts = stored
+        want = _per_cell_cdf(values, levels)
+        if want is None:
+            with pytest.raises(DataError):
+                cdf_from_map(values, levels)
+        else:
+            assert cdf_from_map(values, levels).percent_area.tobytes() == want.tobytes()
+        table = utilization_from_map(values, counts, buckets)
+        assert table.mean_households.tobytes() == (
+            _per_cell_utilization(values, counts, buckets).tobytes()
+        )
 
     def test_other_bucket_collects_gaps(self):
         values = np.array([[0.0, 30.0, 70.0, 100.0, np.nan]])

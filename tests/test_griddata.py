@@ -508,6 +508,39 @@ class TestMatrixIO:
         with pytest.raises(DataError):
             read_matrix_csv(path)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(
+            st.sampled_from(["1,2,3", "nan,-0,0", " 4 ,inf,-nan", "1e3,2.5,-inf", "1,abc,3",
+                             "1,2", "1,2,3,4", "1,,3", "#x,1,2"]),
+            min_size=1, max_size=4, unique=True,
+        ),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["", "  ", None])),
+                       min_size=1, max_size=12),
+    )
+    # a bad token, then a ragged row, each first seen after repeated rows
+    @example(pool=["1,2,3", "1,abc,3"], picks=[(0, None), (0, ""), (0, None), (1, "  ")] * 2)
+    @example(pool=["nan,-0,0", "1,2"], picks=[(0, ""), (0, None), (1, None), (0, None)])
+    def test_csv_repeated_rows_read_as_every_row(self, pool, picks):
+        lines = []
+        for pick, blank in picks:
+            lines.append(pool[pick % len(pool)])
+            if blank is not None:
+                lines.append(blank)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text("\n".join(lines) + "\n")
+            rows = [line for line in lines if line.strip()]
+            try:
+                want = np.loadtxt(rows, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                with pytest.raises(DataError) as raised:
+                    read_matrix_csv(path)
+                assert str(raised.value) == f"{path}: {exc}"
+            else:
+                got = read_matrix_csv(path)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_rle_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         values = rng.integers(0, 3, (17, 23)).astype(float)
