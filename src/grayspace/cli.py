@@ -87,7 +87,7 @@ from .scenario import (
     ChannelPlan,
     KnowledgeConfig,
     gray_space_capacity,
-    slot_count,
+    slot_levels_mhz,
     slot_table,
     white_space_amount,
 )
@@ -540,24 +540,24 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     grid = load_grid_csv(args.grid, resolution_m=resolution, municipal_area_km2=area)
     compensated, invalidated = compensate_area(grid)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(out, compensated)
+    targets = [p for p in (args.out, args.valid_mask) if p is not None]
+    for target in targets:  # both, before either is written
+        _check_output_dir(target.parent)
+        if target.is_dir():
+            raise ConfigError(f"output file {target} is a directory")
+    for target in targets:
+        target.parent.mkdir(parents=True, exist_ok=True)
+    write_grid_csv(args.out, compensated)
     print(f"grid: {compensated.rows} rows x {compensated.cols} cols at "
           f"{_g(compensated.resolution_m)} m, {compensated.total_households} households")
     print(f"{invalidated} border cells invalidated "
           f"(municipal area {_g(compensated.municipal_area_km2)} km2, "
           f"valid cells {int(compensated.valid.sum())})")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     if args.valid_mask is not None:
-        mask_path = Path(args.valid_mask)
-        mask_path.parent.mkdir(parents=True, exist_ok=True)
-        mask = compensated.valid.astype(np.uint8)
-        if mask_path.suffix == ".rle":
-            write_matrix_rle(mask_path, mask)
-        else:
-            write_matrix_csv(mask_path, mask)
-        print(f"wrote {mask_path}")
+        write_mask = write_matrix_rle if args.valid_mask.suffix == ".rle" else write_matrix_csv
+        write_mask(args.valid_mask, compensated.valid.astype(np.uint8))
+        print(f"wrote {args.valid_mask}")
     return 0
 
 
@@ -649,7 +649,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     hata = {report.device.label: report.hata for report in _separation_reports(cfg)}
     combos = _combinations(cfg)
     grid, grid_path = _load_selected_grid(cfg)
-    _check_output_dir(cfg.out)
+    names = ["_".join(filter(None, (d.label, k.level, k.time_period))) for d, k in combos]
+    for outdir in [cfg.out, *(cfg.out / name for name in names)]:
+        _check_output_dir(outdir)
 
     results = run_combinations(
         grid,
@@ -663,9 +665,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     cfg.out.mkdir(parents=True, exist_ok=True)
-    for (device, knowledge), result in zip(combos, results):
-        period = knowledge.time_period
-        name = f"{device.label}_{knowledge.level}" + (f"_{period}" if period else "")
+    for (device, knowledge), name, result in zip(combos, names, results):
         outdir = cfg.out / name
         outdir.mkdir(parents=True, exist_ok=True)
         mean_mhz = float(np.nanmean(result.mean_map.values))
@@ -696,8 +696,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not map_path.is_file():
         raise DataError(f"map file not found: {map_path}")
     values = (read_matrix_rle if map_path.suffix == ".rle" else read_matrix_csv)(map_path)
-    levels = np.arange(slot_count(cfg.plan) + 1) * cfg.plan.channel_bandwidth_mhz
-    cdf = cdf_from_map(values, levels)
+    cdf = cdf_from_map(values, slot_levels_mhz(cfg.plan))
     table = None
     if cfg.grid_path is not None or cfg.grid_paths:
         grid, _ = _load_selected_grid(cfg)

@@ -19,6 +19,10 @@ slot count.  The outputs are read from these once, after the sweep:
 * a survival-form CDF: percent of valid area with at least g MHz free,
 * a household utilization table over configurable MHz buckets.
 
+Both tables are read off a (value MHz, cells, households) histogram by
+:func:`_survival` and :func:`_bucket_sums`: here the slot levels and a pair's
+histogram, in the ``report`` command a stored map's distinct values.
+
 All per-realization quantities are integers (slot counts, cell counts,
 household sums), and workers return integer partial sums, so results are
 bit-identical for any worker count, and each pair's result is the same
@@ -44,7 +48,7 @@ from .linkbudget import (
     separation_report,
 )
 from .propagation import HataParams
-from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage, slot_count, slot_table
+from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage, slot_levels_mhz, slot_table
 
 OTHER_BUCKET_LABEL = "other"
 
@@ -138,7 +142,6 @@ class CdfCurve:
 
     levels_mhz: np.ndarray
     percent_area: np.ndarray
-    realizations: int
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,6 @@ class UtilizationTable:
 
     labels: tuple[str, ...]
     mean_households: np.ndarray
-    realizations: int
 
 
 @dataclass(frozen=True)
@@ -426,32 +428,18 @@ def run_combinations(
     ]
     pair_devices = [d for d, _, _ in sweep.pairs]
     bandwidth = plan.channel_bandwidth_mhz
-    n_valid = int(grid.valid.sum())
-    labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
-    slot_mhz = np.arange(slot_count(plan) + 1) * bandwidth
-    slot_bucket = np.full(len(slot_mhz), len(buckets))  # "other" last
-    for b, bucket in enumerate(buckets):
-        slot_bucket[bucket.contains(slot_mhz)] = b
+    levels = slot_levels_mhz(plan)
 
     # results() does not see the sweep, so the receiver bitsets are freed
     # when this returns; it drops each pair's totals once used.
     def results() -> Iterator[MonteCarloResult]:
         for d, n in zip(pair_devices, effective):
-            slot_sum, hist = totals.pop(0)
+            slot_sum, (cells, households) = totals.pop(0)
             segment_class, lengths, co_radius, adj_radius, warnings = devices[d]
-            count_ge = hist[0, ::-1].cumsum()[::-1]
-            households = np.zeros(len(labels), dtype=np.int64)
-            np.add.at(households, slot_bucket, hist[1])
             yield MonteCarloResult(
                 mean_map=_mean_map(slot_sum * (bandwidth / n), segment_class, lengths, grid),
-                cdf=CdfCurve(
-                    levels_mhz=np.arange(len(count_ge)) * bandwidth,
-                    percent_area=count_ge * (100.0 / (n * n_valid)),
-                    realizations=realizations,
-                ),
-                utilization=UtilizationTable(
-                    labels=labels, mean_households=households / n, realizations=realizations
-                ),
+                cdf=_survival(levels, cells, levels),
+                utilization=_bucket_sums(levels, households, buckets, n),
                 realizations=realizations,
                 master_seed=master_seed,
                 co_radius_m=co_radius,
@@ -483,31 +471,45 @@ def run_monte_carlo(
 
 
 # ---------------------------------------------------------------------------
-# statistics over stored maps (used by the report command): cells and
-# households are summed per distinct value over the map's runs
+# the tables, from distinct values (MHz) with their cells and households:
+# the slot levels for a sweep, a stored map's values for the report command
+
+
+def _survival(value: np.ndarray, cells: np.ndarray, levels: np.ndarray) -> CdfCurve:
+    """Percent of the cells whose value is at least each level."""
+    percent = ((value >= levels[:, None]) @ cells) * (100.0 / cells.sum())
+    return CdfCurve(levels_mhz=levels, percent_area=percent)
+
+
+def _bucket_sums(
+    value: np.ndarray, households: np.ndarray, buckets: Sequence[Bucket], n: int = 1
+) -> UtilizationTable:
+    """Households per bucket, then in none of them, averaged over ``n`` realizations."""
+    # disjoint buckets: "other" is every household not in one
+    sums = [households[bucket.contains(value)].sum() for bucket in buckets]
+    sums.append(households.sum() - sum(sums))
+    labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
+    return UtilizationTable(labels=labels, mean_households=np.array(sums) / n)
 
 
 def _value_totals(values: np.ndarray, weights: np.ndarray | None = None):
-    """A map's distinct values, each with its cell count or its sum of ``weights``."""
+    """A map's distinct non-NaN values, each with its cell count or sum of ``weights``."""
     arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
     starts, token, distinct = _value_runs(arr)
     per_run = (np.diff(starts, append=arr.size) if weights is None
                else np.add.reduceat(weights.ravel(), starts))
     totals = np.zeros(distinct.size, dtype=np.int64)
     np.add.at(totals, token, per_run)
-    return distinct, totals
+    valid = ~np.isnan(distinct)
+    return distinct[valid], totals[valid]
 
 
 def cdf_from_map(values: np.ndarray, levels_mhz: Sequence[float]) -> CdfCurve:
     """Survival CDF of a single stored map; NaN cells are outside the area."""
     value, cells = _value_totals(values)
-    n_valid = int(cells[~np.isnan(value)].sum())
-    if n_valid == 0:
+    if not cells.sum():
         raise DataError("map has no valid cells")
-    levels = np.asarray(list(levels_mhz), dtype=np.float64)
-    counts = (value >= levels[:, None]) @ cells
-    percent = counts * (100.0 / n_valid)
-    return CdfCurve(levels_mhz=levels, percent_area=percent, realizations=1)
+    return _survival(value, cells, np.asarray(list(levels_mhz), dtype=np.float64))
 
 
 def utilization_from_map(
@@ -519,16 +521,7 @@ def utilization_from_map(
     if arr.shape != counts.shape:
         raise DataError("map and household grid shapes differ")
     _check_bucket_overlap(buckets)
-    value, households = _value_totals(arr, counts)
-    # disjoint buckets: "other" is every valid cell's households not in one
-    sums = [int(households[bucket.contains(value)].sum()) for bucket in buckets]
-    sums.append(int(households[~np.isnan(value)].sum()) - sum(sums))
-    labels = tuple(b.label for b in buckets) + (OTHER_BUCKET_LABEL,)
-    return UtilizationTable(
-        labels=labels,
-        mean_households=np.asarray(sums, dtype=np.float64),
-        realizations=1,
-    )
+    return _bucket_sums(*_value_totals(arr, counts), buckets)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,11 @@ def slot_count(plan: ChannelPlan) -> int:
     return len(plan.used_channels) + len(plan.adjacent_entries())
 
 
+def slot_levels_mhz(plan: ChannelPlan) -> np.ndarray:
+    """The MHz of every usable-slot count from 0 to all: the CDF's levels."""
+    return np.arange(slot_count(plan) + 1) * plan.channel_bandwidth_mhz
+
+
 def slot_table(plan: ChannelPlan) -> np.ndarray:
     """Usable slots of a cell per key ``co | adj << 5``, for all 1,024 keys.
 

@@ -261,32 +261,45 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command", ["simulate", "simulate-under", "linkbudget", "ingest"],
+        "command",
+        ["simulate", "simulate-under", "linkbudget", "ingest",
+         "ingest-mask", "ingest-mask-dir", "simulate-combination"],
         ids=["simulate-out-is-a-file", "simulate-out-under-a-file",
-             "linkbudget-csv-is-a-directory", "ingest-out-under-a-file"],
+             "linkbudget-csv-is-a-directory", "ingest-out-under-a-file",
+             "ingest-mask-under-a-file", "ingest-mask-is-a-directory",
+             "simulate-combination-dir-is-a-file"],
     )
     def test_unwritable_output_is_2(self, workspace, tmp_path, capsys, monkeypatch, command):
-        taken = tmp_path / "taken"
-        if command == "linkbudget":
+        # the second of the workspace's two combinations
+        taken = tmp_path / ("cpe-4w_KL2" if command == "simulate-combination" else "taken")
+        if command in ("linkbudget", "ingest-mask-dir"):
             taken.mkdir()
         else:
             taken.write_text("keep\n")
+        before = sorted(tmp_path.rglob("*"))
         # an unusable --out is rejected before the sweep runs
         sweep = mock.Mock(side_effect=AssertionError("the sweep ran"))
         monkeypatch.setattr(cli, "run_combinations", sweep)
+        town, grid_out = str(tmp_path / "town.csv"), str(tmp_path / "o" / "n.csv")
         argv = {
             "simulate": ["simulate", "--config", str(workspace), "--out", str(taken)],
             "simulate-under": ["simulate", "--config", str(workspace),
                                "--out", str(taken / "a" / "b")],
             "linkbudget": ["linkbudget", "--config", str(workspace), "--csv", str(taken)],
-            "ingest": ["ingest", str(tmp_path / "town.csv"), "--out", str(taken / "town.csv")],
+            "ingest": ["ingest", town, "--out", str(taken / "town.csv")],
+            "ingest-mask": ["ingest", town, "--out", grid_out,
+                            "--valid-mask", str(taken / "mask.csv")],
+            "ingest-mask-dir": ["ingest", town, "--out", grid_out, "--valid-mask", str(taken)],
+            "simulate-combination": ["simulate", "--config", str(workspace),
+                                     "--out", str(tmp_path)],
         }[command]
         assert main(argv) == 2
         assert not sweep.called
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert str(taken) in err and "Traceback" not in err
-        if command == "linkbudget":
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
+        if taken.is_dir():
             assert list(taken.iterdir()) == []
         else:
             assert taken.read_text() == "keep\n"

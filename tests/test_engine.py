@@ -276,30 +276,36 @@ class TestMultiWordReceivers:
     def test_totals_are_sums_over_single_realizations(self):
         # The CDF and utilization are read from totals summed over the
         # realizations; each count must equal the sum of the same count
-        # taken from every realization's own map.
+        # taken from every realization's own map.  The second bucket set has
+        # gaps, a point bucket and an open bucket.
         R, seed = 5, 17
         pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]
-        results = run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=R,
-                                   master_seed=seed)
         n_valid = int(self.GRID.valid.sum())
-        for (device, hata, knowledge), result in zip(pairs, results, strict=True):
-            area, households = [], []
-            for r in range(R):
-                values = single_realization_map(
-                    self.GRID, device, OFCOM, hata, PLAN, knowledge, seed, r
-                ).values
-                percent = cdf_from_map(values, result.cdf.levels_mhz).percent_area
-                area.append(np.rint(percent * n_valid / 100.0))
-                households.append(
-                    utilization_from_map(values, self.GRID.counts, DEFAULT_BUCKETS).mean_households
-                )
-            assert len({a.tobytes() for a in area}) > 1  # the realizations differ
-            assert np.array_equal(
-                np.rint(result.cdf.percent_area * R * n_valid / 100.0), np.sum(area, axis=0)
-            ), (device.label, knowledge.level)
-            assert np.array_equal(
-                np.rint(result.utilization.mean_households * R), np.sum(households, axis=0)
-            ), (device.label, knowledge.level)
+        for buckets in (DEFAULT_BUCKETS, parse_buckets("0-0,40-88,104<")):
+            results = run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=R,
+                                       master_seed=seed, buckets=buckets)
+            filled = np.zeros(len(buckets) + 1, dtype=bool)
+            for (device, hata, knowledge), result in zip(pairs, results, strict=True):
+                area, households = [], []
+                for r in range(R):
+                    values = single_realization_map(
+                        self.GRID, device, OFCOM, hata, PLAN, knowledge, seed, r
+                    ).values
+                    percent = cdf_from_map(values, result.cdf.levels_mhz).percent_area
+                    area.append(np.rint(percent * n_valid / 100.0))
+                    households.append(
+                        utilization_from_map(values, self.GRID.counts, buckets).mean_households
+                    )
+                assert len({a.tobytes() for a in area}) > 1  # the realizations differ
+                where = (device.label, knowledge.level, buckets[0].label)
+                assert np.array_equal(
+                    np.rint(result.cdf.percent_area * R * n_valid / 100.0), np.sum(area, axis=0)
+                ), where
+                assert np.array_equal(
+                    np.rint(result.utilization.mean_households * R), np.sum(households, axis=0)
+                ), where
+                filled |= result.utilization.mean_households > 0
+            assert filled[:-1].all()  # every configured bucket is exercised
 
     def test_bit_identical_across_worker_counts(self):
         pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]

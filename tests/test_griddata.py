@@ -309,7 +309,32 @@ def segment_coverage(mask, fp):
     return np.repeat(bits.any(axis=0), np.diff(starts, append=mask.size)).reshape(mask.shape)
 
 
-class TestDilate:
+def footprint_stamp(mask, fp):
+    """Cells covered by stamping the footprint's rows at every receiver,
+    cell by cell."""
+    rows, cols = mask.shape
+    out = np.zeros_like(mask)
+    for r, c in zip(*np.nonzero(mask)):
+        for dy in range(-fp.reach, fp.reach + 1):
+            i = r + dy
+            if not 0 <= i < rows:
+                continue
+            w = int(fp.halfwidths[dy + fp.reach])
+            for j in range(max(0, c - w), min(cols, c + w + 1)):
+                out[i, j] = True
+    return out
+
+
+def _disc(reach):
+    fp = protection_disc_offsets(reach * 1000.0, 1000.0)
+    assert fp.reach == reach
+    return fp
+
+
+class TestSegmentCoverage:
+    """A cell is covered where the receiver bitset of its segment, as cut by
+    ``receiver_segments``, is non-zero; that must match both oracles."""
+
     def test_against_naive_scan(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -320,6 +345,16 @@ class TestDilate:
             got = segment_coverage(mask, fp)
             want = naive_protection_scan(mask, radius, 1000.0)
             assert np.array_equal(got, want)
+
+    def test_against_footprint_stamp(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(25):
+            rows = int(rng.integers(1, 40))
+            cols = int(rng.integers(1, 40))
+            fp = _disc(int(rng.integers(1, 12)))
+            mask = rng.random((rows, cols)) < 0.08
+            got = segment_coverage(mask, fp)
+            assert np.array_equal(got, footprint_stamp(mask, fp)), (rows, cols, fp.reach)
 
     def test_distributes_over_union(self):
         rng = np.random.default_rng(4)
@@ -333,6 +368,28 @@ class TestDilate:
     def test_empty_mask(self):
         fp = protection_disc_offsets(2000.0, 1000.0)
         assert not segment_coverage(np.zeros((5, 8), dtype=bool), fp).any()
+
+    def test_empty_seeds(self):
+        mask = np.zeros((5, 9), dtype=bool)
+        assert not segment_coverage(mask, _disc(4)).any()
+
+    def test_reach_one_is_three_by_three(self):
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[2, 2] = True
+        out = segment_coverage(mask, _disc(1))
+        assert out.sum() == 9 and out[1:4, 1:4].all()
+
+    def test_tiny_grids(self):
+        mask = np.ones((1, 1), dtype=bool)
+        assert segment_coverage(mask, _disc(30)).all()
+        mask = np.ones((1, 7), dtype=bool)
+        assert segment_coverage(mask, _disc(2)).all()
+
+    def test_output_fresh_and_bool(self):
+        mask = np.zeros((4, 4), dtype=bool)
+        out = segment_coverage(mask, _disc(3))
+        assert out.dtype == np.bool_
+        assert out is not mask
 
 
 @st.composite

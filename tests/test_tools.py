@@ -14,6 +14,6 @@ def test_make_grids_reproduces_shipped_data(tmp_path, data_dir):
     )
     shipped = sorted(p.name for p in data_dir.glob("*.csv"))
     assert shipped == sorted(p.name for p in tmp_path.iterdir())
-    assert len(shipped) == 5
+    assert len(shipped) == 7
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name

@@ -4,6 +4,9 @@ The grids are synthetic but structured like municipal census rasters:
 ``scattered`` spreads villages across the area, ``clustered`` concentrates
 them around a town center, and ``vinje_synthetic`` has a municipal area
 smaller than its bounding box so border compensation has work to do.
+The ``*_dense_100m`` towns spread each household of the 1 km towns over the
+subcells around its cell's centre, so they have far more receiver cells
+than the refined ``*_100m`` grids.
 Deterministic: re-running reproduces the shipped files byte for byte.
 """
 
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from grayspace import ingest_grid, refine_grid, write_grid_csv
+from grayspace import HouseholdGrid, ingest_grid, refine_grid, write_grid_csv
 
 SIZE = 64  # cells per side at 1 km
 REFINE = 10  # 1 km -> 100 m
@@ -74,6 +77,19 @@ def vinje_synthetic(rng: np.random.Generator) -> dict[tuple[int, int], int]:
     return cells
 
 
+def dense(coarse: HouseholdGrid, rng: np.random.Generator) -> HouseholdGrid:
+    """``coarse`` at 100 m with each household, drawn per 1 km cell in
+    ``np.nonzero`` order, in one of the 3x3 subcells around the centre
+    subcell that ``refine_grid`` uses."""
+    fine = refine_grid(coarse, REFINE)
+    counts = np.zeros_like(fine.counts)
+    corner = REFINE // 2 - 1
+    for r, c in zip(*np.nonzero(coarse.counts)):
+        s = rng.integers(0, 9, size=coarse.counts[r, c])
+        np.add.at(counts, (REFINE * r + corner + s // 3, REFINE * c + corner + s % 3), 1)
+    return HouseholdGrid(counts, fine.valid, fine.resolution_m, fine.municipal_area_km2)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -83,9 +99,10 @@ def main() -> None:
     args.out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(20260816)
 
+    towns = {}
     for name, maker in (("scattered", scattered), ("clustered", clustered)):
         records = [(x, y, n) for (x, y), n in maker(rng).items()]
-        coarse = ingest_grid(records, resolution_m=1000.0, rows=SIZE, cols=SIZE)
+        coarse = towns[name] = ingest_grid(records, resolution_m=1000.0, rows=SIZE, cols=SIZE)
         write_grid_csv(args.out / f"{name}_1km.csv", coarse)
         write_grid_csv(args.out / f"{name}_100m.csv", refine_grid(coarse, REFINE))
         print(f"{name}: {coarse.total_households} households in "
@@ -98,6 +115,13 @@ def main() -> None:
     write_grid_csv(args.out / "vinje_synthetic_1km.csv", grid)
     print(f"vinje_synthetic: {grid.total_households} households in "
           f"{len(records)} cells, municipal area {grid.municipal_area_km2} km2")
+
+    rng = np.random.default_rng(2012)  # scattered, then clustered
+    for name, coarse in towns.items():
+        grid = dense(coarse, rng)
+        write_grid_csv(args.out / f"{name}_dense_100m.csv", grid)
+        print(f"{name}_dense: {grid.total_households} households in "
+              f"{np.count_nonzero(grid.counts)} cells")
 
 
 if __name__ == "__main__":
