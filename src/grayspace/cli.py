@@ -21,12 +21,13 @@ kind), defines them: ``load_run_config`` parses with it, the command-line
 options named after [run] keys are parsed and checked as those keys, and
 ``summary.txt`` is written from it.  Relative paths resolve against the
 config file's directory (on the command line, the working directory).
-``simulate`` checks every combination and that the output directory can
-be used or created, and runs the Monte Carlo sweep before it creates that
-directory, then writes one directory per combination containing
-``map.csv``, ``cdf.csv``, ``utilization.csv`` and ``summary.txt``; the summary is a config pinned to that combination, and it
-parses back to the same values, so feeding it back to ``simulate``
-reproduces the run.
+``simulate`` writes one directory per combination with ``map.csv``,
+``cdf.csv``, ``utilization.csv`` and ``summary.txt``, a config pinned to
+that combination: it parses back to the same values, so feeding it back to
+``simulate`` reproduces the run.  Every command checks all of its output
+files before it writes any (``simulate``: before the sweep) and renames
+them into place only once all are written, so a failed command leaves
+every output file as it was.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 anything else.
 """
@@ -35,17 +36,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import functools
 import math
 import os
 import re
 import sys
-import tempfile
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .engine import (
 from .errors import ConfigError, DataError, DomainError, GrayspaceError
 from .griddata import (
     HouseholdGrid,
+    _fmt,
     compensate_area,
     load_grid_csv,
     read_matrix_csv,
@@ -94,10 +96,6 @@ from .scenario import (
 
 _GRID_PATH_RE = re.compile(r"^path_(\d+(?:\.\d+)?)m$")
 _DEVICE_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-
-def _g(value: float) -> str:
-    return f"{value:.10g}"
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,7 @@ class _Kind:
 
 def _float_text(value: float) -> str:
     """``%.10g`` where that reads back as the same float, else ``repr``."""
-    short = f"{value:.10g}"
+    short = _fmt(value)
     return short if float(short) == value else repr(float(value))
 
 
@@ -401,8 +399,8 @@ def _select_grid_path(cfg: RunConfig) -> Path:
         return cfg.grid_paths[cfg.resolution]
     if cfg.resolution is not None:
         raise ConfigError(
-            f"no grid for resolution {_g(cfg.resolution)} m; available: "
-            f"{', '.join(_g(r) + ' m' for r in sorted(cfg.grid_paths))}"
+            f"no grid for resolution {_fmt(cfg.resolution)} m; available: "
+            f"{', '.join(_fmt(r) + ' m' for r in sorted(cfg.grid_paths))}"
         )
     if len(cfg.grid_paths) == 1:
         return next(iter(cfg.grid_paths.values()))
@@ -418,21 +416,21 @@ def _load_selected_grid(cfg: RunConfig) -> tuple[HouseholdGrid, Path]:
     grid = load_grid_csv(grid_path)
     if cfg.resolution is not None and grid.resolution_m != cfg.resolution:
         raise ConfigError(
-            f"configured resolution {_g(cfg.resolution)} m but {grid_path} "
-            f"declares {_g(grid.resolution_m)} m"
+            f"configured resolution {_fmt(cfg.resolution)} m but {grid_path} "
+            f"declares {_fmt(grid.resolution_m)} m"
         )
     for res, p in cfg.grid_paths.items():
         if p == grid_path and grid.resolution_m != res:
             raise ConfigError(
-                f"[grid] key path_{_g(res)}m points at a file declaring "
-                f"{_g(grid.resolution_m)} m"
+                f"[grid] key path_{_fmt(res)}m points at a file declaring "
+                f"{_fmt(grid.resolution_m)} m"
             )
     # The CSV format carries the municipal area, not the validity mask, so
     # compensation is re-derived at load time (deterministic border scan).
     grid, invalidated = compensate_area(grid)
     if invalidated:
         print(f"# {invalidated} border cells invalidated to match municipal "
-              f"area {_g(grid.municipal_area_km2)} km2")
+              f"area {_fmt(grid.municipal_area_km2)} km2")
     return grid, grid_path
 
 
@@ -460,6 +458,39 @@ def _separation_reports(cfg: RunConfig) -> list[SeparationReport]:
         except DomainError as exc:
             raise ConfigError(f"[hata] with [device.{device.label}]: {exc}") from None
     return reports
+
+
+@contextlib.contextmanager
+def _publishing(targets: Iterable[Path]) -> Iterator[Callable[[Path], Path]]:
+    """Check every output file, creating nothing; the body writes each to
+    ``stage(target)``, a file beside it.  On success the stages are renamed
+    onto their targets one by one, so other files in an output directory are
+    kept; on failure they are deleted, and every target is left as it was."""
+    checked: dict[Path, Path] = {}  # resolved path -> target
+    for target in targets:
+        ancestor = next(p for p in target.parents if p.exists())
+        if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise ConfigError(f"output directory {target.parent} cannot be created: "
+                              f"{ancestor} is not a writable directory")
+        if target.is_dir():
+            raise ConfigError(f"output file {target} is a directory")
+        if (key := target.resolve()) in checked:
+            raise ConfigError(f"output files {checked[key]} and {target} are the same file")
+        checked[key] = target
+    staged: dict[Path, Path] = {}
+
+    def stage(target: Path) -> Path:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staged[target] = target.with_name(f".{target.name}.partial")
+        return staged[target]
+
+    try:
+        yield stage
+        for target, path in staged.items():
+            os.replace(path, target)
+    finally:  # after publication, only the stages of a failed rename are left
+        for path in staged.values():
+            path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -499,32 +530,32 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
                     quantize_distance(distance, res),
                 ))
 
-    print(f"criteria: {cfg.criteria.label}")
-    header = (
-        f"{'device':<16} {'relation':<9} {'res_m':>7} {'field_dbuvm':>12} "
-        f"{'min_loss_db':>12} {'distance_m':>12} {'quantized_m':>12}"
-    )
-    print(header)
-    for label, relation, res, field, loss, distance, quantized in rows:
-        print(
-            f"{label:<16} {relation:<9} {_g(res):>7} {_g(field):>12} "
-            f"{_g(loss):>12} {distance:>12.1f} {_g(quantized):>12}"
+    with _publishing([args.csv] if args.csv is not None else []) as stage:
+        print(f"criteria: {cfg.criteria.label}")
+        header = (
+            f"{'device':<16} {'relation':<9} {'res_m':>7} {'field_dbuvm':>12} "
+            f"{'min_loss_db':>12} {'distance_m':>12} {'quantized_m':>12}"
         )
-    for warning in dict.fromkeys(warnings):
-        print(f"# warning: {warning}")
-
-    if args.csv is not None:
-        lines = ["device,relation,resolution_m,field_dbuvm,min_loss_db,"
-                 "min_distance_m,quantized_distance_m"]
+        print(header)
         for label, relation, res, field, loss, distance, quantized in rows:
-            lines.append(
-                f"{label},{relation},{_g(res)},{_g(field)},{_g(loss)},"
-                f"{_g(distance)},{_g(quantized)}"
+            print(
+                f"{label:<16} {relation:<9} {_fmt(res):>7} {_fmt(field):>12} "
+                f"{_fmt(loss):>12} {distance:>12.1f} {_fmt(quantized):>12}"
             )
-        csv_path = Path(args.csv)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        csv_path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {csv_path}")
+        for warning in dict.fromkeys(warnings):
+            print(f"# warning: {warning}")
+
+        if args.csv is not None:
+            lines = ["device,relation,resolution_m,field_dbuvm,min_loss_db,"
+                     "min_distance_m,quantized_distance_m"]
+            for label, relation, res, field, loss, distance, quantized in rows:
+                lines.append(
+                    f"{label},{relation},{_fmt(res)},{_fmt(field)},{_fmt(loss)},"
+                    f"{_fmt(distance)},{_fmt(quantized)}"
+                )
+            stage(args.csv).write_text("\n".join(lines) + "\n")
+    if args.csv is not None:
+        print(f"wrote {args.csv}")
     return 0
 
 
@@ -541,23 +572,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     grid = load_grid_csv(args.grid, resolution_m=resolution, municipal_area_km2=area)
     compensated, invalidated = compensate_area(grid)
     targets = [p for p in (args.out, args.valid_mask) if p is not None]
-    for target in targets:  # both, before either is written
-        _check_output_dir(target.parent)
-        if target.is_dir():
-            raise ConfigError(f"output file {target} is a directory")
-    for target in targets:
-        target.parent.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(args.out, compensated)
+    with _publishing(targets) as stage:
+        write_grid_csv(stage(args.out), compensated)
+        if args.valid_mask is not None:
+            write_mask = write_matrix_rle if args.valid_mask.suffix == ".rle" else write_matrix_csv
+            write_mask(stage(args.valid_mask), compensated.valid.astype(np.uint8))
     print(f"grid: {compensated.rows} rows x {compensated.cols} cols at "
-          f"{_g(compensated.resolution_m)} m, {compensated.total_households} households")
+          f"{_fmt(compensated.resolution_m)} m, {compensated.total_households} households")
     print(f"{invalidated} border cells invalidated "
-          f"(municipal area {_g(compensated.municipal_area_km2)} km2, "
+          f"(municipal area {_fmt(compensated.municipal_area_km2)} km2, "
           f"valid cells {int(compensated.valid.sum())})")
-    print(f"wrote {args.out}")
-    if args.valid_mask is not None:
-        write_mask = write_matrix_rle if args.valid_mask.suffix == ".rle" else write_matrix_csv
-        write_mask(args.valid_mask, compensated.valid.astype(np.uint8))
-        print(f"wrote {args.valid_mask}")
+    for target in targets:
+        print(f"wrote {target}")
     return 0
 
 
@@ -619,28 +645,15 @@ def _summary_text(
     lines += [
         "",
         "[result]",
-        f"co_radius_m = {_g(result.co_radius_m)}",
-        f"adjacent_radius_m = {_g(result.adjacent_radius_m)}",
-        f"capacity_mhz = {_g(gray_space_capacity(cfg.plan))}",
-        f"white_space_mhz = {_g(white_space_amount(cfg.plan))}",
+        f"co_radius_m = {_fmt(result.co_radius_m)}",
+        f"adjacent_radius_m = {_fmt(result.adjacent_radius_m)}",
+        f"capacity_mhz = {_fmt(gray_space_capacity(cfg.plan))}",
+        f"white_space_mhz = {_fmt(white_space_amount(cfg.plan))}",
         f"valid_cells = {int(grid.valid.sum())}",
         f"total_households = {grid.total_households}",
-        f"mean_gray_space_mhz = {_g(mean_mhz)}",
+        f"mean_gray_space_mhz = {_fmt(mean_mhz)}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def _check_output_dir(path: Path) -> None:
-    """Reject, without creating anything, a directory path that is an
-    existing non-directory or whose nearest existing ancestor is not a
-    writable directory."""
-    if path.exists() and not path.is_dir():
-        raise ConfigError(f"output directory {path} exists and is not a directory")
-    ancestor = next(p for p in (path, *path.parents) if p.exists())
-    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
-        raise ConfigError(
-            f"output directory {path} cannot be created: {ancestor} is not a writable directory"
-        )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -650,37 +663,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     combos = _combinations(cfg)
     grid, grid_path = _load_selected_grid(cfg)
     names = ["_".join(filter(None, (d.label, k.level, k.time_period))) for d, k in combos]
-    for outdir in [cfg.out, *(cfg.out / name for name in names)]:
-        _check_output_dir(outdir)
-
-    results = run_combinations(
-        grid,
-        [(device, hata[device.label], knowledge) for device, knowledge in combos],
-        cfg.criteria,
-        cfg.plan,
-        realizations=cfg.realizations,
-        master_seed=cfg.seed,
-        buckets=cfg.buckets,
-        workers=cfg.workers,
-    )
-
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    for (device, knowledge), name, result in zip(combos, names, results):
-        outdir = cfg.out / name
-        outdir.mkdir(parents=True, exist_ok=True)
-        mean_mhz = float(np.nanmean(result.mean_map.values))
-        with tempfile.TemporaryDirectory(dir=cfg.out, prefix=".stage-") as tmp:
-            stage = Path(tmp)
-            write_matrix_csv(stage / "map.csv", result.mean_map.values)
-            write_cdf_csv(stage / "cdf.csv", result.cdf)
-            write_utilization_csv(stage / "utilization.csv", result.utilization)
-            (stage / "summary.txt").write_text(
+    files = ("map.csv", "cdf.csv", "utilization.csv", "summary.txt")
+    with _publishing(cfg.out / name / f for name in names for f in files) as stage:
+        results = run_combinations(
+            grid,
+            [(device, hata[device.label], knowledge) for device, knowledge in combos],
+            cfg.criteria,
+            cfg.plan,
+            realizations=cfg.realizations,
+            master_seed=cfg.seed,
+            buckets=cfg.buckets,
+            workers=cfg.workers,
+        )
+        for (device, knowledge), name, result in zip(combos, names, results):
+            map_path, cdf_path, table_path, summary_path = (cfg.out / name / f for f in files)
+            mean_mhz = float(np.nanmean(result.mean_map.values))
+            write_matrix_csv(stage(map_path), result.mean_map.values)
+            write_cdf_csv(stage(cdf_path), result.cdf)
+            write_utilization_csv(stage(table_path), result.utilization)
+            stage(summary_path).write_text(
                 _summary_text(cfg, device, knowledge, grid, grid_path, result, mean_mhz)
             )
-            for fname in ("map.csv", "cdf.csv", "utilization.csv", "summary.txt"):
-                os.replace(stage / fname, outdir / fname)
-        print(f"{name}: mean gray space {mean_mhz:.1f} MHz "
-              f"over {int(grid.valid.sum())} valid cells -> {outdir}")
+            print(f"{name}: mean gray space {mean_mhz:.1f} MHz "
+                  f"over {int(grid.valid.sum())} valid cells -> {cfg.out / name}")
     print(f"{len(combos)} result set(s) in {cfg.out}")
     return 0
 
@@ -695,25 +700,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
     map_path = Path(args.map_path)
     if not map_path.is_file():
         raise DataError(f"map file not found: {map_path}")
-    values = (read_matrix_rle if map_path.suffix == ".rle" else read_matrix_csv)(map_path)
-    cdf = cdf_from_map(values, slot_levels_mhz(cfg.plan))
-    table = None
-    if cfg.grid_path is not None or cfg.grid_paths:
-        grid, _ = _load_selected_grid(cfg)
-        if grid.counts.shape != values.shape:
-            raise DataError(
-                f"map shape {values.shape} does not match grid shape {grid.counts.shape}"
-            )
-        table = utilization_from_map(values, grid.counts, cfg.buckets)
-
     outdir = Path(args.out) if args.out is not None else map_path.parent
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_cdf_csv(outdir / "cdf_from_map.csv", cdf)
-    written = [outdir / "cdf_from_map.csv"]
-    if table is not None:
-        write_utilization_csv(outdir / "utilization_from_map.csv", table)
-        written.append(outdir / "utilization_from_map.csv")
-    for p in written:
+    targets = [outdir / "cdf_from_map.csv"]
+    if cfg.grid_path is not None or cfg.grid_paths:
+        targets.append(outdir / "utilization_from_map.csv")
+    with _publishing(targets) as stage:
+        values = (read_matrix_rle if map_path.suffix == ".rle" else read_matrix_csv)(map_path)
+        cdf = cdf_from_map(values, slot_levels_mhz(cfg.plan))
+        if len(targets) > 1:  # checked before staging, so a bad grid makes no directory
+            grid, _ = _load_selected_grid(cfg)
+            if grid.counts.shape != values.shape:
+                raise DataError(
+                    f"map shape {values.shape} does not match grid shape {grid.counts.shape}"
+                )
+            table = utilization_from_map(values, grid.counts, cfg.buckets)
+            write_utilization_csv(stage(targets[1]), table)
+        write_cdf_csv(stage(targets[0]), cdf)
+    for p in targets:
         print(f"wrote {p}")
     print("note: statistics of the stored mean map; they equal averaged "
           "per-realization statistics only where the map is deterministic")
@@ -770,12 +773,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # Every input read raises DataError or ConfigError instead, so this
-        # is an output location that cannot be written.
+    except (ConfigError, OSError) as exc:
+        # Every input read raises DataError or ConfigError, so an OSError is
+        # an output location that cannot be written.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

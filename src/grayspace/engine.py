@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .griddata import HouseholdGrid, _value_runs, protection_disc_offsets, receiver_segments
+from .griddata import HouseholdGrid, _fmt, _value_runs, protection_disc_offsets, receiver_segments
 from .linkbudget import (
     DeviceProfile,
     ProtectionCriteria,
@@ -531,7 +531,7 @@ def utilization_from_map(
 def write_cdf_csv(path: str | Path, cdf: CdfCurve) -> None:
     lines = ["gray_mhz,percent_area"]
     for level, percent in zip(cdf.levels_mhz, cdf.percent_area):
-        lines.append(f"{level:.10g},{percent:.10g}")
+        lines.append(f"{_fmt(level)},{_fmt(percent)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -25,6 +26,7 @@ from grayspace.griddata import (
     read_matrix_csv,
     read_matrix_rle,
     write_grid_csv,
+    write_matrix_csv,
     write_matrix_rle,
 )
 from grayspace.linkbudget import OFCOM
@@ -263,20 +265,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command",
         ["simulate", "simulate-under", "linkbudget", "ingest",
-         "ingest-mask", "ingest-mask-dir", "simulate-combination"],
+         "ingest-mask", "ingest-mask-dir", "simulate-combination",
+         "simulate-combination-file", "report-table"],
         ids=["simulate-out-is-a-file", "simulate-out-under-a-file",
              "linkbudget-csv-is-a-directory", "ingest-out-under-a-file",
              "ingest-mask-under-a-file", "ingest-mask-is-a-directory",
-             "simulate-combination-dir-is-a-file"],
+             "simulate-combination-dir-is-a-file",
+             "simulate-combination-file-is-a-directory", "report-table-is-a-directory"],
     )
     def test_unwritable_output_is_2(self, workspace, tmp_path, capsys, monkeypatch, command):
         # the second of the workspace's two combinations
-        taken = tmp_path / ("cpe-4w_KL2" if command == "simulate-combination" else "taken")
-        if command in ("linkbudget", "ingest-mask-dir"):
-            taken.mkdir()
+        taken = tmp_path / {"simulate-combination": "cpe-4w_KL2",
+                            "simulate-combination-file": "cpe-4w_KL2/map.csv",
+                            "report-table": "utilization_from_map.csv"}.get(command, "taken")
+        if command in ("linkbudget", "ingest-mask-dir", "simulate-combination-file",
+                       "report-table"):
+            taken.mkdir(parents=True)
         else:
             taken.write_text("keep\n")
-        before = sorted(tmp_path.rglob("*"))
         # an unusable --out is rejected before the sweep runs
         sweep = mock.Mock(side_effect=AssertionError("the sweep ran"))
         monkeypatch.setattr(cli, "run_combinations", sweep)
@@ -292,7 +298,12 @@ class TestExitCodes:
             "ingest-mask-dir": ["ingest", town, "--out", grid_out, "--valid-mask", str(taken)],
             "simulate-combination": ["simulate", "--config", str(workspace),
                                      "--out", str(tmp_path)],
+            "simulate-combination-file": ["simulate", "--config", str(workspace),
+                                          "--out", str(tmp_path)],
+            # writes the map that report reads
+            "report-table": _grid_argv("report", workspace, tmp_path),
         }[command]
+        before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 2
         assert not sweep.called
         err = capsys.readouterr().err
@@ -303,6 +314,16 @@ class TestExitCodes:
             assert list(taken.iterdir()) == []
         else:
             assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("mask", ["same.csv", "a/../same.csv"])
+    def test_two_outputs_naming_one_file_is_2(self, tmp_path, capsys, monkeypatch, mask):
+        write_grid(tmp_path / "town.csv")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["ingest", "town.csv", "--out", "same.csv", "--valid-mask", mask]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output files same.csv and {mask} are the same file\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "flag,value,fragment",
@@ -606,6 +627,28 @@ class TestSimulate:
                     == (tmp_path / "w2" / rel).read_bytes()
                 )
 
+    def test_failed_rerun_leaves_the_first_run(self, workspace, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 0
+        (out / "cpe-4w_KL1" / "notes.txt").write_text("not grayspace's\n")
+        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        maps = []
+
+        def fail_on_second_map(path, values):
+            maps.append(path)
+            if len(maps) == 2:
+                Path(path).write_bytes(b"0,")  # a partly written stage
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_matrix_csv(path, values)
+
+        monkeypatch.setattr(cli, "write_matrix_csv", fail_on_second_map)
+        # another seed changes both combinations' files
+        argv = ["simulate", "--config", str(workspace), "--out", str(out), "--seed", "8"]
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(maps) == 2
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+
     def test_kl3_expands_over_periods(self, workspace, tmp_path, capsys):
         text = workspace.read_text().replace(
             "levels = KL1,KL2", "levels = KL3\nperiods = TP1,TP2"
@@ -685,6 +728,27 @@ class TestReport:
         ) == 3
         assert "map shape (3, 3) does not match grid shape (8, 8)" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_module_entry_point_runs_every_command(workspace, tmp_path):
+    """``python -m grayspace`` runs each command and leaves only its outputs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    for argv in [
+        ["linkbudget", "--config", "run.cfg", "--resolution", "1000", "--csv", "sep.csv"],
+        ["ingest", "town.csv", "--out", "norm/town.csv", "--valid-mask", "norm/x.rle"],
+        ["simulate", "--config", "run.cfg", "--realizations", "1", "--out", "res"],
+        ["report", "--config", "run.cfg", "--map", "res/cpe-4w_KL2/map.csv"],
+    ]:
+        run = subprocess.run([sys.executable, "-m", "grayspace", *argv], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+    combination = ["map.csv", "cdf.csv", "utilization.csv", "summary.txt"]
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == (
+        sorted(["run.cfg", "town.csv", "sep.csv", "norm/town.csv", "norm/x.rle",
+                "res/cpe-4w_KL2/cdf_from_map.csv", "res/cpe-4w_KL2/utilization_from_map.csv",
+                *(f"res/{combo}/{name}" for combo in ("cpe-4w_KL1", "cpe-4w_KL2")
+                  for name in combination)])
+    )
 
 
 def test_cli_import_leaves_out_the_process_pool(data_dir):
