@@ -478,9 +478,13 @@ def _publishing(targets: Iterable[Path]) -> Iterator[Callable[[Path], Path]]:
             raise ConfigError(f"output files {checked[key]} and {target} are the same file")
         checked[key] = target
     staged: dict[Path, Path] = {}
+    made: list[Path] = []  # directories made for stages, parents first
 
     def stage(target: Path) -> Path:
-        target.parent.mkdir(parents=True, exist_ok=True)
+        for directory in reversed(target.parents):
+            if not directory.exists():
+                directory.mkdir()
+                made.append(directory)
         staged[target] = target.with_name(f".{target.name}.partial")
         return staged[target]
 
@@ -488,9 +492,13 @@ def _publishing(targets: Iterable[Path]) -> Iterator[Callable[[Path], Path]]:
         yield stage
         for target, path in staged.items():
             os.replace(path, target)
-    finally:  # after publication, only the stages of a failed rename are left
+    except BaseException:  # after a failed rename, only the stages not renamed are left
         for path in staged.values():
             path.unlink(missing_ok=True)
+        for directory in reversed(made):  # deepest first; one holding a published file stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -618,26 +626,15 @@ def _combinations(cfg: RunConfig) -> list[tuple[DeviceProfile, KnowledgeConfig]]
     return [(device, k) for device in cfg.devices for k in knowledge]
 
 
-def _summary_text(
-    cfg: RunConfig,
-    device: DeviceProfile,
-    knowledge: KnowledgeConfig,
-    grid: HouseholdGrid,
-    grid_path: Path,
-    result,
-    mean_mhz: float,
-) -> str:
+def _summary_text(run: RunConfig, device: DeviceProfile, knowledge: KnowledgeConfig, result,
+                  mean_mhz: float, n_valid: int, households: int) -> str:
     period = knowledge.time_period
     pinned = dataclasses.replace(
-        cfg,
-        out=cfg.out.resolve(),
-        resolution=grid.resolution_m,
+        run,
         devices=(device,),
         levels=(knowledge.level,),
         periods=None if period is None else (period,),
         shares=knowledge.mux_shares,
-        grid_path=grid_path.resolve(),
-        grid_paths={},
     )
     lines = ["# run summary; also a valid config reproducing this single combination"]
     lines += [f"# warning: {warning}" for warning in result.warnings]
@@ -647,10 +644,10 @@ def _summary_text(
         "[result]",
         f"co_radius_m = {_fmt(result.co_radius_m)}",
         f"adjacent_radius_m = {_fmt(result.adjacent_radius_m)}",
-        f"capacity_mhz = {_fmt(gray_space_capacity(cfg.plan))}",
-        f"white_space_mhz = {_fmt(white_space_amount(cfg.plan))}",
-        f"valid_cells = {int(grid.valid.sum())}",
-        f"total_households = {grid.total_households}",
+        f"capacity_mhz = {_fmt(gray_space_capacity(run.plan))}",
+        f"white_space_mhz = {_fmt(white_space_amount(run.plan))}",
+        f"valid_cells = {n_valid}",
+        f"total_households = {households}",
         f"mean_gray_space_mhz = {_fmt(mean_mhz)}",
     ]
     return "\n".join(lines) + "\n"
@@ -662,8 +659,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     hata = {report.device.label: report.hata for report in _separation_reports(cfg)}
     combos = _combinations(cfg)
     grid, grid_path = _load_selected_grid(cfg)
+    run = dataclasses.replace(cfg, out=cfg.out.resolve(), resolution=grid.resolution_m,
+                              grid_path=grid_path.resolve(), grid_paths={})  # pinned to the grid
+    n_valid, households = int(grid.valid.sum()), grid.total_households
     names = ["_".join(filter(None, (d.label, k.level, k.time_period))) for d, k in combos]
     files = ("map.csv", "cdf.csv", "utilization.csv", "summary.txt")
+    done = []
     with _publishing(cfg.out / name / f for name in names for f in files) as stage:
         results = run_combinations(
             grid,
@@ -677,16 +678,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         for (device, knowledge), name, result in zip(combos, names, results):
             map_path, cdf_path, table_path, summary_path = (cfg.out / name / f for f in files)
-            mean_mhz = float(np.nanmean(result.mean_map.values))
-            write_matrix_csv(stage(map_path), result.mean_map.values)
+            write_matrix_csv(stage(map_path), result.mean_map)
+            mean_mhz = result.mean_map.mean_mhz(n_valid)
             write_cdf_csv(stage(cdf_path), result.cdf)
             write_utilization_csv(stage(table_path), result.utilization)
             stage(summary_path).write_text(
-                _summary_text(cfg, device, knowledge, grid, grid_path, result, mean_mhz)
+                _summary_text(run, device, knowledge, result, mean_mhz, n_valid, households)
             )
-            print(f"{name}: mean gray space {mean_mhz:.1f} MHz "
-                  f"over {int(grid.valid.sum())} valid cells -> {cfg.out / name}")
-    print(f"{len(combos)} result set(s) in {cfg.out}")
+            done.append(f"{name}: mean gray space {mean_mhz:.1f} MHz "
+                        f"over {n_valid} valid cells -> {cfg.out / name}")
+    print(*done, f"{len(combos)} result set(s) in {cfg.out}", sep="\n")
     return 0
 
 

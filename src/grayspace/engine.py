@@ -15,7 +15,9 @@ slots in :func:`~grayspace.scenario.slot_table`, and the pair adds them to
 its class slot sums and to one histogram of valid cells and households per
 slot count.  The outputs are read from these once, after the sweep:
 
-* a per-cell mean gray-space map (MHz, NaN outside the municipality),
+* a per-cell mean gray-space map (MHz, NaN outside the municipality), kept
+  as its distinct values and each cell's index into them, one ``np.repeat``
+  of the class index; the float map is built only when read,
 * a survival-form CDF: percent of valid area with at least g MHz free,
 * a household utilization table over configurable MHz buckets.
 
@@ -32,6 +34,7 @@ whether it runs alone or with others.  The per-realization RNG is keyed on
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,15 +128,24 @@ def _check_bucket_overlap(buckets: Sequence[Bucket]) -> None:
 
 @dataclass(frozen=True)
 class GraySpaceMap:
-    """Per-cell gray space in MHz; NaN outside the municipality."""
+    """Per-cell gray space in MHz; NaN outside the municipality.  Kept as the
+    distinct values (``levels``, one NaN level if any cell is invalid) and each
+    cell's level (``index``, the map's shape); ``values`` is built when first read."""
 
-    values: np.ndarray
+    levels: np.ndarray
+    index: np.ndarray
     resolution_m: float
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = self.levels[self.index]
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        return values
+
+    def mean_mhz(self, n_valid: int) -> float:
+        """``np.nanmean(values)`` to the bit, given the count of valid cells:
+        the same pairwise sum over the same shape, then the same division."""
+        return float(np.nan_to_num(self.levels)[self.index].sum() / n_valid)
 
 
 @dataclass(frozen=True)
@@ -345,9 +357,12 @@ def _mean_map(
     class_mhz: np.ndarray, segment_class: np.ndarray, lengths: np.ndarray, grid: HouseholdGrid
 ) -> GraySpaceMap:
     """Each class's value on the cells of its segments; NaN outside the valid area."""
-    values = np.repeat(class_mhz[segment_class], lengths).reshape(grid.counts.shape)
-    values[~grid.valid] = np.nan
-    return GraySpaceMap(values=values, resolution_m=grid.resolution_m)
+    levels, level_of = np.unique(class_mhz, return_inverse=True)
+    index = np.repeat(level_of[segment_class], lengths).reshape(grid.counts.shape)
+    if not grid.valid.all():
+        index[~grid.valid] = len(levels)
+        levels = np.append(levels, np.nan)
+    return GraySpaceMap(levels=levels, index=index, resolution_m=grid.resolution_m)
 
 
 def single_realization_map(

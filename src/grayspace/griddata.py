@@ -33,8 +33,9 @@ each value once with ``%.10g`` in the array's dtype, and the report
 statistics in :mod:`grayspace.engine`.  Telling values apart by bit pattern
 keeps ``-0.0`` and ``0.0`` (and differently signed NaNs) as their own text.
 The plain-CSV writer gathers a fixed-width byte table per cell (a second
-half ends rows) and strips the padding; the run-length writer prints one
-``count*value`` token per run.  Both give the bytes of formatting every
+half ends rows) and strips the padding; it takes an engine map as its
+distinct values and cell index, with no split.  The run-length writer prints
+one ``count*value`` token per run.  Both give the bytes of formatting every
 cell on its own.
 """
 
@@ -518,18 +519,24 @@ def _value_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, token, distinct.view(arr.dtype)
 
 
-def write_matrix_csv(path: str | Path, values: np.ndarray) -> None:
-    """Rows of comma-separated values (%.10g); NaN marks invalid cells."""
-    arr = _matrix_rows(values)
-    if not arr.size:
-        Path(path).write_bytes(b"\n" * max(len(arr), 1))
-        return
-    starts, token, distinct = _value_runs(arr)
+def write_matrix_csv(path: str | Path, values) -> None:
+    """Rows of comma-separated values (%.10g); NaN marks invalid cells.  ``values``
+    is a 2-D array or a map in dictionary form: distinct ``levels`` and a 2-D
+    ``index`` of each cell's level, as :class:`~grayspace.engine.GraySpaceMap`."""
+    if hasattr(values, "levels"):
+        distinct, cell = values.levels, values.index
+    else:
+        arr = _matrix_rows(values)
+        if not arr.size:
+            Path(path).write_bytes(b"\n" * max(len(arr), 1))
+            return
+        starts, token, distinct = _value_runs(arr)
+        cell = np.repeat(token, np.diff(starts, append=arr.size)).reshape(arr.shape)
     text = [_fmt(v) for v in distinct]
-    cell = np.repeat(token, np.diff(starts, append=arr.size)).reshape(arr.shape)
-    cell[:, -1] += len(text)  # the second half of the table ends rows
     table = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype="S")
-    Path(path).write_bytes(table[cell].tobytes().replace(b"\0", b""))
+    out = table[cell]
+    out[:, -1] = table[cell[:, -1] + len(text)]  # the second half of the table ends rows
+    Path(path).write_bytes(out.tobytes().replace(b"\0", b""))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -627,27 +627,52 @@ class TestSimulate:
                     == (tmp_path / "w2" / rel).read_bytes()
                 )
 
-    def test_failed_rerun_leaves_the_first_run(self, workspace, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 0
-        (out / "cpe-4w_KL1" / "notes.txt").write_text("not grayspace's\n")
-        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    @staticmethod
+    def fail_on_second_map(monkeypatch) -> list:
+        """Make the second map write raise ENOSPC after writing part of its
+        stage; returns the list of the map paths written to."""
         maps = []
 
-        def fail_on_second_map(path, values):
+        def write(path, values):
             maps.append(path)
             if len(maps) == 2:
                 Path(path).write_bytes(b"0,")  # a partly written stage
                 raise OSError(errno.ENOSPC, "No space left on device")
             write_matrix_csv(path, values)
 
-        monkeypatch.setattr(cli, "write_matrix_csv", fail_on_second_map)
+        monkeypatch.setattr(cli, "write_matrix_csv", write)
+        return maps
+
+    def test_failed_rerun_leaves_the_first_run(self, workspace, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "cpe-4w_KL1" / "notes.txt").write_text("not grayspace's\n")
+        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        maps = self.fail_on_second_map(monkeypatch)
         # another seed changes both combinations' files
         argv = ["simulate", "--config", str(workspace), "--out", str(out), "--seed", "8"]
         assert main(argv) == 2
-        assert "No space left on device" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err
+        assert captured.out == ""  # no combination is reported before it is published
         assert len(maps) == 2
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing-parent"])
+    def test_failed_run_removes_the_directories_it_made(
+        self, workspace, tmp_path, capsys, monkeypatch, existing
+    ):
+        parent = tmp_path / "parent"
+        if existing:
+            parent.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        maps = self.fail_on_second_map(monkeypatch)
+        argv = ["simulate", "--config", str(workspace), "--out", str(parent / "fresh")]
+        assert main(argv) == 2
+        assert len(maps) == 2  # the first combination's directory was made and filled
+        assert capsys.readouterr().out == ""
+        assert sorted(tmp_path.rglob("*")) == before  # an existing parent stays
 
     def test_kl3_expands_over_periods(self, workspace, tmp_path, capsys):
         text = workspace.read_text().replace(

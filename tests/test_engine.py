@@ -24,7 +24,14 @@ from grayspace.engine import (
     write_utilization_csv,
 )
 from grayspace.errors import ConfigError, DataError, DomainError
-from grayspace.griddata import HouseholdGrid, ingest_grid, receiver_segments
+from grayspace.griddata import (
+    HouseholdGrid,
+    compensate_area,
+    ingest_grid,
+    load_grid_csv,
+    receiver_segments,
+    write_matrix_csv,
+)
 from grayspace.linkbudget import OFCOM, DeviceProfile
 from grayspace.propagation import HataParams
 from grayspace.scenario import ChannelPlan, KnowledgeConfig
@@ -444,6 +451,60 @@ class TestValidation:
         result = run(self.grid(), KL1)
         with pytest.raises(ValueError):
             result.mean_map.values[0, 0] = 1.0
+
+
+class TestMapDictionaryForm:
+    """A mean map is its distinct levels and a per-cell index into them.
+    Written as it is, it gives the bytes of its float map; its mean is
+    ``np.nanmean``'s to the bit.  Other roundings differ at ties: on
+    clustered 1 km (4,096 cells, a power of two), fixed-4w KL2, seed 11 and
+    20 realizations, the exact mean is 84.204296875.  ``np.nanmean`` gives
+    the float nearest it, written 84.20429687; the slot total times
+    (bandwidth / realizations) over the cell count gives the float above,
+    written 84.20429688."""
+
+    @staticmethod
+    def check(mean_map, grid, directory):
+        as_map, as_values = directory / "map.csv", directory / "values.csv"
+        write_matrix_csv(as_map, mean_map)
+        write_matrix_csv(as_values, mean_map.values)
+        assert as_map.read_bytes() == as_values.read_bytes()
+        assert mean_map.mean_mhz(int(grid.valid.sum())) == float(np.nanmean(mean_map.values))
+        with pytest.raises(ValueError):
+            mean_map.values[0, 0] = 1.0
+        assert mean_map.index.dtype == np.intp and mean_map.index.shape == grid.counts.shape
+        real = mean_map.levels[~np.isnan(mean_map.levels)]
+        assert len(np.unique(real)) == len(real)  # each level is formatted once
+        assert np.isnan(mean_map.levels).sum() == (not grid.valid.all())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        seed=st.integers(0, 2**32 - 1),
+        knowledge=st.sampled_from([KL1, KL2, KL3_TP1]),
+        realizations=st.integers(1, 7),
+    )
+    @example(shape=(8, 8), seed=3, knowledge=KL2, realizations=3)  # 64 cells
+    @example(shape=(1, 1), seed=0, knowledge=KL2, realizations=1)
+    def test_small_grids(self, tmp_path_factory, shape, seed, knowledge, realizations):
+        rng = np.random.default_rng(seed)
+        valid = rng.random(shape) < 0.8
+        valid.flat[0] = True
+        counts = np.where(valid & (rng.random(shape) < 0.3), rng.integers(1, 4, shape), 0)
+        grid = HouseholdGrid(counts, valid, 250.0, municipal_area_km2=counts.size / 16)
+        result = run(grid, knowledge, realizations=realizations, master_seed=seed)
+        self.check(result.mean_map, grid, tmp_path_factory.mktemp("map"))
+        single = single_realization_map(grid, FIXED, OFCOM, HATA_FIXED, PLAN, knowledge, seed)
+        self.check(single, grid, tmp_path_factory.mktemp("single"))
+
+    @pytest.mark.parametrize("name", ["vinje_synthetic_1km.csv", "clustered_1km.csv"])
+    def test_shipped_grids(self, data_dir, tmp_path, name):
+        grid, invalidated = compensate_area(load_grid_csv(data_dir / name))
+        assert invalidated == {"vinje_synthetic_1km.csv": 734, "clustered_1km.csv": 0}[name]
+        result = run(grid, KL2, realizations=20, master_seed=11)
+        self.check(result.mean_map, grid, tmp_path)
+        if name == "clustered_1km.csv":
+            assert f"{result.mean_map.mean_mhz(grid.counts.size):.10g}" == "84.20429687"
 
 
 @st.composite
