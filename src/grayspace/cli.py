@@ -666,16 +666,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     files = ("map.csv", "cdf.csv", "utilization.csv", "summary.txt")
     done = []
     with _publishing(cfg.out / name / f for name in names for f in files) as stage:
-        results = run_combinations(
-            grid,
-            [(device, hata[device.label], knowledge) for device, knowledge in combos],
-            cfg.criteria,
-            cfg.plan,
-            realizations=cfg.realizations,
-            master_seed=cfg.seed,
-            buckets=cfg.buckets,
-            workers=cfg.workers,
-        )
+        try:
+            results = run_combinations(
+                grid,
+                [(device, hata[device.label], knowledge) for device, knowledge in combos],
+                cfg.criteria,
+                cfg.plan,
+                realizations=cfg.realizations,
+                master_seed=cfg.seed,
+                buckets=cfg.buckets,
+                workers=cfg.workers,
+            )
+        except DomainError as exc:  # a realization count past the totals' range
+            raise ConfigError(f"{cfg.source}: [run] {exc}") from None
         for (device, knowledge), name, result in zip(combos, names, results):
             map_path, cdf_path, table_path, summary_path = (cfg.out / name / f for f in files)
             write_matrix_csv(stage(map_path), result.mean_map)
@@ -707,7 +710,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         targets.append(outdir / "utilization_from_map.csv")
     with _publishing(targets) as stage:
         values = (read_matrix_rle if map_path.suffix == ".rle" else read_matrix_csv)(map_path)
-        cdf = cdf_from_map(values, slot_levels_mhz(cfg.plan))
+        cdf = cdf_from_map(values, slot_levels_mhz(cfg.plan), gray_space_capacity(cfg.plan))
         if len(targets) > 1:  # checked before staging, so a bad grid makes no directory
             grid, _ = _load_selected_grid(cfg)
             if grid.counts.shape != values.shape:

@@ -8,12 +8,12 @@ and the grid cut into segments, stretches of consecutive cells (row-major)
 covered by one fixed set of receivers.  One table holds each footprint's
 distinct receiver bitsets (sets); segments with equal co-channel and
 adjacent sets form a class.  Per realization the sweep draws the household
-variates once and packs each knowledge level's MUX usage at the receiver
-cells into bitsets.  Per (device, knowledge) pair, each set gives a 5-bit
-mask of the MUXs its receivers use, a class's two masks key its usable
-slots in :func:`~grayspace.scenario.slot_table`, and the pair adds them to
-its class slot sums and to one histogram of valid cells and households per
-slot count.  The outputs are read from these once, after the sweep:
+variates once, codes each household once for every knowledge config and packs
+the receivers' distinct (config, MUX) flag rows into bitsets.  Per device, one
+hit pass over all rows and one matmul give each pair a 5-bit MUX mask per set;
+a class's two masks key its usable slots in :func:`~grayspace.scenario.slot_table`,
+and the pair adds them to its class slot sums and to one histogram of valid
+cells and households per slot count.  The outputs are read from these once:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality), kept
   as its distinct values and each cell's index into them, one ``np.repeat``
@@ -51,7 +51,8 @@ from .linkbudget import (
     separation_report,
 )
 from .propagation import HataParams
-from .scenario import ChannelPlan, KnowledgeConfig, receiver_usage, slot_levels_mhz, slot_table
+from .scenario import (ChannelPlan, KnowledgeConfig, UsagePartition, receiver_rows, slot_count,
+                       slot_levels_mhz, slot_table, usage_partition)
 
 OTHER_BUCKET_LABEL = "other"
 
@@ -203,22 +204,19 @@ class _Sweep:
 
     households: np.ndarray  # households per receiver cell, np.nonzero order
     devices: tuple[_DeviceState, ...]
-    knowledge: tuple[KnowledgeConfig, ...]
+    partition: UsagePartition  # of the variates, by the knowledge configs' thresholds
     pairs: tuple[tuple[int, int, int], ...]  # (device, knowledge, realizations)
     master_seed: int
     slot_table: np.ndarray  # usable slots per hit-mask key co | adj << 5
 
 
-_MUX_BITS = np.array([1, 2, 4, 8, 16], dtype=np.uint8)
-
-
 def _hit_masks(bits: np.ndarray, flag_words: np.ndarray) -> np.ndarray:
-    """Per bitset column, the mask of the MUXs flagged for a receiver in it,
-    given (5, words) packed flags.  One word at a time keeps temporaries 2-D."""
+    """Per flag row and bitset column, whether the set holds a flagged receiver,
+    given (rows, words) packed flags.  One word at a time keeps temporaries 2-D."""
     hit = np.zeros((len(flag_words), bits.shape[1]), dtype=bool)
     for w in range(bits.shape[0]):
         hit |= (bits[w] & flag_words[:, w, None]) != 0
-    return _MUX_BITS @ hit.view(np.uint8)
+    return hit
 
 
 def _accumulate(sweep: _Sweep, indices: Sequence[int]):
@@ -226,8 +224,9 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
     class slot sums and a (2, n_slots + 1) valid-cell and household histogram.
 
     A pair takes part in the indices below its realization count.  Each
-    index draws the household variates once and packs the receiver flags
-    once per knowledge config; every pair reads them against its set table."""
+    index draws the household variates once and packs the receivers' flag
+    rows once; each device hits every row its pairs read in one pass, and
+    one matmul turns the hit rows into each pair's 5-bit MUX masks."""
     n_levels = int(sweep.slot_table[0]) + 1  # key 0: nothing hit, every slot usable
     totals = [
         (
@@ -236,23 +235,26 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
         )
         for d, _, _ in sweep.pairs
     ]
-    n_bytes = 8 * -(-len(sweep.households) // 64)  # whole little-endian words
+    n_rows = sweep.partition.mux_weights.shape[1]
+    flags = np.zeros((64 * -(-len(sweep.households) // 64), n_rows), dtype=np.uint8)
     for r in indices:
-        usage = receiver_usage(sweep.households, sweep.knowledge, sweep.master_seed, r)
-        flags = (usage[:, None, :] & _MUX_BITS[:, None]) != 0  # (knowledge, 5, receivers)
-        packed = np.zeros(flags.shape[:2] + (n_bytes,), dtype=np.uint8)
-        packed[..., : -(-flags.shape[2] // 8)] = np.packbits(flags, axis=2, bitorder="little")
-        flag_words = packed.view("<u8")  # (knowledge, 5, words)
-        for (d, k, n), (slot_sum, hist) in zip(sweep.pairs, totals):
-            if r >= n:
-                continue
+        active = [i for i, (_, _, n) in enumerate(sweep.pairs) if r < n]
+        flags[: len(sweep.households)] = receiver_rows(sweep.partition, sweep.households,
+                                                       sweep.master_seed, r)
+        flag_words = np.packbits(flags, axis=0, bitorder="little").T.copy().view("<u8")
+        for d in dict.fromkeys(sweep.pairs[i][0] for i in active):
+            members = [i for i in active if sweep.pairs[i][0] == d]
+            weights = sweep.partition.mux_weights[[sweep.pairs[i][1] for i in members]]
+            rows = np.flatnonzero(weights.any(axis=0))  # the flag rows these pairs read
             state = sweep.devices[d]
-            hit = _hit_masks(state.bits, flag_words[k]).astype(np.uint16)
-            avail = sweep.slot_table[hit[state.co_index] | hit[state.adj_index] << 5]
-            slot_sum += avail
-            # two 1-D calls: a 2-D np.add.at over both rows is several times slower
-            np.add.at(hist[0], avail, state.class_weights[0])
-            np.add.at(hist[1], avail, state.class_weights[1])
+            hit = _hit_masks(state.bits, flag_words[rows])
+            for i, mask in zip(members, (weights[:, rows] @ hit).astype(np.uint16)):
+                slot_sum, hist = totals[i]
+                avail = sweep.slot_table[mask[state.co_index] | mask[state.adj_index] << 5]
+                slot_sum += avail
+                # two 1-D calls: a 2-D np.add.at over both rows is several times slower
+                np.add.at(hist[0], avail, state.class_weights[0])
+                np.add.at(hist[1], avail, state.class_weights[1])
     return totals
 
 
@@ -343,7 +345,7 @@ def _build_sweep(
     return _Sweep(
         households=grid.counts[np.nonzero(grid.counts)],
         devices=tuple(_build_state(grid, d, criteria, h) for d, h in devices),
-        knowledge=tuple(knowledge),
+        partition=usage_partition(knowledge),
         pairs=tuple(
             (devices.index((d, h)), knowledge.index(k), n)
             for (d, h, k), n in zip(pairs, realizations)
@@ -422,8 +424,14 @@ def run_combinations(
         raise DomainError("workers must be >= 1")
     _check_bucket_overlap(buckets)
     effective = [1 if k.level == "KL1" else realizations for _, _, k in pairs]
+    # per realization, the totals add up to the valid cells, the slots and the households
+    top, bound = max(effective, default=0), max(int(grid.valid.sum()), slot_count(plan))
+    if top * bound >= 2**63:
+        raise DomainError(f"realizations must be below {-(-2**63 // bound)} for 64-bit totals")
+    if top * grid.total_households >= 2**63:
+        raise DataError(f"{grid.total_households} households overflow 64-bit totals")
     sweep = _build_sweep(grid, pairs, criteria, plan, master_seed, effective)
-    indices = range(max(effective, default=0))
+    indices = range(top)
     n_workers = min(workers, len(indices))
     if n_workers <= 1:
         totals = _accumulate(sweep, indices)
@@ -507,8 +515,10 @@ def _bucket_sums(
     return UtilizationTable(labels=labels, mean_households=np.array(sums) / n)
 
 
-def _value_totals(values: np.ndarray, weights: np.ndarray | None = None):
-    """A map's distinct non-NaN values, each with its cell count or sum of ``weights``."""
+def _value_totals(values: np.ndarray, weights: np.ndarray | None = None,
+                  capacity_mhz: float | None = None):
+    """A map's distinct non-NaN values, each with its cell count or sum of
+    ``weights``; with ``capacity_mhz``, each must lie in [0, capacity_mhz]."""
     arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
     starts, token, distinct = _value_runs(arr)
     per_run = (np.diff(starts, append=arr.size) if weights is None
@@ -516,12 +526,17 @@ def _value_totals(values: np.ndarray, weights: np.ndarray | None = None):
     totals = np.zeros(distinct.size, dtype=np.int64)
     np.add.at(totals, token, per_run)
     valid = ~np.isnan(distinct)
-    return distinct[valid], totals[valid]
+    value = distinct[valid]
+    if capacity_mhz is not None and not ((value >= 0) & (value <= capacity_mhz)).all():
+        raise DataError(f"map values must lie in [0, {_fmt(capacity_mhz)}] MHz")
+    return value, totals[valid]
 
 
-def cdf_from_map(values: np.ndarray, levels_mhz: Sequence[float]) -> CdfCurve:
-    """Survival CDF of a single stored map; NaN cells are outside the area."""
-    value, cells = _value_totals(values)
+def cdf_from_map(values: np.ndarray, levels_mhz: Sequence[float],
+                 capacity_mhz: float | None = None) -> CdfCurve:
+    """Survival CDF of a single stored map; NaN cells are outside the area.
+    With ``capacity_mhz``, a value outside [0, capacity_mhz] is a DataError."""
+    value, cells = _value_totals(values, capacity_mhz=capacity_mhz)
     if not cells.sum():
         raise DataError("map has no valid cells")
     return _survival(value, cells, np.asarray(list(levels_mhz), dtype=np.float64))

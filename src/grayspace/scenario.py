@@ -19,9 +19,12 @@ KL2 vs KL1 and, under the conditional share interpretation, for KL3 vs
 KL2; MUX 2-5 viewing then implies subscription by construction).  Variates
 are generated by a counter-based (Philox) stream keyed on
 ``(master_seed, realization_index)``, so any partitioning of realizations
-across workers reproduces identical draws.  :func:`receiver_usage` draws
-one realization's variates once and reduces the usage of any number of
-knowledge configs to the household cells (the receivers) as 5-bit MUX masks;
+across workers reproduces identical draws.  :func:`usage_partition` cuts
+the variate cube at the thresholds of any number of knowledge configs, so
+one cell code per household gives its usage under all of them;
+:func:`receiver_rows` draws one realization's variates once and reduces
+them to the household cells (the receivers) as flags of the distinct
+(config, MUX) rows, and :func:`receiver_usage` as 5-bit MUX masks;
 :func:`slot_table` maps the masks of a cell's co-channel and adjacent-channel
 footprints to its usable slots.
 """
@@ -260,32 +263,75 @@ def usage_masks(config: KnowledgeConfig, u: np.ndarray) -> np.ndarray:
     return np.where(watching, np.left_shift(1, category), 0).astype(np.uint8)
 
 
+@dataclass(frozen=True)
+class UsagePartition:
+    """The variate cube cut at the thresholds of some knowledge configs, so
+    that each config's usage is constant on each cell.  The distinct (config,
+    MUX) flags over the cells are the flag rows; ``mux_weights[c, r]`` sums
+    the MUX bits config c reads from row r."""
+
+    cuts: tuple[np.ndarray, ...]  # sorted thresholds on coverage, subscription, viewing
+    row_table: np.ndarray  # (cells, words) '<u8': bit r set where row r holds
+    mux_weights: np.ndarray  # (configs, rows) float32
+
+
+def usage_partition(configs: Sequence[KnowledgeConfig]) -> UsagePartition:
+    """Cut at the configs' thresholds inside (0, 1), where the variates lie;
+    each cell's usage is the :func:`usage_masks` of its lowest corner."""
+    sampled = [c for c in configs if c.level != "KL1"]
+    thresholds = (
+        [c.p_mux1_capable for c in sampled],
+        [c.p_subscribe_mux2to5 for c in sampled],
+        [e for c in sampled if c.level == "KL3" for e in np.cumsum(c.effective_shares)],
+    )
+    # sorted() rather than a 1-D np.unique, which imports numpy.ma (0.5 MB)
+    cuts = tuple(np.array(sorted({t for t in ts if 0 < t < 1}), float) for ts in thresholds)
+    corners = np.meshgrid(*(np.append(0.0, t) for t in cuts), indexing="ij")
+    u = np.stack(corners, axis=-1).reshape(-1, 3)  # one point per cell
+    masks = np.array([usage_masks(c, u) for c in configs], dtype=np.uint8).reshape(-1, 1, len(u))
+    flags = ((masks >> np.arange(5)[:, None]) & 1).reshape(-1, len(u))  # (configs x 5, cells)
+    rows, row_of = np.unique(flags, axis=0, return_inverse=True)
+    one_hot = row_of.reshape(len(configs), 5, 1) == np.arange(len(rows))
+    bits = np.pad(rows.T, ((0, 0), (0, -len(rows) % 64)))  # whole words
+    row_table = np.packbits(bits, axis=1, bitorder="little").copy().view("<u8")
+    # small integers: float32 products of the weights are exact
+    mux_weights = (2.0 ** np.arange(5) @ one_hot).astype(np.float32)
+    return UsagePartition(cuts=cuts, row_table=row_table, mux_weights=mux_weights)
+
+
+def receiver_rows(partition: UsagePartition, households_per_receiver: np.ndarray,
+                  master_seed: int, realization_index: int) -> np.ndarray:
+    """(receivers, rows) uint8 flags of one realization: 1 where a household
+    of the receiver lies in a cell of the row.  Receiver j is a cell holding
+    ``households_per_receiver[j]`` (>= 1) households; households are
+    enumerated receiver by receiver, each consuming one variate triple."""
+    _check_stream_key(master_seed, realization_index)
+    k = np.asarray(households_per_receiver, dtype=np.int64)
+    if (k < 1).any():
+        raise DomainError("every receiver must hold at least one household")
+    if len(partition.row_table) == 1:  # one cell, such as KL1 only: nothing to draw
+        bits = np.repeat(partition.row_table, len(k), axis=0)
+    else:
+        u = household_variates(master_seed, realization_index, int(k.sum()))
+        code = np.zeros(len(u), dtype=np.intp)  # each household's cell
+        for column, cuts in zip(np.ascontiguousarray(u.T), partition.cuts):
+            code *= len(cuts) + 1
+            for cut in cuts:  # a comparison per cut beats a searchsorted over few cuts
+                code += column >= cut
+        bits = np.bitwise_or.reduceat(partition.row_table[code], np.cumsum(k) - k)
+    n_rows = partition.mux_weights.shape[1]
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=n_rows, bitorder="little")
+
+
 def receiver_usage(
     households_per_receiver: np.ndarray,
     configs: Sequence[KnowledgeConfig],
     master_seed: int,
     realization_index: int,
 ) -> np.ndarray:
-    """Per-receiver MUX usage of one realization under several configs.
-
-    Receiver j is a cell holding ``households_per_receiver[j]`` (>= 1)
-    households; households are enumerated receiver by receiver, each
-    consuming one variate triple.  Returns ``(len(configs), receivers)``
-    uint8 masks, the union of the :func:`usage_masks` of the receiver's
-    households.  One variate draw serves every config, so the usage of
-    different knowledge levels is coupled draw by draw; KL1 rows are all
-    :data:`ALL_MUXES` and need no draw at all.
-    """
-    _check_stream_key(master_seed, realization_index)
-    k = np.asarray(households_per_receiver, dtype=np.int64)
-    if (k < 1).any():
-        raise DomainError("every receiver must hold at least one household")
-    usage = np.full((len(configs), len(k)), ALL_MUXES, dtype=np.uint8)
-    sampled = [i for i, config in enumerate(configs) if config.level != "KL1"]
-    if sampled and len(k):
-        u = household_variates(master_seed, realization_index, int(k.sum()))
-        first = np.cumsum(k) - k  # each receiver's first household
-        for i in sampled:
-            usage[i] = np.bitwise_or.reduceat(usage_masks(configs[i], u), first)
-    return usage
-
+    """Per-receiver MUX usage of one realization under several configs:
+    ``(len(configs), receivers)`` uint8 masks, the union of the
+    :func:`usage_masks` of each receiver's households, from one draw."""
+    partition = usage_partition(configs)
+    flags = receiver_rows(partition, households_per_receiver, master_seed, realization_index)
+    return (partition.mux_weights @ flags.T).astype(np.uint8)

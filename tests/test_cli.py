@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import errno
+import hashlib
 import io
 import os
 import subprocess
@@ -439,6 +440,36 @@ class TestExitCodes:
         assert "data error" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_realizations_past_the_totals_are_2_and_write_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        # 64 valid cells: from 2**63 // 64 realizations on, the cell totals overflow
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(workspace), "--out", str(out),
+                "--realizations", "99999999999999999999"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "[run] realizations must be below 144115188075855872" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "-5", "1e9", "120.5", "-1e-300"])
+    def test_map_value_outside_capacity_is_3_and_writes_nothing(
+        self, workspace, tmp_path, capsys, value
+    ):
+        # the plan offers 15 slots of 8 MHz: every value lies in [0, 120]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"nan,{value},0,120,0,120,-0,64\n" + "8,16,24,32,40,48,56,64\n" * 7)
+        out = tmp_path / "rep"
+        argv = ["report", "--config", str(workspace), "--map", str(bad), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: map values must lie in [0, 120] MHz\n"
+        assert not out.exists()
+        bad.write_text(bad.read_text().replace(value, "120", 1))
+        assert main(argv) == 0
+        assert (out / "cdf_from_map.csv").read_text().startswith("gray_mhz,percent_area\n0,100\n")
+
 
 def _grid_argv(command: str, config: Path, out: Path) -> list[str]:
     """Arguments that make ``command`` read the grid next to ``config`` and
@@ -804,6 +835,31 @@ class TestSharedSampling:
         ) == 0
         assert len(list(tmp_path.iterdir())) == 8  # 2 devices x KL1, KL2, KL3-TP1, KL3-TP2
         assert calls == {"household_variates": realizations, "receiver_segments": 2}
+
+
+class TestGoldenDigests:
+    """SHA-256 over the map, CDF and utilization files of every combination
+    of two shipped configs at 1 km, seed 11, 20 realizations.  The digests
+    were recorded with the earlier per-knowledge-config sampling path, so a
+    rewrite of sampling or of the hit pass must reproduce its bytes."""
+
+    DIGESTS = {
+        "scattered": "2d7571f0270d3ee40218d13d362df1d0324d9f60b3afb9dbdd33b8ad744ff6c7",
+        "vinje": "94dadc7b62b0fedb2397c16ccd23aba67e265577dfb9a8f19fb95a90296d5ee4",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_trio_digest(self, configs_dir, tmp_path, capsys, name, workers):
+        argv = ["simulate", "--config", str(configs_dir / f"{name}.cfg"), "--resolution", "1000",
+                "--seed", "11", "--realizations", "20", "--workers", workers, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256()
+        for combo in sorted(p.name for p in tmp_path.iterdir()):
+            for fname in ("map.csv", "cdf.csv", "utilization.csv"):
+                digest.update(f"{combo}/{fname}\n".encode())
+                digest.update((tmp_path / combo / fname).read_bytes())
+        assert digest.hexdigest() == self.DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

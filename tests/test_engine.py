@@ -34,8 +34,9 @@ from grayspace.griddata import (
 )
 from grayspace.linkbudget import OFCOM, DeviceProfile
 from grayspace.propagation import HataParams
-from grayspace.scenario import ChannelPlan, KnowledgeConfig
+from grayspace.scenario import ChannelPlan, KnowledgeConfig, usage_partition
 from test_acceptance import ADJ_M, CO_M, _naive_flags, _naive_map
+from test_scenario import MANY_KL3
 
 FIXED = DeviceProfile("fixed-4w", eirp_mw=4000.0, antenna_height_m=30.0)
 PORTABLE = DeviceProfile("portable-100mw", eirp_mw=100.0, antenna_height_m=2.0)
@@ -218,6 +219,16 @@ class TestKL1Shortcut:
         )
         assert b.realizations == 250  # reported as requested
 
+    def test_draws_nothing(self):
+        grid = ingest_grid([(2, 2, 3), (4, 1, 2)], resolution_m=1000.0, rows=6, cols=6)
+        with mock.patch("grayspace.scenario.household_variates",
+                        side_effect=AssertionError("drawn")):
+            results = run_combinations(
+                grid, [(FIXED, HATA_FIXED, KL1), (PORTABLE, HATA_PORTABLE, KL1)], OFCOM, PLAN,
+                realizations=5,
+            )
+            assert [r.mean_map.values.min() for r in results] == [0.0, 0.0]
+
     def test_mean_equals_single_realization(self):
         grid = ingest_grid([(1, 1, 2), (4, 3, 6)], resolution_m=1000.0, rows=6, cols=6)
         result = run(grid, KL1, realizations=50)
@@ -341,19 +352,47 @@ class TestRunCombinations:
     # KL1 between sampled levels, and KL2 twice
     KNOWLEDGE = (KL2, KL1, KL3_TP2_COND, KL2, KL3_TP1)
 
+    # thresholds that interleave, on the faces of the cube too; explicit
+    # shares with empty intervals, and summing to exactly 1 (no idle viewers)
+    INTERLEAVED = (
+        KnowledgeConfig("KL2", p_mux1_capable=0.0, p_subscribe_mux2to5=1.0),
+        KnowledgeConfig("KL2", p_mux1_capable=1.0, p_subscribe_mux2to5=0.0),
+        KnowledgeConfig("KL2", p_mux1_capable=0.9, p_subscribe_mux2to5=0.4),
+        KnowledgeConfig("KL3", p_mux1_capable=1.0, p_subscribe_mux2to5=0.4,
+                        mux_shares=(0.25, 0.0, 0.5, 0.0, 0.25),
+                        share_interpretation="conditional_on_subscription"),
+        KnowledgeConfig("KL3", p_mux1_capable=0.9, mux_shares=(0.25, 0.0, 0.5, 0.0, 0.25)),
+        KnowledgeConfig("KL3", p_mux1_capable=0.7, p_subscribe_mux2to5=1.0, time_period="TP2",
+                        share_interpretation="conditional_on_subscription"),
+        KnowledgeConfig("KL3", p_mux1_capable=0.98, time_period="TP1"),
+        KL1,
+    )
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "devices", [(FIXED, PORTABLE), (PORTABLE, FIXED)], ids=["fixed-first", "portable-first"]
     )
     def test_joint_equals_each_pair_alone(self, devices, workers):
-        pairs = [(d, self.HATA[d], k) for k in self.KNOWLEDGE for d in devices]
+        self.check_joint(self.GRID, devices, self.KNOWLEDGE, 7, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("knowledge", ["interleaved", "many-kl3"])
+    def test_joint_equals_each_pair_alone_over_many_thresholds(self, knowledge, workers):
+        knowledge = self.INTERLEAVED if knowledge == "interleaved" else MANY_KL3
+        grid = _scattered_grid(5, 16, 40)
+        rows = usage_partition(knowledge).mux_weights.shape[1]
+        assert rows == (20 if knowledge is self.INTERLEAVED else 70)  # 70: two words
+        self.check_joint(grid, (PORTABLE, FIXED), knowledge, 4, workers)
+
+    def check_joint(self, grid, devices, knowledge, realizations, workers):
+        pairs = [(d, self.HATA[d], k) for k in knowledge for d in devices]
         joint = list(run_combinations(
-            self.GRID, pairs, OFCOM, PLAN, realizations=7, master_seed=3, workers=workers
+            grid, pairs, OFCOM, PLAN, realizations=realizations, master_seed=3, workers=workers
         ))
         assert len(joint) == len(pairs)
         for (device, hata, knowledge), got in zip(pairs, joint):
             alone = run_monte_carlo(
-                self.GRID, device, OFCOM, hata, PLAN, knowledge, realizations=7, master_seed=3
+                grid, device, OFCOM, hata, PLAN, knowledge, realizations=realizations,
+                master_seed=3,
             )
             assert got.mean_map.values.tobytes() == alone.mean_map.values.tobytes()
             assert got.cdf.levels_mhz.tobytes() == alone.cdf.levels_mhz.tobytes()
@@ -446,6 +485,19 @@ class TestValidation:
             run(self.grid(), KL2, realizations=0)
         with pytest.raises(DomainError):
             run(self.grid(), KL2, workers=0)
+
+    def test_realizations_past_the_totals(self):
+        # checked before the sweep: 16 valid cells, 15 slots, 2 households
+        with mock.patch.object(engine, "_build_sweep", side_effect=AssertionError("swept")):
+            with pytest.raises(DomainError, match="must be below 576460752303423488 "):
+                run(self.grid(), KL2, realizations=2**63 // 16)
+            with pytest.raises(AssertionError, match="swept"):
+                run(self.grid(), KL2, realizations=2**63 // 16 - 1)
+            crowded = ingest_grid([(1, 1, 2**62)], resolution_m=1000.0, rows=4, cols=4)
+            with pytest.raises(DataError, match="overflow 64-bit totals"):
+                run(crowded, KL2, realizations=2)
+        # KL1 evaluates index 0 only, whatever the count
+        assert run(self.grid(), KL1, realizations=10**20).realizations == 10**20
 
     def test_mean_map_is_read_only(self):
         result = run(self.grid(), KL1)

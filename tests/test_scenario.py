@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grayspace.errors import ConfigError, DomainError
 from grayspace.scenario import (
     KNOWLEDGE_LEVELS,
     MUX_SHARES,
+    SHARE_INTERPRETATIONS,
     TIME_PERIODS,
     ChannelPlan,
     KnowledgeConfig,
     gray_space_capacity,
     household_variates,
+    receiver_rows,
     receiver_usage,
     slot_table,
     usage_masks,
+    usage_partition,
     white_space_amount,
 )
 
@@ -25,6 +30,42 @@ KL3_TP1 = KnowledgeConfig("KL3", time_period="TP1")
 KL3_TP2 = KnowledgeConfig("KL3", time_period="TP2")
 KL3_TP2_COND = KnowledgeConfig(
     "KL3", time_period="TP2", share_interpretation="conditional_on_subscription"
+)
+
+
+#: Probabilities that put cuts on the cube's faces as well as inside it.
+_PROBABILITIES = st.sampled_from([0.0, 0.15, 0.5, 0.98, 1.0])
+#: Explicit shares: with zero shares (empty intervals), and summing to
+#: exactly 1 (no idle viewers).
+_SHARES = st.one_of(
+    st.sampled_from([(0.25, 0.0, 0.5, 0.0, 0.25), (0.5, 0.25, 0.125, 0.0625, 0.0625),
+                     (0.0, 0.0, 0.0, 0.0, 0.0), (0.1, 0.0, 0.05, 0.2, 0.0)]),
+    st.tuples(*[st.sampled_from([0.0, 0.01, 0.1, 0.2])] * 5),
+)
+
+
+@st.composite
+def knowledge_configs(draw):
+    """Any knowledge config whose thresholds may interleave with another's."""
+    level = draw(st.sampled_from(KNOWLEDGE_LEVELS))
+    if level == "KL1":
+        return KL1
+    viewing = {}
+    if level == "KL3":
+        viewing = draw(st.one_of(
+            st.builds(dict, time_period=st.sampled_from(TIME_PERIODS)),
+            st.builds(dict, mux_shares=_SHARES),
+        ))
+        viewing["share_interpretation"] = draw(st.sampled_from(SHARE_INTERPRETATIONS))
+    return KnowledgeConfig(level, p_mux1_capable=draw(_PROBABILITIES),
+                           p_subscribe_mux2to5=draw(_PROBABILITIES), **viewing)
+
+
+#: 14 KL3 configs with distinct edges: 70 distinct flag rows, two words.
+MANY_KL3 = tuple(
+    KnowledgeConfig("KL3", mux_shares=(0.01 * (i + 1), 0.02, 0.03, 0.04, 0.05),
+                    share_interpretation=SHARE_INTERPRETATIONS[i % 2])
+    for i in range(14)
 )
 
 
@@ -297,11 +338,14 @@ class TestReceiverUsage:
             )
         ),
         configs=st.lists(
-            st.sampled_from([KL1, KL2, KL3_TP1, KL3_TP2, KL3_TP2_COND]), min_size=1, max_size=4
+            st.one_of(st.sampled_from([KL1, KL2, KL3_TP1, KL3_TP2, KL3_TP2_COND]),
+                      knowledge_configs()),
+            min_size=1, max_size=4,
         ),
         seed=st.integers(0, 2**64 - 1),
         index=st.integers(0, 10_000),
     )
+    @example(counts=[[3, 0, 1], [2, 5, 4]], configs=list(MANY_KL3), seed=11, index=3)
     def test_matches_per_household_oracle(self, counts, configs, seed, index):
         counts = np.array(counts, dtype=np.int64)
         ys, xs = np.nonzero(counts)
@@ -316,6 +360,41 @@ class TestReceiverUsage:
                 for c, config in enumerate(configs):
                     expected[c, j] |= usage_masks(config, triple[None])[0]
         assert got.dtype == np.uint8 and np.array_equal(got, expected)
+
+    def test_shipped_knowledge_cuts_44_cells_and_13_rows(self):
+        kl3 = [KnowledgeConfig("KL3", time_period=period,
+                               share_interpretation="conditional_on_subscription")
+               for period in TIME_PERIODS]
+        partition = usage_partition([KL1, KL2, *kl3])
+        assert [len(cuts) for cuts in partition.cuts] == [1, 1, 10]
+        # KL1 one row, KL2 two (MUX 2-5 share one), each KL3 period five
+        assert partition.row_table.shape == (44, 1) and partition.mux_weights.shape == (4, 13)
+        weights = partition.mux_weights
+        assert [sorted(w[w > 0].tolist()) for w in weights] == [
+            [31], [1, 30], [1, 2, 4, 8, 16], [1, 2, 4, 8, 16]
+        ]
+        assert ((weights > 0).sum(axis=0) == 1).all()  # no two configs share a row
+
+    def test_more_flag_rows_than_one_word(self):
+        partition = usage_partition(MANY_KL3)
+        assert partition.mux_weights.shape == (14, 70) and partition.row_table.shape[1] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs=st.lists(knowledge_configs(), min_size=1, max_size=4))
+    def test_variates_on_the_cuts(self, configs):
+        # one household per receiver, with every coordinate on a cut, just
+        # below it, 0, or just below 1, and every combination of these
+        partition = usage_partition(configs)
+        points = [np.unique(np.concatenate([
+            cuts, np.nextafter(cuts, -1.0), [0.0, np.nextafter(1.0, 0.0)]
+        ]).clip(0.0, np.nextafter(1.0, 0.0))) for cuts in partition.cuts]
+        u = np.stack(np.meshgrid(*points, indexing="ij"), axis=-1).reshape(-1, 3)
+        with mock.patch("grayspace.scenario.household_variates", return_value=u):
+            got = receiver_usage(np.ones(len(u), dtype=np.int64), configs, 0, 0)
+            flags = receiver_rows(partition, np.ones(len(u), dtype=np.int64), 0, 0)
+        assert flags.dtype == np.uint8 and flags.shape == (len(u), partition.mux_weights.shape[1])
+        for config, row in zip(configs, got, strict=True):
+            assert np.array_equal(row, usage_masks(config, u)), config
 
     def test_rejects_receivers_without_households(self):
         with pytest.raises(DomainError):

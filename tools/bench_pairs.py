@@ -1,0 +1,115 @@
+"""Compare two revisions on the perfbench workloads, each from a clean copy.
+
+Extracts a ``git archive`` copy of each revision under a scratch directory,
+then runs ``perfbench/run.py`` on the two copies in turn, N pairs per
+workload, alternating which copy runs first.  It prints each pair's
+end-to-end metrics and, per metric, both medians with their quartiles, the
+change of the medians and in how many pairs the second revision was better:
+
+    python3 tools/bench_pairs.py 5e9ef34 WORKTREE --scratch /tmp/pairs \\
+        --workload sim-1km --pairs 5 --seconds 8 --seed 42
+
+``WORKTREE`` stands for the tracked files of the working tree, staged new
+files included (``git stash create``, which changes nothing in the
+checkout).  Runs from a working checkout can read differently from clean
+copies of the same files, so both sides always run from copies.  The tool
+only invokes the benchmark; it changes nothing in the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+#: Each end-to-end metric of the benchmark, +1 when higher is better.
+BETTER = {m["name"]: 1 if m["better"] == "higher" else -1
+          for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def _git(*args: str) -> str:
+    done = subprocess.run(["git", "-C", str(REPO), *args], capture_output=True, text=True,
+                          check=True)
+    return done.stdout.strip()
+
+
+def extract(rev: str, scratch: Path) -> Path:
+    """A clean copy of ``rev`` under ``scratch``, made once per file tree."""
+    if rev == "WORKTREE":
+        rev = _git("stash", "create") or "HEAD"
+    tree = _git("rev-parse", "--verify", f"{rev}^{{tree}}")
+    dest = scratch / tree[:12]
+    if not dest.is_dir():
+        data = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", tree],
+                              capture_output=True, check=True).stdout
+        part = scratch / f"{tree[:12]}.part"
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            tar.extractall(part, filter="data")
+        part.rename(dest)
+    return dest
+
+
+def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """The end-to-end metrics of one perfbench run in ``copy``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{copy.name} {workload}: exit {done.returncode}\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if result["failed"]:
+        raise SystemExit(f"{copy.name} {workload}: {result['failed']} operations failed")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summarize(metric: str, base: list[float], head: list[float]) -> str:
+    """One line: medians [quartiles] of both sides, the change of the medians,
+    and the pairs in which ``head`` was better."""
+    def spread(values: list[float]) -> str:
+        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+    change = statistics.median(head) / statistics.median(base) - 1.0
+    better = sum(BETTER[metric] * (h - b) > 0 for b, h in zip(base, head))
+    return (f"{metric:12s} {spread(base)} -> {spread(head)}  {change:+.1%}, "
+            f"better in {better} of {len(base)} pairs")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="revision to compare against")
+    parser.add_argument("head", help="revision to compare, or WORKTREE")
+    parser.add_argument("--scratch", required=True, type=Path,
+                        help="directory for the copies (made if missing)")
+    parser.add_argument("--workload", action="append",
+                        help="perfbench workload; repeat for several (default sim-1km)")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args(argv)
+    args.scratch.mkdir(parents=True, exist_ok=True)
+    copies = [extract(rev, args.scratch.resolve()) for rev in (args.base, args.head)]
+    print(f"base {args.base} in {copies[0]}\nhead {args.head} in {copies[1]}")
+    for workload in args.workload or ["sim-1km"]:
+        runs: list[list[dict[str, float]]] = [[], []]
+        for pair in range(args.pairs):
+            order = (0, 1) if pair % 2 == 0 else (1, 0)
+            for side in order:
+                runs[side].append(run_once(copies[side], workload, args.seed, args.seconds))
+            base, head = runs[0][-1], runs[1][-1]
+            print(f"{workload} pair {pair + 1}: " + "  ".join(
+                f"{name} {base[name]:.4g}/{head[name]:.4g}" for name in BETTER), flush=True)
+        for name in BETTER:
+            print(f"{workload} " + summarize(
+                name, [r[name] for r in runs[0]], [r[name] for r in runs[1]]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
