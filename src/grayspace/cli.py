@@ -656,7 +656,7 @@ def _summary_text(run: RunConfig, device: DeviceProfile, knowledge: KnowledgeCon
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     _apply_overrides(cfg, args)
-    hata = {report.device.label: report.hata for report in _separation_reports(cfg)}
+    links = {report.device.label: report for report in _separation_reports(cfg)}
     combos = _combinations(cfg)
     grid, grid_path = _load_selected_grid(cfg)
     run = dataclasses.replace(cfg, out=cfg.out.resolve(), resolution=grid.resolution_m,
@@ -669,8 +669,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         try:
             results = run_combinations(
                 grid,
-                [(device, hata[device.label], knowledge) for device, knowledge in combos],
-                cfg.criteria,
+                [(links[device.label], knowledge) for device, knowledge in combos],
                 cfg.plan,
                 realizations=cfg.realizations,
                 master_seed=cfg.seed,
@@ -717,6 +716,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 raise DataError(
                     f"map shape {values.shape} does not match grid shape {grid.counts.shape}"
                 )
+            hidden = grid.counts[np.isnan(values)]  # a simulate map is NaN on empty cells only
+            if hidden.any():
+                raise DataError(f"map is NaN on {np.count_nonzero(hidden)} cells holding "
+                                f"{hidden.sum()} households; it does not belong to the grid")
             table = utilization_from_map(values, grid.counts, cfg.buckets)
             write_utilization_csv(stage(targets[1]), table)
         write_cdf_csv(stage(targets[0]), cdf)

@@ -1,13 +1,14 @@
 """Monte Carlo gray-space engine.
 
 A cell's usable gray space depends only on which receiver cells' protection
-footprints cover it.  So once per run, and once per device, the engine
-builds one state: the link budget (co-channel and adjacent-channel radii,
-warnings), the footprints of both radii stamped at every household cell,
-and the grid cut into segments, stretches of consecutive cells (row-major)
-covered by one fixed set of receivers.  One table holds each footprint's
-distinct receiver bitsets (sets); segments with equal co-channel and
-adjacent sets form a class.  Per realization the sweep draws the household
+footprints cover it.  The engine takes each device's link budget, a
+:class:`~grayspace.linkbudget.SeparationReport`, and once per run builds
+one state per link budget: its two distances rounded up to the grid (the
+co-channel and adjacent-channel radii), the footprints of both radii
+stamped at every household cell, and the grid cut into segments, stretches
+of consecutive cells (row-major) covered by one fixed set of receivers.
+One table holds each footprint's distinct receiver bitsets (sets); segments
+with equal co-channel and adjacent sets form a class.  Per realization the sweep draws the household
 variates once, codes each household once for every knowledge config and packs
 the receivers' distinct (config, MUX) flag rows into bitsets.  Per device, one
 hit pass over all rows and one matmul give each pair a 5-bit MUX mask per set;
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -44,13 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
 from .griddata import HouseholdGrid, _fmt, _value_runs, protection_disc_offsets, receiver_segments
-from .linkbudget import (
-    DeviceProfile,
-    ProtectionCriteria,
-    quantize_distance,
-    separation_report,
-)
-from .propagation import HataParams
+from .linkbudget import SeparationReport, quantize_distance
 from .scenario import (ChannelPlan, KnowledgeConfig, UsagePartition, receiver_rows, slot_count,
                        slot_levels_mhz, slot_table, usage_partition)
 
@@ -184,12 +180,11 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class _DeviceState:
-    """Link budget, segments, receiver-set classes and the distinct receiver
-    bitsets of one device; none of it depends on the knowledge level."""
+    """Radii, segments, receiver-set classes and the distinct receiver
+    bitsets of one link budget; none of it depends on the knowledge level."""
 
     co_radius_m: float
     adjacent_radius_m: float
-    warnings: tuple[str, ...]
     segment_lengths: np.ndarray  # cells per segment, in flat cell order
     segment_class: np.ndarray  # class of each segment
     bits: np.ndarray  # (words, sets) distinct co-channel, then adjacent, receiver bitsets
@@ -286,15 +281,9 @@ def _distinct_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[:, new], index
 
 
-def _build_state(
-    grid: HouseholdGrid,
-    device: DeviceProfile,
-    criteria: ProtectionCriteria,
-    hata: HataParams,
-) -> _DeviceState:
-    sep = separation_report(device, criteria, hata)
-    co_radius = quantize_distance(sep.min_distance_co_m, grid.resolution_m)
-    adj_radius = quantize_distance(sep.min_distance_adjacent_m, grid.resolution_m)
+def _build_state(grid: HouseholdGrid, link: SeparationReport) -> _DeviceState:
+    co_radius = quantize_distance(link.min_distance_co_m, grid.resolution_m)
+    adj_radius = quantize_distance(link.min_distance_adjacent_m, grid.resolution_m)
     # Past this reach every receiver already covers every cell, so a larger
     # footprint gives the same coverage at a cost growing with the radius.
     reach_cap = (grid.rows + grid.cols) * grid.resolution_m
@@ -318,7 +307,6 @@ def _build_state(
     return _DeviceState(
         co_radius_m=co_radius,
         adjacent_radius_m=adj_radius,
-        warnings=sep.warnings,
         segment_lengths=np.diff(starts, append=grid.counts.size),
         segment_class=segment_class,
         bits=np.hstack((co_bits, adj_bits)),
@@ -330,25 +318,24 @@ def _build_state(
 
 def _build_sweep(
     grid: HouseholdGrid,
-    pairs: Sequence[tuple[DeviceProfile, HataParams, KnowledgeConfig]],
-    criteria: ProtectionCriteria,
+    pairs: Sequence[tuple[SeparationReport, KnowledgeConfig]],
     plan: ChannelPlan,
     master_seed: int,
     realizations: Sequence[int],
 ) -> _Sweep:
-    """Check the inputs and build the state of each distinct device once."""
+    """Check the inputs and build the state of each distinct link budget once."""
     table = slot_table(plan)  # checks that the plan carries the 5 MUXs
     if not grid.valid.any():
         raise DataError("grid has no valid cells; nothing to evaluate")
-    devices = list(dict.fromkeys((device, hata) for device, hata, _ in pairs))
-    knowledge = list(dict.fromkeys(k for _, _, k in pairs))
+    links = list(dict.fromkeys(link for link, _ in pairs))
+    knowledge = list(dict.fromkeys(k for _, k in pairs))
     return _Sweep(
         households=grid.counts[np.nonzero(grid.counts)],
-        devices=tuple(_build_state(grid, d, criteria, h) for d, h in devices),
+        devices=tuple(_build_state(grid, link) for link in links),
         partition=usage_partition(knowledge),
         pairs=tuple(
-            (devices.index((d, h)), knowledge.index(k), n)
-            for (d, h, k), n in zip(pairs, realizations)
+            (links.index(link), knowledge.index(k), n)
+            for (link, k), n in zip(pairs, realizations)
         ),
         master_seed=master_seed,
         slot_table=table,
@@ -369,9 +356,7 @@ def _mean_map(
 
 def single_realization_map(
     grid: HouseholdGrid,
-    device: DeviceProfile,
-    criteria: ProtectionCriteria,
-    hata: HataParams,
+    link: SeparationReport,
     plan: ChannelPlan,
     knowledge: KnowledgeConfig,
     master_seed: int,
@@ -384,9 +369,7 @@ def single_realization_map(
     """
     # The pair takes part in every index up to realization_index, and the
     # sweep visits that one.
-    sweep = _build_sweep(
-        grid, [(device, hata, knowledge)], criteria, plan, master_seed, [realization_index + 1]
-    )
+    sweep = _build_sweep(grid, [(link, knowledge)], plan, master_seed, [realization_index + 1])
     ((slot_sum, _),) = _accumulate(sweep, [realization_index])
     state = sweep.devices[0]
     slot_mhz = slot_sum * float(plan.channel_bandwidth_mhz)
@@ -395,8 +378,7 @@ def single_realization_map(
 
 def run_combinations(
     grid: HouseholdGrid,
-    pairs: Sequence[tuple[DeviceProfile, HataParams, KnowledgeConfig]],
-    criteria: ProtectionCriteria,
+    pairs: Sequence[tuple[SeparationReport, KnowledgeConfig]],
     plan: ChannelPlan,
     realizations: int = 100,
     master_seed: int = 0,
@@ -405,15 +387,17 @@ def run_combinations(
 ) -> Iterator[MonteCarloResult]:
     """Run the Monte Carlo evaluation of every (device, knowledge) pair.
 
-    A pair is ``(device, hata, knowledge)``: a device with its Hata
-    parameters and a knowledge config.  Each distinct device's segments
-    and classes are built once, and the realizations are swept once: per
+    A pair is ``(link, knowledge)``: a device's link budget, as
+    :func:`~grayspace.linkbudget.separation_report` gives it, and a
+    knowledge config.  Each distinct link budget's segments and classes
+    are built once, and the realizations are swept once: per
     index the household variates are drawn once and every pair reads them,
     so each result equals that of the pair run alone with the same seed.  KL1 is
     deterministic (usage is assumed, not sampled), so its pairs evaluate
     index 0 only; the output is identical for any ``realizations`` value.
-    With ``workers > 1`` the indices are split across processes; integer
-    partial sums keep the result bit-identical to the single-process run.
+    With ``workers > 1`` the indices are split across processes, at most
+    one per usable CPU; integer partial sums keep the result bit-identical
+    to the single-process run.
 
     The sweep runs, and every input error is raised, before this returns.
     The results are then yielded in pair order, one mean map at a time.
@@ -423,16 +407,17 @@ def run_combinations(
     if workers < 1:
         raise DomainError("workers must be >= 1")
     _check_bucket_overlap(buckets)
-    effective = [1 if k.level == "KL1" else realizations for _, _, k in pairs]
+    effective = [1 if k.level == "KL1" else realizations for _, k in pairs]
     # per realization, the totals add up to the valid cells, the slots and the households
     top, bound = max(effective, default=0), max(int(grid.valid.sum()), slot_count(plan))
     if top * bound >= 2**63:
         raise DomainError(f"realizations must be below {-(-2**63 // bound)} for 64-bit totals")
     if top * grid.total_households >= 2**63:
         raise DataError(f"{grid.total_households} households overflow 64-bit totals")
-    sweep = _build_sweep(grid, pairs, criteria, plan, master_seed, effective)
+    sweep = _build_sweep(grid, pairs, plan, master_seed, effective)
     indices = range(top)
-    n_workers = min(workers, len(indices))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(workers, len(indices), cpus or 1)  # the CPUs this process may use
     if n_workers <= 1:
         totals = _accumulate(sweep, indices)
     else:
@@ -446,7 +431,7 @@ def run_combinations(
             parts = list(pool.map(_worker_accumulate, chunks))
         totals = [tuple(map(sum, zip(*pair))) for pair in zip(*parts)]
     devices = [
-        (s.segment_class, s.segment_lengths, s.co_radius_m, s.adjacent_radius_m, s.warnings)
+        (s.segment_class, s.segment_lengths, s.co_radius_m, s.adjacent_radius_m)
         for s in sweep.devices
     ]
     pair_devices = [d for d, _, _ in sweep.pairs]
@@ -456,9 +441,9 @@ def run_combinations(
     # results() does not see the sweep, so the receiver bitsets are freed
     # when this returns; it drops each pair's totals once used.
     def results() -> Iterator[MonteCarloResult]:
-        for d, n in zip(pair_devices, effective):
+        for (link, _), d, n in zip(pairs, pair_devices, effective):
             slot_sum, (cells, households) = totals.pop(0)
-            segment_class, lengths, co_radius, adj_radius, warnings = devices[d]
+            segment_class, lengths, co_radius, adj_radius = devices[d]
             yield MonteCarloResult(
                 mean_map=_mean_map(slot_sum * (bandwidth / n), segment_class, lengths, grid),
                 cdf=_survival(levels, cells, levels),
@@ -467,7 +452,7 @@ def run_combinations(
                 master_seed=master_seed,
                 co_radius_m=co_radius,
                 adjacent_radius_m=adj_radius,
-                warnings=warnings,
+                warnings=link.warnings,
             )
 
     return results()
@@ -475,9 +460,7 @@ def run_combinations(
 
 def run_monte_carlo(
     grid: HouseholdGrid,
-    device: DeviceProfile,
-    criteria: ProtectionCriteria,
-    hata: HataParams,
+    link: SeparationReport,
     plan: ChannelPlan,
     knowledge: KnowledgeConfig,
     realizations: int = 100,
@@ -487,8 +470,7 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Run the Monte Carlo evaluation of one pair; see :func:`run_combinations`."""
     (result,) = run_combinations(
-        grid, [(device, hata, knowledge)], criteria, plan,
-        realizations, master_seed, buckets, workers,
+        grid, [(link, knowledge)], plan, realizations, master_seed, buckets, workers
     )
     return result
 

@@ -542,10 +542,12 @@ def write_matrix_csv(path: str | Path, values) -> None:
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Inverse of :func:`write_matrix_csv`; blank lines are skipped, and
     each distinct row is parsed once.  A non-numeric token (``#`` lines
-    included), a ragged row or an empty file is a data error.
+    included), a ragged row or an empty file is a data error; the first two
+    name the file's line.
     """
+    text = _read_lines(path)
     # loadtxt does not skip whitespace-only lines itself
-    lines = [line for line in _read_lines(path) if line.strip()]
+    lines = [line for line in text if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty matrix")
     distinct: dict[str, int] = {}  # each distinct row, in first-seen order
@@ -553,11 +555,19 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     parse = functools.partial(np.loadtxt, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
     try:
         values = parse(list(distinct))
-    except ValueError:
-        try:  # parsed again in full, so that the message names the file's row
-            return parse(lines)
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        width = None
+        for number, line in enumerate(text, start=1):  # the first bad line, for the message
+            if line.strip():
+                try:
+                    n = parse([line]).shape[1]
+                except ValueError as bad:  # numpy counts the one line it was given as row 0
+                    reason = str(bad).replace("at row 0, ", "at ")
+                    raise DataError(f"{path}:{number}: {reason}") from None
+                width = width or n
+                if n != width:
+                    raise DataError(f"{path}:{number}: expected {width} values, got {n}")
+        raise DataError(f"{path}: {exc}") from None
     return values if len(distinct) == len(lines) else values[row]
 
 

@@ -42,6 +42,8 @@ from grayspace.scenario import (
 
 HATA_FIXED = HataParams(650.0, 30.0, 10.0, "suburban")
 HATA_PORTABLE = HataParams(650.0, 2.0, 10.0, "suburban")
+LINK_FIXED = separation_report(FIXED_4W, OFCOM, HATA_FIXED)
+LINK_PORTABLE = separation_report(PORTABLE_100MW, OFCOM, HATA_PORTABLE)
 PLAN = ChannelPlan()
 KL1 = KnowledgeConfig("KL1")
 KL2 = KnowledgeConfig("KL2")
@@ -54,8 +56,8 @@ CO_M = {"fixed-4w": 8000.0, "portable-100mw": 1000.0}
 ADJ_M = {"fixed-4w": 1000.0, "portable-100mw": 1000.0}
 
 
-def hata_for(device):
-    return HATA_FIXED if device is FIXED_4W else HATA_PORTABLE
+def link_for(device):
+    return LINK_FIXED if device is FIXED_4W else LINK_PORTABLE
 
 
 def test_criterion_1():
@@ -134,9 +136,7 @@ def test_criterion_6(data_dir):
     for name in ("scattered_1km.csv", "vinje_synthetic_1km.csv"):
         grid, _ = compensate_area(load_grid_csv(data_dir / name))
         start = time.perf_counter()
-        result = run_monte_carlo(
-            grid, FIXED_4W, OFCOM, HATA_FIXED, PLAN, KL1, realizations=100
-        )
+        result = run_monte_carlo(grid, LINK_FIXED, PLAN, KL1, realizations=100)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, name
 
@@ -204,9 +204,7 @@ def test_criterion_7a():
         knowledge = (KL2, KL3_COND)[seed % 3 == 0]
         flags = _naive_flags(grid, knowledge, seed)
         expected = _naive_map(grid, flags, CO_M[device.label], ADJ_M[device.label])
-        got = single_realization_map(
-            grid, device, OFCOM, hata_for(device), PLAN, knowledge, seed
-        )
+        got = single_realization_map(grid, link_for(device), PLAN, knowledge, seed)
         assert np.array_equal(got.values, expected, equal_nan=True), seed
 
 
@@ -218,9 +216,7 @@ def test_criterion_7b():
     grid = ingest_grid(records, resolution_m=1000.0, rows=20, cols=20)
     for r in range(10):
         maps = [
-            single_realization_map(
-                grid, FIXED_4W, OFCOM, HATA_FIXED, PLAN, k, 99, r
-            ).values
+            single_realization_map(grid, LINK_FIXED, PLAN, k, 99, r).values
             for k in (KL1, KL2, KL3_COND)
         ]
         assert (maps[0] <= maps[1]).all(), r
@@ -234,12 +230,8 @@ def test_criterion_7c():
     records = [(int(c % 20), int(c // 20), int(rng.integers(1, 8))) for c in cells]
     grid = ingest_grid(records, resolution_m=1000.0, rows=20, cols=20)
     for r in range(10):
-        big = single_realization_map(
-            grid, FIXED_4W, OFCOM, HATA_FIXED, PLAN, KL2, 5, r
-        )
-        small = single_realization_map(
-            grid, PORTABLE_100MW, OFCOM, HATA_PORTABLE, PLAN, KL2, 5, r
-        )
+        big = single_realization_map(grid, LINK_FIXED, PLAN, KL2, 5, r)
+        small = single_realization_map(grid, LINK_PORTABLE, PLAN, KL2, 5, r)
         assert (small.values >= big.values).all(), r
 
 
@@ -251,12 +243,8 @@ def test_criterion_7d():
     coarse = ingest_grid(records, resolution_m=1000.0, rows=16, cols=16)
     for factor in (2, 5):
         fine = refine_grid(coarse, factor)
-        coarse_map = single_realization_map(
-            coarse, FIXED_4W, OFCOM, HATA_FIXED, PLAN, KL1, 0
-        )
-        fine_map = single_realization_map(
-            fine, FIXED_4W, OFCOM, HATA_FIXED, PLAN, KL1, 0
-        )
+        coarse_map = single_realization_map(coarse, LINK_FIXED, PLAN, KL1, 0)
+        fine_map = single_realization_map(fine, LINK_FIXED, PLAN, KL1, 0)
         upsampled = np.kron(coarse_map.values, np.ones((factor, factor)))
         assert (fine_map.values >= upsampled).all(), factor
 
@@ -266,8 +254,7 @@ def test_criterion_7e(data_dir):
     grid, _ = compensate_area(load_grid_csv(data_dir / "scattered_1km.csv"))
     results = [
         run_monte_carlo(
-            grid, FIXED_4W, OFCOM, HATA_FIXED, PLAN, KL3_COND,
-            realizations=16, master_seed=42, workers=w,
+            grid, LINK_FIXED, PLAN, KL3_COND, realizations=16, master_seed=42, workers=w
         )
         for w in (1, 4, 8)
     ]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grayspace import cli, engine, scenario
+from grayspace import cli, engine, linkbudget, scenario
 from grayspace.cli import _combinations, load_run_config, main
 from grayspace.errors import ConfigError
 from grayspace.griddata import (
@@ -470,6 +470,25 @@ class TestExitCodes:
         assert main(argv) == 0
         assert (out / "cdf_from_map.csv").read_text().startswith("gray_mhz,percent_area\n0,100\n")
 
+    def test_map_nan_on_households_is_3_and_writes_nothing(self, workspace, tmp_path, capsys):
+        # households: 4 at row 2 col 2, 2 at row 3 col 5, 7 at row 6 col 6
+        values = np.tile(np.arange(8) * 8.0, (8, 1))
+        values[0, 0] = np.nan  # an empty cell may be outside the area
+        stored = tmp_path / "map.csv"
+        write_matrix_csv(stored, values)
+        argv = ["report", "--config", str(workspace), "--map", str(stored), "--out"]
+        assert main([*argv, str(tmp_path / "ok")]) == 0
+        table = (tmp_path / "ok" / "utilization_from_map.csv").read_text().splitlines()[1:]
+        assert sum(float(line.split(",")[1]) for line in table) == 13.0
+        values[3, 5] = values[6, 6] = np.nan
+        write_matrix_csv(stored, values)
+        out = tmp_path / "rep"
+        assert main([*argv, str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("data error: map is NaN on 2 cells holding 9 households; "
+                       "it does not belong to the grid\n")
+        assert not out.exists()
+
 
 def _grid_argv(command: str, config: Path, out: Path) -> list[str]:
     """Arguments that make ``command`` read the grid next to ``config`` and
@@ -835,6 +854,21 @@ class TestSharedSampling:
         ) == 0
         assert len(list(tmp_path.iterdir())) == 8  # 2 devices x KL1, KL2, KL3-TP1, KL3-TP2
         assert calls == {"household_variates": realizations, "receiver_segments": 2}
+
+    def test_builds_each_link_budget_once(self, configs_dir, tmp_path, monkeypatch, capsys):
+        calls: collections.Counter[float] = collections.Counter()  # by device antenna height
+
+        def counted(hata, loss_db, _original=linkbudget.distance_for_loss):
+            calls[hata.base_height_m] += 1
+            return _original(hata, loss_db)
+
+        monkeypatch.setattr(linkbudget, "distance_for_loss", counted)
+        assert main(
+            ["simulate", "--config", str(configs_dir / "scattered.cfg"), "--resolution", "1000",
+             "--realizations", "1", "--workers", "1", "--out", str(tmp_path)]
+        ) == 0
+        # a co-channel and an adjacent distance for each of the two devices
+        assert calls == {30.0: 2, 2.0: 2}
 
 
 class TestGoldenDigests:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from grayspace import engine
@@ -32,8 +34,14 @@ from grayspace.griddata import (
     receiver_segments,
     write_matrix_csv,
 )
-from grayspace.linkbudget import OFCOM, DeviceProfile
-from grayspace.propagation import HataParams
+from grayspace.linkbudget import (
+    OFCOM,
+    DeviceProfile,
+    ProtectionCriteria,
+    quantize_distance,
+    separation_report,
+)
+from grayspace.propagation import ENVIRONMENTS, HataParams
 from grayspace.scenario import ChannelPlan, KnowledgeConfig, usage_partition
 from test_acceptance import ADJ_M, CO_M, _naive_flags, _naive_map
 from test_scenario import MANY_KL3
@@ -42,6 +50,8 @@ FIXED = DeviceProfile("fixed-4w", eirp_mw=4000.0, antenna_height_m=30.0)
 PORTABLE = DeviceProfile("portable-100mw", eirp_mw=100.0, antenna_height_m=2.0)
 HATA_FIXED = HataParams(650.0, 30.0, 10.0, "suburban")
 HATA_PORTABLE = HataParams(650.0, 2.0, 10.0, "suburban")
+LINK_FIXED = separation_report(FIXED, OFCOM, HATA_FIXED)
+LINK_PORTABLE = separation_report(PORTABLE, OFCOM, HATA_PORTABLE)
 PLAN = ChannelPlan()
 KL1 = KnowledgeConfig("KL1")
 KL2 = KnowledgeConfig("KL2")
@@ -51,8 +61,8 @@ KL3_TP2_COND = KnowledgeConfig(
 )
 
 
-def run(grid, knowledge, device=FIXED, hata=HATA_FIXED, **kw):
-    return run_monte_carlo(grid, device, OFCOM, hata, PLAN, knowledge, **kw)
+def run(grid, knowledge, link=LINK_FIXED, **kw):
+    return run_monte_carlo(grid, link, PLAN, knowledge, **kw)
 
 
 class TestBuckets:
@@ -100,23 +110,21 @@ class TestSingleRealization:
         # one receiver in the middle; co-channel reach (8 km) spans the whole
         # grid, adjacent reach (1 km) only the surrounding 3x3 box
         grid = ingest_grid([(2, 2, 3)], resolution_m=1000.0, rows=5, cols=5)
-        gsm = single_realization_map(grid, FIXED, OFCOM, HATA_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
         expected = np.full((5, 5), 80.0)  # ten 8 MHz adjacent slots
         expected[1:4, 1:4] = 0.0
         assert np.array_equal(gsm.values, expected)
 
     def test_kl1_portable_blocks_only_neighbourhood(self):
         grid = ingest_grid([(0, 0, 1)], resolution_m=1000.0, rows=4, cols=4)
-        gsm = single_realization_map(
-            grid, PORTABLE, OFCOM, HATA_PORTABLE, PLAN, KL1, 0
-        )
+        gsm = single_realization_map(grid, LINK_PORTABLE, PLAN, KL1, 0)
         expected = np.full((4, 4), 120.0)
         expected[:2, :2] = 0.0  # footprint clipped at the corner
         assert np.array_equal(gsm.values, expected)
 
     def test_empty_grid_is_all_capacity(self):
         grid = ingest_grid([], resolution_m=1000.0, rows=3, cols=3)
-        gsm = single_realization_map(grid, FIXED, OFCOM, HATA_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
         assert (gsm.values == 120.0).all()
 
     def test_invalid_cells_are_nan(self):
@@ -124,7 +132,7 @@ class TestSingleRealization:
         valid = np.ones((3, 3), dtype=bool)
         valid[0, 0] = False
         grid = HouseholdGrid(counts, valid, 1000.0, municipal_area_km2=8.0)
-        gsm = single_realization_map(grid, FIXED, OFCOM, HATA_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
         assert np.isnan(gsm.values[0, 0])
         assert not np.isnan(gsm.values[1:]).any()
 
@@ -224,15 +232,14 @@ class TestKL1Shortcut:
         with mock.patch("grayspace.scenario.household_variates",
                         side_effect=AssertionError("drawn")):
             results = run_combinations(
-                grid, [(FIXED, HATA_FIXED, KL1), (PORTABLE, HATA_PORTABLE, KL1)], OFCOM, PLAN,
-                realizations=5,
+                grid, [(LINK_FIXED, KL1), (LINK_PORTABLE, KL1)], PLAN, realizations=5
             )
             assert [r.mean_map.values.min() for r in results] == [0.0, 0.0]
 
     def test_mean_equals_single_realization(self):
         grid = ingest_grid([(1, 1, 2), (4, 3, 6)], resolution_m=1000.0, rows=6, cols=6)
         result = run(grid, KL1, realizations=50)
-        gsm = single_realization_map(grid, FIXED, OFCOM, HATA_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
         assert np.array_equal(result.mean_map.values, gsm.values)
 
 
@@ -252,6 +259,40 @@ class TestWorkers:
             )
 
 
+    def test_processes_capped_at_usable_cpus(self, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            """Records the pool size and runs every chunk in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(engine, "_WORKER_SWEEP", None)
+        grid = ingest_grid([(2, 2, 4), (7, 5, 3)], resolution_m=1000.0, rows=8, cols=9)
+        base = run(grid, KL2, realizations=40, master_seed=9)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        capped = run(grid, KL2, realizations=40, master_seed=9, workers=5000)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        fallback = run(grid, KL2, realizations=40, master_seed=9, workers=5000)
+        assert pools == [2, 3]
+        for other in (capped, fallback):
+            assert base.mean_map.values.tobytes() == other.mean_map.values.tobytes()
+            assert base.cdf.percent_area.tobytes() == other.cdf.percent_area.tobytes()
+
+
 def _scattered_grid(seed, side, receivers):
     rng = np.random.default_rng(seed)
     cells = rng.choice(side * side, size=receivers, replace=False).tolist()
@@ -264,31 +305,27 @@ class TestMultiWordReceivers:
     uint64 words through the whole engine."""
 
     GRID = _scattered_grid(64, 24, 140)
-    DEVICES = ((FIXED, HATA_FIXED), (PORTABLE, HATA_PORTABLE))
+    LINKS = (LINK_FIXED, LINK_PORTABLE)
     KNOWLEDGE = (KL2, KL3_TP2_COND)
 
-    @pytest.mark.parametrize("device", DEVICES, ids=["fixed-4w", "portable-100mw"])
-    def test_single_realization_matches_oracle(self, device):
-        state = engine._build_state(self.GRID, device[0], OFCOM, device[1])
+    @pytest.mark.parametrize("link", LINKS, ids=["fixed-4w", "portable-100mw"])
+    def test_single_realization_matches_oracle(self, link):
+        state = engine._build_state(self.GRID, link)
         assert state.bits.shape[0] == 3
         for knowledge in self.KNOWLEDGE:
             for seed in (1, 2):
                 flags = _naive_flags(self.GRID, knowledge, seed)
-                label = device[0].label
+                label = link.device.label
                 expected = _naive_map(self.GRID, flags, CO_M[label], ADJ_M[label])
-                got = single_realization_map(
-                    self.GRID, device[0], OFCOM, device[1], PLAN, knowledge, seed
-                )
+                got = single_realization_map(self.GRID, link, PLAN, knowledge, seed)
                 assert np.array_equal(got.values, expected), (knowledge.level, seed)
                 assert len(np.unique(expected)) >= 3  # the oracle is not trivial
 
-    @pytest.mark.parametrize("device", DEVICES, ids=["fixed-4w", "portable-100mw"])
-    def test_mean_of_one_realization_equals_single_realization(self, device):
+    @pytest.mark.parametrize("link", LINKS, ids=["fixed-4w", "portable-100mw"])
+    def test_mean_of_one_realization_equals_single_realization(self, link):
         for knowledge in self.KNOWLEDGE:
-            result = run(self.GRID, knowledge, *device, realizations=1, master_seed=5)
-            gsm = single_realization_map(
-                self.GRID, device[0], OFCOM, device[1], PLAN, knowledge, 5, 0
-            )
+            result = run(self.GRID, knowledge, link, realizations=1, master_seed=5)
+            gsm = single_realization_map(self.GRID, link, PLAN, knowledge, 5, 0)
             assert result.mean_map.values.tobytes() == gsm.values.tobytes(), knowledge.level
 
     def test_totals_are_sums_over_single_realizations(self):
@@ -297,17 +334,17 @@ class TestMultiWordReceivers:
         # taken from every realization's own map.  The second bucket set has
         # gaps, a point bucket and an open bucket.
         R, seed = 5, 17
-        pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]
+        pairs = [(link, k) for link in self.LINKS for k in self.KNOWLEDGE]
         n_valid = int(self.GRID.valid.sum())
         for buckets in (DEFAULT_BUCKETS, parse_buckets("0-0,40-88,104<")):
-            results = run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=R,
+            results = run_combinations(self.GRID, pairs, PLAN, realizations=R,
                                        master_seed=seed, buckets=buckets)
             filled = np.zeros(len(buckets) + 1, dtype=bool)
-            for (device, hata, knowledge), result in zip(pairs, results, strict=True):
+            for (link, knowledge), result in zip(pairs, results, strict=True):
                 area, households = [], []
                 for r in range(R):
                     values = single_realization_map(
-                        self.GRID, device, OFCOM, hata, PLAN, knowledge, seed, r
+                        self.GRID, link, PLAN, knowledge, seed, r
                     ).values
                     percent = cdf_from_map(values, result.cdf.levels_mhz).percent_area
                     area.append(np.rint(percent * n_valid / 100.0))
@@ -315,7 +352,7 @@ class TestMultiWordReceivers:
                         utilization_from_map(values, self.GRID.counts, buckets).mean_households
                     )
                 assert len({a.tobytes() for a in area}) > 1  # the realizations differ
-                where = (device.label, knowledge.level, buckets[0].label)
+                where = (link.device.label, knowledge.level, buckets[0].label)
                 assert np.array_equal(
                     np.rint(result.cdf.percent_area * R * n_valid / 100.0), np.sum(area, axis=0)
                 ), where
@@ -326,9 +363,9 @@ class TestMultiWordReceivers:
             assert filled[:-1].all()  # every configured bucket is exercised
 
     def test_bit_identical_across_worker_counts(self):
-        pairs = [(d, h, k) for d, h in self.DEVICES for k in self.KNOWLEDGE]
+        pairs = [(link, k) for link in self.LINKS for k in self.KNOWLEDGE]
         base, other = (
-            list(run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=6,
+            list(run_combinations(self.GRID, pairs, PLAN, realizations=6,
                                   master_seed=21, workers=workers))
             for workers in (1, 2)
         )
@@ -348,7 +385,7 @@ class TestRunCombinations:
         [(2, 2, 4), (7, 5, 3), (11, 9, 9), (0, 11, 2)],
         resolution_m=1000.0, rows=12, cols=14,
     )
-    HATA = {FIXED: HATA_FIXED, PORTABLE: HATA_PORTABLE}
+    LINK = {FIXED: LINK_FIXED, PORTABLE: LINK_PORTABLE}
     # KL1 between sampled levels, and KL2 twice
     KNOWLEDGE = (KL2, KL1, KL3_TP2_COND, KL2, KL3_TP1)
 
@@ -384,15 +421,14 @@ class TestRunCombinations:
         self.check_joint(grid, (PORTABLE, FIXED), knowledge, 4, workers)
 
     def check_joint(self, grid, devices, knowledge, realizations, workers):
-        pairs = [(d, self.HATA[d], k) for k in knowledge for d in devices]
+        pairs = [(self.LINK[d], k) for k in knowledge for d in devices]
         joint = list(run_combinations(
-            grid, pairs, OFCOM, PLAN, realizations=realizations, master_seed=3, workers=workers
+            grid, pairs, PLAN, realizations=realizations, master_seed=3, workers=workers
         ))
         assert len(joint) == len(pairs)
-        for (device, hata, knowledge), got in zip(pairs, joint):
+        for (link, knowledge), got in zip(pairs, joint):
             alone = run_monte_carlo(
-                grid, device, OFCOM, hata, PLAN, knowledge, realizations=realizations,
-                master_seed=3,
+                grid, link, PLAN, knowledge, realizations=realizations, master_seed=3
             )
             assert got.mean_map.values.tobytes() == alone.mean_map.values.tobytes()
             assert got.cdf.levels_mhz.tobytes() == alone.cdf.levels_mhz.tobytes()
@@ -407,14 +443,14 @@ class TestRunCombinations:
             )
 
     def test_no_pairs_no_results(self):
-        assert list(run_combinations(self.GRID, [], OFCOM, PLAN)) == []
+        assert list(run_combinations(self.GRID, [], PLAN)) == []
 
     def test_input_errors_raise_before_any_result(self):
-        pairs = [(FIXED, HATA_FIXED, KL2)]
+        pairs = [(LINK_FIXED, KL2)]
         with pytest.raises(DomainError):
-            run_combinations(self.GRID, pairs, OFCOM, PLAN, realizations=0)
+            run_combinations(self.GRID, pairs, PLAN, realizations=0)
         with pytest.raises(ConfigError, match="5 MUX"):
-            run_combinations(self.GRID, pairs, OFCOM, ChannelPlan(used_channels=(21, 24, 27, 30)))
+            run_combinations(self.GRID, pairs, ChannelPlan(used_channels=(21, 24, 27, 30)))
 
 
 class TestReceiverSetClasses:
@@ -427,20 +463,19 @@ class TestReceiverSetClasses:
         shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
         density=st.sampled_from([0.0, 0.2, 1.0]),
         seed=st.integers(0, 2**32 - 1),
-        device=st.sampled_from([(FIXED, HATA_FIXED), (PORTABLE, HATA_PORTABLE)]),
+        link=st.sampled_from([LINK_FIXED, LINK_PORTABLE]),
         resolution=st.sampled_from([250.0, 1000.0]),
     )
-    @example(shape=(3, 3), density=0.0, seed=0, device=(FIXED, HATA_FIXED), resolution=1000.0)
-    @example(shape=(12, 12), density=1.0, seed=1, device=(PORTABLE, HATA_PORTABLE),
-             resolution=250.0)
-    def test_classes_reproduce_segment_bitsets(self, shape, density, seed, device, resolution):
+    @example(shape=(3, 3), density=0.0, seed=0, link=LINK_FIXED, resolution=1000.0)
+    @example(shape=(12, 12), density=1.0, seed=1, link=LINK_PORTABLE, resolution=250.0)
+    def test_classes_reproduce_segment_bitsets(self, shape, density, seed, link, resolution):
         rng = np.random.default_rng(seed)
         valid = rng.random(shape) < 0.9
         counts = np.where(valid & (rng.random(shape) < density), rng.integers(1, 4, shape), 0)
         area = counts.size * (resolution / 1000.0) ** 2
         grid = HouseholdGrid(counts, valid, resolution, municipal_area_km2=area)
         with mock.patch.object(engine, "receiver_segments", wraps=receiver_segments) as spy:
-            state = engine._build_state(grid, device[0], OFCOM, device[1])
+            state = engine._build_state(grid, link)
         starts, (co_bits, adj_bits) = receiver_segments(*spy.call_args.args)
 
         assert np.array_equal(state.segment_lengths, np.diff(starts, append=counts.size))
@@ -465,6 +500,51 @@ class TestReceiverSetClasses:
             assert households == counts.ravel()[cell_class == c].sum()
 
 
+class TestAdjacentInsideCo:
+    """Criteria require co-channel C/I above adjacent C/I, so the adjacent
+    loss is the smaller one; the Hata inversion, the rounding up to the grid
+    and the disc footprint all grow with the distance.  So a class's adjacent
+    set never holds a receiver its co-channel set lacks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        field=st.floats(20.0, 90.0),
+        ci_adjacent=st.floats(-40.0, 40.0),
+        ci_gap=st.floats(0.001, 60.0),
+        eirp=st.floats(0.01, 1e5),
+        height=st.floats(0.5, 300.0),
+        frequency=st.floats(50.0, 3000.0),
+        mobile=st.floats(0.0, 20.0),
+        environment=st.sampled_from(ENVIRONMENTS),
+        resolution=st.sampled_from([50.0, 100.0, 250.0, 1000.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(field=OFCOM.min_field_strength_dbuvm, ci_adjacent=OFCOM.ci_adjacent_db,
+             ci_gap=OFCOM.ci_cochannel_db - OFCOM.ci_adjacent_db, eirp=FIXED.eirp_mw,
+             height=FIXED.antenna_height_m, frequency=650.0, mobile=10.0,
+             environment="suburban", resolution=100.0, seed=0)
+    def test_adjacent_radius_and_sets_inside_co(
+        self, field, ci_adjacent, ci_gap, eirp, height, frequency, mobile, environment,
+        resolution, seed,
+    ):
+        criteria = ProtectionCriteria("any", field, ci_adjacent + ci_gap, ci_adjacent, 8.0,
+                                      100.0, receiver_height_m=mobile)
+        try:
+            link = separation_report(DeviceProfile("any", eirp, height), criteria,
+                                     HataParams(frequency, height, mobile, environment))
+        except DomainError:  # a distance past the range the inversion covers
+            reject()
+        co = quantize_distance(link.min_distance_co_m, resolution)
+        assert quantize_distance(link.min_distance_adjacent_m, resolution) <= co
+
+        rng = np.random.default_rng(seed)
+        counts = np.where(rng.random((9, 11)) < 0.3, rng.integers(1, 4, (9, 11)), 0)
+        grid = HouseholdGrid(counts, np.ones((9, 11), bool), resolution,
+                             municipal_area_km2=counts.size * (resolution / 1000.0) ** 2)
+        state = engine._build_state(grid, link)
+        assert not (state.bits[:, state.adj_index] & ~state.bits[:, state.co_index]).any()
+
+
 class TestValidation:
     def grid(self):
         return ingest_grid([(1, 1, 2)], resolution_m=1000.0, rows=4, cols=4)
@@ -472,7 +552,7 @@ class TestValidation:
     def test_plan_must_have_five_channels(self):
         plan = ChannelPlan(used_channels=(21, 24, 27, 30))
         with pytest.raises(ConfigError, match="5 MUX"):
-            run_monte_carlo(self.grid(), FIXED, OFCOM, HATA_FIXED, plan, KL1)
+            run_monte_carlo(self.grid(), LINK_FIXED, plan, KL1)
 
     def test_grid_needs_valid_cells(self):
         counts = np.zeros((2, 2), dtype=np.int64)
@@ -546,7 +626,7 @@ class TestMapDictionaryForm:
         grid = HouseholdGrid(counts, valid, 250.0, municipal_area_km2=counts.size / 16)
         result = run(grid, knowledge, realizations=realizations, master_seed=seed)
         self.check(result.mean_map, grid, tmp_path_factory.mktemp("map"))
-        single = single_realization_map(grid, FIXED, OFCOM, HATA_FIXED, PLAN, knowledge, seed)
+        single = single_realization_map(grid, LINK_FIXED, PLAN, knowledge, seed)
         self.check(single, grid, tmp_path_factory.mktemp("single"))
 
     @pytest.mark.parametrize("name", ["vinje_synthetic_1km.csv", "clustered_1km.csv"])
@@ -651,8 +731,8 @@ class TestMapStatistics:
     def test_utilization_from_map_matches_engine_for_any_buckets(self, buckets):
         # one realization: the mean map holds that realization's values
         for knowledge in (KL1, KL3_TP1):
-            result = run(self.MIXED_GRID, knowledge, device=PORTABLE, hata=HATA_PORTABLE,
-                         realizations=1, buckets=buckets)
+            result = run(self.MIXED_GRID, knowledge, link=LINK_PORTABLE, realizations=1,
+                         buckets=buckets)
             again = utilization_from_map(result.mean_map.values, self.MIXED_GRID.counts, buckets)
             assert again.labels == result.utilization.labels
             assert (

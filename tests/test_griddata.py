@@ -512,6 +512,14 @@ _MATRICES = st.one_of(
 )
 
 
+def _is_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 class TestMatrixIO:
     def test_csv_roundtrip_with_nan(self, tmp_path):
         values = np.array([[1.0, np.nan], [0.25, 120.0]])
@@ -565,6 +573,26 @@ class TestMatrixIO:
         with pytest.raises(DataError):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize(
+        "text,where,fragment",
+        [
+            ("1,2\n\n\n1,x\n", 4, "could not convert string 'x'"),
+            ("1,2\n\n1,2,3\n", 3, "expected 2 values, got 3"),
+            ("\n  \n1,2\n3,abc\n", 4, "could not convert string 'abc'"),
+            ("1,2\n  \n1,2\n\n3\n", 5, "expected 2 values, got 1"),
+            ("\n\n1,,3\n", 3, "could not convert string ''"),
+        ],
+        ids=["token-after-two-blanks", "ragged-after-blank", "token-after-leading-blanks",
+             "ragged-after-repeats", "empty-field-after-blanks"],
+    )
+    def test_csv_error_names_the_files_line(self, tmp_path, text, where, fragment):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as raised:
+            read_matrix_csv(path)
+        assert str(raised.value).startswith(f"{path}:{where}: ")
+        assert fragment in str(raised.value)
+
     @settings(max_examples=200, deadline=None)
     @given(
         pool=st.lists(
@@ -590,10 +618,22 @@ class TestMatrixIO:
             rows = [line for line in lines if line.strip()]
             try:
                 want = np.loadtxt(rows, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
-            except ValueError as exc:
+            except ValueError:
+                # the first line with a token that is no float, or with a
+                # count of values unlike the first row's
+                width = len(rows[0].split(","))
+                for number, line in enumerate(lines, start=1):
+                    bad = [t for t in line.split(",") if not _is_float(t)] if line.strip() else []
+                    if bad or (line.strip() and len(line.split(",")) != width):
+                        break
                 with pytest.raises(DataError) as raised:
                     read_matrix_csv(path)
-                assert str(raised.value) == f"{path}: {exc}"
+                message = str(raised.value)
+                assert message.startswith(f"{path}:{number}: ")
+                if bad:
+                    assert f"could not convert string {bad[0]!r}" in message
+                else:
+                    assert message.endswith(f"expected {width} values, got {len(line.split(','))}")
             else:
                 got = read_matrix_csv(path)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()

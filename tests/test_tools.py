@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 
 def test_make_grids_reproduces_shipped_data(tmp_path, data_dir):
     root = data_dir.parent
@@ -19,14 +21,40 @@ def test_make_grids_reproduces_shipped_data(tmp_path, data_dir):
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
 
 
-def test_bench_pairs_summary(data_dir):
+@pytest.fixture
+def bench_pairs(data_dir):
     sys.path.insert(0, str(data_dir.parent / "tools"))
     try:
         import bench_pairs
     finally:
         sys.path.pop(0)
+    return bench_pairs
+
+
+def test_bench_pairs_summary(bench_pairs):
     line = bench_pairs.summarize("wall_s", [0.44, 0.48, 0.47, 0.45], [0.36, 0.38, 0.49, 0.37])
     assert line == ("wall_s       0.46 [0.4425, 0.4775] -> 0.375 [0.3625, 0.4625]  -18.5%, "
                     "better in 3 of 4 pairs")
     # higher is better for throughput
     assert bench_pairs.summarize("cells_per_s", [1.0], [2.0]).endswith("better in 1 of 1 pairs")
+
+
+@pytest.mark.parametrize(
+    "metric,base,head,want",
+    [
+        # the median 30 % slower, past the 25 % bound
+        ("wall_s", [1.0, 1.0, 1.02, 0.98], [1.3, 1.31, 1.29, 1.3], "worse"),
+        # quartiles 0.625 and 1.375 apart by more than the bound, and the runs overlap
+        ("wall_s", [0.5, 1.0, 1.0, 1.5], [0.9, 0.95, 1.0, 1.1], "unresolved"),
+        # a base as wide, but every head run beats every base run: 10 of 10 pairs
+        ("cells_per_s", [0.5, 0.8, 1.0, 1.2, 1.5] * 2, [2.0] * 10, "better"),
+        # 10 % slower, within the bound, and no gain
+        ("wall_s", [1.0, 1.01, 0.99, 1.0], [1.1, 1.11, 1.09, 1.1], "within bound"),
+        # 9 of 10 pairs better, but the medians differ by less than the base's spread
+        ("peak_rss_mb", [50.0, 52.0, 48.0, 51.0, 49.0] * 2,
+         [49.9, 51.9, 47.9, 50.9, 48.9, 49.9, 51.9, 47.9, 50.9, 60.0], "within bound"),
+    ],
+    ids=["worse", "unresolved", "better", "within-bound", "gain-inside-spread"],
+)
+def test_bench_pairs_verdict(bench_pairs, metric, base, head, want):
+    assert bench_pairs.verdict(metric, base, head) == want

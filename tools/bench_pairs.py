@@ -4,7 +4,8 @@ Extracts a ``git archive`` copy of each revision under a scratch directory,
 then runs ``perfbench/run.py`` on the two copies in turn, N pairs per
 workload, alternating which copy runs first.  It prints each pair's
 end-to-end metrics and, per metric, both medians with their quartiles, the
-change of the medians and in how many pairs the second revision was better:
+change of the medians and in how many pairs the second revision was better,
+then the benchmark's verdict on that metric (see :func:`verdict`):
 
     python3 tools/bench_pairs.py 5e9ef34 WORKTREE --scratch /tmp/pairs \\
         --workload sim-1km --pairs 5 --seconds 8 --seed 42
@@ -28,9 +29,11 @@ import tarfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+END_TO_END = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
 #: Each end-to-end metric of the benchmark, +1 when higher is better.
-BETTER = {m["name"]: 1 if m["better"] == "higher" else -1
-          for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+BETTER = {m["name"]: 1 if m["better"] == "higher" else -1 for m in END_TO_END}
+#: The change of each metric the benchmark tolerates, as a fraction of the base's median.
+BOUND = {m["name"]: m["bound"] for m in END_TO_END}
 
 
 def _git(*args: str) -> str:
@@ -68,17 +71,47 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def _wins(metric: str, base: list[float], head: list[float]) -> int:
+    """The pairs in which ``head`` was better."""
+    return sum(BETTER[metric] * (h - b) > 0 for b, h in zip(base, head))
+
+
 def summarize(metric: str, base: list[float], head: list[float]) -> str:
     """One line: medians [quartiles] of both sides, the change of the medians,
     and the pairs in which ``head`` was better."""
     def spread(values: list[float]) -> str:
-        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        q1, median, q3 = _quartiles(values)
         return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
     change = statistics.median(head) / statistics.median(base) - 1.0
-    better = sum(BETTER[metric] * (h - b) > 0 for b, h in zip(base, head))
     return (f"{metric:12s} {spread(base)} -> {spread(head)}  {change:+.1%}, "
-            f"better in {better} of {len(base)} pairs")
+            f"better in {_wins(metric, base, head)} of {len(base)} pairs")
+
+
+def verdict(metric: str, base: list[float], head: list[float]) -> str:
+    """The benchmark's gate on one metric, given the runs of ``len(base)`` pairs:
+
+    ``worse``: the head's median is worse than the base's by more than the bound;
+    ``unresolved``: the base's quartile spread exceeds the bound, unless every
+    head run beats every base run;
+    ``better``: the head wins at least 9 of 10 pairs, and the medians differ by
+    more than the base's quartile spread;
+    ``within bound``: any other case.
+    """
+    sign, (q1, median, q3) = BETTER[metric], _quartiles(base)
+    gain = sign * (statistics.median(head) - median)  # > 0 where the head is better
+    bound = BOUND[metric] * median
+    if -gain > bound:
+        return "worse"
+    if q3 - q1 > bound and min(sign * h for h in head) <= max(sign * b for b in base):
+        return "unresolved"
+    if 10 * _wins(metric, base, head) >= 9 * len(base) and gain > q3 - q1:
+        return "better"
+    return "within bound"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,8 +139,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload} pair {pair + 1}: " + "  ".join(
                 f"{name} {base[name]:.4g}/{head[name]:.4g}" for name in BETTER), flush=True)
         for name in BETTER:
-            print(f"{workload} " + summarize(
-                name, [r[name] for r in runs[0]], [r[name] for r in runs[1]]))
+            values = [[r[name] for r in side] for side in runs]
+            print(f"{workload} {summarize(name, *values)}\n"
+                  f"{workload} {name:12s} {verdict(name, *values)}")
     return 0
 
 
