@@ -590,12 +590,13 @@ def read_matrix_rle(path: str | Path) -> np.ndarray:
 
     The header's ``rows`` and ``cols`` must be non-negative integers, every
     run count at least 1 and every row exactly ``cols`` cells long; all of
-    it is checked before the matrix is allocated.
+    it is checked before the matrix is allocated.  A bad token or a row of
+    the wrong length names the file's line.
     """
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if not lines or not lines[0].startswith("# rle"):
+    lines = [(n, ln) for n, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# rle"):
         raise DataError(f"{path}: missing RLE header")
-    header = dict(part.partition("=")[::2] for part in lines[0][5:].split())
+    header = dict(part.partition("=")[::2] for part in lines[0][1][5:].split())
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
     except (KeyError, ValueError):
@@ -606,7 +607,7 @@ def read_matrix_rle(path: str | Path) -> np.ndarray:
         raise DataError(f"{path}: expected {rows} data lines")
     counts: list[int] = []
     values: list[float] = []
-    for i, line in enumerate(lines[1:]):
+    for number, line in lines[1:]:
         col = 0
         for token in line.split(","):
             try:
@@ -615,12 +616,12 @@ def read_matrix_rle(path: str | Path) -> np.ndarray:
             except ValueError:
                 count = 0  # rejected with the counts below 1
             if count < 1:
-                raise DataError(f"{path}: bad RLE token {token!r}")
+                raise DataError(f"{path}:{number}: bad RLE token {token!r}")
             counts.append(count)
             values.append(value)
             col += count
         if col != cols:
-            raise DataError(f"{path}: row {i} has {col} cells, expected {cols}")
+            raise DataError(f"{path}:{number}: row has {col} cells, expected {cols}")
     try:
         out = np.repeat(np.array(values, np.float64), np.array(counts, np.int64))
     except (MemoryError, ValueError, OverflowError):  # ValueError past 2**63 bytes

@@ -272,7 +272,7 @@ class UsagePartition:
 
     cuts: tuple[np.ndarray, ...]  # sorted thresholds on coverage, subscription, viewing
     row_table: np.ndarray  # (cells, words) '<u8': bit r set where row r holds
-    mux_weights: np.ndarray  # (configs, rows) float32
+    mux_weights: np.ndarray  # (configs, rows) uint8
 
 
 def usage_partition(configs: Sequence[KnowledgeConfig]) -> UsagePartition:
@@ -294,8 +294,7 @@ def usage_partition(configs: Sequence[KnowledgeConfig]) -> UsagePartition:
     one_hot = row_of.reshape(len(configs), 5, 1) == np.arange(len(rows))
     bits = np.pad(rows.T, ((0, 0), (0, -len(rows) % 64)))  # whole words
     row_table = np.packbits(bits, axis=1, bitorder="little").copy().view("<u8")
-    # small integers: float32 products of the weights are exact
-    mux_weights = (2.0 ** np.arange(5) @ one_hot).astype(np.float32)
+    mux_weights = (2 ** np.arange(5) @ one_hot).astype(np.uint8)
     return UsagePartition(cuts=cuts, row_table=row_table, mux_weights=mux_weights)
 
 
@@ -313,12 +312,13 @@ def receiver_rows(partition: UsagePartition, households_per_receiver: np.ndarray
         bits = np.repeat(partition.row_table, len(k), axis=0)
     else:
         u = household_variates(master_seed, realization_index, int(k.sum()))
-        code = np.zeros(len(u), dtype=np.intp)  # each household's cell
+        # each household's cell in the narrowest type that holds it: uint8 halves the loop
+        code = np.zeros(len(u), dtype=np.min_scalar_type(len(partition.row_table) - 1))
         for column, cuts in zip(np.ascontiguousarray(u.T), partition.cuts):
             code *= len(cuts) + 1
             for cut in cuts:  # a comparison per cut beats a searchsorted over few cuts
                 code += column >= cut
-        bits = np.bitwise_or.reduceat(partition.row_table[code], np.cumsum(k) - k)
+        bits = np.bitwise_or.reduceat(partition.row_table.take(code, axis=0), np.cumsum(k) - k)
     n_rows = partition.mux_weights.shape[1]
     return np.unpackbits(bits.view(np.uint8), axis=1, count=n_rows, bitorder="little")
 
@@ -334,4 +334,4 @@ def receiver_usage(
     :func:`usage_masks` of each receiver's households, from one draw."""
     partition = usage_partition(configs)
     flags = receiver_rows(partition, households_per_receiver, master_seed, realization_index)
-    return (partition.mux_weights @ flags.T).astype(np.uint8)
+    return partition.mux_weights @ flags.T

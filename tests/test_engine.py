@@ -293,6 +293,15 @@ class TestWorkers:
             assert base.cdf.percent_area.tobytes() == other.cdf.percent_area.tobytes()
 
 
+def _set_bits(state):
+    """The (words, sets) receiver bitsets of a device state, rebuilt from its tokens."""
+    bits = np.zeros(state.token_index.shape, dtype=np.uint64)
+    for w, (tokens, index) in enumerate(zip(state.tokens, state.token_index)):
+        assert index.dtype == np.uint32 and len(np.unique(tokens)) == len(tokens)
+        bits[w] = tokens[index]
+    return bits
+
+
 def _scattered_grid(seed, side, receivers):
     rng = np.random.default_rng(seed)
     cells = rng.choice(side * side, size=receivers, replace=False).tolist()
@@ -311,7 +320,7 @@ class TestMultiWordReceivers:
     @pytest.mark.parametrize("link", LINKS, ids=["fixed-4w", "portable-100mw"])
     def test_single_realization_matches_oracle(self, link):
         state = engine._build_state(self.GRID, link)
-        assert state.bits.shape[0] == 3
+        assert _set_bits(state).shape[0] == 3
         for knowledge in self.KNOWLEDGE:
             for seed in (1, 2):
                 flags = _naive_flags(self.GRID, knowledge, seed)
@@ -320,6 +329,22 @@ class TestMultiWordReceivers:
                 got = single_realization_map(self.GRID, link, PLAN, knowledge, seed)
                 assert np.array_equal(got.values, expected), (knowledge.level, seed)
                 assert len(np.unique(expected)) >= 3  # the oracle is not trivial
+
+    @pytest.mark.parametrize("link", LINKS, ids=["fixed-4w", "portable-100mw"])
+    def test_two_lanes_of_flag_rows_match_oracle(self, link):
+        # four KL3 configs read 20 flag rows, so the hit pass runs two lanes
+        # and ORs their masks
+        knowledge = MANY_KL3[:4]
+        assert engine.LANE < usage_partition(knowledge).mux_weights.shape[1] <= 2 * engine.LANE
+        seed = 4
+        results = run_combinations(self.GRID, [(link, k) for k in knowledge], PLAN,
+                                   realizations=1, master_seed=seed)
+        label = link.device.label
+        for k, result in zip(knowledge, results, strict=True):
+            flags = _naive_flags(self.GRID, k, seed)
+            expected = _naive_map(self.GRID, flags, CO_M[label], ADJ_M[label])
+            assert np.array_equal(result.mean_map.values, expected), k
+            assert len(np.unique(expected)) >= 3  # the oracle is not trivial
 
     @pytest.mark.parametrize("link", LINKS, ids=["fixed-4w", "portable-100mw"])
     def test_mean_of_one_realization_equals_single_realization(self, link):
@@ -481,12 +506,13 @@ class TestReceiverSetClasses:
         assert np.array_equal(state.segment_lengths, np.diff(starts, append=counts.size))
         co_of = state.co_index[state.segment_class]
         adj_of = state.adj_index[state.segment_class]
-        assert np.array_equal(state.bits[:, co_of], co_bits)
-        assert np.array_equal(state.bits[:, adj_of], adj_bits)
+        set_bits = _set_bits(state)
+        assert np.array_equal(set_bits[:, co_of], co_bits)
+        assert np.array_equal(set_bits[:, adj_of], adj_bits)
         n_co = len(set(co_of.tolist()))  # the co-channel sets come first in the table
         assert set(co_of.tolist()) == set(range(n_co))
-        assert set(adj_of.tolist()) == set(range(n_co, state.bits.shape[1]))
-        for bits in (state.bits[:, :n_co], state.bits[:, n_co:]):
+        assert set(adj_of.tolist()) == set(range(n_co, set_bits.shape[1]))
+        for bits in (set_bits[:, :n_co], set_bits[:, n_co:]):
             assert len({column.tobytes() for column in bits.T}) == bits.shape[1]
         classes = set(zip(state.co_index.tolist(), state.adj_index.tolist()))
         assert len(classes) == len(state.co_index) == len(state.adj_index)
@@ -542,7 +568,8 @@ class TestAdjacentInsideCo:
         grid = HouseholdGrid(counts, np.ones((9, 11), bool), resolution,
                              municipal_area_km2=counts.size * (resolution / 1000.0) ** 2)
         state = engine._build_state(grid, link)
-        assert not (state.bits[:, state.adj_index] & ~state.bits[:, state.co_index]).any()
+        bits = _set_bits(state)
+        assert not (bits[:, state.adj_index] & ~bits[:, state.co_index]).any()
 
 
 class TestValidation:

@@ -685,6 +685,22 @@ class TestMatrixIO:
             read_matrix_rle(path)
 
     @pytest.mark.parametrize(
+        "text,where,fragment",
+        [
+            ("# rle rows=2 cols=2\n\n2*1\n\n1*1\n", 5, "row has 1 cells, expected 2"),
+            ("\n# rle rows=2 cols=2\n2*1\n\n\n1*x,1*1\n", 6, "bad RLE token '1*x'"),
+        ],
+        ids=["short-row-after-blanks", "bad-token-after-blanks"],
+    )
+    def test_rle_error_names_the_files_line(self, tmp_path, text, where, fragment):
+        path = tmp_path / "m.rle"
+        path.write_text(text)
+        with pytest.raises(DataError) as raised:
+            read_matrix_rle(path)
+        assert str(raised.value).startswith(f"{path}:{where}: ")
+        assert fragment in str(raised.value)
+
+    @pytest.mark.parametrize(
         "text",
         [
             "# rle rows=-1 cols=3\n",

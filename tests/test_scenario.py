@@ -379,6 +379,25 @@ class TestReceiverUsage:
         partition = usage_partition(MANY_KL3)
         assert partition.mux_weights.shape == (14, 70) and partition.row_table.shape[1] == 2
 
+    def test_more_cells_than_one_byte_codes(self):
+        # 5 x 5 x 18 = 450 cells, so each household's cell code needs 16 bits
+        configs = [KnowledgeConfig("KL3", p_mux1_capable=0.9 - 0.1 * i,
+                                   p_subscribe_mux2to5=0.1 + 0.1 * i,
+                                   mux_shares=(0.01 * (i + 1), 0.02, 0.03, 0.04, 0.05),
+                                   share_interpretation=SHARE_INTERPRETATIONS[i % 2])
+                   for i in range(4)]
+        partition = usage_partition(configs)
+        assert len(partition.row_table) == 450
+        households = np.array([1, 3, 2, 1, 5] * 200, dtype=np.int64)
+        u = household_variates(8, 2, int(households.sum()))
+        flags = receiver_rows(partition, households, 8, 2)
+        got = partition.mux_weights @ flags.T
+        starts = np.cumsum(households) - households
+        for config, row in zip(configs, got, strict=True):
+            want = np.bitwise_or.reduceat(usage_masks(config, u), starts)
+            assert np.array_equal(row, want), config
+            assert len(np.unique(want)) >= 5  # the oracle is not trivial
+
     @settings(max_examples=60, deadline=None)
     @given(configs=st.lists(knowledge_configs(), min_size=1, max_size=4))
     def test_variates_on_the_cuts(self, configs):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,33 @@ def test_bench_pairs_summary(bench_pairs):
 )
 def test_bench_pairs_verdict(bench_pairs, metric, base, head, want):
     assert bench_pairs.verdict(metric, base, head) == want
+
+
+def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, monkeypatch,
+                                                                 tmp_path, capsys):
+    # (raw iteration seconds, scaled wall_s) per run: the head's raw time is
+    # slower while its scaled wall_s is faster, so wall_s and cells_per_s are
+    # flagged; in the second workload both move the same way
+    runs = {"sim-1km": {"base": [(0.30, 0.33), (0.29, 0.32), (0.31, 0.34)],
+                        "head": [(0.33, 0.30), (0.32, 0.29), (0.34, 0.31)]},
+            "sim-100m": {"base": [(0.50, 0.40)] * 3, "head": [(0.45, 0.36)] * 3}}
+
+    def fake_run(cmd, cwd, capture_output, text):
+        raw, wall = runs[cmd[cmd.index("--workload") + 1]][Path(cwd).name].pop(0)
+        metrics = {"wall_s": wall, "setup_s": 0.16, "cells_per_s": 1e7 / wall,
+                   "peak_rss_mb": 42.0}
+        result = {"failed": 0, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+        stdout = (f"meta {{}}\niterations: 3; measured s each: {raw - 0.01:.3f}, {raw:.3f}, "
+                  f"{raw + 0.02:.3f}; at reference speed: {wall:.3f}, {wall:.3f}, {wall:.3f}\n"
+                  + json.dumps(result) + "\n")
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, scratch: scratch / rev)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["base", "head", "--scratch", str(tmp_path), "--pairs", "3",
+                             "--workload", "sim-1km", "--workload", "sim-100m"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "sim-1km pair 1: raw_s 0.3/0.33  wall_s 0.33/0.3" in out[2]
+    assert "sim-1km raw_s        0.3 [0.29, 0.31] -> 0.33 [0.32, 0.34]  +10.0%, unscaled" in out
+    flagged = [line.split()[:2] for line in out if "FLAG" in line]
+    assert flagged == [["sim-1km", "wall_s"], ["sim-1km", "cells_per_s"]]

@@ -3,9 +3,10 @@
 Extracts a ``git archive`` copy of each revision under a scratch directory,
 then runs ``perfbench/run.py`` on the two copies in turn, N pairs per
 workload, alternating which copy runs first.  It prints each pair's
-end-to-end metrics and, per metric, both medians with their quartiles, the
-change of the medians and in how many pairs the second revision was better,
-then the benchmark's verdict on that metric (see :func:`verdict`):
+end-to-end metrics and raw iteration seconds and, per metric, both medians
+with their quartiles, the change of the medians and in how many pairs the
+second revision was better, then the benchmark's verdict on that metric (see
+:func:`verdict`):
 
     python3 tools/bench_pairs.py 5e9ef34 WORKTREE --scratch /tmp/pairs \\
         --workload sim-1km --pairs 5 --seconds 8 --seed 42
@@ -15,6 +16,14 @@ files included (``git stash create``, which changes nothing in the
 checkout).  Runs from a working checkout can read differently from clean
 copies of the same files, so both sides always run from copies.  The tool
 only invokes the benchmark; it changes nothing in the repository.
+
+The benchmark scales every time by a calibration loop run beside it (see
+``perfbench/calibration.py``), so a change that speeds up or slows down that
+loop moves the scaled metrics without the program changing speed.  Each
+run's raw median iteration seconds (``RAW``, unscaled, from ``run.py``'s
+``iterations:`` line) is therefore printed beside the metrics, and a metric
+scaled from the iteration times whose median moved against the raw median
+is flagged.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ END_TO_END = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
 BETTER = {m["name"]: 1 if m["better"] == "higher" else -1 for m in END_TO_END}
 #: The change of each metric the benchmark tolerates, as a fraction of the base's median.
 BOUND = {m["name"]: m["bound"] for m in END_TO_END}
+RAW = "raw_s"
+#: The metrics computed from the calibration-scaled iteration times.
+SCALED = ("wall_s", "cells_per_s")
 
 
 def _git(*args: str) -> str:
@@ -59,16 +71,22 @@ def extract(rev: str, scratch: Path) -> Path:
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """The end-to-end metrics of one perfbench run in ``copy``."""
+    """The end-to-end metrics of one perfbench run in ``copy``, and under
+    :data:`RAW` its median iteration seconds before scaling."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{copy.name} {workload}: exit {done.returncode}\n{done.stderr}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     if result["failed"]:
         raise SystemExit(f"{copy.name} {workload}: {result['failed']} operations failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    # "iterations: N; measured s each: a, b, ...; at reference speed: ..."
+    (iterations,) = [line for line in lines if line.startswith("iterations:")]
+    raw = [float(t) for t in iterations.split(";")[1].partition(":")[2].split(",")]
+    return {RAW: statistics.median(raw)} | {
+        name: m["value"] for name, m in result["metrics"].items()}
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -80,16 +98,26 @@ def _wins(metric: str, base: list[float], head: list[float]) -> int:
     return sum(BETTER[metric] * (h - b) > 0 for b, h in zip(base, head))
 
 
+def _spread(values: list[float]) -> str:
+    q1, median, q3 = _quartiles(values)
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
 def summarize(metric: str, base: list[float], head: list[float]) -> str:
     """One line: medians [quartiles] of both sides, the change of the medians,
     and the pairs in which ``head`` was better."""
-    def spread(values: list[float]) -> str:
-        q1, median, q3 = _quartiles(values)
-        return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
-
     change = statistics.median(head) / statistics.median(base) - 1.0
-    return (f"{metric:12s} {spread(base)} -> {spread(head)}  {change:+.1%}, "
+    return (f"{metric:12s} {_spread(base)} -> {_spread(head)}  {change:+.1%}, "
             f"better in {_wins(metric, base, head)} of {len(base)} pairs")
+
+
+def against_raw(metric: str, base: list[float], head: list[float], raw_base: list[float],
+                raw_head: list[float]) -> bool:
+    """Whether the scaled ``metric``'s median moved toward better while the raw
+    iteration seconds' median moved toward worse, or the other way round."""
+    gain = BETTER[metric] * (statistics.median(head) - statistics.median(base))
+    raw_gain = statistics.median(raw_base) - statistics.median(raw_head)
+    return gain * raw_gain < 0
 
 
 def verdict(metric: str, base: list[float], head: list[float]) -> str:
@@ -137,11 +165,19 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(run_once(copies[side], workload, args.seed, args.seconds))
             base, head = runs[0][-1], runs[1][-1]
             print(f"{workload} pair {pair + 1}: " + "  ".join(
-                f"{name} {base[name]:.4g}/{head[name]:.4g}" for name in BETTER), flush=True)
+                f"{name} {base[name]:.4g}/{head[name]:.4g}" for name in (RAW, *BETTER)),
+                flush=True)
+        raw = [[r[RAW] for r in side] for side in runs]
+        change = statistics.median(raw[1]) / statistics.median(raw[0]) - 1.0
+        print(f"{workload} {RAW:12s} {_spread(raw[0])} -> {_spread(raw[1])}  {change:+.1%}, "
+              "unscaled")
         for name in BETTER:
             values = [[r[name] for r in side] for side in runs]
             print(f"{workload} {summarize(name, *values)}\n"
                   f"{workload} {name:12s} {verdict(name, *values)}")
+            if name in SCALED and against_raw(name, *values, *raw):
+                print(f"{workload} {name:12s} FLAG: moved against the raw iteration seconds; "
+                      "the calibration's speed changed, not only the program's")
     return 0
 
 
