@@ -81,7 +81,7 @@ from .linkbudget import (
     quantize_distance,
     separation_report,
 )
-from .propagation import ENVIRONMENTS, HataParams
+from .propagation import ENVIRONMENTS
 from .scenario import (
     KNOWLEDGE_LEVELS,
     TIME_PERIODS,
@@ -448,13 +448,8 @@ def _separation_reports(cfg: RunConfig) -> list[SeparationReport]:
     reports = []
     for device in cfg.devices:
         try:
-            hata = HataParams(
-                carrier_frequency_mhz=cfg.frequency_mhz,
-                base_height_m=device.antenna_height_m,
-                mobile_height_m=cfg.criteria.receiver_height_m,
-                environment=cfg.environment,
-            )
-            reports.append(separation_report(device, cfg.criteria, hata))
+            reports.append(separation_report(device, cfg.criteria, cfg.frequency_mhz,
+                                             cfg.environment))
         except DomainError as exc:
             raise ConfigError(f"[hata] with [device.{device.label}]: {exc}") from None
     return reports

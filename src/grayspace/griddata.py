@@ -312,16 +312,20 @@ def _border_scan(rows: int, cols: int) -> Iterable[tuple[int, int]]:
 def compensate_area(grid: HouseholdGrid) -> tuple[HouseholdGrid, int]:
     """Invalidate border cells so the valid area matches the municipal area.
 
-    Exactly floor((grid_area - municipal_area) / cell_area) zero-household
-    cells are invalidated, scanned border-inward in a fixed order, so the
-    result is deterministic.  Household cells are never touched; if too few
-    empty cells are reachable the shortfall is reported as a data error.
-    Returns the compensated grid and the number of cells invalidated.
+    Zero-household cells, scanned border-inward in a fixed order, are
+    invalidated until floor((grid_area - municipal_area) / cell_area) cells
+    are invalid, counting those already invalid, so the result is
+    deterministic and a second call changes nothing.  Household cells are
+    never touched; if too few empty cells are reachable the shortfall is a
+    data error.  Returns the grid and the number of cells this call invalidated.
     """
     # The epsilon absorbs IEEE dust in cell_area (e.g. 0.1**2 != 0.01) that
     # could otherwise flip the floor by one whole cell.
     excess = (grid.physical_area_km2 - grid.municipal_area_km2) / grid.cell_area_km2
     target = int(math.floor(excess + 1e-9))
+    if target <= 0:
+        return grid, 0
+    target -= grid.valid.size - int(np.count_nonzero(grid.valid))
     if target <= 0:
         return grid, 0
     valid = grid.valid.copy()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .propagation import HataParams, distance_for_loss, path_loss
 
 RELATIONS = ("co", "adjacent")
@@ -44,6 +44,11 @@ class ProtectionCriteria:
     power_limit_adjacent: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("min_field_strength_dbuvm", "ci_cochannel_db", "ci_adjacent_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
+        if not (math.isfinite(self.receiver_height_m) and self.receiver_height_m >= 0):
+            raise DomainError("receiver_height_m must be non-negative and finite")
         if not (math.isfinite(self.channel_bandwidth_mhz) and self.channel_bandwidth_mhz > 0):
             raise DomainError("channel_bandwidth_mhz must be positive and finite")
         if not (math.isfinite(self.location_accuracy_m) and self.location_accuracy_m > 0):
@@ -160,7 +165,7 @@ def quantize_distance(distance_m: float, resolution_m: float) -> float:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Minimum separation distances for one device under one regulator."""
+    """Minimum separation distances for one device under one regulator, and the Hata link."""
 
     device: DeviceProfile
     criteria: ProtectionCriteria
@@ -181,21 +186,18 @@ class SeparationReport:
 
 
 def separation_report(
-    device: DeviceProfile, criteria: ProtectionCriteria, hata: HataParams
+    device: DeviceProfile, criteria: ProtectionCriteria, frequency_mhz: float, environment: str
 ) -> SeparationReport:
     """Full link-budget evaluation for one device/regulator pair.
 
-    The propagation parameters describe the device-to-receiver link, so the
-    model's base height must equal the device antenna height; a mismatch is
-    a configuration error, not a warning.  Parameters outside the model's
-    nominal window, and separations outside its 1-20 km distance window,
-    are warned about in ``warnings``.
+    The Hata link runs from the device's antenna height (base) to a TV
+    receiver at ``criteria.receiver_height_m`` (mobile), at ``frequency_mhz``
+    in ``environment``.  Parameters outside the model's nominal window, and
+    separations outside its 1-20 km distance window, are warned about in
+    ``warnings``.
     """
-    if hata.base_height_m != device.antenna_height_m:
-        raise ConfigError(
-            "propagation base_height_m must equal the device antenna height "
-            f"({hata.base_height_m} != {device.antenna_height_m})"
-        )
+    hata = HataParams(frequency_mhz, device.antenna_height_m, criteria.receiver_height_m,
+                      environment)
     warnings: list[str] = []
     if not hata.nominal_range():
         warnings.append(
@@ -232,22 +234,16 @@ def separation_report(
     )
 
 
-def verify_margin(
-    device: DeviceProfile,
-    criteria: ProtectionCriteria,
-    hata: HataParams,
-    distance_km: float,
-    relation: str,
-) -> float:
+def verify_margin(report: SeparationReport, distance_km: float, relation: str) -> float:
     """Interference margin (dB) at a given separation distance.
 
-    The achieved C/I is the TV signal level minus the device field strength
-    attenuated by the path loss at ``distance_km``; the margin is how far
-    that sits above the regulator requirement.  Positive means protected.
+    The achieved C/I is the TV signal level minus the report's field strength
+    attenuated by ``report.hata``'s path loss at ``distance_km``; the margin is
+    how far that sits above the regulator requirement.  Positive means protected.
     """
     achieved = (
-        criteria.min_field_strength_dbuvm
-        - eirp_to_field_strength(device.eirp_mw)
-        + path_loss(hata, distance_km)
+        report.criteria.min_field_strength_dbuvm
+        - report.field_strength_dbuvm
+        + path_loss(report.hata, distance_km)
     )
-    return achieved - criteria.ci_db(relation)
+    return achieved - report.criteria.ci_db(relation)

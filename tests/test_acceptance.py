@@ -30,7 +30,7 @@ from grayspace.linkbudget import (
     separation_report,
     verify_margin,
 )
-from grayspace.propagation import HataParams, path_loss
+from grayspace.propagation import path_loss
 from grayspace.scenario import (
     ChannelPlan,
     KnowledgeConfig,
@@ -40,10 +40,8 @@ from grayspace.scenario import (
     white_space_amount,
 )
 
-HATA_FIXED = HataParams(650.0, 30.0, 10.0, "suburban")
-HATA_PORTABLE = HataParams(650.0, 2.0, 10.0, "suburban")
-LINK_FIXED = separation_report(FIXED_4W, OFCOM, HATA_FIXED)
-LINK_PORTABLE = separation_report(PORTABLE_100MW, OFCOM, HATA_PORTABLE)
+LINK_FIXED = separation_report(FIXED_4W, OFCOM, 650.0, "suburban")
+LINK_PORTABLE = separation_report(PORTABLE_100MW, OFCOM, 650.0, "suburban")
 PLAN = ChannelPlan()
 KL1 = KnowledgeConfig("KL1")
 KL2 = KnowledgeConfig("KL2")
@@ -63,8 +61,8 @@ def link_for(device):
 def test_criterion_1():
     """Published separation table: distances +/-2%, levels +/-0.05 dB, ms runtime."""
     start = time.perf_counter()
-    fixed = separation_report(FIXED_4W, OFCOM, HATA_FIXED)
-    portable = separation_report(PORTABLE_100MW, OFCOM, HATA_PORTABLE)
+    fixed = separation_report(FIXED_4W, OFCOM, 650.0, "suburban")
+    portable = separation_report(PORTABLE_100MW, OFCOM, 650.0, "suburban")
     elapsed = time.perf_counter() - start
 
     assert fixed.min_distance_co_m == pytest.approx(7350.0, rel=0.02)
@@ -85,12 +83,12 @@ def test_criterion_1():
 
 def test_criterion_2():
     """Worked link-budget checks at 8 km (co) and 1 km (adjacent)."""
-    assert path_loss(HATA_FIXED, 8.0) == pytest.approx(125.0, abs=0.1)
-    co_margin = verify_margin(FIXED_4W, OFCOM, HATA_FIXED, 8.0, "co")
+    assert path_loss(LINK_FIXED.hata, 8.0) == pytest.approx(125.0, abs=0.1)
+    co_margin = verify_margin(LINK_FIXED, 8.0, "co")
     assert co_margin + OFCOM.ci_db("co") == pytest.approx(34.2, abs=0.15)
 
-    assert path_loss(HATA_FIXED, 1.0) == pytest.approx(93.2, abs=0.1)
-    adj_margin = verify_margin(FIXED_4W, OFCOM, HATA_FIXED, 1.0, "adjacent")
+    assert path_loss(LINK_FIXED.hata, 1.0) == pytest.approx(93.2, abs=0.1)
+    adj_margin = verify_margin(LINK_FIXED, 1.0, "adjacent")
     assert adj_margin + OFCOM.ci_db("adjacent") == pytest.approx(2.4, abs=0.15)
     assert adj_margin == pytest.approx(19.4, abs=0.15)
 

@@ -135,6 +135,18 @@ class TestConfigParsing:
                 "location_accuracy_m = inf\n",
                 r"bad\.cfg: \[criteria\] channel_bandwidth_mhz must be positive and finite",
             ),
+            ("[criteria]\npreset = ofcom\nreceiver_height_m = -1\n",
+             r"\[criteria\] receiver_height_m must be non-negative and finite"),
+            ("[criteria]\npreset = ofcom\nreceiver_height_m = nan\n",
+             r"\[criteria\] receiver_height_m must be non-negative and finite"),
+            ("[criteria]\npreset = ofcom\nmin_field_strength_dbuvm = nan\n",
+             r"\[criteria\] min_field_strength_dbuvm must be finite"),
+            ("[criteria]\npreset = ofcom\nmin_field_strength_dbuvm = inf\n",
+             r"\[criteria\] min_field_strength_dbuvm must be finite"),
+            ("[criteria]\npreset = fcc\nci_cochannel_db = inf\n",
+             r"\[criteria\] ci_cochannel_db must be finite"),
+            ("[criteria]\npreset = fcc\nci_adjacent_db = -inf\n",
+             r"\[criteria\] ci_adjacent_db must be finite"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -245,6 +257,46 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {workspace}: [{section}] " in err and fragment in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid,argv,fragment",
+        [
+            ("", [], "no [grid] path configured"),
+            ("path_1000m = town.csv\npath_100m = fine.csv\n", ["--resolution", "500"],
+             "no grid for resolution 500 m; available: 100 m, 1000 m"),
+            ("path_1000m = town.csv\npath_100m = fine.csv\n", [],
+             "several grid resolutions are configured; select one with --resolution"),
+            ("path = town.csv\n", ["--resolution", "100"],
+             "configured resolution 100 m but "),
+            ("path_100m = town.csv\n", [], "[grid] key path_100m points at a file declaring "
+             "1000 m"),
+        ],
+        ids=["no-grid", "resolution-not-configured", "several-resolutions",
+             "file-disagrees-with-resolution", "key-disagrees-with-file"],
+    )
+    def test_bad_grid_selection_is_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, grid, argv, fragment
+    ):
+        write_grid_csv(tmp_path / "fine.csv", ingest_grid([(2, 2, 4)], resolution_m=100.0,
+                                                          rows=8, cols=8))
+        text = workspace.read_text()
+        workspace.write_text(text.replace("[grid]\npath = town.csv\n",
+                                          f"[grid]\n{grid}" if grid else ""))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(workspace), "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and fragment in err
+        assert not out.exists()
+
+    def test_linkbudget_without_resolution_or_grid_is_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        workspace.write_text(workspace.read_text().replace("[grid]\npath = town.csv\n", ""))
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--config", str(workspace),
+                     "--csv", str(out / "sep.csv")]) == 2
+        assert "no resolution configured" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["linkbudget", "simulate", "report"])
@@ -603,6 +655,13 @@ class TestSimulate:
         values = read_matrix_csv(base / "cpe-4w_KL1" / "map.csv")
         assert values.shape == (8, 8)
         assert not np.isnan(values).any()  # no compensation for this grid
+
+    def test_lone_resolution_key_is_selected(self, workspace, capsys):
+        workspace.write_text(workspace.read_text().replace("path = town.csv",
+                                                          "path_1000m = town.csv"))
+        assert main(["simulate", "--config", str(workspace), "--realizations", "1"]) == 0
+        values = read_matrix_csv(workspace.parent / "results" / "cpe-4w_KL1" / "map.csv")
+        assert values.shape == (8, 8)
 
     def test_summary_reproduces_run(self, workspace, tmp_path, capsys):
         assert main(["simulate", "--config", str(workspace)]) == 0

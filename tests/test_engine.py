@@ -41,17 +41,15 @@ from grayspace.linkbudget import (
     quantize_distance,
     separation_report,
 )
-from grayspace.propagation import ENVIRONMENTS, HataParams
+from grayspace.propagation import ENVIRONMENTS
 from grayspace.scenario import ChannelPlan, KnowledgeConfig, usage_partition
 from test_acceptance import ADJ_M, CO_M, _naive_flags, _naive_map
 from test_scenario import MANY_KL3
 
 FIXED = DeviceProfile("fixed-4w", eirp_mw=4000.0, antenna_height_m=30.0)
 PORTABLE = DeviceProfile("portable-100mw", eirp_mw=100.0, antenna_height_m=2.0)
-HATA_FIXED = HataParams(650.0, 30.0, 10.0, "suburban")
-HATA_PORTABLE = HataParams(650.0, 2.0, 10.0, "suburban")
-LINK_FIXED = separation_report(FIXED, OFCOM, HATA_FIXED)
-LINK_PORTABLE = separation_report(PORTABLE, OFCOM, HATA_PORTABLE)
+LINK_FIXED = separation_report(FIXED, OFCOM, 650.0, "suburban")
+LINK_PORTABLE = separation_report(PORTABLE, OFCOM, 650.0, "suburban")
 PLAN = ChannelPlan()
 KL1 = KnowledgeConfig("KL1")
 KL2 = KnowledgeConfig("KL2")
@@ -556,8 +554,8 @@ class TestAdjacentInsideCo:
         criteria = ProtectionCriteria("any", field, ci_adjacent + ci_gap, ci_adjacent, 8.0,
                                       100.0, receiver_height_m=mobile)
         try:
-            link = separation_report(DeviceProfile("any", eirp, height), criteria,
-                                     HataParams(frequency, height, mobile, environment))
+            link = separation_report(DeviceProfile("any", eirp, height), criteria, frequency,
+                                     environment)
         except DomainError:  # a distance past the range the inversion covers
             reject()
         co = quantize_distance(link.min_distance_co_m, resolution)

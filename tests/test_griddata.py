@@ -210,6 +210,14 @@ class TestCompensation:
         out, n = compensate_area(grid)
         assert n == 1  # 1.5 cells of excess -> 1 invalidated
 
+    def test_second_call_changes_nothing(self, data_dir):
+        once, n = compensate_area(load_grid_csv(data_dir / "vinje_synthetic_1km.csv"))
+        assert n > 0
+        again, m = compensate_area(once)
+        assert again is once and m == 0
+        valid_km2 = np.count_nonzero(once.valid) * once.cell_area_km2
+        assert once.municipal_area_km2 - once.cell_area_km2 < valid_km2 <= once.municipal_area_km2
+
 
 class TestRefine:
     def test_counts_move_to_center_subcell(self):
@@ -234,6 +242,14 @@ class TestRefine:
         fine = refine_grid(compensated, 2)
         assert not fine.valid[0, 0] and not fine.valid[1, 1]
         assert fine.valid[4, 4]
+
+    def test_compensating_a_refined_compensated_grid_changes_nothing(self):
+        grid = ingest_grid(
+            [(2, 2, 4)], resolution_m=1000.0, rows=4, cols=4, municipal_area_km2=15.0
+        )
+        fine = refine_grid(compensate_area(grid)[0], 2)
+        again, n = compensate_area(fine)
+        assert again is fine and n == 0
 
 
 def _covers(fp, dx, dy):

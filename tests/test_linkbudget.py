@@ -4,9 +4,9 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from grayspace.errors import ConfigError, DomainError
+from grayspace.errors import DomainError
 from grayspace.linkbudget import (
     FCC,
     FIXED_4W,
@@ -21,10 +21,9 @@ from grayspace.linkbudget import (
     separation_report,
     verify_margin,
 )
-from grayspace.propagation import HataParams
+from grayspace.propagation import ENVIRONMENTS
 
-HATA_FIXED = HataParams(650.0, 30.0, 10.0, "suburban")
-HATA_PORTABLE = HataParams(650.0, 2.0, 10.0, "suburban")
+LINK_FIXED = separation_report(FIXED_4W, OFCOM, 650.0, "suburban")
 
 
 class TestFieldStrength:
@@ -83,6 +82,15 @@ class TestCriteria:
             for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
                 with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
                     dataclasses.replace(OFCOM, **{field: bad})
+        for field in ("min_field_strength_dbuvm", "ci_cochannel_db", "ci_adjacent_db"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match=f"{field} must be finite"):
+                    dataclasses.replace(OFCOM, **{field: bad})
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(DomainError,
+                               match="receiver_height_m must be non-negative and finite"):
+                dataclasses.replace(OFCOM, receiver_height_m=bad)
+        assert dataclasses.replace(OFCOM, receiver_height_m=0.0).receiver_height_m == 0.0
 
     def test_device_validation(self):
         with pytest.raises(DomainError):
@@ -146,7 +154,7 @@ class TestQuantize:
 
 class TestSeparationReport:
     def test_fixed_device(self):
-        report = separation_report(FIXED_4W, OFCOM, HATA_FIXED)
+        report = separation_report(FIXED_4W, OFCOM, 650.0, "suburban")
         assert report.field_strength_dbuvm == pytest.approx(140.82059991327964)
         assert report.min_distance_co_m == pytest.approx(7382.856169396763, rel=1e-12)
         assert report.min_distance_adjacent_m == pytest.approx(
@@ -157,7 +165,7 @@ class TestSeparationReport:
         )
 
     def test_portable_device(self):
-        report = separation_report(PORTABLE_100MW, OFCOM, HATA_PORTABLE)
+        report = separation_report(PORTABLE_100MW, OFCOM, 650.0, "suburban")
         assert report.min_distance_co_m == pytest.approx(913.2850055108813, rel=1e-12)
         assert report.min_distance_adjacent_m == pytest.approx(
             62.498881417450654, rel=1e-12
@@ -170,41 +178,68 @@ class TestSeparationReport:
         )
 
     def test_relation_accessor(self):
-        report = separation_report(FIXED_4W, OFCOM, HATA_FIXED)
+        report = separation_report(FIXED_4W, OFCOM, 650.0, "suburban")
         assert report.min_distance_m("co") == report.min_distance_co_m
         assert report.min_distance_m("adjacent") == report.min_distance_adjacent_m
         with pytest.raises(DomainError):
             report.min_distance_m("x")
 
-    def test_antenna_height_must_match(self):
-        with pytest.raises(ConfigError):
-            separation_report(PORTABLE_100MW, OFCOM, HATA_FIXED)
+
+def _drawn_report(eirp, height, frequency, environment, ci_adjacent, ci_gap, receiver_height):
+    """The report of a drawn device and criteria; draws outside the Hata
+    inversion's domain are rejected."""
+    criteria = dataclasses.replace(OFCOM, ci_cochannel_db=ci_adjacent + ci_gap,
+                                   ci_adjacent_db=ci_adjacent, receiver_height_m=receiver_height)
+    try:
+        return separation_report(DeviceProfile("any", eirp, height), criteria, frequency,
+                                 environment)
+    except DomainError:  # a distance past the range the inversion covers
+        reject()
+
+
+_LINKS = dict(
+    eirp=st.floats(0.01, 1e5),
+    height=st.floats(0.5, 300.0),
+    frequency=st.floats(50.0, 3000.0),
+    environment=st.sampled_from(ENVIRONMENTS),
+    ci_adjacent=st.floats(-40.0, 40.0),
+    ci_gap=st.floats(0.001, 60.0),
+    receiver_height=st.floats(0.0, 20.0),
+)
+_OFCOM_DRAW = dict(frequency=650.0, environment="suburban", ci_adjacent=OFCOM.ci_adjacent_db,
+                   ci_gap=OFCOM.ci_cochannel_db - OFCOM.ci_adjacent_db,
+                   receiver_height=OFCOM.receiver_height_m)
 
 
 class TestMargins:
     @pytest.mark.parametrize("relation", ["co", "adjacent"])
-    @pytest.mark.parametrize(
-        "device,hata", [(FIXED_4W, HATA_FIXED), (PORTABLE_100MW, HATA_PORTABLE)]
-    )
-    def test_zero_margin_at_minimum_distance(self, device, hata, relation):
-        report = separation_report(device, OFCOM, hata)
+    @settings(max_examples=40, deadline=None)
+    @given(**_LINKS)
+    @example(eirp=FIXED_4W.eirp_mw, height=FIXED_4W.antenna_height_m, **_OFCOM_DRAW)
+    @example(eirp=PORTABLE_100MW.eirp_mw, height=PORTABLE_100MW.antenna_height_m, **_OFCOM_DRAW)
+    def test_zero_margin_at_minimum_distance(self, relation, **draw):
+        report = _drawn_report(**draw)
+        assert report.hata.base_height_m == report.device.antenna_height_m == draw["height"]
+        assert report.hata.mobile_height_m == report.criteria.receiver_height_m
+        assert report.hata.carrier_frequency_mhz == draw["frequency"]
+        assert report.hata.environment == draw["environment"]
         d_km = report.min_distance_m(relation) / 1000.0
-        assert verify_margin(device, OFCOM, hata, d_km, relation) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert verify_margin(report, d_km, relation) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("resolution", [100.0, 1000.0])
     @pytest.mark.parametrize("relation", ["co", "adjacent"])
-    def test_quantized_distance_is_safe(self, resolution, relation):
-        report = separation_report(FIXED_4W, OFCOM, HATA_FIXED)
+    @settings(max_examples=40, deadline=None)
+    @given(**_LINKS)
+    @example(eirp=FIXED_4W.eirp_mw, height=FIXED_4W.antenna_height_m, **_OFCOM_DRAW)
+    def test_quantized_distance_is_safe(self, resolution, relation, **draw):
+        report = _drawn_report(**draw)
         q = quantize_distance(report.min_distance_m(relation), resolution)
-        margin = verify_margin(FIXED_4W, OFCOM, HATA_FIXED, q / 1000.0, relation)
-        assert margin >= -1e-9
+        assert verify_margin(report, q / 1000.0, relation) >= -1e-9
 
     def test_published_margins(self):
-        assert verify_margin(FIXED_4W, OFCOM, HATA_FIXED, 8.0, "co") == pytest.approx(
+        assert verify_margin(LINK_FIXED, 8.0, "co") == pytest.approx(
             1.2281350019748487, rel=1e-12
         )
-        assert verify_margin(
-            FIXED_4W, OFCOM, HATA_FIXED, 1.0, "adjacent"
-        ) == pytest.approx(19.416920452389064, rel=1e-12)
+        assert verify_margin(LINK_FIXED, 1.0, "adjacent") == pytest.approx(
+            19.416920452389064, rel=1e-12
+        )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import json
 import os
 import subprocess
@@ -62,14 +63,55 @@ def test_bench_pairs_verdict(bench_pairs, metric, base, head, want):
     assert bench_pairs.verdict(metric, base, head) == want
 
 
+def _fake_extract(rev, scratch):
+    """A stand-in for a clean copy of ``rev``: a directory holding only the
+    module the control copy appends to."""
+    module = scratch / rev / "src" / "grayspace" / "griddata.py"
+    module.parent.mkdir(parents=True, exist_ok=True)
+    module.write_text("VALUE = 1\n")
+    return scratch / rev
+
+
+def test_bench_pairs_runs_a_no_op_control(bench_pairs, monkeypatch, tmp_path, capsys):
+    # the head is worse than the base by more than the bound on every metric
+    # (cells_per_s a third lower, the others half higher); the control reads as the base
+    scale = {"base": 1.0, "head": 1.5, "base-control": 1.0}
+    order = []
+
+    def fake_run_once(copy, workload, seed, seconds):
+        order.append(copy.name)
+        k = scale[copy.name]
+        return {bench_pairs.RAW: 0.3 * k, "wall_s": 0.3 * k, "setup_s": 0.16 * k,
+                "cells_per_s": 1e7 / k, "peak_rss_mb": 42.0 * k}
+
+    monkeypatch.setattr(bench_pairs, "extract", _fake_extract)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(["base", "head", "--scratch", str(tmp_path), "--pairs", "6"]) == 0
+    control = tmp_path / "base-control" / "src" / "grayspace" / "griddata.py"
+    assert control.read_text() == "VALUE = 1\n" + bench_pairs.CONTROL_CODE
+    assert (tmp_path / "base" / "src" / "grayspace" / "griddata.py").read_text() == "VALUE = 1\n"
+    # every round runs all three copies, and each copy runs first in two of six
+    rounds = [order[i:i + 3] for i in range(0, 18, 3)]
+    assert all(sorted(r) == ["base", "base-control", "head"] for r in rounds)
+    assert collections.Counter(r[0] for r in rounds) == {"base": 2, "head": 2,
+                                                         "base-control": 2}
+    out = capsys.readouterr().out.splitlines()
+    assert f"control in {tmp_path / 'base-control'}" in out
+    verdicts = [line for line in out if "(control: " in line]
+    assert verdicts == [f"sim-1km {name:12s} worse (control: within bound)"
+                        for name in bench_pairs.BETTER]
+
+
 def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, monkeypatch,
                                                                  tmp_path, capsys):
     # (raw iteration seconds, scaled wall_s) per run: the head's raw time is
     # slower while its scaled wall_s is faster, so wall_s and cells_per_s are
     # flagged; in the second workload both move the same way
     runs = {"sim-1km": {"base": [(0.30, 0.33), (0.29, 0.32), (0.31, 0.34)],
-                        "head": [(0.33, 0.30), (0.32, 0.29), (0.34, 0.31)]},
-            "sim-100m": {"base": [(0.50, 0.40)] * 3, "head": [(0.45, 0.36)] * 3}}
+                        "head": [(0.33, 0.30), (0.32, 0.29), (0.34, 0.31)],
+                        "base-control": [(0.30, 0.33)] * 3},
+            "sim-100m": {"base": [(0.50, 0.40)] * 3, "head": [(0.45, 0.36)] * 3,
+                         "base-control": [(0.50, 0.40)] * 3}}
 
     def fake_run(cmd, cwd, capture_output, text):
         raw, wall = runs[cmd[cmd.index("--workload") + 1]][Path(cwd).name].pop(0)
@@ -81,12 +123,12 @@ def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, mon
                   + json.dumps(result) + "\n")
         return subprocess.CompletedProcess(cmd, 0, stdout, "")
 
-    monkeypatch.setattr(bench_pairs, "extract", lambda rev, scratch: scratch / rev)
+    monkeypatch.setattr(bench_pairs, "extract", _fake_extract)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     assert bench_pairs.main(["base", "head", "--scratch", str(tmp_path), "--pairs", "3",
                              "--workload", "sim-1km", "--workload", "sim-100m"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "sim-1km pair 1: raw_s 0.3/0.33  wall_s 0.33/0.3" in out[2]
+    assert "sim-1km pair 1: raw_s 0.3/0.33/0.3  wall_s 0.33/0.3/0.33" in out[3]
     assert "sim-1km raw_s        0.3 [0.29, 0.31] -> 0.33 [0.32, 0.34]  +10.0%, unscaled" in out
     flagged = [line.split()[:2] for line in out if "FLAG" in line]
     assert flagged == [["sim-1km", "wall_s"], ["sim-1km", "cells_per_s"]]

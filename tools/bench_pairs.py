@@ -1,12 +1,14 @@
 """Compare two revisions on the perfbench workloads, each from a clean copy.
 
 Extracts a ``git archive`` copy of each revision under a scratch directory,
-then runs ``perfbench/run.py`` on the two copies in turn, N pairs per
-workload, alternating which copy runs first.  It prints each pair's
-end-to-end metrics and raw iteration seconds and, per metric, both medians
-with their quartiles, the change of the medians and in how many pairs the
-second revision was better, then the benchmark's verdict on that metric (see
-:func:`verdict`):
+plus a no-op control: the base copy with one never-called function appended
+to ``src/grayspace/griddata.py`` (see :func:`control_copy`).  It then runs
+``perfbench/run.py`` on the three copies in turn, N rounds per workload,
+varying which copy runs first.  It prints each round's end-to-end metrics
+and raw iteration seconds and, per metric, both medians with their
+quartiles, the change of the medians and in how many pairs the second
+revision was better, then the benchmark's verdict on that metric (see
+:func:`verdict`) with the control's verdict against the base beside it:
 
     python3 tools/bench_pairs.py 5e9ef34 WORKTREE --scratch /tmp/pairs \\
         --workload sim-1km --pairs 5 --seconds 8 --seed 42
@@ -16,6 +18,9 @@ files included (``git stash create``, which changes nothing in the
 checkout).  Runs from a working checkout can read differently from clean
 copies of the same files, so both sides always run from copies.  The tool
 only invokes the benchmark; it changes nothing in the repository.
+
+The control differs from the base in code layout only, so a verdict that
+the control reaches as well is layout, not the change under test.
 
 The benchmark scales every time by a calibration loop run beside it (see
 ``perfbench/calibration.py``), so a change that speeds up or slows down that
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -66,6 +72,28 @@ def extract(rev: str, scratch: Path) -> Path:
         part = scratch / f"{tree[:12]}.part"
         with tarfile.open(fileobj=io.BytesIO(data)) as tar:
             tar.extractall(part, filter="data")
+        part.rename(dest)
+    return dest
+
+
+#: Appended to the control copy's ``griddata.py``; nothing calls it.
+CONTROL_CODE = "\n\ndef _bench_pairs_control():\n    return None\n"
+#: The copies' run order per round (base 0, head 1, control 2): each copy
+#: runs first twice in six rounds, and the base runs before the head in
+#: every other round.
+ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2))
+
+
+def control_copy(base: Path) -> Path:
+    """A copy of ``base`` beside it with :data:`CONTROL_CODE` appended to
+    ``src/grayspace/griddata.py``, made once."""
+    dest = base.with_name(f"{base.name}-control")
+    if not dest.is_dir():
+        part = base.with_name(f"{dest.name}.part")
+        shutil.rmtree(part, ignore_errors=True)
+        shutil.copytree(base, part)
+        with open(part / "src" / "grayspace" / "griddata.py", "a") as module:
+            module.write(CONTROL_CODE)
         part.rename(dest)
     return dest
 
@@ -156,26 +184,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.scratch.mkdir(parents=True, exist_ok=True)
     copies = [extract(rev, args.scratch.resolve()) for rev in (args.base, args.head)]
-    print(f"base {args.base} in {copies[0]}\nhead {args.head} in {copies[1]}")
+    copies.append(control_copy(copies[0]))
+    print(f"base {args.base} in {copies[0]}\nhead {args.head} in {copies[1]}\n"
+          f"control in {copies[2]}")
     for workload in args.workload or ["sim-1km"]:
-        runs: list[list[dict[str, float]]] = [[], []]
+        runs: list[list[dict[str, float]]] = [[], [], []]
         for pair in range(args.pairs):
-            order = (0, 1) if pair % 2 == 0 else (1, 0)
-            for side in order:
+            for side in ORDERS[pair % len(ORDERS)]:
                 runs[side].append(run_once(copies[side], workload, args.seed, args.seconds))
-            base, head = runs[0][-1], runs[1][-1]
             print(f"{workload} pair {pair + 1}: " + "  ".join(
-                f"{name} {base[name]:.4g}/{head[name]:.4g}" for name in (RAW, *BETTER)),
-                flush=True)
+                f"{name} " + "/".join(f"{side[-1][name]:.4g}" for side in runs)
+                for name in (RAW, *BETTER)), flush=True)
         raw = [[r[RAW] for r in side] for side in runs]
         change = statistics.median(raw[1]) / statistics.median(raw[0]) - 1.0
         print(f"{workload} {RAW:12s} {_spread(raw[0])} -> {_spread(raw[1])}  {change:+.1%}, "
               "unscaled")
         for name in BETTER:
-            values = [[r[name] for r in side] for side in runs]
-            print(f"{workload} {summarize(name, *values)}\n"
-                  f"{workload} {name:12s} {verdict(name, *values)}")
-            if name in SCALED and against_raw(name, *values, *raw):
+            base, head, control = ([r[name] for r in side] for side in runs)
+            print(f"{workload} {summarize(name, base, head)}\n"
+                  f"{workload} {name:12s} {verdict(name, base, head)} "
+                  f"(control: {verdict(name, base, control)})")
+            if name in SCALED and against_raw(name, base, head, *raw[:2]):
                 print(f"{workload} {name:12s} FLAG: moved against the raw iteration seconds; "
                       "the calibration's speed changed, not only the program's")
     return 0
