@@ -21,7 +21,7 @@ from grayspace.linkbudget import (
     separation_report,
     verify_margin,
 )
-from grayspace.propagation import ENVIRONMENTS
+from grayspace.propagation import ENVIRONMENTS, HataParams
 
 LINK_FIXED = separation_report(FIXED_4W, OFCOM, 650.0, "suburban")
 
@@ -213,11 +213,25 @@ _OFCOM_DRAW = dict(frequency=650.0, environment="suburban", ci_adjacent=OFCOM.ci
 
 class TestMargins:
     @pytest.mark.parametrize("relation", ["co", "adjacent"])
+    @pytest.mark.parametrize(
+        "device,hata",
+        [
+            (FIXED_4W, HataParams(650.0, 30.0, 10.0, "suburban")),
+            (PORTABLE_100MW, HataParams(650.0, 2.0, 10.0, "suburban")),
+        ],
+    )
+    def test_zero_margin_at_minimum_distance(self, device, hata, relation):
+        report = separation_report(device, OFCOM, 650.0, "suburban")
+        assert report.hata == hata
+        d_km = report.min_distance_m(relation) / 1000.0
+        assert verify_margin(report, d_km, relation) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("relation", ["co", "adjacent"])
     @settings(max_examples=40, deadline=None)
     @given(**_LINKS)
     @example(eirp=FIXED_4W.eirp_mw, height=FIXED_4W.antenna_height_m, **_OFCOM_DRAW)
     @example(eirp=PORTABLE_100MW.eirp_mw, height=PORTABLE_100MW.antenna_height_m, **_OFCOM_DRAW)
-    def test_zero_margin_at_minimum_distance(self, relation, **draw):
+    def test_zero_margin_at_drawn_minimum_distance(self, relation, **draw):
         report = _drawn_report(**draw)
         assert report.hata.base_height_m == report.device.antenna_height_m == draw["height"]
         assert report.hata.mobile_height_m == report.criteria.receiver_height_m
