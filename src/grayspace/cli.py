@@ -197,10 +197,6 @@ _POSITIVE = _limited(_FLOAT, lambda x: math.isfinite(x) and x > 0, "must be posi
 _FIELD_KINDS = {
     "str": _Kind(str),
     "float": _FLOAT,
-    "float | None": _Kind(
-        lambda text: None if text.strip().lower() == "none" else _FLOAT.parse(text),
-        _float_text,
-    ),
     "bool": _Kind(_cast(lambda text: _BOOLEANS[text.strip().lower()], "a boolean"),
                   lambda value: "true" if value else "false"),
     "tuple[int, ...]": _list(_INT),
@@ -369,22 +365,19 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
 def _config_lines(cfg: RunConfig) -> list[str]:
     """``cfg`` as INI text in schema order; ``load_run_config`` reads it back.
 
-    A key whose value is None, or empty where the field is optional, is
-    left out: parsing restores its default.
+    A key whose value is None is left out: parsing restores its default.
     """
     lines: list[str] = []
     for name, keys in _SCHEMA.items():
-        model = _MODELS.get(name)
         if name == "device":
             sections = [(f"device.{d.label}", d) for d in cfg.devices]
         else:
-            sections = [(name, getattr(cfg, name) if model else cfg)]
-        required = _required(model) if model else set()
+            sections = [(name, getattr(cfg, name) if name in _MODELS else cfg)]
         for header, owner in sections:
             lines += ["", f"[{header}]"]
             for key, kind in keys.items():
                 value = getattr(owner, _ATTRS.get(key, key))
-                if value is None or (value == "" and key not in required):
+                if value is None:
                     continue
                 lines.append(f"{key} = {kind.format(value)}")
     return lines
@@ -409,11 +402,15 @@ def _select_grid_path(cfg: RunConfig) -> Path:
     )
 
 
+def _read_grid(path: Path) -> HouseholdGrid:
+    if not path.is_file():
+        raise DataError(f"grid file not found: {path}")
+    return load_grid_csv(path)
+
+
 def _load_selected_grid(cfg: RunConfig) -> tuple[HouseholdGrid, Path]:
     grid_path = _select_grid_path(cfg)
-    if not grid_path.is_file():
-        raise DataError(f"grid file not found: {grid_path}")
-    grid = load_grid_csv(grid_path)
+    grid = _read_grid(grid_path)
     if cfg.resolution is not None and grid.resolution_m != cfg.resolution:
         raise ConfigError(
             f"configured resolution {_fmt(cfg.resolution)} m but {grid_path} "
@@ -505,8 +502,8 @@ def _linkbudget_resolutions(cfg: RunConfig) -> tuple[float, ...]:
         return (cfg.resolution,)
     if cfg.grid_paths:
         return tuple(sorted(cfg.grid_paths))
-    if cfg.grid_path is not None and cfg.grid_path.is_file():
-        return (load_grid_csv(cfg.grid_path).resolution_m,)
+    if cfg.grid_path is not None:
+        return (_read_grid(cfg.grid_path).resolution_m,)
     raise ConfigError("no resolution configured (set [run] resolution or a grid)")
 
 
@@ -523,6 +520,10 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
         for relation in RELATIONS:
             for res in resolutions:
                 distance = report.min_distance_m(relation)
+                try:
+                    quantized = quantize_distance(distance, res)
+                except DomainError as exc:
+                    raise ConfigError(f"resolution {res!r} m: {exc}") from None
                 rows.append((
                     device.label,
                     relation,
@@ -530,7 +531,7 @@ def _cmd_linkbudget(args: argparse.Namespace) -> int:
                     report.field_strength_dbuvm,
                     report.min_loss_co_db if relation == "co" else report.min_loss_adjacent_db,
                     distance,
-                    quantize_distance(distance, res),
+                    quantized,
                 ))
 
     with _publishing([args.csv] if args.csv is not None else []) as stage:

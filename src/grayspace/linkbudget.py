@@ -23,25 +23,14 @@ RELATIONS = ("co", "adjacent")
 
 @dataclass(frozen=True)
 class ProtectionCriteria:
-    """Regulator protection parameters for TV receivers.
-
-    ``ci_adjacent_db`` is the effective (stricter) adjacent-channel C/I used
-    by the solver; regulators quoting distinct upper/lower adjacent values
-    keep the second one in ``ci_adjacent_lower_db`` for reference.  The
-    ``power_limit_*`` fields are informational text carried along from the
-    regulator tables; they do not enter any computation.
-    """
+    """Regulator protection parameters for TV receivers, as the link budget
+    reads them; ``ci_adjacent_db`` is the stricter adjacent-channel C/I."""
 
     label: str
     min_field_strength_dbuvm: float
     ci_cochannel_db: float
     ci_adjacent_db: float
-    channel_bandwidth_mhz: float
-    location_accuracy_m: float
     receiver_height_m: float = 10.0
-    ci_adjacent_lower_db: float | None = None
-    power_limit_cochannel: str = ""
-    power_limit_adjacent: str = ""
 
     def __post_init__(self) -> None:
         for name in ("min_field_strength_dbuvm", "ci_cochannel_db", "ci_adjacent_db"):
@@ -49,10 +38,6 @@ class ProtectionCriteria:
                 raise DomainError(f"{name} must be finite")
         if not (math.isfinite(self.receiver_height_m) and self.receiver_height_m >= 0):
             raise DomainError("receiver_height_m must be non-negative and finite")
-        if not (math.isfinite(self.channel_bandwidth_mhz) and self.channel_bandwidth_mhz > 0):
-            raise DomainError("channel_bandwidth_mhz must be positive and finite")
-        if not (math.isfinite(self.location_accuracy_m) and self.location_accuracy_m > 0):
-            raise DomainError("location_accuracy_m must be positive and finite")
         if not self.ci_cochannel_db > self.ci_adjacent_db:
             raise DomainError(
                 "co-channel C/I must exceed adjacent-channel C/I "
@@ -89,11 +74,7 @@ OFCOM = ProtectionCriteria(
     min_field_strength_dbuvm=50.0,
     ci_cochannel_db=33.0,
     ci_adjacent_db=-17.0,
-    channel_bandwidth_mhz=8.0,
-    location_accuracy_m=100.0,
     receiver_height_m=10.0,
-    power_limit_cochannel="as specified by the database",
-    power_limit_adjacent="50 mW",
 )
 
 FCC = ProtectionCriteria(
@@ -101,12 +82,7 @@ FCC = ProtectionCriteria(
     min_field_strength_dbuvm=41.0,
     ci_cochannel_db=23.0,
     ci_adjacent_db=-26.0,
-    ci_adjacent_lower_db=-28.0,
-    channel_bandwidth_mhz=6.0,
-    location_accuracy_m=50.0,
     receiver_height_m=10.0,
-    power_limit_cochannel="fixed device: 4 W",
-    power_limit_adjacent="portable device: 40/100 mW",
 )
 
 REGULATOR_PRESETS = {"ofcom": OFCOM, "fcc": FCC}
@@ -157,7 +133,10 @@ def quantize_distance(distance_m: float, resolution_m: float) -> float:
         raise DomainError("resolution_m must be positive and finite")
     if not math.isfinite(distance_m) or distance_m < 0:
         raise DomainError("distance_m must be non-negative and finite")
-    cells = math.ceil(distance_m / resolution_m)
+    ratio = distance_m / resolution_m
+    if not math.isfinite(ratio):
+        raise DomainError("distance_m / resolution_m overflows")
+    cells = math.ceil(ratio)
     if cells == 0 and distance_m > 0:  # subnormal distance underflowed
         cells = 1
     return cells * resolution_m

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from grayspace import cli, engine, linkbudget, scenario
 from grayspace.cli import _combinations, load_run_config, main
-from grayspace.errors import ConfigError
+from grayspace.errors import ConfigError, GrayspaceError
 from grayspace.griddata import (
     HouseholdGrid,
     ingest_grid,
@@ -131,9 +131,10 @@ class TestConfigParsing:
                 r"bad\.cfg: \[plan\] used_channels contains duplicates",
             ),
             (
-                "[criteria]\npreset = ofcom\nchannel_bandwidth_mhz = nan\n"
-                "location_accuracy_m = inf\n",
-                r"bad\.cfg: \[criteria\] channel_bandwidth_mhz must be positive and finite",
+                "[criteria]\npreset = ofcom\nchannel_bandwidth_mhz = 8\n",
+                r"bad\.cfg: \[criteria\] has unknown keys: channel_bandwidth_mhz; known keys: "
+                "label, min_field_strength_dbuvm, ci_cochannel_db, ci_adjacent_db, "
+                "receiver_height_m, preset$",
             ),
             ("[criteria]\npreset = ofcom\nreceiver_height_m = -1\n",
              r"\[criteria\] receiver_height_m must be non-negative and finite"),
@@ -163,13 +164,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_run_config(config)
 
-    def test_adjacent_lower_none(self, tmp_path):
-        config = write_config(
-            tmp_path / "c.cfg",
-            "[criteria]\npreset = fcc\nci_adjacent_lower_db = none\n",
-        )
-        cfg = load_run_config(config)
-        assert cfg.criteria.ci_adjacent_lower_db is None
+    @pytest.mark.parametrize("key", ["channel_bandwidth_mhz", "location_accuracy_m",
+                                     "ci_adjacent_lower_db", "power_limit_cochannel",
+                                     "power_limit_adjacent"])
+    def test_keys_the_link_budget_does_not_read_exit_2(self, workspace, key, capsys):
+        workspace.write_text(workspace.read_text().replace(
+            "preset = ofcom\n", f"preset = fcc\n{key} = none\n"))
+        assert main(["linkbudget", "--config", str(workspace), "--resolution", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {workspace}: [criteria] has unknown keys: {key}; "
+                                "known keys: label, min_field_strength_dbuvm, ci_cochannel_db, "
+                                "ci_adjacent_db, receiver_height_m, preset\n")
 
     def test_result_section_ignored(self, tmp_path):
         config = write_config(tmp_path / "c.cfg", "[result]\nbackend = native\n")
@@ -246,8 +252,11 @@ class TestExitCodes:
              "total_band_mhz = 16", "plan", "more than the 16.0 MHz band"),
             ("levels = KL1,KL2", "levels = KL1,KL2\np_mux1_capable = 1.5",
              "knowledge", "p_mux1_capable must be a probability"),
+            ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 1.5,0,0,0,0",
+             "knowledge", "mux_shares must be probabilities"),
         ],
-        ids=["kl3-shares-over-1", "four-channel-plan", "plan-past-band", "p-mux1-over-1"],
+        ids=["kl3-shares-over-1", "four-channel-plan", "plan-past-band", "p-mux1-over-1",
+             "kl3-share-over-1"],
     )
     def test_bad_combination_is_2_and_writes_nothing(
         self, workspace, tmp_path, capsys, old, new, section, fragment
@@ -298,6 +307,48 @@ class TestExitCodes:
                      "--csv", str(out / "sep.csv")]) == 2
         assert "no resolution configured" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_linkbudget_with_a_missing_grid_file_is_3_and_writes_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        (tmp_path / "town.csv").unlink()
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--config", str(workspace),
+                     "--csv", str(out / "sep.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: grid file not found: {tmp_path / 'town.csv'}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid,argv,shown",
+        [("path = town.csv\n", ["--resolution", "1e-320"], "1e-320"),
+         ("path = town.csv\n", ["--resolution", "5e-324"], "5e-324"),
+         ("path_0.0" + "0" * 318 + "1m = town.csv\n", [], "1e-320")],
+        ids=["resolution-1e-320", "resolution-5e-324", "grid-key-1e-320"],
+    )
+    def test_linkbudget_resolution_past_float_cells_is_2_and_writes_nothing(
+        self, workspace, tmp_path, capsys, grid, argv, shown
+    ):
+        workspace.write_text(workspace.read_text().replace("path = town.csv\n", grid))
+        out = tmp_path / "out"
+        assert main(["linkbudget", "--config", str(workspace),
+                     "--csv", str(out / "sep.csv"), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: resolution {shown} m: "
+                                "distance_m / resolution_m overflows\n")
+        assert not out.exists()
+
+    def test_grayspace_error_from_a_command_is_4(self, workspace, capsys, monkeypatch):
+        def fail(path):
+            raise GrayspaceError("neither config nor data")
+
+        monkeypatch.setattr(cli, "load_run_config", fail)
+        assert main(["linkbudget", "--config", str(workspace)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: neither config nor data\n"
 
     @pytest.mark.parametrize("command", ["linkbudget", "simulate", "report"])
     def test_config_not_utf8_is_2_and_writes_nothing(self, workspace, tmp_path, capsys, command):
@@ -446,6 +497,17 @@ class TestExitCodes:
         assert main(_grid_argv(command, workspace, out)) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "simulate", "report"])
+    def test_grid_without_header_is_3_and_writes_nothing(
+        self, workspace, tmp_path, capsys, command
+    ):
+        (tmp_path / "town.csv").write_text("# rows=8\n# cols=8\n# resolution_m=1000\n")
+        out = tmp_path / "out"
+        assert main(_grid_argv(command, workspace, out)) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {tmp_path / 'town.csv'}: missing 'x,y,households' header\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "simulate", "report"])
@@ -990,12 +1052,7 @@ def _configs(draw) -> dict[str, dict[str, object]]:
             "min_field_strength_dbuvm": draw(_floats(30, 70)),
             "ci_cochannel_db": draw(_floats(10, 40)),
             "ci_adjacent_db": draw(_floats(-40, 0)),
-            "channel_bandwidth_mhz": draw(_floats(0.5, 10)),
-            "location_accuracy_m": draw(_floats(1, 500)),
             "receiver_height_m": draw(_floats(1, 20)),
-            "ci_adjacent_lower_db": draw(st.one_of(st.just("none"), _floats(-50, 0))),
-            "power_limit_cochannel": draw(_text),
-            "power_limit_adjacent": draw(_text),
         },
         "hata": {
             "frequency_mhz": draw(_floats(470, 790)),
@@ -1049,7 +1106,7 @@ class TestSummaryRoundTrip:
     @given(_configs())
     @example({
         "run": {"seed": 0, "out": "results"},
-        "criteria": {"preset": "fcc", "ci_adjacent_lower_db": "none"},
+        "criteria": {"preset": "fcc"},
         "hata": {"frequency_mhz": 650.0},
         "device.a": {"eirp_mw": 0.1 + 0.2, "antenna_height_m": 30.000000000000004},
         "knowledge": {"levels": "KL2,KL3", "p_mux1_capable": 0.98000000001,
@@ -1096,8 +1153,6 @@ label = ofcom
 min_field_strength_dbuvm = 50
 ci_cochannel_db = 33
 ci_adjacent_db = -17
-channel_bandwidth_mhz = 8
-location_accuracy_m = 100
 receiver_height_m = 10
 
 [hata]

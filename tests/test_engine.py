@@ -551,8 +551,8 @@ class TestAdjacentInsideCo:
         self, field, ci_adjacent, ci_gap, eirp, height, frequency, mobile, environment,
         resolution, seed,
     ):
-        criteria = ProtectionCriteria("any", field, ci_adjacent + ci_gap, ci_adjacent, 8.0,
-                                      100.0, receiver_height_m=mobile)
+        criteria = ProtectionCriteria("any", field, ci_adjacent + ci_gap, ci_adjacent,
+                                      receiver_height_m=mobile)
         try:
             link = separation_report(DeviceProfile("any", eirp, height), criteria, frequency,
                                      environment)

@@ -68,6 +68,19 @@ class TestIngest:
                 municipal_area_km2=9.0,  # larger than the 4 km2 grid
             )
 
+    @pytest.mark.parametrize(
+        "counts,valid,message",
+        [
+            (np.zeros((2, 2)), np.ones((2, 3), dtype=bool), "2-D arrays of equal shape"),
+            (np.zeros((0, 2)), np.ones((0, 2), dtype=bool), "at least one cell"),
+            (np.array([[1, -1]]), np.ones((1, 2), dtype=bool), "must be non-negative"),
+        ],
+        ids=["shape-mismatch", "empty", "negative-count"],
+    )
+    def test_grid_rejects_bad_arrays(self, counts, valid, message):
+        with pytest.raises(DataError, match=message):
+            HouseholdGrid(counts, valid, resolution_m=1000.0, municipal_area_km2=1.0)
+
     def test_arrays_are_frozen(self):
         grid = ingest_grid([(0, 0, 1)], resolution_m=1000.0)
         with pytest.raises(ValueError):

@@ -56,12 +56,16 @@ class TestCriteria:
         assert OFCOM.min_field_strength_dbuvm == 50.0
         assert OFCOM.ci_cochannel_db == 33.0
         assert OFCOM.ci_adjacent_db == -17.0
-        assert OFCOM.location_accuracy_m == 100.0
         assert FCC.min_field_strength_dbuvm == 41.0
         assert FCC.ci_cochannel_db == 23.0
         assert FCC.ci_adjacent_db == -26.0
-        assert FCC.ci_adjacent_lower_db == -28.0
-        assert FCC.location_accuracy_m == 50.0
+        assert OFCOM.receiver_height_m == FCC.receiver_height_m == 10.0
+
+    def test_fields_are_what_the_link_budget_reads(self):
+        assert [f.name for f in dataclasses.fields(ProtectionCriteria)] == [
+            "label", "min_field_strength_dbuvm", "ci_cochannel_db", "ci_adjacent_db",
+            "receiver_height_m",
+        ]
 
     def test_relation_lookup(self):
         assert OFCOM.ci_db("co") == 33.0
@@ -78,10 +82,6 @@ class TestCriteria:
         assert max_cr_field_at_receiver(OFCOM, "adjacent") == pytest.approx(67.0)
 
     def test_criteria_validation(self):
-        for field in ("channel_bandwidth_mhz", "location_accuracy_m"):
-            for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
-                with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
-                    dataclasses.replace(OFCOM, **{field: bad})
         for field in ("min_field_strength_dbuvm", "ci_cochannel_db", "ci_adjacent_db"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(DomainError, match=f"{field} must be finite"):
@@ -150,6 +150,10 @@ class TestQuantize:
             quantize_distance(float("inf"), 100.0)
         with pytest.raises(DomainError):
             quantize_distance(100.0, 0.0)
+        for resolution in (1e-320, 5e-324):  # the cell count overflows a float
+            with pytest.raises(DomainError, match="distance_m / resolution_m overflows"):
+                quantize_distance(7350.0, resolution)
+            assert quantize_distance(0.0, resolution) == 0.0
 
 
 class TestSeparationReport:

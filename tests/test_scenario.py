@@ -160,6 +160,10 @@ class TestKnowledgeConfig:
         with pytest.raises(ConfigError):
             KnowledgeConfig("KL2", p_subscribe_mux2to5=-0.1)
 
+    def test_interpretation_validation(self):
+        with pytest.raises(ConfigError, match="share_interpretation must be one of"):
+            KnowledgeConfig("KL2", share_interpretation="x")
+
 
 class TestVariates:
     def test_shape_and_range(self):

@@ -102,6 +102,30 @@ def test_bench_pairs_runs_a_no_op_control(bench_pairs, monkeypatch, tmp_path, ca
                         for name in bench_pairs.BETTER]
 
 
+def test_bench_pairs_prints_src_line_counts(bench_pairs, monkeypatch, tmp_path, capsys):
+    def fake_extract(rev, scratch):
+        copy = _fake_extract(rev, scratch)
+        if rev == "head":  # 2 more lines, one module without a last newline, one not Python
+            (copy / "src" / "grayspace" / "new.py").write_text("A = 1\nB = 2\nC = 3")
+            (copy / "src" / "grayspace" / "notes.txt").write_text("x\n" * 9)
+        return copy
+
+    def fake_run_once(copy, workload, seed, seconds):
+        return {bench_pairs.RAW: 0.3, "wall_s": 0.3, "setup_s": 0.16, "cells_per_s": 1e7,
+                "peak_rss_mb": 42.0}
+
+    monkeypatch.setattr(bench_pairs, "extract", fake_extract)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(["base", "head", "--scratch", str(tmp_path), "--pairs", "1"]) == 0
+    wc = subprocess.run(["wc", "-l", *map(str, (tmp_path / "head" / "src" / "grayspace")
+                                              .glob("*.py"))],
+                        capture_output=True, text=True, check=True).stdout
+    assert wc.splitlines()[-1].split()[0] == "3"
+    # the control copy appends 4 lines to the base's one
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "src/grayspace/*.py lines: base 1, head 3, control 5")
+
+
 def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, monkeypatch,
                                                                  tmp_path, capsys):
     # (raw iteration seconds, scaled wall_s) per run: the head's raw time is

@@ -8,7 +8,8 @@ varying which copy runs first.  It prints each round's end-to-end metrics
 and raw iteration seconds and, per metric, both medians with their
 quartiles, the change of the medians and in how many pairs the second
 revision was better, then the benchmark's verdict on that metric (see
-:func:`verdict`) with the control's verdict against the base beside it:
+:func:`verdict`) with the control's verdict against the base beside it,
+and last the line count of ``src/grayspace/*.py`` in each copy:
 
     python3 tools/bench_pairs.py 5e9ef34 WORKTREE --scratch /tmp/pairs \\
         --workload sim-1km --pairs 5 --seconds 8 --seed 42
@@ -96,6 +97,12 @@ def control_copy(base: Path) -> Path:
             module.write(CONTROL_CODE)
         part.rename(dest)
     return dest
+
+
+def src_lines(copy: Path) -> int:
+    """The lines of ``src/grayspace/*.py`` in ``copy``, totalled as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (copy / "src" / "grayspace").glob("*.py"))
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -207,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
             if name in SCALED and against_raw(name, base, head, *raw[:2]):
                 print(f"{workload} {name:12s} FLAG: moved against the raw iteration seconds; "
                       "the calibration's speed changed, not only the program's")
+    print("src/grayspace/*.py lines: " + ", ".join(
+        f"{side} {src_lines(copy)}" for side, copy in zip(("base", "head", "control"), copies)))
     return 0
 
 
