@@ -29,7 +29,6 @@ from .engine import (
     cdf_from_map,
     parse_buckets,
     run_combinations,
-    run_monte_carlo,
     single_realization_map,
     utilization_from_map,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "receiver_usage",
     "refine_grid",
     "run_combinations",
-    "run_monte_carlo",
     "separation_report",
     "single_realization_map",
     "utilization_from_map",

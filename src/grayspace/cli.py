@@ -81,7 +81,7 @@ from .linkbudget import (
     quantize_distance,
     separation_report,
 )
-from .propagation import ENVIRONMENTS
+from .propagation import ENVIRONMENTS, HataParams
 from .scenario import (
     KNOWLEDGE_LEVELS,
     TIME_PERIODS,
@@ -114,13 +114,13 @@ class RunConfig:
     criteria: ProtectionCriteria = REGULATOR_PRESETS["ofcom"]
     devices: tuple[DeviceProfile, ...] = ()
     frequency_mhz: float | None = None
-    environment: str = "suburban"
+    environment: str = HataParams.environment
     plan: ChannelPlan = ChannelPlan()
     levels: tuple[str, ...] = KNOWLEDGE_LEVELS
     periods: tuple[str, ...] = TIME_PERIODS
-    interpretation: str = "unconditional"
-    p_mux1_capable: float = 0.98
-    p_subscribe_mux2to5: float = 0.15
+    interpretation: str = KnowledgeConfig.share_interpretation
+    p_mux1_capable: float = KnowledgeConfig.p_mux1_capable
+    p_subscribe_mux2to5: float = KnowledgeConfig.p_subscribe_mux2to5
     shares: tuple[float, ...] | None = None
     grid_path: Path | None = None
     grid_paths: dict[float, Path] = dataclasses.field(default_factory=dict)

@@ -15,9 +15,9 @@ knowledge config and packs the receivers' distinct (config, MUX) flag rows into
 bitsets.  Per device, each token's hit rows are packed into one integer, a set
 ORs its tokens' integers, and per-config tables over these patterns give each
 class's two 5-bit MUX masks, which key its usable slots in
-:func:`~grayspace.scenario.slot_table`; the pair adds them to its class slot
-sums and to one histogram of valid cells and households per slot count.  The
-outputs are read from these once:
+:func:`~grayspace.scenario.slot_table`; the pair adds them to its one int64
+record: class slot sums, then valid cells and households per slot count.  The
+outputs are read from it once:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality), kept
   as its distinct values and each cell's index into them, one ``np.repeat``
@@ -27,7 +27,7 @@ outputs are read from these once:
 
 Both tables are read off a (value MHz, cells, households) histogram by
 :func:`_survival` and :func:`_bucket_sums`: here the slot levels and a pair's
-histogram, in the ``report`` command a stored map's distinct values.
+record, in the ``report`` command a stored map's distinct values.
 
 All per-realization quantities are integers (slot counts, cell counts,
 household sums), and workers return integer partial sums, so results are
@@ -134,7 +134,6 @@ class GraySpaceMap:
 
     levels: np.ndarray
     index: np.ndarray
-    resolution_m: float
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -226,22 +225,24 @@ def _lane_tables(weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.n
     return lanes
 
 
-def _accumulate(sweep: _Sweep, indices: Sequence[int]):
+def _split(record: np.ndarray, n_levels: int) -> list[np.ndarray]:
+    """A pair's int64 record, as views: its class slot sums, then its valid
+    cells and its households per usable-slot count 0..n_levels - 1."""
+    return np.split(record, [len(record) - 2 * n_levels, len(record) - n_levels])
+
+
+def _accumulate(sweep: _Sweep, indices: Sequence[int]) -> list[np.ndarray]:
     """Integer totals per pair over a batch of realizations (order-independent):
-    class slot sums and a (2, n_slots + 1) valid-cell and household histogram.
+    one int64 record per pair, laid out as :func:`_split` reads it.
 
     A pair takes part in the indices below its realization count.  Each
     index draws the household variates and packs the receivers' flag rows
     once; each device packs every token's hit rows into one integer per lane
     of rows, ORs them per set, and reads all its pairs' keys off the lane tables."""
     n_levels = int(sweep.slot_table[0]) + 1  # key 0: nothing hit, every slot usable
-    totals = [
-        (
-            np.zeros(len(sweep.devices[d].co_index), dtype=np.int64),
-            np.zeros((2, n_levels), dtype=np.int64),
-        )
-        for d, _, _ in sweep.pairs
-    ]
+    totals = [np.zeros(len(sweep.devices[d].co_index) + 2 * n_levels, dtype=np.int64)
+              for d, _, _ in sweep.pairs]
+    views = [_split(record, n_levels) for record in totals]
     weights = sweep.partition.mux_weights
     lanes: dict[tuple[int, ...], list] = {}  # per device's active pairs
     flags = np.zeros((64 * -(-len(sweep.households) // 64), weights.shape[1]), dtype=np.uint8)
@@ -264,11 +265,11 @@ def _accumulate(sweep: _Sweep, indices: Sequence[int]):
                 keys |= table[0].take(pattern.take(state.co_index), axis=1)
                 keys |= table[1].take(pattern.take(state.adj_index), axis=1)
             for i, avail in zip(members, sweep.slot_table.take(keys)):
-                slot_sum, hist = totals[i]
+                slot_sum, cells, households = views[i]
                 slot_sum += avail
                 # two 1-D calls: a 2-D np.add.at over both rows is several times slower
-                np.add.at(hist[0], avail, state.class_weights[0])
-                np.add.at(hist[1], avail, state.class_weights[1])
+                np.add.at(cells, avail, state.class_weights[0])
+                np.add.at(households, avail, state.class_weights[1])
     return totals
 
 
@@ -280,7 +281,7 @@ def _init_worker(sweep: _Sweep) -> None:
     _WORKER_SWEEP = sweep
 
 
-def _worker_accumulate(indices: Sequence[int]):
+def _worker_accumulate(indices: Sequence[int]) -> list[np.ndarray]:
     assert _WORKER_SWEEP is not None
     return _accumulate(_WORKER_SWEEP, indices)
 
@@ -377,7 +378,7 @@ def _mean_map(
     if not grid.valid.all():
         index[~grid.valid] = len(levels)
         levels = np.append(levels, np.nan)
-    return GraySpaceMap(levels=levels, index=index, resolution_m=grid.resolution_m)
+    return GraySpaceMap(levels=levels, index=index)
 
 
 def single_realization_map(
@@ -396,7 +397,8 @@ def single_realization_map(
     # The pair takes part in every index up to realization_index, and the
     # sweep visits that one.
     sweep = _build_sweep(grid, [(link, knowledge)], plan, master_seed, [realization_index + 1])
-    ((slot_sum, _),) = _accumulate(sweep, [realization_index])
+    (record,) = _accumulate(sweep, [realization_index])
+    slot_sum, _, _ = _split(record, slot_count(plan) + 1)
     state = sweep.devices[0]
     slot_mhz = slot_sum * float(plan.channel_bandwidth_mhz)
     return _mean_map(slot_mhz, state.segment_class, state.segment_lengths, grid)
@@ -455,7 +457,7 @@ def run_combinations(
             max_workers=n_workers, initializer=_init_worker, initargs=(sweep,)
         ) as pool:
             parts = list(pool.map(_worker_accumulate, chunks))
-        totals = [tuple(map(sum, zip(*pair))) for pair in zip(*parts)]
+        totals = [sum(records) for records in zip(*parts)]  # int64 records: + is exact
     devices = [
         (s.segment_class, s.segment_lengths, s.co_radius_m, s.adjacent_radius_m)
         for s in sweep.devices
@@ -468,7 +470,7 @@ def run_combinations(
     # when this returns; it drops each pair's totals once used.
     def results() -> Iterator[MonteCarloResult]:
         for (link, _), d, n in zip(pairs, pair_devices, effective):
-            slot_sum, (cells, households) = totals.pop(0)
+            slot_sum, cells, households = _split(totals.pop(0), len(levels))
             segment_class, lengths, co_radius, adj_radius = devices[d]
             yield MonteCarloResult(
                 mean_map=_mean_map(slot_sum * (bandwidth / n), segment_class, lengths, grid),
@@ -482,23 +484,6 @@ def run_combinations(
             )
 
     return results()
-
-
-def run_monte_carlo(
-    grid: HouseholdGrid,
-    link: SeparationReport,
-    plan: ChannelPlan,
-    knowledge: KnowledgeConfig,
-    realizations: int = 100,
-    master_seed: int = 0,
-    buckets: Sequence[Bucket] = DEFAULT_BUCKETS,
-    workers: int = 1,
-) -> MonteCarloResult:
-    """Run the Monte Carlo evaluation of one pair; see :func:`run_combinations`."""
-    (result,) = run_combinations(
-        grid, [(link, knowledge)], plan, realizations, master_seed, buckets, workers
-    )
-    return result
 
 
 # ---------------------------------------------------------------------------

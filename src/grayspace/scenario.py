@@ -184,8 +184,8 @@ class KnowledgeConfig:
                 f"{SHARE_INTERPRETATIONS}, got {self.share_interpretation!r}"
             )
         if self.level == "KL3":
-            if self.time_period is None and self.mux_shares is None:
-                raise ConfigError("KL3 requires a time_period (or explicit mux_shares)")
+            if (self.time_period is None) == (self.mux_shares is None):
+                raise ConfigError("KL3 requires a time_period or explicit mux_shares, not both")
             if self.time_period is not None and self.time_period not in TIME_PERIODS:
                 raise ConfigError(
                     f"time_period must be one of {TIME_PERIODS}, got {self.time_period!r}"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from grayspace.cli import main
-from grayspace.engine import run_monte_carlo, single_realization_map
+from grayspace.engine import run_combinations, single_realization_map
 from grayspace.griddata import (
     compensate_area,
     ingest_grid,
@@ -134,7 +134,7 @@ def test_criterion_6(data_dir):
     for name in ("scattered_1km.csv", "vinje_synthetic_1km.csv"):
         grid, _ = compensate_area(load_grid_csv(data_dir / name))
         start = time.perf_counter()
-        result = run_monte_carlo(grid, LINK_FIXED, PLAN, KL1, realizations=100)
+        (result,) = run_combinations(grid, [(LINK_FIXED, KL1)], PLAN, realizations=100)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, name
 
@@ -251,11 +251,13 @@ def test_criterion_7e(data_dir):
     """Worker counts 1, 4 and 8 give bit-identical results at a fixed seed."""
     grid, _ = compensate_area(load_grid_csv(data_dir / "scattered_1km.csv"))
     results = [
-        run_monte_carlo(
-            grid, LINK_FIXED, PLAN, KL3_COND, realizations=16, master_seed=42, workers=w
-        )
+        result
         for w in (1, 4, 8)
+        for result in run_combinations(
+            grid, [(LINK_FIXED, KL3_COND)], PLAN, realizations=16, master_seed=42, workers=w
+        )
     ]
+    assert len(results) == 3
     base = results[0]
     for other in results[1:]:
         assert base.mean_map.values.tobytes() == other.mean_map.values.tobytes()

@@ -254,9 +254,11 @@ class TestExitCodes:
              "knowledge", "p_mux1_capable must be a probability"),
             ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 1.5,0,0,0,0",
              "knowledge", "mux_shares must be probabilities"),
+            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30,33\n"
+             "channel_bandwidth_mhz = 0", "plan", "channel_bandwidth_mhz must be positive"),
         ],
         ids=["kl3-shares-over-1", "four-channel-plan", "plan-past-band", "p-mux1-over-1",
-             "kl3-share-over-1"],
+             "kl3-share-over-1", "zero-channel-bandwidth"],
     )
     def test_bad_combination_is_2_and_writes_nothing(
         self, workspace, tmp_path, capsys, old, new, section, fragment

@@ -19,7 +19,6 @@ from grayspace.engine import (
     cdf_from_map,
     parse_buckets,
     run_combinations,
-    run_monte_carlo,
     single_realization_map,
     utilization_from_map,
     write_cdf_csv,
@@ -60,7 +59,8 @@ KL3_TP2_COND = KnowledgeConfig(
 
 
 def run(grid, knowledge, link=LINK_FIXED, **kw):
-    return run_monte_carlo(grid, link, PLAN, knowledge, **kw)
+    (result,) = run_combinations(grid, [(link, knowledge)], PLAN, **kw)
+    return result
 
 
 class TestBuckets:
@@ -450,8 +450,8 @@ class TestRunCombinations:
         ))
         assert len(joint) == len(pairs)
         for (link, knowledge), got in zip(pairs, joint):
-            alone = run_monte_carlo(
-                grid, link, PLAN, knowledge, realizations=realizations, master_seed=3
+            (alone,) = run_combinations(
+                grid, [(link, knowledge)], PLAN, realizations=realizations, master_seed=3
             )
             assert got.mean_map.values.tobytes() == alone.mean_map.values.tobytes()
             assert got.cdf.levels_mhz.tobytes() == alone.cdf.levels_mhz.tobytes()
@@ -577,7 +577,7 @@ class TestValidation:
     def test_plan_must_have_five_channels(self):
         plan = ChannelPlan(used_channels=(21, 24, 27, 30))
         with pytest.raises(ConfigError, match="5 MUX"):
-            run_monte_carlo(self.grid(), LINK_FIXED, plan, KL1)
+            run_combinations(self.grid(), [(LINK_FIXED, KL1)], plan)
 
     def test_grid_needs_valid_cells(self):
         counts = np.zeros((2, 2), dtype=np.int64)

@@ -81,6 +81,12 @@ class TestIngest:
         with pytest.raises(DataError, match=message):
             HouseholdGrid(counts, valid, resolution_m=1000.0, municipal_area_km2=1.0)
 
+    @pytest.mark.parametrize("resolution", [0.0, -1000.0, float("nan"), float("inf")])
+    def test_grid_rejects_bad_resolution(self, resolution):
+        with pytest.raises(DomainError, match="resolution_m must be positive and finite"):
+            HouseholdGrid(np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool),
+                          resolution_m=resolution, municipal_area_km2=1.0)
+
     def test_arrays_are_frozen(self):
         grid = ingest_grid([(0, 0, 1)], resolution_m=1000.0)
         with pytest.raises(ValueError):
@@ -118,9 +124,10 @@ class TestGridCsv:
             load_grid_csv(path)
 
     def test_plain_comments_are_skipped(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        path.write_text("# census export\n# resolution_m=1000\nx,y,households\n0,0,3\n")
-        assert load_grid_csv(path).total_households == 3
+        path = tmp_path / "grid.csv"  # blank lines are skipped too
+        path.write_text("# census export\n\n# resolution_m=1000\nx,y,households\n"
+                        "0,0,3\n  \n1,1,4\n\n")
+        assert load_grid_csv(path).counts.tolist() == [[3, 0], [0, 4]]
 
     @pytest.mark.parametrize(
         "meta",
@@ -242,6 +249,12 @@ class TestRefine:
         assert fine.total_households == 5
         assert fine.municipal_area_km2 == grid.municipal_area_km2
 
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_factor_below_one(self, factor):
+        grid = ingest_grid([(0, 0, 2)], resolution_m=1000.0, rows=1, cols=1)
+        with pytest.raises(DomainError, match="factor must be >= 1"):
+            refine_grid(grid, factor)
+
     def test_odd_factor(self):
         grid = ingest_grid([(0, 0, 2)], resolution_m=900.0, rows=1, cols=1)
         fine = refine_grid(grid, 3)
@@ -286,6 +299,11 @@ class TestFootprint:
             protection_disc_offsets(500.0, 1000.0)
         with pytest.raises(DomainError):
             protection_disc_offsets(0.0, 1000.0)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1000.0, float("nan"), float("inf")])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        with pytest.raises(DomainError, match="resolution_m must be positive and finite"):
+            protection_disc_offsets(1000.0, resolution)
 
     @pytest.mark.parametrize("reach", [1, 2, 3, 5, 8, 13, 40])
     def test_symmetry(self, reach):
@@ -570,6 +588,14 @@ class TestMatrixIO:
             path = Path(tmp) / "m.csv"
             write_matrix_csv(path, values)
             assert path.read_text() == _per_cell_csv(values)
+
+    @pytest.mark.parametrize("writer", [write_matrix_csv, write_matrix_rle])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_writers_reject_arrays_not_2d(self, tmp_path, writer, shape):
+        path = tmp_path / "m.csv"
+        with pytest.raises(DomainError, match="matrix must be 2-D"):
+            writer(path, np.zeros(shape))
+        assert not path.exists()
 
     def test_csv_bytes_of_strided_view(self, tmp_path):
         values = np.arange(48, dtype=np.float64).reshape(6, 8) / 7.0

@@ -32,6 +32,19 @@ class TestMobileAntennaCorrection:
         values = [mobile_antenna_correction(650.0, h) for h in (1.0, 1.5, 3.0, 10.0)]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize(
+        "frequency,height,message",
+        [
+            (float("nan"), 10.0, "inputs must be finite"),
+            (650.0, float("inf"), "inputs must be finite"),
+            (0.0, 10.0, "carrier_frequency_mhz must be positive"),
+            (-650.0, 10.0, "carrier_frequency_mhz must be positive"),
+        ],
+    )
+    def test_rejects_bad_numbers(self, frequency, height, message):
+        with pytest.raises(DomainError, match=message):
+            mobile_antenna_correction(frequency, height)
+
 
 class TestEnvironmentCorrection:
     def test_urban_is_zero(self):
@@ -87,6 +100,11 @@ class TestPathLoss:
             path_loss(SUBURBAN, 0.0)
         with pytest.raises(DomainError):
             path_loss(SUBURBAN, -1.0)
+
+    @pytest.mark.parametrize("distance_km", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_distance(self, distance_km):
+        with pytest.raises(DomainError, match="distance_km must be finite"):
+            path_loss(SUBURBAN, distance_km)
 
 
 class TestInversion:

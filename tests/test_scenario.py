@@ -120,6 +120,9 @@ class TestChannelPlan:
             ChannelPlan(used_channels=(21, 21, 24, 27, 30))
         with pytest.raises(DomainError):
             ChannelPlan(total_band_mhz=0.0)
+        for bandwidth in (0.0, -8.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="channel_bandwidth_mhz must be positive"):
+                ChannelPlan(channel_bandwidth_mhz=bandwidth)
         with pytest.raises(ConfigError):
             white_space_amount(ChannelPlan(total_band_mhz=40.0))
 
@@ -136,6 +139,8 @@ class TestKnowledgeConfig:
             KnowledgeConfig("KL3")
         with pytest.raises(ConfigError):
             KnowledgeConfig("KL3", time_period="TP9")
+        with pytest.raises(ConfigError, match="not both"):
+            KnowledgeConfig("KL3", time_period="TP1", mux_shares=(0.1,) * 5)
         custom = KnowledgeConfig("KL3", mux_shares=(0.1, 0.1, 0.1, 0.1, 0.1))
         assert custom.effective_shares == (0.1, 0.1, 0.1, 0.1, 0.1)
 
@@ -191,6 +196,11 @@ class TestVariates:
         with pytest.raises(DomainError):
             household_variates(0, -1, 4)
 
+    def test_rejects_negative_count(self):
+        with pytest.raises(DomainError, match="n must be non-negative"):
+            household_variates(0, 0, -1)
+        assert household_variates(0, 0, 0).shape == (0, 3)
+
 
 class TestSlotTable:
     @settings(max_examples=60, deadline=None)
@@ -215,6 +225,11 @@ class TestUsage:
     def test_kl1_is_certain(self):
         u = household_variates(1, 0, 50)
         assert usage_bools(KL1, u).all()
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (4, 4), (2, 3, 1)])
+    def test_rejects_variates_not_n_by_3(self, shape):
+        with pytest.raises(DomainError, match=r"u must have shape \(n, 3\)"):
+            usage_masks(KL2, np.zeros(shape))
 
     def test_kl2_layout(self):
         u = np.array(

@@ -156,3 +156,31 @@ def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, mon
     assert "sim-1km raw_s        0.3 [0.29, 0.31] -> 0.33 [0.32, 0.34]  +10.0%, unscaled" in out
     flagged = [line.split()[:2] for line in out if "FLAG" in line]
     assert flagged == [["sim-1km", "wall_s"], ["sim-1km", "cells_per_s"]]
+
+
+@pytest.fixture
+def perfbench_workloads(data_dir):
+    sys.path.insert(0, str(data_dir.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def test_benchmark_workloads_build_against_src(perfbench_workloads, data_dir, tmp_path):
+    """Every benchmark workload loads its towns through the cli and grid readers,
+    every command it would run parses, and the backend name it records exists.
+    Nothing is run."""
+    import grayspace
+    from grayspace import cli
+
+    parser = cli.build_parser()
+    assert perfbench_workloads.WORKLOADS
+    for name, workload in perfbench_workloads.WORKLOADS.items():
+        bench = perfbench_workloads.Bench(data_dir.parent, workload, 42, tmp_path / name)
+        assert bench.ops, name
+        for argv, _ in bench.invocations:
+            parser.parse_args(argv)
+    assert isinstance(grayspace.BACKEND, str)
+    assert not any(tmp_path.iterdir())
