@@ -34,12 +34,11 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, DomainError, GrayspaceError
 from .griddata import (
-    DiscFootprint,
     HouseholdGrid,
     compensate_area,
+    disc_halfwidths,
     ingest_grid,
     load_grid_csv,
-    protection_disc_offsets,
     refine_grid,
     write_grid_csv,
 )
@@ -55,6 +54,7 @@ from .linkbudget import (
     eirp_to_field_strength,
     max_cr_field_at_receiver,
     min_required_loss,
+    quantize_cells,
     quantize_distance,
     separation_report,
     verify_margin,
@@ -92,7 +92,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DataError",
     "DeviceProfile",
-    "DiscFootprint",
     "DomainError",
     "ENVIRONMENTS",
     "FCC",
@@ -114,6 +113,7 @@ __all__ = [
     "UtilizationTable",
     "cdf_from_map",
     "compensate_area",
+    "disc_halfwidths",
     "distance_for_loss",
     "eirp_to_field_strength",
     "environment_correction",
@@ -125,7 +125,7 @@ __all__ = [
     "mobile_antenna_correction",
     "parse_buckets",
     "path_loss",
-    "protection_disc_offsets",
+    "quantize_cells",
     "quantize_distance",
     "receiver_usage",
     "refine_grid",

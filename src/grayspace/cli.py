@@ -324,6 +324,8 @@ def load_run_config(path: str | Path) -> RunConfig:
                 values[key] = _parse(f"{where} {key}", keys[key], text, base)
             elif grid_res is not None:
                 res = float(grid_res.group(1))
+                if res == 0:
+                    raise ConfigError(f"{where} {key}: the resolution must be positive")
                 if res in cfg.grid_paths:
                     raise ConfigError(f"{where} {key} repeats the resolution of "
                                       "another path_<res>m key")

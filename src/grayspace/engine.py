@@ -3,8 +3,8 @@
 A cell's usable gray space depends only on which receiver cells' protection
 footprints cover it.  The engine takes each device's link budget, a
 :class:`~grayspace.linkbudget.SeparationReport`, and once per run builds
-one state per link budget: its two distances rounded up to the grid (the
-co-channel and adjacent-channel radii), the footprints of both radii
+one state per link budget: its two distances rounded up to whole cells (the
+co-channel and adjacent-channel reaches), the footprints of both reaches
 stamped at every household cell, and the grid cut into segments, stretches
 of consecutive cells (row-major) covered by one fixed set of receivers.
 One table holds each footprint's distinct receiver bitsets (sets), word by
@@ -48,8 +48,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .griddata import HouseholdGrid, _fmt, _value_runs, protection_disc_offsets, receiver_segments
-from .linkbudget import SeparationReport, quantize_distance
+from .griddata import HouseholdGrid, _fmt, _value_runs, disc_halfwidths, receiver_segments
+from .linkbudget import SeparationReport, quantize_cells
 from .scenario import (ChannelPlan, KnowledgeConfig, UsagePartition, receiver_rows, slot_count,
                        slot_levels_mhz, slot_table, usage_partition)
 
@@ -174,7 +174,6 @@ class MonteCarloResult:
     cdf: CdfCurve
     utilization: UtilizationTable
     realizations: int
-    master_seed: int
     co_radius_m: float
     adjacent_radius_m: float
     warnings: tuple[str, ...]
@@ -302,15 +301,12 @@ def _distinct_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_state(grid: HouseholdGrid, link: SeparationReport) -> _DeviceState:
-    co_radius = quantize_distance(link.min_distance_co_m, grid.resolution_m)
-    adj_radius = quantize_distance(link.min_distance_adjacent_m, grid.resolution_m)
+    co_cells = quantize_cells(link.min_distance_co_m, grid.resolution_m)
+    adj_cells = quantize_cells(link.min_distance_adjacent_m, grid.resolution_m)
     # Past this reach every receiver already covers every cell, so a larger
-    # footprint gives the same coverage at a cost growing with the radius.
-    reach_cap = (grid.rows + grid.cols) * grid.resolution_m
-    footprints = [
-        protection_disc_offsets(min(radius, reach_cap), grid.resolution_m)
-        for radius in (co_radius, adj_radius)
-    ]
+    # footprint gives the same coverage at a cost growing with the reach.
+    reach_cap = grid.rows + grid.cols
+    footprints = [disc_halfwidths(min(cells, reach_cap)) for cells in (co_cells, adj_cells)]
     receivers = np.flatnonzero(grid.counts)  # np.nonzero order, as _Sweep.households
     starts, bitsets = receiver_segments(
         grid.counts.shape, *np.divmod(receivers, grid.cols), footprints
@@ -331,8 +327,8 @@ def _build_state(grid: HouseholdGrid, link: SeparationReport) -> _DeviceState:
     receiver_class = segment_class[np.searchsorted(starts, receivers, "right") - 1]
     np.add.at(class_weights[1], receiver_class, grid.counts.ravel()[receivers])
     return _DeviceState(
-        co_radius_m=co_radius,
-        adjacent_radius_m=adj_radius,
+        co_radius_m=co_cells * grid.resolution_m,
+        adjacent_radius_m=adj_cells * grid.resolution_m,
         segment_lengths=np.diff(starts, append=grid.counts.size),
         segment_class=segment_class,
         tokens=tuple(tokens),
@@ -477,7 +473,6 @@ def run_combinations(
                 cdf=_survival(levels, cells, levels),
                 utilization=_bucket_sums(levels, households, buckets, n),
                 realizations=realizations,
-                master_seed=master_seed,
                 co_radius_m=co_radius,
                 adjacent_radius_m=adj_radius,
                 warnings=link.warnings,

@@ -8,12 +8,13 @@ two cell squares is below the protection radius, i.e. the receiver may sit
 anywhere in its cell and the interferer anywhere in the protected cell.
 
 The module covers CSV ingestion with sidecar metadata, compensation of the
-mismatch between grid area and municipal area, disc-footprint construction,
-protection geometry, and matrix export in plain CSV and run-length-encoded
-form.  Input files are data: a malformed value, a repeated metadata key, a
-count past int64 or a declared size numpy cannot allocate is a
+mismatch between grid area and municipal area, disc footprints, protection
+geometry, and matrix export in plain CSV and run-length-encoded form.
+Input files are data: a malformed value, a repeated metadata key, a count
+past int64 or a declared size numpy cannot allocate is a
 :class:`DataError`, and a run-length file is checked in full before its
-matrix is allocated.  A disc footprint is kept as per-row halfwidths only.
+matrix is allocated.  A disc footprint's reach is a whole number of cells,
+and the footprint is kept as per-row halfwidths only.
 
 Protection geometry is built from footprint *runs*: a footprint stamped at
 a receiver covers, on each grid row, one contiguous stretch of cells, which
@@ -366,47 +367,14 @@ def refine_grid(grid: HouseholdGrid, factor: int) -> HouseholdGrid:
     )
 
 
-@dataclass(frozen=True)
-class DiscFootprint:
-    """Cell offsets protected around a receiver cell for one radius.
-
-    An offset (dx, dy) belongs to the footprint when the minimum distance
-    between the receiver's cell square and the offset cell square is
-    strictly below the radius.  The footprint is symmetric in both axes and
-    row-convex, so it is stored as per-row halfwidths:
-    ``halfwidths[dy + reach]`` is the largest |dx| on row offset dy.
-    """
-
-    radius_m: float
-    resolution_m: float
-    reach: int
-    halfwidths: np.ndarray
-
-    def __post_init__(self) -> None:
-        hw = np.asarray(self.halfwidths, dtype=np.int64)
-        hw.setflags(write=False)
-        object.__setattr__(self, "halfwidths", hw)
-
-
-def protection_disc_offsets(radius_m: float, resolution_m: float) -> DiscFootprint:
-    """Footprint of cells whose square comes within ``radius_m`` of the
-    receiver cell's square (strict inequality).
-
-    The radius must be a positive multiple of the resolution (i.e. already
-    quantized); anything else is rejected.  Integer arithmetic throughout,
-    so boundary cases (offsets exactly at the radius) are exact.
-    """
-    if not (math.isfinite(resolution_m) and resolution_m > 0):
-        raise DomainError("resolution_m must be positive and finite")
-    if not math.isfinite(radius_m) or radius_m <= 0:
-        raise DomainError("radius_m must be positive and finite")
-    steps = radius_m / resolution_m
-    reach = int(round(steps))
-    if abs(steps - reach) > 1e-9 or reach < 1:
-        raise DomainError(
-            f"radius_m ({radius_m}) must be a positive multiple of the "
-            f"resolution ({resolution_m}); quantize it first"
-        )
+def disc_halfwidths(reach: int) -> np.ndarray:
+    """Footprint of the cells whose square comes strictly within ``reach``
+    cells of the receiver cell's square.  It is symmetric in both axes and
+    row-convex, so it is kept as per-row halfwidths: ``halfwidths[dy + reach]``
+    is the largest |dx| on row offset dy.  Integer arithmetic throughout, so
+    offsets exactly ``reach`` cells away are decided exactly."""
+    if reach < 1:
+        raise DomainError(f"reach must be at least 1 cell, got {reach}")
     halfwidths = np.empty(2 * reach + 1, dtype=np.int64)
     for dy in range(-reach, reach + 1):
         gap = max(abs(dy) - 1, 0)
@@ -414,21 +382,17 @@ def protection_disc_offsets(radius_m: float, resolution_m: float) -> DiscFootpri
         # more cell because squares a single step apart still touch
         q = math.isqrt(reach * reach - gap * gap - 1)
         halfwidths[dy + reach] = q + 1
-    return DiscFootprint(
-        radius_m=float(radius_m),
-        resolution_m=float(resolution_m),
-        reach=reach,
-        halfwidths=halfwidths,
-    )
+    return halfwidths
 
 
 def _footprint_runs(
     shape: tuple[int, int],
     seed_rows: np.ndarray,
     seed_cols: np.ndarray,
-    footprint: DiscFootprint,
+    halfwidths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row runs of ``footprint`` stamped at every seed, clipped to the grid.
+    """Row runs of the footprint of ``halfwidths`` (:func:`disc_halfwidths`)
+    stamped at every seed, clipped to the grid.
 
     Returns ``(seed, start, stop)``: run i covers the flat row-major cell
     indices ``start[i] <= j < stop[i]`` around seed number ``seed[i]``.
@@ -437,9 +401,10 @@ def _footprint_runs(
     rows, cols = shape
     seed_rows = np.asarray(seed_rows, dtype=np.int64)
     seed_cols = np.asarray(seed_cols, dtype=np.int64)
-    reach = min(footprint.reach, rows - 1)  # farther rows never land on the grid
+    full = len(halfwidths) // 2
+    reach = min(full, rows - 1)  # farther rows never land on the grid
     dy = np.arange(-reach, reach + 1, dtype=np.int64)
-    hw = footprint.halfwidths[footprint.reach - reach : footprint.reach + reach + 1]
+    hw = halfwidths[full - reach : full + reach + 1]
     run_rows = seed_rows[:, None] + dy
     inside = (run_rows >= 0) & (run_rows < rows)
     lo = np.maximum(seed_cols[:, None] - hw, 0)
@@ -456,11 +421,12 @@ def receiver_segments(
     shape: tuple[int, int],
     seed_rows: np.ndarray,
     seed_cols: np.ndarray,
-    footprints: Sequence[DiscFootprint],
+    footprints: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Split the grid into segments covered by fixed sets of receivers.
 
-    Receiver k sits at ``(seed_rows[k], seed_cols[k])``.  The flat
+    Receiver k sits at ``(seed_rows[k], seed_cols[k])``, and each footprint
+    is given by its halfwidths (:func:`disc_halfwidths`).  The flat
     row-major cell order is cut at every run end of every footprint, so
     within a segment no footprint's coverage changes.  Returns
     ``(starts, bitsets)``: ``starts`` are the first flat cell index of each

@@ -123,8 +123,8 @@ def min_required_loss(
     )
 
 
-def quantize_distance(distance_m: float, resolution_m: float) -> float:
-    """Round ``distance_m`` up to the next multiple of ``resolution_m``.
+def quantize_cells(distance_m: float, resolution_m: float) -> int:
+    """``distance_m`` in whole cells of ``resolution_m``, rounded up.
 
     Positions are only known to one grid cell, so protection distances are
     always rounded *up*.  Returns 0 only for a distance of exactly 0.
@@ -139,7 +139,12 @@ def quantize_distance(distance_m: float, resolution_m: float) -> float:
     cells = math.ceil(ratio)
     if cells == 0 and distance_m > 0:  # subnormal distance underflowed
         cells = 1
-    return cells * resolution_m
+    return cells
+
+
+def quantize_distance(distance_m: float, resolution_m: float) -> float:
+    """Round ``distance_m`` up to whole cells of ``resolution_m`` (:func:`quantize_cells`)."""
+    return quantize_cells(distance_m, resolution_m) * resolution_m
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,10 @@ class TestConfigParsing:
             ("[grid]\nroute = town.csv\n", "path"),
             ("[grid]\npath = a.csv\npath_1000m = b.csv\n", "mixes"),
             ("[grid]\npath_1000m = a.csv\npath_1000.0m = b.csv\n", "repeats the resolution"),
+            ("[grid]\npath_0m = a.csv\n",
+             r"bad\.cfg: \[grid\] path_0m: the resolution must be positive"),
+            ("[grid]\npath_0.0m = a.csv\n",
+             r"bad\.cfg: \[grid\] path_0\.0m: the resolution must be positive"),
             ("[run]\nbuckets = 24-64,60-70\n", r"bad\.cfg: \[run\] buckets .*overlap"),
             (
                 "[plan]\nused_channels = 21,21,27,30,33\n",

@@ -28,6 +28,7 @@ from grayspace.errors import ConfigError, DataError, DomainError
 from grayspace.griddata import (
     HouseholdGrid,
     compensate_area,
+    disc_halfwidths,
     ingest_grid,
     load_grid_csv,
     receiver_segments,
@@ -305,6 +306,30 @@ def _scattered_grid(seed, side, receivers):
     cells = rng.choice(side * side, size=receivers, replace=False).tolist()
     records = [(c % side, c // side, int(rng.integers(1, 10))) for c in cells]
     return ingest_grid(records, resolution_m=1000.0, rows=side, cols=side)
+
+
+class TestReachCap:
+    """A footprint's reach is capped at rows + cols cells, past which every
+    receiver already covers every cell.  Fixed-4w's co-channel reach is 8
+    cells at 1 km, so on these grids the cap applies wherever rows + cols < 8;
+    the map still equals the brute-force oracle's, which knows no cap."""
+
+    @pytest.mark.parametrize("rows,cols", list(itertools.product(range(1, 5), repeat=2)))
+    def test_capped_reach_matches_oracle(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        for seed in range(8):
+            valid = rng.random((rows, cols)) < 0.9
+            valid.flat[0] = True
+            counts = np.where(valid & (rng.random((rows, cols)) < 0.5),
+                              rng.integers(1, 5, (rows, cols)), 0)
+            grid = HouseholdGrid(counts, valid, 1000.0, municipal_area_km2=rows * cols)
+            knowledge = (KL2, KL3_TP2_COND)[seed % 2]
+            with mock.patch.object(engine, "disc_halfwidths", wraps=disc_halfwidths) as spy:
+                got = single_realization_map(grid, LINK_FIXED, PLAN, knowledge, seed)
+            assert [c.args for c in spy.call_args_list] == [(min(8, rows + cols),), (1,)]
+            expected = _naive_map(grid, _naive_flags(grid, knowledge, seed),
+                                  CO_M["fixed-4w"], ADJ_M["fixed-4w"])
+            assert np.array_equal(got.values, expected, equal_nan=True), seed
 
 
 class TestMultiWordReceivers:

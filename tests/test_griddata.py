@@ -13,9 +13,9 @@ from grayspace.errors import DataError, DomainError
 from grayspace.griddata import (
     HouseholdGrid,
     compensate_area,
+    disc_halfwidths,
     ingest_grid,
     load_grid_csv,
-    protection_disc_offsets,
     read_matrix_csv,
     read_matrix_rle,
     receiver_segments,
@@ -278,36 +278,29 @@ class TestRefine:
         assert again is fine and n == 0
 
 
-def _covers(fp, dx, dy):
+def _covers(hw, dx, dy):
     """Membership of offset (dx, dy) in a footprint, read off its halfwidths."""
-    return abs(dy) <= fp.reach and abs(dx) <= fp.halfwidths[dy + fp.reach]
+    reach = len(hw) // 2
+    return abs(dy) <= reach and abs(dx) <= hw[dy + reach]
 
 
 class TestFootprint:
     def test_single_cell_radius(self):
-        fp = protection_disc_offsets(1000.0, 1000.0)
-        assert fp.reach == 1
-        assert list(fp.halfwidths) == [1, 1, 1]
-        assert _covers(fp, 0, 0)
+        hw = disc_halfwidths(1)
+        assert list(hw) == [1, 1, 1] and hw.dtype == np.int64
+        assert _covers(hw, 0, 0)
 
     def test_four_cell_radius(self):
-        fp = protection_disc_offsets(4000.0, 1000.0)
-        assert list(fp.halfwidths) == [3, 4, 4, 4, 4, 4, 4, 4, 3]
+        assert list(disc_halfwidths(4)) == [3, 4, 4, 4, 4, 4, 4, 4, 3]
 
-    def test_radius_must_be_cell_multiple(self):
-        with pytest.raises(DomainError):
-            protection_disc_offsets(500.0, 1000.0)
-        with pytest.raises(DomainError):
-            protection_disc_offsets(0.0, 1000.0)
-
-    @pytest.mark.parametrize("resolution", [0.0, -1000.0, float("nan"), float("inf")])
-    def test_resolution_must_be_positive_and_finite(self, resolution):
-        with pytest.raises(DomainError, match="resolution_m must be positive and finite"):
-            protection_disc_offsets(1000.0, resolution)
+    @pytest.mark.parametrize("reach", [0, -1])
+    def test_reach_must_be_at_least_one_cell(self, reach):
+        with pytest.raises(DomainError, match=f"reach must be at least 1 cell, got {reach}"):
+            disc_halfwidths(reach)
 
     @pytest.mark.parametrize("reach", [1, 2, 3, 5, 8, 13, 40])
     def test_symmetry(self, reach):
-        fp = protection_disc_offsets(reach * 100.0, 100.0)
+        fp = disc_halfwidths(reach)
         span = range(-reach - 1, reach + 2)
         for dx, dy in itertools.product(span, span):
             if _covers(fp, dx, dy):
@@ -318,7 +311,7 @@ class TestFootprint:
     @pytest.mark.parametrize("reach", [1, 2, 4, 9])
     def test_matches_box_distance_definition(self, reach):
         res, radius = 100.0, reach * 100.0
-        fp = protection_disc_offsets(radius, res)
+        fp = disc_halfwidths(reach)
         span = reach + 2
         for dy in range(-span, span + 1):
             for dx in range(-span, span + 1):
@@ -350,32 +343,27 @@ def naive_protection_scan(
     return out
 
 
-def segment_coverage(mask, fp):
+def segment_coverage(mask, hw):
     """Cells whose segment bitset holds any receiver."""
-    starts, (bits,) = receiver_segments(mask.shape, *np.nonzero(mask), [fp])
+    starts, (bits,) = receiver_segments(mask.shape, *np.nonzero(mask), [hw])
     return np.repeat(bits.any(axis=0), np.diff(starts, append=mask.size)).reshape(mask.shape)
 
 
-def footprint_stamp(mask, fp):
+def footprint_stamp(mask, hw):
     """Cells covered by stamping the footprint's rows at every receiver,
     cell by cell."""
     rows, cols = mask.shape
+    reach = len(hw) // 2
     out = np.zeros_like(mask)
     for r, c in zip(*np.nonzero(mask)):
-        for dy in range(-fp.reach, fp.reach + 1):
+        for dy in range(-reach, reach + 1):
             i = r + dy
             if not 0 <= i < rows:
                 continue
-            w = int(fp.halfwidths[dy + fp.reach])
+            w = int(hw[dy + reach])
             for j in range(max(0, c - w), min(cols, c + w + 1)):
                 out[i, j] = True
     return out
-
-
-def _disc(reach):
-    fp = protection_disc_offsets(reach * 1000.0, 1000.0)
-    assert fp.reach == reach
-    return fp
 
 
 class TestSegmentCoverage:
@@ -387,10 +375,9 @@ class TestSegmentCoverage:
         for _ in range(30):
             rows, cols = rng.integers(1, 30, 2)
             mask = rng.random((rows, cols)) < 0.1
-            radius = float(rng.integers(1, 7)) * 1000.0
-            fp = protection_disc_offsets(radius, 1000.0)
-            got = segment_coverage(mask, fp)
-            want = naive_protection_scan(mask, radius, 1000.0)
+            reach = int(rng.integers(1, 7))
+            got = segment_coverage(mask, disc_halfwidths(reach))
+            want = naive_protection_scan(mask, reach * 1000.0, 1000.0)
             assert np.array_equal(got, want)
 
     def test_against_footprint_stamp(self):
@@ -398,14 +385,15 @@ class TestSegmentCoverage:
         for _ in range(25):
             rows = int(rng.integers(1, 40))
             cols = int(rng.integers(1, 40))
-            fp = _disc(int(rng.integers(1, 12)))
+            reach = int(rng.integers(1, 12))
+            fp = disc_halfwidths(reach)
             mask = rng.random((rows, cols)) < 0.08
             got = segment_coverage(mask, fp)
-            assert np.array_equal(got, footprint_stamp(mask, fp)), (rows, cols, fp.reach)
+            assert np.array_equal(got, footprint_stamp(mask, fp)), (rows, cols, reach)
 
     def test_distributes_over_union(self):
         rng = np.random.default_rng(4)
-        fp = protection_disc_offsets(3000.0, 1000.0)
+        fp = disc_halfwidths(3)
         for _ in range(10):
             a = rng.random((20, 25)) < 0.05
             b = rng.random((20, 25)) < 0.05
@@ -413,28 +401,27 @@ class TestSegmentCoverage:
             assert np.array_equal(union, segment_coverage(a, fp) | segment_coverage(b, fp))
 
     def test_empty_mask(self):
-        fp = protection_disc_offsets(2000.0, 1000.0)
-        assert not segment_coverage(np.zeros((5, 8), dtype=bool), fp).any()
+        assert not segment_coverage(np.zeros((5, 8), dtype=bool), disc_halfwidths(2)).any()
 
     def test_empty_seeds(self):
         mask = np.zeros((5, 9), dtype=bool)
-        assert not segment_coverage(mask, _disc(4)).any()
+        assert not segment_coverage(mask, disc_halfwidths(4)).any()
 
     def test_reach_one_is_three_by_three(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
-        out = segment_coverage(mask, _disc(1))
+        out = segment_coverage(mask, disc_halfwidths(1))
         assert out.sum() == 9 and out[1:4, 1:4].all()
 
     def test_tiny_grids(self):
         mask = np.ones((1, 1), dtype=bool)
-        assert segment_coverage(mask, _disc(30)).all()
+        assert segment_coverage(mask, disc_halfwidths(30)).all()
         mask = np.ones((1, 7), dtype=bool)
-        assert segment_coverage(mask, _disc(2)).all()
+        assert segment_coverage(mask, disc_halfwidths(2)).all()
 
     def test_output_fresh_and_bool(self):
         mask = np.zeros((4, 4), dtype=bool)
-        out = segment_coverage(mask, _disc(3))
+        out = segment_coverage(mask, disc_halfwidths(3))
         assert out.dtype == np.bool_
         assert out is not mask
 
@@ -462,20 +449,20 @@ class TestReceiverSegments:
         rows, cols, cells, reaches = case
         res = 100.0
         ys, xs = np.divmod(cells, cols)
-        footprints = [protection_disc_offsets(r * res, res) for r in reaches]
+        footprints = [disc_halfwidths(r) for r in reaches]
         starts, bitsets = receiver_segments((rows, cols), ys, xs, footprints)
         assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < rows * cols
         lengths = np.diff(starts, append=rows * cols)
         words = -(-len(cells) // 64)
-        for fp, bits in zip(footprints, bitsets):
+        for reach, bits in zip(reaches, bitsets):
             assert bits.dtype == np.uint64 and bits.shape == (words, len(starts))
             for k, (y, x) in enumerate(zip(ys, xs)):
                 bit = (bits[k // 64] >> np.uint64(k % 64)) & np.uint64(1)
                 alone = np.zeros((rows, cols), dtype=bool)
                 alone[y, x] = True
-                want = naive_protection_scan(alone, fp.radius_m, res)
+                want = naive_protection_scan(alone, reach * res, res)
                 got = np.repeat(bit.astype(bool), lengths).reshape(rows, cols)
-                assert np.array_equal(got, want), (k, fp.reach)
+                assert np.array_equal(got, want), (k, reach)
             if len(cells) % 64:
                 assert not (bits[-1] >> np.uint64(len(cells) % 64)).any()
 

@@ -17,6 +17,7 @@ from grayspace.linkbudget import (
     eirp_to_field_strength,
     max_cr_field_at_receiver,
     min_required_loss,
+    quantize_cells,
     quantize_distance,
     separation_report,
     verify_margin,
@@ -131,6 +132,8 @@ class TestQuantize:
         assert quantize_distance(7350.0, 100.0) == 7400.0
         assert quantize_distance(8000.0, 1000.0) == 8000.0
         assert quantize_distance(0.0, 1000.0) == 0.0
+        assert quantize_cells(7350.0, 100.0) == 74 and type(quantize_cells(7350.0, 100.0)) is int
+        assert quantize_cells(5e-324, 1000.0) == 1  # a subnormal distance still takes a cell
 
     @given(
         st.floats(min_value=0.0, max_value=1e6),
@@ -138,6 +141,7 @@ class TestQuantize:
     )
     def test_ceiling_property(self, distance, resolution):
         q = quantize_distance(distance, resolution)
+        assert q == quantize_cells(distance, resolution) * resolution
         assert q >= distance
         # one cell less would undershoot (float-safe form of q - d < res)
         assert q - resolution < distance
@@ -154,6 +158,12 @@ class TestQuantize:
             with pytest.raises(DomainError, match="distance_m / resolution_m overflows"):
                 quantize_distance(7350.0, resolution)
             assert quantize_distance(0.0, resolution) == 0.0
+
+    @pytest.mark.parametrize("resolution", [0.0, -1000.0, float("nan"), float("inf")])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        for quantize in (quantize_cells, quantize_distance):
+            with pytest.raises(DomainError, match="resolution_m must be positive and finite"):
+                quantize(1000.0, resolution)
 
 
 class TestSeparationReport:

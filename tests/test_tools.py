@@ -90,8 +90,10 @@ def test_bench_pairs_runs_a_no_op_control(bench_pairs, monkeypatch, tmp_path, ca
     control = tmp_path / "base-control" / "src" / "grayspace" / "griddata.py"
     assert control.read_text() == "VALUE = 1\n" + bench_pairs.CONTROL_CODE
     assert (tmp_path / "base" / "src" / "grayspace" / "griddata.py").read_text() == "VALUE = 1\n"
-    # every round runs all three copies, and each copy runs first in two of six
-    rounds = [order[i:i + 3] for i in range(0, 18, 3)]
+    # a warm-up run of each copy, then every round runs all three copies, and
+    # each copy runs first in two of six
+    assert order[:3] == ["base", "head", "base-control"]
+    rounds = [order[i:i + 3] for i in range(3, 21, 3)]
     assert all(sorted(r) == ["base", "base-control", "head"] for r in rounds)
     assert collections.Counter(r[0] for r in rounds) == {"base": 2, "head": 2,
                                                          "base-control": 2}
@@ -99,6 +101,31 @@ def test_bench_pairs_runs_a_no_op_control(bench_pairs, monkeypatch, tmp_path, ca
     assert f"control in {tmp_path / 'base-control'}" in out
     verdicts = [line for line in out if "(control: " in line]
     assert verdicts == [f"sim-1km {name:12s} worse (control: within bound)"
+                        for name in bench_pairs.BETTER]
+
+
+def test_bench_pairs_warm_up_reaches_no_summary(bench_pairs, monkeypatch, tmp_path, capsys):
+    # each copy's first run reads 100 times slower; the pairs read the same on all copies
+    calls = collections.Counter()
+
+    def fake_run_once(copy, workload, seed, seconds):
+        calls[copy.name] += 1
+        k = 100.0 if calls[copy.name] == 1 else 1.0
+        return {bench_pairs.RAW: 0.3 * k, "wall_s": 0.3 * k, "setup_s": 0.2 * k,
+                "cells_per_s": 1e7 / k, "peak_rss_mb": 42.0 * k}
+
+    monkeypatch.setattr(bench_pairs, "extract", _fake_extract)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(["base", "head", "--scratch", str(tmp_path), "--pairs", "4"]) == 0
+    assert calls == {"base": 5, "head": 5, "base-control": 5}
+    out = capsys.readouterr().out.splitlines()
+    assert out[3] == ("sim-1km warm-up: raw_s 30/30/30  wall_s 30/30/30  setup_s 20/20/20  "
+                      "cells_per_s 1e+05/1e+05/1e+05  peak_rss_mb 4200/4200/4200")
+    assert "sim-1km raw_s        0.3 [0.3, 0.3] -> 0.3 [0.3, 0.3]  +0.0%, unscaled" in out
+    assert ("sim-1km setup_s      0.2 [0.2, 0.2] -> 0.2 [0.2, 0.2]  +0.0%, "
+            "better in 0 of 4 pairs") in out
+    verdicts = [line for line in out if "(control: " in line]
+    assert verdicts == [f"sim-1km {name:12s} within bound (control: within bound)"
                         for name in bench_pairs.BETTER]
 
 
@@ -130,12 +157,13 @@ def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, mon
                                                                  tmp_path, capsys):
     # (raw iteration seconds, scaled wall_s) per run: the head's raw time is
     # slower while its scaled wall_s is faster, so wall_s and cells_per_s are
-    # flagged; in the second workload both move the same way
-    runs = {"sim-1km": {"base": [(0.30, 0.33), (0.29, 0.32), (0.31, 0.34)],
-                        "head": [(0.33, 0.30), (0.32, 0.29), (0.34, 0.31)],
-                        "base-control": [(0.30, 0.33)] * 3},
-            "sim-100m": {"base": [(0.50, 0.40)] * 3, "head": [(0.45, 0.36)] * 3,
-                         "base-control": [(0.50, 0.40)] * 3}}
+    # flagged; in the second workload both move the same way.  Each copy's
+    # first run is its warm-up.
+    runs = {"sim-1km": {"base": [(0.9, 0.9), (0.30, 0.33), (0.29, 0.32), (0.31, 0.34)],
+                        "head": [(0.9, 0.9), (0.33, 0.30), (0.32, 0.29), (0.34, 0.31)],
+                        "base-control": [(0.9, 0.9)] + [(0.30, 0.33)] * 3},
+            "sim-100m": {"base": [(0.50, 0.40)] * 4, "head": [(0.45, 0.36)] * 4,
+                         "base-control": [(0.50, 0.40)] * 4}}
 
     def fake_run(cmd, cwd, capture_output, text):
         raw, wall = runs[cmd[cmd.index("--workload") + 1]][Path(cwd).name].pop(0)
@@ -152,7 +180,8 @@ def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, mon
     assert bench_pairs.main(["base", "head", "--scratch", str(tmp_path), "--pairs", "3",
                              "--workload", "sim-1km", "--workload", "sim-100m"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "sim-1km pair 1: raw_s 0.3/0.33/0.3  wall_s 0.33/0.3/0.33" in out[3]
+    assert "sim-1km warm-up: raw_s 0.9/0.9/0.9  wall_s 0.9/0.9/0.9" in out[3]
+    assert "sim-1km pair 1: raw_s 0.3/0.33/0.3  wall_s 0.33/0.3/0.33" in out[4]
     assert "sim-1km raw_s        0.3 [0.29, 0.31] -> 0.33 [0.32, 0.34]  +10.0%, unscaled" in out
     flagged = [line.split()[:2] for line in out if "FLAG" in line]
     assert flagged == [["sim-1km", "wall_s"], ["sim-1km", "cells_per_s"]]

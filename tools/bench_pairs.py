@@ -4,12 +4,14 @@ Extracts a ``git archive`` copy of each revision under a scratch directory,
 plus a no-op control: the base copy with one never-called function appended
 to ``src/grayspace/griddata.py`` (see :func:`control_copy`).  It then runs
 ``perfbench/run.py`` on the three copies in turn, N rounds per workload,
-varying which copy runs first.  It prints each round's end-to-end metrics
-and raw iteration seconds and, per metric, both medians with their
-quartiles, the change of the medians and in how many pairs the second
-revision was better, then the benchmark's verdict on that metric (see
-:func:`verdict`) with the control's verdict against the base beside it,
-and last the line count of ``src/grayspace/*.py`` in each copy:
+varying which copy runs first, after one warm-up run of each copy per
+workload (printed, and kept out of every statistic and verdict).  It
+prints each round's end-to-end metrics and raw iteration seconds and, per
+metric, both medians with their quartiles, the change of the medians and
+in how many pairs the second revision was better, then the benchmark's
+verdict on that metric (see :func:`verdict`) with the control's verdict
+against the base beside it, and last the line count of
+``src/grayspace/*.py`` in each copy:
 
     python3 tools/bench_pairs.py 5e9ef34 WORKTREE --scratch /tmp/pairs \\
         --workload sim-1km --pairs 5 --seconds 8 --seed 42
@@ -124,6 +126,12 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict[str, 
         name: m["value"] for name, m in result["metrics"].items()}
 
 
+def _runs_line(runs: list[dict[str, float]]) -> str:
+    """The raw seconds and each end-to-end metric of one run per copy, as base/head/control."""
+    return "  ".join(f"{name} " + "/".join(f"{run[name]:.4g}" for run in runs)
+                     for name in (RAW, *BETTER))
+
+
 def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
@@ -195,13 +203,18 @@ def main(argv: list[str] | None = None) -> int:
     print(f"base {args.base} in {copies[0]}\nhead {args.head} in {copies[1]}\n"
           f"control in {copies[2]}")
     for workload in args.workload or ["sim-1km"]:
+        # The first run of a rotation has read far off the rest (sim-100m
+        # setup_s 0.32-0.34 s against 0.20-0.25 s), widening the base's
+        # quartiles past the bound, so each copy runs once before pair 1.
+        warm = {side: run_once(copies[side], workload, args.seed, args.seconds)
+                for side in ORDERS[0]}
+        print(f"{workload} warm-up: {_runs_line([warm[side] for side in range(3)])}", flush=True)
         runs: list[list[dict[str, float]]] = [[], [], []]
         for pair in range(args.pairs):
             for side in ORDERS[pair % len(ORDERS)]:
                 runs[side].append(run_once(copies[side], workload, args.seed, args.seconds))
-            print(f"{workload} pair {pair + 1}: " + "  ".join(
-                f"{name} " + "/".join(f"{side[-1][name]:.4g}" for side in runs)
-                for name in (RAW, *BETTER)), flush=True)
+            print(f"{workload} pair {pair + 1}: {_runs_line([side[-1] for side in runs])}",
+                  flush=True)
         raw = [[r[RAW] for r in side] for side in runs]
         change = statistics.median(raw[1]) / statistics.median(raw[0]) - 1.0
         print(f"{workload} {RAW:12s} {_spread(raw[0])} -> {_spread(raw[1])}  {change:+.1%}, "
