@@ -597,10 +597,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _combinations(cfg: RunConfig) -> list[tuple[DeviceProfile, KnowledgeConfig]]:
-    """Every (device, knowledge) pair to run, each built and checked, once
-    the plan is known to fit its band and to carry the 5 MUXs.  An error
-    names the config file and the section at fault."""
+def _combinations(cfg: RunConfig) -> list[tuple[SeparationReport, KnowledgeConfig]]:
+    """Every (link, knowledge) pair to run: each device's link budget with
+    each knowledge config.  The link budgets are built first, then the plan
+    is checked to fit its band and to carry the 5 MUXs, then the knowledge
+    configs are built; an error names the config file and the section at fault."""
+    links = _separation_reports(cfg)
     try:
         white_space_amount(cfg.plan)
         slot_table(cfg.plan)
@@ -621,27 +623,28 @@ def _combinations(cfg: RunConfig) -> list[tuple[DeviceProfile, KnowledgeConfig]]
         ]
     except ConfigError as exc:
         raise ConfigError(f"{cfg.source}: [knowledge] {exc}") from None
-    return [(device, k) for device in cfg.devices for k in knowledge]
+    return [(link, k) for link in links for k in knowledge]
 
 
-def _summary_text(run: RunConfig, device: DeviceProfile, knowledge: KnowledgeConfig, result,
+def _summary_text(run: RunConfig, link: SeparationReport, knowledge: KnowledgeConfig,
                   mean_mhz: float, n_valid: int, households: int) -> str:
     period = knowledge.time_period
     pinned = dataclasses.replace(
         run,
-        devices=(device,),
+        devices=(link.device,),
         levels=(knowledge.level,),
         periods=None if period is None else (period,),
         shares=knowledge.mux_shares,
     )
     lines = ["# run summary; also a valid config reproducing this single combination"]
-    lines += [f"# warning: {warning}" for warning in result.warnings]
+    lines += [f"# warning: {warning}" for warning in link.warnings]
     lines += _config_lines(pinned)
     lines += [
         "",
         "[result]",
-        f"co_radius_m = {_fmt(result.co_radius_m)}",
-        f"adjacent_radius_m = {_fmt(result.adjacent_radius_m)}",
+        f"co_radius_m = {_fmt(quantize_distance(link.min_distance_co_m, run.resolution))}",
+        "adjacent_radius_m = "
+        f"{_fmt(quantize_distance(link.min_distance_adjacent_m, run.resolution))}",
         f"capacity_mhz = {_fmt(gray_space_capacity(run.plan))}",
         f"white_space_mhz = {_fmt(white_space_amount(run.plan))}",
         f"valid_cells = {n_valid}",
@@ -654,36 +657,30 @@ def _summary_text(run: RunConfig, device: DeviceProfile, knowledge: KnowledgeCon
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config)
     _apply_overrides(cfg, args)
-    links = {report.device.label: report for report in _separation_reports(cfg)}
     combos = _combinations(cfg)
     grid, grid_path = _load_selected_grid(cfg)
     run = dataclasses.replace(cfg, out=cfg.out.resolve(), resolution=grid.resolution_m,
                               grid_path=grid_path.resolve(), grid_paths={})  # pinned to the grid
     n_valid, households = int(grid.valid.sum()), grid.total_households
-    names = ["_".join(filter(None, (d.label, k.level, k.time_period))) for d, k in combos]
+    names = ["_".join(filter(None, (link.device.label, k.level, k.time_period)))
+             for link, k in combos]
     files = ("map.csv", "cdf.csv", "utilization.csv", "summary.txt")
     done = []
     with _publishing(cfg.out / name / f for name in names for f in files) as stage:
         try:
-            results = run_combinations(
-                grid,
-                [(links[device.label], knowledge) for device, knowledge in combos],
-                cfg.plan,
-                realizations=cfg.realizations,
-                master_seed=cfg.seed,
-                buckets=cfg.buckets,
-                workers=cfg.workers,
-            )
+            results = run_combinations(grid, combos, cfg.plan, realizations=cfg.realizations,
+                                       master_seed=cfg.seed, buckets=cfg.buckets,
+                                       workers=cfg.workers)
         except DomainError as exc:  # a realization count past the totals' range
             raise ConfigError(f"{cfg.source}: [run] {exc}") from None
-        for (device, knowledge), name, result in zip(combos, names, results):
+        for (link, knowledge), name, result in zip(combos, names, results):
             map_path, cdf_path, table_path, summary_path = (cfg.out / name / f for f in files)
             write_matrix_csv(stage(map_path), result.mean_map)
             mean_mhz = result.mean_map.mean_mhz(n_valid)
             write_cdf_csv(stage(cdf_path), result.cdf)
             write_utilization_csv(stage(table_path), result.utilization)
             stage(summary_path).write_text(
-                _summary_text(run, device, knowledge, result, mean_mhz, n_valid, households)
+                _summary_text(run, link, knowledge, mean_mhz, n_valid, households)
             )
             done.append(f"{name}: mean gray space {mean_mhz:.1f} MHz "
                         f"over {n_valid} valid cells -> {cfg.out / name}")

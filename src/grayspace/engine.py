@@ -2,11 +2,12 @@
 
 A cell's usable gray space depends only on which receiver cells' protection
 footprints cover it.  The engine takes each device's link budget, a
-:class:`~grayspace.linkbudget.SeparationReport`, and once per run builds
-one state per link budget: its two distances rounded up to whole cells (the
-co-channel and adjacent-channel reaches), the footprints of both reaches
-stamped at every household cell, and the grid cut into segments, stretches
-of consecutive cells (row-major) covered by one fixed set of receivers.
+:class:`~grayspace.linkbudget.SeparationReport`, rounds its two distances up
+to whole cells (the co-channel and adjacent-channel reaches), and once per
+run builds one state per distinct pair of reaches: the footprints of both
+reaches stamped at every household cell, and the grid cut into segments,
+stretches of consecutive cells (row-major) covered by one fixed set of
+receivers.
 One table holds each footprint's distinct receiver bitsets (sets), word by
 word: a word's distinct values (tokens) and each set's token.  Segments with
 equal co-channel and adjacent sets form a class.  Per realization the sweep
@@ -173,19 +174,14 @@ class MonteCarloResult:
     mean_map: GraySpaceMap
     cdf: CdfCurve
     utilization: UtilizationTable
-    realizations: int
-    co_radius_m: float
-    adjacent_radius_m: float
-    warnings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class _DeviceState:
-    """Radii, segments, receiver-set classes and the distinct receiver
-    bitsets of one link budget; none of it depends on the knowledge level."""
+    """Segments, receiver-set classes and the distinct receiver bitsets of
+    one pair of reaches; none of it depends on the link budget that rounds
+    to them or on the knowledge level."""
 
-    co_radius_m: float
-    adjacent_radius_m: float
     segment_lengths: np.ndarray  # cells per segment, in flat cell order
     segment_class: np.ndarray  # class of each segment
     tokens: tuple[np.ndarray, ...]  # per word, its distinct uint64 values over the sets
@@ -300,9 +296,7 @@ def _distinct_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[:, new], index
 
 
-def _build_state(grid: HouseholdGrid, link: SeparationReport) -> _DeviceState:
-    co_cells = quantize_cells(link.min_distance_co_m, grid.resolution_m)
-    adj_cells = quantize_cells(link.min_distance_adjacent_m, grid.resolution_m)
+def _build_state(grid: HouseholdGrid, co_cells: int, adj_cells: int) -> _DeviceState:
     # Past this reach every receiver already covers every cell, so a larger
     # footprint gives the same coverage at a cost growing with the reach.
     reach_cap = grid.rows + grid.cols
@@ -327,8 +321,6 @@ def _build_state(grid: HouseholdGrid, link: SeparationReport) -> _DeviceState:
     receiver_class = segment_class[np.searchsorted(starts, receivers, "right") - 1]
     np.add.at(class_weights[1], receiver_class, grid.counts.ravel()[receivers])
     return _DeviceState(
-        co_radius_m=co_cells * grid.resolution_m,
-        adjacent_radius_m=adj_cells * grid.resolution_m,
         segment_lengths=np.diff(starts, append=grid.counts.size),
         segment_class=segment_class,
         tokens=tuple(tokens),
@@ -346,19 +338,22 @@ def _build_sweep(
     master_seed: int,
     realizations: Sequence[int],
 ) -> _Sweep:
-    """Check the inputs and build the state of each distinct link budget once."""
+    """Check the inputs and build the state of each distinct pair of reaches once."""
     table = slot_table(plan)  # checks that the plan carries the 5 MUXs
     if not grid.valid.any():
         raise DataError("grid has no valid cells; nothing to evaluate")
-    links = list(dict.fromkeys(link for link, _ in pairs))
+    reaches = [(quantize_cells(link.min_distance_co_m, grid.resolution_m),
+                quantize_cells(link.min_distance_adjacent_m, grid.resolution_m))
+               for link, _ in pairs]
+    distinct = list(dict.fromkeys(reaches))
     knowledge = list(dict.fromkeys(k for _, k in pairs))
     return _Sweep(
         households=grid.counts[np.nonzero(grid.counts)],
-        devices=tuple(_build_state(grid, link) for link in links),
+        devices=tuple(_build_state(grid, *cells) for cells in distinct),
         partition=usage_partition(knowledge),
         pairs=tuple(
-            (links.index(link), knowledge.index(k), n)
-            for (link, k), n in zip(pairs, realizations)
+            (distinct.index(cells), knowledge.index(k), n)
+            for cells, (_, k), n in zip(reaches, pairs, realizations)
         ),
         master_seed=master_seed,
         slot_table=table,
@@ -413,12 +408,13 @@ def run_combinations(
 
     A pair is ``(link, knowledge)``: a device's link budget, as
     :func:`~grayspace.linkbudget.separation_report` gives it, and a
-    knowledge config.  Each distinct link budget's segments and classes
-    are built once, and the realizations are swept once: per
-    index the household variates are drawn once and every pair reads them,
-    so each result equals that of the pair run alone with the same seed.  KL1 is
-    deterministic (usage is assumed, not sampled), so its pairs evaluate
-    index 0 only; the output is identical for any ``realizations`` value.
+    knowledge config.  Links that round to the same whole-cell reaches
+    share one state of segments and classes, built once, and the
+    realizations are swept once: per index the household variates are drawn
+    once and every pair reads them, so each result equals that of the pair
+    run alone with the same seed.  KL1 is deterministic (usage is assumed,
+    not sampled), so its pairs evaluate index 0 only; the output is
+    identical for any ``realizations`` value.
     With ``workers > 1`` the indices are split across processes, at most
     one per usable CPU; integer partial sums keep the result bit-identical
     to the single-process run.
@@ -454,10 +450,7 @@ def run_combinations(
         ) as pool:
             parts = list(pool.map(_worker_accumulate, chunks))
         totals = [sum(records) for records in zip(*parts)]  # int64 records: + is exact
-    devices = [
-        (s.segment_class, s.segment_lengths, s.co_radius_m, s.adjacent_radius_m)
-        for s in sweep.devices
-    ]
+    devices = [(s.segment_class, s.segment_lengths) for s in sweep.devices]
     pair_devices = [d for d, _, _ in sweep.pairs]
     bandwidth = plan.channel_bandwidth_mhz
     levels = slot_levels_mhz(plan)
@@ -465,17 +458,12 @@ def run_combinations(
     # results() does not see the sweep, so the token tables are freed
     # when this returns; it drops each pair's totals once used.
     def results() -> Iterator[MonteCarloResult]:
-        for (link, _), d, n in zip(pairs, pair_devices, effective):
+        for d, n in zip(pair_devices, effective):
             slot_sum, cells, households = _split(totals.pop(0), len(levels))
-            segment_class, lengths, co_radius, adj_radius = devices[d]
             yield MonteCarloResult(
-                mean_map=_mean_map(slot_sum * (bandwidth / n), segment_class, lengths, grid),
+                mean_map=_mean_map(slot_sum * (bandwidth / n), *devices[d], grid),
                 cdf=_survival(levels, cells, levels),
                 utilization=_bucket_sums(levels, households, buckets, n),
-                realizations=realizations,
-                co_radius_m=co_radius,
-                adjacent_radius_m=adj_radius,
-                warnings=link.warnings,
             )
 
     return results()

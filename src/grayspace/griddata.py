@@ -71,7 +71,12 @@ class HouseholdGrid:
     municipal_area_km2: float
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "biu":  # the int64 cast would truncate, or wrap past 2**63
+            exact = np.asarray(counts, dtype=np.float64)
+            if not ((np.floor(exact) == exact) & (np.abs(exact) < 2.0**63)).all():
+                raise DataError("household counts must be whole numbers within the int64 range")
+        counts = np.asarray(counts, dtype=np.int64)
         valid = np.asarray(self.valid, dtype=bool)
         if counts.ndim != 2 or counts.shape != valid.shape:
             raise DataError("counts and valid must be 2-D arrays of equal shape")
@@ -147,9 +152,10 @@ def ingest_grid(
 
     Dimensions come from explicit ``rows``/``cols`` or, failing that, from
     the largest indices present.  Cells not listed hold zero households.
-    Duplicate coordinates, negative values, counts totalling past int64
-    and sizes numpy cannot allocate are rejected.  Without a municipal area
-    the grid area is used (no compensation will occur).
+    Duplicate coordinates, negative values, counts that are not whole
+    numbers within int64 or total past it, and sizes numpy cannot allocate
+    are rejected.  Without a municipal area the grid area is used (no
+    compensation will occur).
     """
     seen: set[tuple[int, int]] = set()
     entries: list[tuple[int, int, int]] = []
@@ -157,8 +163,9 @@ def ingest_grid(
     for x, y, households in records:
         if x < 0 or y < 0:
             raise DataError(f"cell coordinates must be non-negative, got ({x}, {y})")
-        if households < 0:
-            raise DataError(f"household count must be non-negative at ({x}, {y})")
+        if households < 0 or households % 1:  # NaN and inf leave a NaN remainder
+            raise DataError(f"household count must be a non-negative whole number at "
+                            f"({x}, {y}), got {households}")
         if (x, y) in seen:
             raise DataError(f"duplicate cell record for ({x}, {y})")
         seen.add((x, y))

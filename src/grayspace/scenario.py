@@ -219,17 +219,19 @@ def household_variates(master_seed: int, realization_index: int, n: int) -> np.n
     """The (n, 3) uniform variates for one realization, in household order.
 
     The columns are the coverage, subscription and viewing variates, in
-    that order.  Keyed Philox streams make the result a pure function of
-    (master_seed, realization_index), whatever process or worker asks for
-    it.
+    that order.  They are the first 3n outputs of the Philox4x64-10 stream
+    keyed on (master_seed, realization_index), each 64-bit word x read as
+    the double ``(x >> 11) * 2**-53`` in [0, 1): a pure function of the key,
+    whatever process or worker asks for it.
     """
     _check_stream_key(master_seed, realization_index)
     if n < 0:
         raise DomainError("n must be non-negative")
     key = np.array([master_seed, realization_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
     try:
-        return gen.random((n, 3))
+        raw = np.random.Philox(key=key).random_raw(3 * n)
+        raw >>= 11
+        return (raw * 2.0**-53).reshape(n, 3)
     except (MemoryError, ValueError):  # ValueError past 2**63 bytes
         raise DataError(f"cannot hold the variates of {n} households") from None
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import collections
+import configparser
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -22,6 +24,7 @@ from grayspace.cli import _combinations, load_run_config, main
 from grayspace.errors import ConfigError, GrayspaceError
 from grayspace.griddata import (
     HouseholdGrid,
+    _fmt,
     ingest_grid,
     load_grid_csv,
     read_matrix_csv,
@@ -626,14 +629,38 @@ def _grid_argv(command: str, config: Path, out: Path) -> list[str]:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name", sorted(p.name for p in (Path(__file__).parents[1] / "configs").glob("*.cfg"))
-    )
+    NAMES = sorted(p.name for p in (Path(__file__).parents[1] / "configs").glob("*.cfg"))
+
+    @pytest.mark.parametrize("name", NAMES)
     def test_loads_and_linkbudget_runs(self, configs_dir, name, capsys):
         cfg = load_run_config(configs_dir / name)
         assert cfg.devices
         assert main(["linkbudget", "--config", str(configs_dir / name)]) == 0
         assert "criteria: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_summary_radii_are_the_linkbudget_distances(self, configs_dir, tmp_path, name,
+                                                        capsys):
+        cfg = load_run_config(configs_dir / name)
+        resolutions = sorted(cfg.grid_paths) or [load_grid_csv(cfg.grid_path).resolution_m]
+        for res in map(_fmt, resolutions):
+            table, out = tmp_path / f"{res}.csv", tmp_path / res
+            assert main(["linkbudget", "--config", str(configs_dir / name), "--resolution", res,
+                         "--csv", str(table)]) == 0
+            rows = list(csv.DictReader(table.read_text().splitlines()))
+            assert {row["resolution_m"] for row in rows} == {res}
+            quantized = {(row["device"], row["relation"]): row["quantized_distance_m"]
+                         for row in rows}
+            assert main(["simulate", "--config", str(configs_dir / name), "--resolution", res,
+                         "--realizations", "1", "--workers", "1", "--out", str(out)]) == 0
+            summaries = sorted(out.glob("*/summary.txt"))
+            assert len(summaries) >= len(cfg.devices)
+            for path in summaries:
+                summary = configparser.ConfigParser(interpolation=None)
+                summary.read_string(path.read_text())
+                (device,) = (h[len("device."):] for h in summary if h.startswith("device."))
+                for relation, key in (("co", "co_radius_m"), ("adjacent", "adjacent_radius_m")):
+                    assert summary["result"][key] == quantized[device, relation], (path, key)
 
     def test_ofcom_suburban_spells_out_the_ofcom_preset(self, configs_dir):
         assert load_run_config(configs_dir / "ofcom-suburban.cfg").criteria == OFCOM
@@ -1127,14 +1154,14 @@ class TestSummaryRoundTrip:
             cfg = load_run_config(config)
             code, err = _simulate_quietly(["simulate", "--config", str(config)])
             assert code == 0, err
-            for device, knowledge in _combinations(cfg):
-                period = knowledge.time_period
+            for link, knowledge in _combinations(cfg):
+                device, period = link.device, knowledge.time_period
                 name = f"{device.label}_{knowledge.level}" + (f"_{period}" if period else "")
                 again = load_run_config(cfg.out / name / "summary.txt")
                 assert repr(again.criteria) == repr(cfg.criteria)
                 assert repr(again.devices) == repr((device,))
                 assert repr(again.plan) == repr(cfg.plan)
-                assert repr(_combinations(again)) == repr([(device, knowledge)])
+                assert repr(_combinations(again)) == repr([(link, knowledge)])
                 assert (again.frequency_mhz, again.environment) == (
                     cfg.frequency_mhz, cfg.environment
                 )

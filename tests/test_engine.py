@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import os
@@ -38,6 +39,7 @@ from grayspace.linkbudget import (
     OFCOM,
     DeviceProfile,
     ProtectionCriteria,
+    quantize_cells,
     quantize_distance,
     separation_report,
 )
@@ -224,7 +226,6 @@ class TestKL1Shortcut:
             a.utilization.mean_households.tobytes()
             == b.utilization.mean_households.tobytes()
         )
-        assert b.realizations == 250  # reported as requested
 
     def test_draws_nothing(self):
         grid = ingest_grid([(2, 2, 3), (4, 1, 2)], resolution_m=1000.0, rows=6, cols=6)
@@ -292,6 +293,12 @@ class TestWorkers:
             assert base.cdf.percent_area.tobytes() == other.cdf.percent_area.tobytes()
 
 
+def _state(grid, link):
+    """The device state of ``link``'s two reaches in whole cells of ``grid``."""
+    return engine._build_state(grid, quantize_cells(link.min_distance_co_m, grid.resolution_m),
+                               quantize_cells(link.min_distance_adjacent_m, grid.resolution_m))
+
+
 def _set_bits(state):
     """The (words, sets) receiver bitsets of a device state, rebuilt from its tokens."""
     bits = np.zeros(state.token_index.shape, dtype=np.uint64)
@@ -342,7 +349,7 @@ class TestMultiWordReceivers:
 
     @pytest.mark.parametrize("link", LINKS, ids=["fixed-4w", "portable-100mw"])
     def test_single_realization_matches_oracle(self, link):
-        state = engine._build_state(self.GRID, link)
+        state = _state(self.GRID, link)
         assert _set_bits(state).shape[0] == 3
         for knowledge in self.KNOWLEDGE:
             for seed in (1, 2):
@@ -457,7 +464,8 @@ class TestRunCombinations:
         "devices", [(FIXED, PORTABLE), (PORTABLE, FIXED)], ids=["fixed-first", "portable-first"]
     )
     def test_joint_equals_each_pair_alone(self, devices, workers):
-        self.check_joint(self.GRID, devices, self.KNOWLEDGE, 7, workers)
+        pairs = [(self.LINK[d], k) for k in self.KNOWLEDGE for d in devices]
+        assert self.check_joint(self.GRID, pairs, 7, workers) == 2  # states built
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("knowledge", ["interleaved", "many-kl3"])
@@ -466,13 +474,25 @@ class TestRunCombinations:
         grid = _scattered_grid(5, 16, 40)
         rows = usage_partition(knowledge).mux_weights.shape[1]
         assert rows == (20 if knowledge is self.INTERLEAVED else 70)  # 70: two words
-        self.check_joint(grid, (PORTABLE, FIXED), knowledge, 4, workers)
+        pairs = [(self.LINK[d], k) for k in knowledge for d in (PORTABLE, FIXED)]
+        assert self.check_joint(grid, pairs, 4, workers) == 2
 
-    def check_joint(self, grid, devices, knowledge, realizations, workers):
-        pairs = [(self.LINK[d], k) for k in knowledge for d in devices]
-        joint = list(run_combinations(
-            grid, pairs, PLAN, realizations=realizations, master_seed=3, workers=workers
-        ))
+    def test_links_with_equal_reaches_share_one_state(self):
+        # a device that differs only in its label has another link budget,
+        # with the same distances
+        twin = separation_report(dataclasses.replace(FIXED, label="twin"), OFCOM, 650.0,
+                                 "suburban")
+        assert twin != LINK_FIXED
+        pairs = [(LINK_FIXED, KL2), (twin, KL2), (twin, KL3_TP1), (LINK_FIXED, KL1)]
+        assert self.check_joint(self.GRID, pairs, 5, 1) == 1
+
+    def check_joint(self, grid, pairs, realizations, workers):
+        """Checks that each pair's result in a joint sweep equals the pair run
+        alone, and returns the number of device states the joint sweep built."""
+        with mock.patch.object(engine, "_build_state", wraps=engine._build_state) as spy:
+            joint = list(run_combinations(
+                grid, pairs, PLAN, realizations=realizations, master_seed=3, workers=workers
+            ))
         assert len(joint) == len(pairs)
         for (link, knowledge), got in zip(pairs, joint):
             (alone,) = run_combinations(
@@ -486,9 +506,12 @@ class TestRunCombinations:
                 got.utilization.mean_households.tobytes()
                 == alone.utilization.mean_households.tobytes()
             )
-            assert (got.co_radius_m, got.adjacent_radius_m, got.warnings, got.realizations) == (
-                alone.co_radius_m, alone.adjacent_radius_m, alone.warnings, alone.realizations
-            )
+        return spy.call_count
+
+    def test_result_holds_what_the_sweep_computed(self):
+        assert [f.name for f in dataclasses.fields(engine.MonteCarloResult)] == [
+            "mean_map", "cdf", "utilization"
+        ]
 
     def test_no_pairs_no_results(self):
         assert list(run_combinations(self.GRID, [], PLAN)) == []
@@ -523,7 +546,7 @@ class TestReceiverSetClasses:
         area = counts.size * (resolution / 1000.0) ** 2
         grid = HouseholdGrid(counts, valid, resolution, municipal_area_km2=area)
         with mock.patch.object(engine, "receiver_segments", wraps=receiver_segments) as spy:
-            state = engine._build_state(grid, link)
+            state = _state(grid, link)
         starts, (co_bits, adj_bits) = receiver_segments(*spy.call_args.args)
 
         assert np.array_equal(state.segment_lengths, np.diff(starts, append=counts.size))
@@ -590,7 +613,7 @@ class TestAdjacentInsideCo:
         counts = np.where(rng.random((9, 11)) < 0.3, rng.integers(1, 4, (9, 11)), 0)
         grid = HouseholdGrid(counts, np.ones((9, 11), bool), resolution,
                              municipal_area_km2=counts.size * (resolution / 1000.0) ** 2)
-        state = engine._build_state(grid, link)
+        state = _state(grid, link)
         bits = _set_bits(state)
         assert not (bits[:, state.adj_index] & ~bits[:, state.co_index]).any()
 
@@ -627,7 +650,11 @@ class TestValidation:
             with pytest.raises(DataError, match="overflow 64-bit totals"):
                 run(crowded, KL2, realizations=2)
         # KL1 evaluates index 0 only, whatever the count
-        assert run(self.grid(), KL1, realizations=10**20).realizations == 10**20
+        huge, one = (run(self.grid(), KL1, realizations=n) for n in (10**20, 1))
+        assert huge.mean_map.values.tobytes() == one.mean_map.values.tobytes()
+        assert huge.utilization.mean_households.tobytes() == (
+            one.utilization.mean_households.tobytes()
+        )
 
     def test_mean_map_is_read_only(self):
         result = run(self.grid(), KL1)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,34 @@ class TestIngest:
             HouseholdGrid(np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool),
                           resolution_m=resolution, municipal_area_km2=1.0)
 
+    @pytest.mark.parametrize("count", [2.5, 0.5, math.nan, math.inf],
+                             ids=["fraction", "half", "nan", "inf"])
+    def test_ingest_rejects_counts_that_are_not_whole(self, count):
+        with pytest.raises(DataError, match="non-negative whole number"):
+            ingest_grid([(0, 0, count), (1, 0, 1)], resolution_m=1000.0)
+
+    @pytest.mark.parametrize(
+        "counts", [[1.5, 2.7], [math.nan, 1.0], [math.inf, 1.0], [1e30, 1.0], [2.0**63, 0.0]],
+        ids=["fraction", "nan", "inf", "1e30", "2**63"],
+    )
+    def test_grid_rejects_counts_int64_cannot_hold_exactly(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any cast could warn
+            with pytest.raises(DataError, match="whole numbers within the int64 range"):
+                HouseholdGrid(np.array([counts]), np.ones((1, 2), dtype=bool),
+                              resolution_m=1000.0, municipal_area_km2=2.0)
+
+    def test_whole_counts_are_kept(self):
+        assert ingest_grid([(0, 0, 2.0), (1, 0, 3)], resolution_m=1000.0).counts.tolist() == [
+            [2, 3]
+        ]
+        grid = HouseholdGrid(np.array([[2.0, 2.0**62]]), np.ones((1, 2), dtype=bool),
+                             resolution_m=1000.0, municipal_area_km2=2.0)
+        assert grid.counts.dtype == np.int64 and grid.counts.tolist() == [[2, 2**62]]
+        counts = np.array([[1, 2]], dtype=np.int64)  # int64 input is used as it is
+        assert HouseholdGrid(counts, np.ones((1, 2), dtype=bool), resolution_m=1000.0,
+                             municipal_area_km2=2.0).counts is counts
+
     def test_arrays_are_frozen(self):
         grid = ingest_grid([(0, 0, 1)], resolution_m=1000.0)
         with pytest.raises(ValueError):
@@ -147,9 +177,10 @@ class TestGridCsv:
 
     @pytest.mark.parametrize(
         "records",
-        [[(0, 0, 2**63)], [(0, 0, 2**62), (1, 0, 2**62)], [(2**62, 0, 1)], [(2**70, 0, 1)]],
-        ids=["count-past-int64", "total-past-int64", "size-past-2**63-bytes",
-             "size-past-any-dimension"],
+        [[(0, 0, 2**63)], [(0, 0, 2.0**63)], [(0, 0, 1e30), (1, 0, 1)],
+         [(0, 0, 2**62), (1, 0, 2**62)], [(2**62, 0, 1)], [(2**70, 0, 1)]],
+        ids=["count-past-int64", "float-count-past-int64", "float-count-1e30",
+             "total-past-int64", "size-past-2**63-bytes", "size-past-any-dimension"],
     )
     def test_rejects_what_int64_cannot_hold(self, records):
         with pytest.raises(DataError):

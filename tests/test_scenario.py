@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grayspace.errors import ConfigError, DomainError
+from grayspace.errors import ConfigError, DataError, DomainError
 from grayspace.scenario import (
     KNOWLEDGE_LEVELS,
     MUX_SHARES,
@@ -200,6 +200,73 @@ class TestVariates:
         with pytest.raises(DomainError, match="n must be non-negative"):
             household_variates(0, 0, -1)
         assert household_variates(0, 0, 0).shape == (0, 3)
+
+    def test_count_past_the_address_space_is_a_data_error(self):
+        # 3 * 2**61 words are past 2**63 bytes: refused before any allocation
+        with pytest.raises(DataError, match="cannot hold the variates of"):
+            household_variates(0, 0, 2**61)
+
+
+_M64 = 2**64 - 1
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _philox4x64_10(counter, key):
+    """One Philox4x64-10 block (Salmon et al., SC'11) in plain Python integers."""
+    c, k = list(counter), list(key)
+    for r in range(10):
+        if r:
+            k = [(k[0] + _PHILOX_WEYL[0]) & _M64, (k[1] + _PHILOX_WEYL[1]) & _M64]
+        hi_lo0 = _PHILOX_MULTIPLIERS[0] * c[0]
+        hi_lo1 = _PHILOX_MULTIPLIERS[1] * c[2]
+        c = [(hi_lo1 >> 64) ^ c[1] ^ k[0], hi_lo1 & _M64,
+             (hi_lo0 >> 64) ^ c[3] ^ k[1], hi_lo0 & _M64]
+    return c
+
+
+def _philox_stream(key, n):
+    """The first n 64-bit outputs keyed on ``key``: the 256-bit counter is
+    incremented before each block, so the first block is counter 1."""
+    out, counter = [], 0
+    while len(out) < n:
+        counter += 1
+        out += _philox4x64_10([(counter >> (64 * i)) & _M64 for i in range(4)], key)
+    return out[:n]
+
+
+class TestPhiloxContract:
+    """The variates are a documented function of (master_seed, realization
+    index), pinned here against a reference independent of numpy."""
+
+    @pytest.mark.parametrize(
+        "counter,key,block",
+        [
+            ((0, 0, 0, 0), (0, 0),
+             (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+            ((_M64,) * 4, (_M64, _M64),
+             (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+            ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+             (0x452821E638D01377, 0xBE5466CF34E90C6C),
+             (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+        ],
+        ids=["zeros", "ones", "pi"],
+    )
+    def test_reference_matches_published_vectors(self, counter, key, block):
+        # the Random123 known-answer vectors for philox4x64-10
+        assert _philox4x64_10(counter, key) == list(block)
+
+    @pytest.mark.parametrize(
+        "seed,index",
+        [(0, 0), (42, 0), (42, 7), (2**64 - 1, 123), (11, 10**15), (5, 2**64 - 1)],
+    )
+    def test_variates_are_the_keyed_stream_household_major(self, seed, index):
+        n = 7  # 21 words: six blocks, the last one cut short
+        words = _philox_stream((seed, index), 3 * n)
+        want = [[(w >> 11) * 2.0**-53 for w in words[3 * h: 3 * h + 3]] for h in range(n)]
+        got = household_variates(seed, index, n)
+        assert got.shape == (n, 3) and got.dtype == np.float64
+        assert got.tolist() == want
 
 
 class TestSlotTable:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,18 @@ def test_make_grids_reproduces_shipped_data(tmp_path, data_dir):
     assert len(shipped) == 7
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
+
+
+def test_readme_python_blocks_run(data_dir, monkeypatch):
+    # in order, in one namespace, from the repo root: an example that names a
+    # removed API fails here
+    root = data_dir.parent
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(root)
+    namespace: dict[str, object] = {}
+    for i, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
 
 
 @pytest.fixture
