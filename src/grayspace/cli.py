@@ -67,10 +67,8 @@ from .griddata import (
     compensate_area,
     load_grid_csv,
     read_matrix_csv,
-    read_matrix_rle,
     write_grid_csv,
     write_matrix_csv,
-    write_matrix_rle,
 )
 from .linkbudget import (
     RELATIONS,
@@ -581,8 +579,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     with _publishing(targets) as stage:
         write_grid_csv(stage(args.out), compensated)
         if args.valid_mask is not None:
-            write_mask = write_matrix_rle if args.valid_mask.suffix == ".rle" else write_matrix_csv
-            write_mask(stage(args.valid_mask), compensated.valid.astype(np.uint8))
+            write_matrix_csv(stage(args.valid_mask), compensated.valid.astype(np.uint8))
     print(f"grid: {compensated.rows} rows x {compensated.cols} cols at "
           f"{_fmt(compensated.resolution_m)} m, {compensated.total_households} households")
     print(f"{invalidated} border cells invalidated "
@@ -703,7 +700,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if cfg.grid_path is not None or cfg.grid_paths:
         targets.append(outdir / "utilization_from_map.csv")
     with _publishing(targets) as stage:
-        values = (read_matrix_rle if map_path.suffix == ".rle" else read_matrix_csv)(map_path)
+        values = read_matrix_csv(map_path)
         cdf = cdf_from_map(values, slot_levels_mhz(cfg.plan), gray_space_capacity(cfg.plan))
         if len(targets) > 1:  # checked before staging, so a bad grid makes no directory
             grid, _ = _load_selected_grid(cfg)
@@ -750,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--municipal-area-km2", dest="municipal_area_km2",
                    help="municipal area override (km2)")
     p.add_argument("--valid-mask", type=Path,
-                   help="also write the validity mask (.rle for run-length, else CSV)")
+                   help="also write the validity mask as CSV")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo evaluation")
@@ -764,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="re-derive statistics from a stored mean map")
     p.add_argument("--config", required=True, help="INI run configuration")
-    p.add_argument("--map", required=True, dest="map_path", help="mean map (.csv or .rle)")
+    p.add_argument("--map", required=True, dest="map_path", help="mean map CSV")
     p.add_argument("--resolution", help="grid resolution to pair with (m)")
     p.add_argument("--out", help="output directory (default: map's directory)")
     p.set_defaults(func=_cmd_report)

@@ -495,7 +495,7 @@ def _value_totals(values: np.ndarray, weights: np.ndarray | None = None,
                   capacity_mhz: float | None = None):
     """A map's distinct non-NaN values, each with its cell count or sum of
     ``weights``; with ``capacity_mhz``, each must lie in [0, capacity_mhz]."""
-    arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    arr = np.asarray(values, dtype=np.float64)
     starts, token, distinct = _value_runs(arr)
     per_run = (np.diff(starts, append=arr.size) if weights is None
                else np.add.reduceat(weights.ravel(), starts))

@@ -9,12 +9,11 @@ anywhere in its cell and the interferer anywhere in the protected cell.
 
 The module covers CSV ingestion with sidecar metadata, compensation of the
 mismatch between grid area and municipal area, disc footprints, protection
-geometry, and matrix export in plain CSV and run-length-encoded form.
-Input files are data: a malformed value, a repeated metadata key, a count
-past int64 or a declared size numpy cannot allocate is a
-:class:`DataError`, and a run-length file is checked in full before its
-matrix is allocated.  A disc footprint's reach is a whole number of cells,
-and the footprint is kept as per-row halfwidths only.
+geometry, and matrix export as plain CSV.  Input files are data: a
+malformed value, a repeated metadata key, a count past int64 or a declared
+size numpy cannot allocate is a :class:`DataError`.  A disc footprint's
+reach is a whole number of cells, and the footprint is kept as per-row
+halfwidths only.
 
 Protection geometry is built from footprint *runs*: a footprint stamped at
 a receiver covers, on each grid row, one contiguous stretch of cells, which
@@ -28,16 +27,15 @@ where the run stops, and since its runs never overlap no bit ever carries.
 
 Matrices go by runs of equal cells: a gray-space map holds a few dozen
 distinct values in a few thousand runs over hundreds of thousands of cells.
-One run split, cut where the row-major bit pattern changes and at every row
-start, lists each distinct value once.  It feeds both writers, which format
-each value once with ``%.10g`` in the array's dtype, and the report
-statistics in :mod:`grayspace.engine`.  Telling values apart by bit pattern
-keeps ``-0.0`` and ``0.0`` (and differently signed NaNs) as their own text.
-The plain-CSV writer gathers a fixed-width byte table per cell (a second
-half ends rows) and strips the padding; it takes an engine map as its
-distinct values and cell index, with no split.  The run-length writer prints
-one ``count*value`` token per run.  Both give the bytes of formatting every
-cell on its own.
+One run split, cut where the row-major bit pattern changes, lists each
+distinct value once.  It feeds the CSV writer, which formats each value once
+with ``%.10g`` in the array's dtype, and the report statistics in
+:mod:`grayspace.engine`.  Telling values apart by bit pattern keeps ``-0.0``
+and ``0.0`` (and differently signed NaNs) as their own text.  The writer
+gathers a fixed-width byte table per cell (a second half ends rows) and
+strips the padding, which gives the bytes of formatting every cell on its
+own; it takes an engine map as its distinct values and cell index, with no
+split.
 """
 
 from __future__ import annotations
@@ -74,10 +72,13 @@ class HouseholdGrid:
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "biu":  # the int64 cast would truncate, or wrap past 2**63
             exact = np.asarray(counts, dtype=np.float64)
-            if not ((np.floor(exact) == exact) & (np.abs(exact) < 2.0**63)).all():
-                raise DataError("household counts must be whole numbers within the int64 range")
-        counts = np.asarray(counts, dtype=np.int64)
-        valid = np.asarray(self.valid, dtype=bool)
+            whole = ((np.floor(exact) == exact) & (np.abs(exact) < 2.0**63)).all()
+        else:
+            whole = counts.dtype.kind != "u" or not (counts > np.iinfo(np.int64).max).any()
+        if not whole:
+            raise DataError("household counts must be whole numbers within the int64 range")
+        counts = _owned(counts, np.int64)
+        valid = _owned(self.valid, bool)
         if counts.ndim != 2 or counts.shape != valid.shape:
             raise DataError("counts and valid must be 2-D arrays of equal shape")
         if counts.size == 0:
@@ -99,8 +100,6 @@ class HouseholdGrid:
                 f"municipal_area_km2 ({self.municipal_area_km2}) must be positive "
                 f"and no larger than the grid area ({physical} km2)"
             )
-        counts.setflags(write=False)
-        valid.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "valid", valid)
 
@@ -123,6 +122,15 @@ class HouseholdGrid:
     @property
     def total_households(self) -> int:
         return int(self.counts.sum())
+
+
+def _owned(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` that no caller can write
+    to: a writeable array is copied, a read-only one is used as it is."""
+    arr = np.asarray(values)
+    arr = np.array(arr, dtype=dtype) if arr.flags.writeable else arr.astype(dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -192,11 +200,14 @@ def ingest_grid(
         raise DataError(f"cannot allocate a {n_rows}x{n_cols} grid") from None
     for x, y, households in entries:
         counts[y, x] = households
+    valid = np.ones_like(counts, dtype=bool)
+    for arr in (counts, valid):  # the grid's alone, so it need not copy them
+        arr.setflags(write=False)
     if municipal_area_km2 is None:
         municipal_area_km2 = _area_km2(counts.size, resolution_m)
     return HouseholdGrid(
         counts=counts,
-        valid=np.ones_like(counts, dtype=bool),
+        valid=valid,
         resolution_m=resolution_m,
         municipal_area_km2=float(municipal_area_km2),
     )
@@ -349,6 +360,7 @@ def compensate_area(grid: HouseholdGrid) -> tuple[HouseholdGrid, int]:
             f"area compensation needs {target} empty cells but only "
             f"{target - remaining} were available ({remaining} short)"
         )
+    valid.setflags(write=False)
     return dataclasses.replace(grid, valid=valid), target
 
 
@@ -366,6 +378,8 @@ def refine_grid(grid: HouseholdGrid, factor: int) -> HouseholdGrid:
     ys, xs = np.nonzero(grid.counts)
     counts[ys * factor + mid, xs * factor + mid] = grid.counts[ys, xs]
     valid = np.repeat(np.repeat(grid.valid, factor, axis=0), factor, axis=1)
+    for arr in (counts, valid):  # the grid's alone, so it need not copy them
+        arr.setflags(write=False)
     return HouseholdGrid(
         counts=counts,
         valid=valid,
@@ -467,30 +481,20 @@ def receiver_segments(
 
 
 # ---------------------------------------------------------------------------
-# matrix export: plain CSV and run-length encoding
+# matrix export: plain CSV
 
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _matrix_rows(values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 2:
-        raise DomainError("matrix must be 2-D")
-    if arr.dtype == np.bool_:
-        arr = arr.astype(np.int64)
-    return arr
-
-
 def _value_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of one bit pattern in row-major order, also cut at every row
-    start.  Run i begins at flat cell ``starts[i]``; its value is
-    ``distinct[token[i]]``, one entry per distinct bit pattern."""
+    """Runs of one bit pattern in row-major order.  Run i begins at flat
+    cell ``starts[i]``; its value is ``distinct[token[i]]``, one entry per
+    distinct bit pattern."""
     bits = arr.view(f"u{arr.dtype.itemsize}").ravel()
     cut = np.ones(bits.size, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=cut[1:])
-    cut[:: max(arr.shape[1], 1)] = True
     starts = np.flatnonzero(cut)
     distinct, token = np.unique(bits[starts], return_inverse=True)
     return starts, token, distinct.view(arr.dtype)
@@ -503,7 +507,11 @@ def write_matrix_csv(path: str | Path, values) -> None:
     if hasattr(values, "levels"):
         distinct, cell = values.levels, values.index
     else:
-        arr = _matrix_rows(values)
+        arr = np.asarray(values)
+        if arr.ndim != 2:
+            raise DomainError("matrix must be 2-D")
+        if arr.dtype == np.bool_:
+            arr = arr.astype(np.int64)
         if not arr.size:
             Path(path).write_bytes(b"\n" * max(len(arr), 1))
             return
@@ -546,61 +554,3 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
                     raise DataError(f"{path}:{number}: expected {width} values, got {n}")
         raise DataError(f"{path}: {exc}") from None
     return values if len(distinct) == len(lines) else values[row]
-
-
-def write_matrix_rle(path: str | Path, values: np.ndarray) -> None:
-    """Run-length variant for large grids: one line per row, comma-separated
-    ``count*value`` tokens (e.g. ``640*0,3*8``)."""
-    arr = _matrix_rows(values)
-    rows, cols = arr.shape
-    starts, token, distinct = _value_runs(arr)
-    lengths = np.diff(starts, append=arr.size)
-    text = [_fmt(v) for v in distinct]
-    runs = [f"{n}*{text[t]}" for n, t in zip(lengths.tolist(), token.tolist())]
-    first = np.searchsorted(starts, np.arange(rows + 1) * cols).tolist()
-    lines = [",".join(runs[a:b]) for a, b in zip(first, first[1:])]
-    Path(path).write_text("\n".join([f"# rle rows={rows} cols={cols}", *lines]) + "\n")
-
-
-def read_matrix_rle(path: str | Path) -> np.ndarray:
-    """Inverse of :func:`write_matrix_rle`; blank lines are skipped.
-
-    The header's ``rows`` and ``cols`` must be non-negative integers, every
-    run count at least 1 and every row exactly ``cols`` cells long; all of
-    it is checked before the matrix is allocated.  A bad token or a row of
-    the wrong length names the file's line.
-    """
-    lines = [(n, ln) for n, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("# rle"):
-        raise DataError(f"{path}: missing RLE header")
-    header = dict(part.partition("=")[::2] for part in lines[0][1][5:].split())
-    try:
-        rows, cols = int(header["rows"]), int(header["cols"])
-    except (KeyError, ValueError):
-        rows = cols = -1  # rejected with the negative sizes
-    if rows < 0 or cols < 0:
-        raise DataError(f"{path}: malformed RLE header")
-    if len(lines) - 1 != (rows if cols else 0):  # a row of no cells is blank
-        raise DataError(f"{path}: expected {rows} data lines")
-    counts: list[int] = []
-    values: list[float] = []
-    for number, line in lines[1:]:
-        col = 0
-        for token in line.split(","):
-            try:
-                count_s, _, value_s = token.partition("*")
-                count, value = int(count_s), float(value_s)
-            except ValueError:
-                count = 0  # rejected with the counts below 1
-            if count < 1:
-                raise DataError(f"{path}:{number}: bad RLE token {token!r}")
-            counts.append(count)
-            values.append(value)
-            col += count
-        if col != cols:
-            raise DataError(f"{path}:{number}: row has {col} cells, expected {cols}")
-    try:
-        out = np.repeat(np.array(values, np.float64), np.array(counts, np.int64))
-    except (MemoryError, ValueError, OverflowError):  # ValueError past 2**63 bytes
-        raise DataError(f"{path}: cannot allocate a {rows}x{cols} matrix") from None
-    return out.reshape(rows, cols)

@@ -211,8 +211,8 @@ class KnowledgeConfig:
 def _check_stream_key(master_seed: int, realization_index: int) -> None:
     if not (0 <= int(master_seed) < 2**64):
         raise DomainError("master_seed must fit in an unsigned 64-bit value")
-    if realization_index < 0:
-        raise DomainError("realization_index must be non-negative")
+    if not (0 <= int(realization_index) < 2**64):
+        raise DomainError("realization_index must fit in an unsigned 64-bit value")
 
 
 def household_variates(master_seed: int, realization_index: int, n: int) -> np.ndarray:

@@ -28,10 +28,8 @@ from grayspace.griddata import (
     ingest_grid,
     load_grid_csv,
     read_matrix_csv,
-    read_matrix_rle,
     write_grid_csv,
     write_matrix_csv,
-    write_matrix_rle,
 )
 from grayspace.linkbudget import OFCOM
 from grayspace.propagation import ENVIRONMENTS
@@ -463,17 +461,21 @@ class TestExitCodes:
             "# rle rows=1=2 cols=3\n3*1\n",
             "# rle rows=8 cols=8\n" + "3*1,-2*2,7*3\n" * 8,
             "# rle rows=1 cols=1000000000000\n1*1\n",
+            "# rle rows=8 cols=8\n" + "8*0\n" * 8,
         ],
-        ids=["negative-rows", "double-equals", "negative-count", "short-row-huge-cols"],
+        ids=["negative-rows", "double-equals", "negative-count", "short-row-huge-cols",
+             "well-formed"],
     )
     def test_bad_rle_map_is_3_and_writes_nothing(self, workspace, tmp_path, capsys, text):
+        # CSV is the one map format, whatever the suffix: a run-length map,
+        # well-formed or not, is a CSV whose line 1 is not numbers
         bad = tmp_path / "bad.rle"
         bad.write_text(text)
         out = tmp_path / "rep"
         argv = ["report", "--config", str(workspace), "--map", str(bad), "--out", str(out)]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "data error" in err and "Traceback" not in err
+        assert err.startswith(f"data error: {bad}:1: ") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -534,7 +536,7 @@ class TestExitCodes:
         write_grid(src)
         out = tmp_path / "norm"
         argv = ["ingest", str(src), "--out", str(out / "n.csv"),
-                "--valid-mask", str(out / "mask.rle"), "--municipal-area-km2", value]
+                "--valid-mask", str(out / "mask.csv"), "--municipal-area-km2", value]
         assert main(argv) == 2
         assert "config error: --municipal-area-km2" in capsys.readouterr().err
         assert not out.exists()
@@ -619,7 +621,7 @@ def _grid_argv(command: str, config: Path, out: Path) -> list[str]:
     root = config.parent
     if command == "ingest":
         return ["ingest", str(root / "town.csv"), "--out", str(out / "town.csv"),
-                "--valid-mask", str(out / "mask.rle")]
+                "--valid-mask", str(out / "mask.csv")]
     if command == "report":
         (root / "map.csv").write_text("0,8,16,24,32,40,48,56\n" * 8)
         return ["report", "--config", str(config), "--map", str(root / "map.csv"),
@@ -693,7 +695,7 @@ class TestIngest:
         src = tmp_path / "raw.csv"
         write_grid(src, municipal_area_km2=59.0)  # 64 cells physical -> 5 dropped
         out = tmp_path / "norm.csv"
-        mask = tmp_path / "mask.rle"
+        mask = tmp_path / "mask.csv"
         assert main(
             ["ingest", str(src), "--out", str(out), "--valid-mask", str(mask)]
         ) == 0
@@ -701,7 +703,7 @@ class TestIngest:
         assert "5 border cells invalidated" in printed
         assert "valid cells 59" in printed
 
-        values = read_matrix_rle(mask)
+        values = read_matrix_csv(mask)
         assert values.shape == (8, 8) and values.sum() == 59
 
         # normalization is idempotent: reloading reapplies the same scan
@@ -711,10 +713,11 @@ class TestIngest:
     def test_csv_mask(self, tmp_path):
         src = tmp_path / "raw.csv"
         write_grid(src, municipal_area_km2=63.0)
-        mask = tmp_path / "mask.csv"
-        main(["ingest", str(src), "--out", str(tmp_path / "n.csv"),
-              "--valid-mask", str(mask)])
-        assert read_matrix_csv(mask).sum() == 63
+        for name in ("mask.csv", "mask.rle"):  # CSV whatever the suffix
+            assert main(["ingest", str(src), "--out", str(tmp_path / "n.csv"),
+                         "--valid-mask", str(tmp_path / name)]) == 0
+        assert read_matrix_csv(tmp_path / "mask.csv").sum() == 63
+        assert (tmp_path / "mask.rle").read_bytes() == (tmp_path / "mask.csv").read_bytes()
 
     def test_mask_into_a_missing_directory(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
@@ -905,19 +908,6 @@ class TestReport:
             == (combo / "utilization.csv").read_bytes()
         )
 
-    def test_rle_map_gives_the_csv_maps_bytes(self, workspace, tmp_path, capsys):
-        main(["simulate", "--config", str(workspace)])
-        combo = workspace.parent / "results" / "cpe-4w_KL2"
-        rle = tmp_path / "map.rle"
-        write_matrix_rle(rle, read_matrix_csv(combo / "map.csv"))
-        for stored_map, out in ((combo / "map.csv", "from-csv"), (rle, "from-rle")):
-            assert main(["report", "--config", str(workspace), "--map", str(stored_map),
-                         "--out", str(tmp_path / out)]) == 0
-        for name in ("cdf_from_map.csv", "utilization_from_map.csv"):
-            assert (tmp_path / "from-rle" / name).read_bytes() == (
-                tmp_path / "from-csv" / name
-            ).read_bytes()
-
     def test_without_grid_only_cdf(self, workspace, tmp_path, capsys):
         main(["simulate", "--config", str(workspace)])
         combo = workspace.parent / "results" / "cpe-4w_KL1"
@@ -964,7 +954,7 @@ def test_module_entry_point_runs_every_command(workspace, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     for argv in [
         ["linkbudget", "--config", "run.cfg", "--resolution", "1000", "--csv", "sep.csv"],
-        ["ingest", "town.csv", "--out", "norm/town.csv", "--valid-mask", "norm/x.rle"],
+        ["ingest", "town.csv", "--out", "norm/town.csv", "--valid-mask", "norm/x.csv"],
         ["simulate", "--config", "run.cfg", "--realizations", "1", "--out", "res"],
         ["report", "--config", "run.cfg", "--map", "res/cpe-4w_KL2/map.csv"],
     ]:
@@ -973,7 +963,7 @@ def test_module_entry_point_runs_every_command(workspace, tmp_path):
         assert run.returncode == 0, run.stderr
     combination = ["map.csv", "cdf.csv", "utilization.csv", "summary.txt"]
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()) == (
-        sorted(["run.cfg", "town.csv", "sep.csv", "norm/town.csv", "norm/x.rle",
+        sorted(["run.cfg", "town.csv", "sep.csv", "norm/town.csv", "norm/x.csv",
                 "res/cpe-4w_KL2/cdf_from_map.csv", "res/cpe-4w_KL2/utilization_from_map.csv",
                 *(f"res/{combo}/{name}" for combo in ("cpe-4w_KL1", "cpe-4w_KL2")
                   for name in combination)])

@@ -19,12 +19,10 @@ from grayspace.griddata import (
     ingest_grid,
     load_grid_csv,
     read_matrix_csv,
-    read_matrix_rle,
     receiver_segments,
     refine_grid,
     write_grid_csv,
     write_matrix_csv,
-    write_matrix_rle,
 )
 
 
@@ -96,12 +94,14 @@ class TestIngest:
             ingest_grid([(0, 0, count), (1, 0, 1)], resolution_m=1000.0)
 
     @pytest.mark.parametrize(
-        "counts", [[1.5, 2.7], [math.nan, 1.0], [math.inf, 1.0], [1e30, 1.0], [2.0**63, 0.0]],
-        ids=["fraction", "nan", "inf", "1e30", "2**63"],
+        "counts",
+        [[1.5, 2.7], [math.nan, 1.0], [math.inf, 1.0], [1e30, 1.0], [2.0**63, 0.0],
+         np.array([2**63, 1], dtype=np.uint64)],
+        ids=["fraction", "nan", "inf", "1e30", "2**63", "uint64-2**63"],
     )
     def test_grid_rejects_counts_int64_cannot_hold_exactly(self, counts):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # rejected before any cast could warn
+            warnings.simplefilter("error")  # rejected before any cast could warn or wrap
             with pytest.raises(DataError, match="whole numbers within the int64 range"):
                 HouseholdGrid(np.array([counts]), np.ones((1, 2), dtype=bool),
                               resolution_m=1000.0, municipal_area_km2=2.0)
@@ -113,14 +113,25 @@ class TestIngest:
         grid = HouseholdGrid(np.array([[2.0, 2.0**62]]), np.ones((1, 2), dtype=bool),
                              resolution_m=1000.0, municipal_area_km2=2.0)
         assert grid.counts.dtype == np.int64 and grid.counts.tolist() == [[2, 2**62]]
-        counts = np.array([[1, 2]], dtype=np.int64)  # int64 input is used as it is
-        assert HouseholdGrid(counts, np.ones((1, 2), dtype=bool), resolution_m=1000.0,
-                             municipal_area_km2=2.0).counts is counts
+        counts = np.array([[0, 2]], dtype=np.int64)  # read-only int64 input is used as it is
+        counts.setflags(write=False)
+        grid = HouseholdGrid(counts, np.ones((1, 2), dtype=bool), resolution_m=1000.0,
+                             municipal_area_km2=1.0)
+        compensated, invalidated = compensate_area(grid)
+        assert grid.counts is counts and invalidated == 1 and compensated.counts is counts
 
     def test_arrays_are_frozen(self):
         grid = ingest_grid([(0, 0, 1)], resolution_m=1000.0)
         with pytest.raises(ValueError):
             grid.counts[0, 0] = 2
+
+    def test_callers_arrays_stay_writeable(self):
+        counts, valid = np.array([[1, 2]]), np.ones((1, 2), dtype=bool)
+        grid = HouseholdGrid(counts, valid, resolution_m=1000.0, municipal_area_km2=2.0)
+        assert counts.flags.writeable and valid.flags.writeable
+        assert not (grid.counts.flags.writeable or grid.valid.flags.writeable)
+        counts[0, 0] = valid[0, 0] = 0  # the grid holds its own copies
+        assert grid.counts.tolist() == [[1, 2]] and grid.valid.all()
 
 
 class TestGridCsv:
@@ -506,20 +517,6 @@ def _per_cell_csv(values: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:.10g}" for v in row) for row in arr) + "\n"
 
 
-def _per_cell_rle(values: np.ndarray) -> str:
-    """Runs of equal bit patterns found cell by cell; the byte oracle of
-    write_matrix_rle."""
-    arr = np.asarray(values)
-    if arr.dtype == np.bool_:
-        arr = arr.astype(np.int64)
-    bits = arr.view(f"u{arr.dtype.itemsize}")
-    lines = [f"# rle rows={arr.shape[0]} cols={arr.shape[1]}"]
-    for row, row_bits in zip(arr, bits):
-        runs = [list(run) for _, run in itertools.groupby(range(len(row)), row_bits.__getitem__)]
-        lines.append(",".join(f"{len(run)}*{row[run[0]]:.10g}" for run in runs))
-    return "\n".join(lines) + "\n"
-
-
 _MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)
 _TEN_DIGIT_FLOATS = st.builds(
     lambda mantissa, exponent: mantissa * 10.0**exponent,
@@ -607,7 +604,7 @@ class TestMatrixIO:
             write_matrix_csv(path, values)
             assert path.read_text() == _per_cell_csv(values)
 
-    @pytest.mark.parametrize("writer", [write_matrix_csv, write_matrix_rle])
+    @pytest.mark.parametrize("writer", [write_matrix_csv])
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
     def test_writers_reject_arrays_not_2d(self, tmp_path, writer, shape):
         path = tmp_path / "m.csv"
@@ -711,90 +708,10 @@ class TestMatrixIO:
                 got = read_matrix_csv(path)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_rle_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        values = rng.integers(0, 3, (17, 23)).astype(float)
-        values[0, :] = np.nan
-        path = tmp_path / "m.rle"
-        write_matrix_rle(path, values)
-        back = read_matrix_rle(path)
-        assert np.array_equal(back, values, equal_nan=True)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_MATRICES)
-    @example(np.array([[0.0, -0.0, 1.0]]))
-    @example(np.zeros((2, 0)))
-    @example(np.repeat([0.0, -0.0, np.nan, -np.nan, 0.0], [5, 7, 3, 6, 3]).reshape(4, 6))
-    def test_rle_bytes_match_per_cell_runs(self, values):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.rle"
-            write_matrix_rle(path, values)
-            assert path.read_text() == _per_cell_rle(values)
-            back = read_matrix_rle(path)
-        want = np.asarray(values).astype(np.float64)
-        assert back.shape == want.shape
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(back), nan)
-        assert np.array_equal(np.signbit(back[~nan]), np.signbit(want[~nan]))
-
-    @pytest.mark.parametrize("reader", [load_grid_csv, read_matrix_csv, read_matrix_rle])
+    @pytest.mark.parametrize("reader", [load_grid_csv, read_matrix_csv])
     def test_unreadable_file_is_a_data_error(self, tmp_path, reader):
         path = tmp_path / "m.csv"
-        path.write_bytes(b"# rle rows=1 cols=1\n1*\xff\n")
+        path.write_bytes(b"1,\xff\n")
         for target in (path, tmp_path, tmp_path / "missing.csv"):
             with pytest.raises(DataError):
                 reader(target)
-
-    def test_rle_header_required(self, tmp_path):
-        path = tmp_path / "m.rle"
-        path.write_text("3*1\n")
-        with pytest.raises(DataError):
-            read_matrix_rle(path)
-
-    def test_rle_row_length_checked(self, tmp_path):
-        path = tmp_path / "m.rle"
-        path.write_text("# rle rows=1 cols=4\n3*1\n")
-        with pytest.raises(DataError):
-            read_matrix_rle(path)
-
-    @pytest.mark.parametrize(
-        "text,where,fragment",
-        [
-            ("# rle rows=2 cols=2\n\n2*1\n\n1*1\n", 5, "row has 1 cells, expected 2"),
-            ("\n# rle rows=2 cols=2\n2*1\n\n\n1*x,1*1\n", 6, "bad RLE token '1*x'"),
-        ],
-        ids=["short-row-after-blanks", "bad-token-after-blanks"],
-    )
-    def test_rle_error_names_the_files_line(self, tmp_path, text, where, fragment):
-        path = tmp_path / "m.rle"
-        path.write_text(text)
-        with pytest.raises(DataError) as raised:
-            read_matrix_rle(path)
-        assert str(raised.value).startswith(f"{path}:{where}: ")
-        assert fragment in str(raised.value)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "# rle rows=-1 cols=3\n",
-            "# rle rows=1 cols=-3\n1*1\n",
-            "# rle rows=1=2 cols=3\n3*1\n",
-            "# rle rows=x cols=3\n3*1\n",
-            "# rle cols=3\n3*1\n",
-            "# rle rows=1 cols=4\n3*1,-2*2,3*3\n",
-            "# rle rows=1 cols=5\n0*5,5*1\n",
-            "# rle rows=1 cols=2\n2*abc\n",
-            "# rle rows=2 cols=2\n2*1\n",
-            "# rle rows=1000000000000 cols=1000000000000\n1*1\n",
-            "# rle rows=1 cols=1000000000000\n1*1\n",
-            f"# rle rows=1 cols={2**61}\n{2**61}*1\n",
-        ],
-        ids=["negative-rows", "negative-cols", "double-equals", "non-integer-rows",
-             "missing-rows", "negative-count", "zero-count", "bad-value", "too-few-lines",
-             "too-few-lines-huge", "short-row-huge-cols", "past-2**63-bytes"],
-    )
-    def test_rle_rejects_malformed(self, tmp_path, text):
-        path = tmp_path / "m.rle"
-        path.write_text(text)
-        with pytest.raises(DataError):
-            read_matrix_rle(path)

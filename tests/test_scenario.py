@@ -195,6 +195,8 @@ class TestVariates:
             household_variates(2**64, 0, 4)
         with pytest.raises(DomainError):
             household_variates(0, -1, 4)
+        with pytest.raises(DomainError):
+            household_variates(0, 2**64, 4)
 
     def test_rejects_negative_count(self):
         with pytest.raises(DomainError, match="n must be non-negative"):

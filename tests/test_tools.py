@@ -4,11 +4,15 @@ import collections
 import json
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from grayspace.cli import main
 
 
 def test_make_grids_reproduces_shipped_data(tmp_path, data_dir):
@@ -35,6 +39,23 @@ def test_readme_python_blocks_run(data_dir, monkeypatch):
     namespace: dict[str, object] = {}
     for i, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_readme_commands_run(data_dir, tmp_path, monkeypatch, capsys):
+    # every `python3 -m grayspace` command of the README's sh blocks, in
+    # order, from a copy of configs/ and data/ that also holds /tmp/: a
+    # command that names a removed flag fails here
+    root = data_dir.parent
+    blocks = re.findall(r"^```sh\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").replace("/tmp/", f"{tmp_path}/")
+    commands = [shlex.split(line) for line in lines.splitlines()
+                if line.startswith("python3 -m grayspace ")]
+    assert len(commands) >= 4
+    for name in ("configs", "data"):
+        shutil.copytree(root / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[3:]) == 0, shlex.join(argv)
 
 
 @pytest.fixture
