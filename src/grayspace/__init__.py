@@ -74,7 +74,6 @@ from .scenario import (
     ChannelPlan,
     KnowledgeConfig,
     gray_space_capacity,
-    receiver_usage,
     white_space_amount,
 )
 
@@ -127,7 +126,6 @@ __all__ = [
     "path_loss",
     "quantize_cells",
     "quantize_distance",
-    "receiver_usage",
     "refine_grid",
     "run_combinations",
     "separation_report",

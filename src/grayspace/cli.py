@@ -88,7 +88,6 @@ from .scenario import (
     KnowledgeConfig,
     gray_space_capacity,
     slot_levels_mhz,
-    slot_table,
     white_space_amount,
 )
 
@@ -120,6 +119,7 @@ class RunConfig:
     p_mux1_capable: float = KnowledgeConfig.p_mux1_capable
     p_subscribe_mux2to5: float = KnowledgeConfig.p_subscribe_mux2to5
     shares: tuple[float, ...] | None = None
+    knowledge: tuple[KnowledgeConfig, ...] = ()  # built from the [knowledge] keys at load
     grid_path: Path | None = None
     grid_paths: dict[float, Path] = dataclasses.field(default_factory=dict)
 
@@ -287,7 +287,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     Sections and keys are those of the schema table ``_SCHEMA``: [run],
     [criteria], [hata], [plan], [knowledge], [grid] and one [device.NAME]
     per candidate transmitter.  A [result] section (written by ``simulate``
-    into summary files) is tolerated and ignored.
+    into summary files) is tolerated and ignored.  The channel plan and the
+    knowledge configs are built here, so every command rejects a bad one.
     """
     path = Path(path)
     if not path.is_file():
@@ -351,7 +352,28 @@ def load_run_config(path: str | Path) -> RunConfig:
     if cfg.grid_path is not None and cfg.grid_paths:
         raise ConfigError(f"{source}: [grid] mixes 'path' with 'path_<res>m' keys")
     cfg.devices = tuple(devices)
+    cfg.knowledge = _knowledge_configs(cfg)
     return cfg
+
+
+def _knowledge_configs(cfg: RunConfig) -> tuple[KnowledgeConfig, ...]:
+    """One knowledge config per level and, for KL3 without explicit shares,
+    per period; an error names the config file and [knowledge]."""
+    try:
+        return tuple(
+            KnowledgeConfig(
+                level=level,
+                p_mux1_capable=cfg.p_mux1_capable,
+                p_subscribe_mux2to5=cfg.p_subscribe_mux2to5,
+                time_period=period,
+                mux_shares=cfg.shares if level == "KL3" else None,
+                share_interpretation=cfg.interpretation,
+            )
+            for level in cfg.levels
+            for period in (cfg.periods if level == "KL3" and cfg.shares is None else (None,))
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{cfg.source}: [knowledge] {exc}") from None
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -596,31 +618,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _combinations(cfg: RunConfig) -> list[tuple[SeparationReport, KnowledgeConfig]]:
     """Every (link, knowledge) pair to run: each device's link budget with
-    each knowledge config.  The link budgets are built first, then the plan
-    is checked to fit its band and to carry the 5 MUXs, then the knowledge
-    configs are built; an error names the config file and the section at fault."""
-    links = _separation_reports(cfg)
-    try:
-        white_space_amount(cfg.plan)
-        slot_table(cfg.plan)
-    except ConfigError as exc:
-        raise ConfigError(f"{cfg.source}: [plan] {exc}") from None
-    try:
-        knowledge = [
-            KnowledgeConfig(
-                level=level,
-                p_mux1_capable=cfg.p_mux1_capable,
-                p_subscribe_mux2to5=cfg.p_subscribe_mux2to5,
-                time_period=period,
-                mux_shares=cfg.shares if level == "KL3" else None,
-                share_interpretation=cfg.interpretation,
-            )
-            for level in cfg.levels
-            for period in (cfg.periods if level == "KL3" and cfg.shares is None else (None,))
-        ]
-    except ConfigError as exc:
-        raise ConfigError(f"{cfg.source}: [knowledge] {exc}") from None
-    return [(link, k) for link in links for k in knowledge]
+    each knowledge config."""
+    return [(link, k) for link in _separation_reports(cfg) for k in cfg.knowledge]
 
 
 def _summary_text(run: RunConfig, link: SeparationReport, knowledge: KnowledgeConfig,
@@ -632,6 +631,7 @@ def _summary_text(run: RunConfig, link: SeparationReport, knowledge: KnowledgeCo
         levels=(knowledge.level,),
         periods=None if period is None else (period,),
         shares=knowledge.mux_shares,
+        knowledge=(knowledge,),
     )
     lines = ["# run summary; also a valid config reproducing this single combination"]
     lines += [f"# warning: {warning}" for warning in link.warnings]
@@ -704,15 +704,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cdf = cdf_from_map(values, slot_levels_mhz(cfg.plan), gray_space_capacity(cfg.plan))
         if len(targets) > 1:  # checked before staging, so a bad grid makes no directory
             grid, _ = _load_selected_grid(cfg)
-            if grid.counts.shape != values.shape:
-                raise DataError(
-                    f"map shape {values.shape} does not match grid shape {grid.counts.shape}"
-                )
+            table = utilization_from_map(values, grid.counts, cfg.buckets)  # checks the shape
             hidden = grid.counts[np.isnan(values)]  # a simulate map is NaN on empty cells only
             if hidden.any():
                 raise DataError(f"map is NaN on {np.count_nonzero(hidden)} cells holding "
                                 f"{hidden.sum()} households; it does not belong to the grid")
-            table = utilization_from_map(values, grid.counts, cfg.buckets)
             write_utilization_csv(stage(targets[1]), table)
         write_cdf_csv(stage(targets[0]), cdf)
     for p in targets:

@@ -34,7 +34,9 @@ All per-realization quantities are integers (slot counts, cell counts,
 household sums), and workers return integer partial sums, so results are
 bit-identical for any worker count, and each pair's result is the same
 whether it runs alone or with others.  The per-realization RNG is keyed on
-(master_seed, realization_index); see :mod:`grayspace.scenario`.
+(master_seed, realization_index); see :mod:`grayspace.scenario`.  The plan,
+the knowledge configs and the grid check their own rules when built; the
+engine checks only what spans its inputs, such as the 64-bit totals.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .griddata import HouseholdGrid, _fmt, _value_runs, disc_halfwidths, receiver_segments
+from .griddata import (HouseholdGrid, _fmt, _household_counts, _value_runs, disc_halfwidths,
+                       receiver_segments)
 from .linkbudget import SeparationReport, quantize_cells
 from .scenario import (ChannelPlan, KnowledgeConfig, UsagePartition, receiver_rows, slot_count,
                        slot_levels_mhz, slot_table, usage_partition)
@@ -338,10 +341,7 @@ def _build_sweep(
     master_seed: int,
     realizations: Sequence[int],
 ) -> _Sweep:
-    """Check the inputs and build the state of each distinct pair of reaches once."""
-    table = slot_table(plan)  # checks that the plan carries the 5 MUXs
-    if not grid.valid.any():
-        raise DataError("grid has no valid cells; nothing to evaluate")
+    """Build the state of each distinct pair of reaches once."""
     reaches = [(quantize_cells(link.min_distance_co_m, grid.resolution_m),
                 quantize_cells(link.min_distance_adjacent_m, grid.resolution_m))
                for link, _ in pairs]
@@ -356,7 +356,7 @@ def _build_sweep(
             for cells, (_, k), n in zip(reaches, pairs, realizations)
         ),
         master_seed=master_seed,
-        slot_table=table,
+        slot_table=slot_table(plan),
     )
 
 
@@ -521,11 +521,12 @@ def cdf_from_map(values: np.ndarray, levels_mhz: Sequence[float],
 def utilization_from_map(
     values: np.ndarray, counts: np.ndarray, buckets: Sequence[Bucket]
 ) -> UtilizationTable:
-    """Household bucket sums of a single stored map."""
+    """Household bucket sums of a single stored map.  ``counts`` follow the
+    rule of :class:`~grayspace.griddata.HouseholdGrid`'s counts."""
     arr = np.asarray(values, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _household_counts(counts)
     if arr.shape != counts.shape:
-        raise DataError("map and household grid shapes differ")
+        raise DataError(f"map shape {arr.shape} does not match grid shape {counts.shape}")
     _check_bucket_overlap(buckets)
     return _bucket_sums(*_value_totals(arr, counts), buckets)
 

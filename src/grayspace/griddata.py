@@ -10,8 +10,9 @@ anywhere in its cell and the interferer anywhere in the protected cell.
 The module covers CSV ingestion with sidecar metadata, compensation of the
 mismatch between grid area and municipal area, disc footprints, protection
 geometry, and matrix export as plain CSV.  Input files are data: a
-malformed value, a repeated metadata key, a count past int64 or a declared
-size numpy cannot allocate is a :class:`DataError`.  A disc footprint's
+malformed value, a repeated metadata key, a count or total past int64, a
+grid with no valid cell or a declared size numpy cannot allocate is a
+:class:`DataError`.  A disc footprint's
 reach is a whole number of cells, and the footprint is kept as per-row
 halfwidths only.
 
@@ -60,7 +61,8 @@ class HouseholdGrid:
 
     ``counts[y, x]`` is the number of households in row y, column x; cells
     outside the municipality (after area compensation) have ``valid`` False
-    and always zero households.
+    and always zero households.  At least one cell is valid, and the counts
+    and their total are whole numbers in [0, 2**63).
     """
 
     counts: np.ndarray
@@ -69,22 +71,14 @@ class HouseholdGrid:
     municipal_area_km2: float
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "biu":  # the int64 cast would truncate, or wrap past 2**63
-            exact = np.asarray(counts, dtype=np.float64)
-            whole = ((np.floor(exact) == exact) & (np.abs(exact) < 2.0**63)).all()
-        else:
-            whole = counts.dtype.kind != "u" or not (counts > np.iinfo(np.int64).max).any()
-        if not whole:
-            raise DataError("household counts must be whole numbers within the int64 range")
-        counts = _owned(counts, np.int64)
+        counts = _household_counts(self.counts)
         valid = _owned(self.valid, bool)
         if counts.ndim != 2 or counts.shape != valid.shape:
             raise DataError("counts and valid must be 2-D arrays of equal shape")
         if counts.size == 0:
             raise DataError("grid must contain at least one cell")
-        if (counts < 0).any():
-            raise DataError("household counts must be non-negative")
+        if not valid.any():
+            raise DataError("grid has no valid cells; nothing to evaluate")
         if (counts[~valid] > 0).any():
             raise DataError("household counts must be zero in invalid cells")
         if not (math.isfinite(self.resolution_m) and self.resolution_m > 0):
@@ -122,6 +116,26 @@ class HouseholdGrid:
     @property
     def total_households(self) -> int:
         return int(self.counts.sum())
+
+
+def _household_counts(values) -> np.ndarray:
+    """``values`` as read-only int64 household counts.  Each must be a
+    non-negative whole number within int64, and so must their exact total."""
+    counts = np.asarray(values)
+    if counts.dtype.kind not in "biu":  # the int64 cast would truncate, or wrap past 2**63
+        exact = np.asarray(counts, dtype=np.float64)
+        whole = ((np.floor(exact) == exact) & (np.abs(exact) < 2.0**63)).all()
+    else:
+        whole = counts.dtype.kind != "u" or not (counts > np.iinfo(np.int64).max).any()
+    if not whole:
+        raise DataError("household counts must be whole numbers within the int64 range")
+    counts = _owned(counts, np.int64)
+    if (counts < 0).any():
+        raise DataError("household counts must be non-negative")
+    total = sum(counts[counts > 0].tolist())  # Python ints: exact past 2**63
+    if total > np.iinfo(np.int64).max:
+        raise DataError(f"household counts total {total}, past the int64 range")
+    return counts
 
 
 def _owned(values, dtype) -> np.ndarray:

@@ -24,9 +24,13 @@ the variate cube at the thresholds of any number of knowledge configs, so
 one cell code per household gives its usage under all of them;
 :func:`receiver_rows` draws one realization's variates once and reduces
 them to the household cells (the receivers) as flags of the distinct
-(config, MUX) rows, and :func:`receiver_usage` as 5-bit MUX masks;
-:func:`slot_table` maps the masks of a cell's co-channel and adjacent-channel
-footprints to its usable slots.
+(config, MUX) rows, which the partition's ``mux_weights`` turn into 5-bit
+MUX masks; :func:`slot_table` maps the masks of a cell's co-channel and
+adjacent-channel footprints to its usable slots.
+
+A :class:`ChannelPlan` carries exactly 5 used channels and fits its band,
+and a :class:`KnowledgeConfig` holds a valid sampling model: each raises
+on construction otherwise, so no consumer checks them again.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class ChannelPlan:
     real plans count a channel sandwiched between two used channels once
     (and clearing it requires distance from both neighbours); switching it
     off counts one adjacent slot per (used channel, side), which is the
-    abstract maximum-10 accounting.
+    abstract maximum-10 accounting.  The plan lists exactly 5 used channels,
+    one per MUX, and its used and adjacent slots fit inside its band.
     """
 
     total_band_mhz: float = 320.0
@@ -80,6 +85,12 @@ class ChannelPlan:
         if len(set(used)) != len(used):
             raise ConfigError(f"used_channels contains duplicates: {used}")
         object.__setattr__(self, "used_channels", used)
+        if len(used) != 5:
+            raise ConfigError("the usage model covers exactly 5 MUXs; the channel plan "
+                              f"lists {len(used)} used channels")
+        if gray_space_capacity(self) > self.total_band_mhz:
+            raise ConfigError(f"channel plan occupies {gray_space_capacity(self)} MHz, "
+                              f"more than the {self.total_band_mhz} MHz band")
 
     def adjacent_entries(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Adjacent-channel slots as (channel, guarding used channels).
@@ -104,10 +115,6 @@ class ChannelPlan:
                     entries.append((c, (m,)))
         return tuple(entries)
 
-    @property
-    def adjacent_channels(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.adjacent_entries())
-
 
 def slot_count(plan: ChannelPlan) -> int:
     """Channels a cell can offer inside the service area: the used
@@ -127,11 +134,6 @@ def slot_table(plan: ChannelPlan) -> np.ndarray:
     (adjacent-channel) footprint covers the cell, bit m for the m-th used
     channel.  A used channel is lost when its MUX is in ``co``, an adjacent
     slot when one of its guarding MUXs is in ``adj``."""
-    if len(plan.used_channels) != 5:
-        raise ConfigError(
-            "the usage model covers exactly 5 MUXs; the channel plan lists "
-            f"{len(plan.used_channels)} used channels"
-        )
     co, adj = np.arange(1024) & ALL_MUXES, np.arange(1024) >> 5
     bit = {m: 1 << i for i, m in enumerate(plan.used_channels)}
     table = 5 - sum((co >> i) & 1 for i in range(5))
@@ -147,13 +149,7 @@ def gray_space_capacity(plan: ChannelPlan) -> float:
 
 def white_space_amount(plan: ChannelPlan) -> float:
     """MHz untouched by the plan (available anywhere, receivers or not)."""
-    white = plan.total_band_mhz - gray_space_capacity(plan)
-    if white < 0:
-        raise ConfigError(
-            f"channel plan occupies {gray_space_capacity(plan)} MHz, more than "
-            f"the {plan.total_band_mhz} MHz band"
-        )
-    return white
+    return plan.total_band_mhz - gray_space_capacity(plan)
 
 
 @dataclass(frozen=True)
@@ -323,17 +319,3 @@ def receiver_rows(partition: UsagePartition, households_per_receiver: np.ndarray
         bits = np.bitwise_or.reduceat(partition.row_table.take(code, axis=0), np.cumsum(k) - k)
     n_rows = partition.mux_weights.shape[1]
     return np.unpackbits(bits.view(np.uint8), axis=1, count=n_rows, bitorder="little")
-
-
-def receiver_usage(
-    households_per_receiver: np.ndarray,
-    configs: Sequence[KnowledgeConfig],
-    master_seed: int,
-    realization_index: int,
-) -> np.ndarray:
-    """Per-receiver MUX usage of one realization under several configs:
-    ``(len(configs), receivers)`` uint8 masks, the union of the
-    :func:`usage_masks` of each receiver's households, from one draw."""
-    partition = usage_partition(configs)
-    flags = receiver_rows(partition, households_per_receiver, master_seed, realization_index)
-    return partition.mux_weights @ flags.T

@@ -195,6 +195,24 @@ class TestConfigParsing:
         assert cfg.shares == (0.2, 0.1, 0.05, 0.05, 0.01)
 
 
+#: Config edits no command may run, with the section and message each names.
+_BAD_COMBINATIONS = {
+    "kl3-shares-over-1": ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 0.5,0.3,0.3,0.3,0.3",
+                          "knowledge", "sum to"),
+    "four-channel-plan": ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30",
+                          "plan", "5 MUXs"),
+    "plan-past-band": ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30,33\n"
+                       "total_band_mhz = 16", "plan", "more than the 16.0 MHz band"),
+    "p-mux1-over-1": ("levels = KL1,KL2", "levels = KL1,KL2\np_mux1_capable = 1.5",
+                      "knowledge", "p_mux1_capable must be a probability"),
+    "kl3-share-over-1": ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 1.5,0,0,0,0",
+                         "knowledge", "mux_shares must be probabilities"),
+    "zero-channel-bandwidth": ("used_channels = 21,24,27,30,33",
+                               "used_channels = 21,24,27,30,33\nchannel_bandwidth_mhz = 0",
+                               "plan", "channel_bandwidth_mhz must be positive"),
+}
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -246,31 +264,28 @@ class TestExitCodes:
         assert "config error" in err and "[device.cpe-4w]" in err and fragment in err
         assert not out.exists()
 
-
+    # simulate's cases go by the bare case name, the other commands' by command-case
     @pytest.mark.parametrize(
-        "old,new,section,fragment",
-        [
-            ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 0.5,0.3,0.3,0.3,0.3",
-             "knowledge", "sum to"),
-            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30", "plan", "5 MUXs"),
-            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30,33\n"
-             "total_band_mhz = 16", "plan", "more than the 16.0 MHz band"),
-            ("levels = KL1,KL2", "levels = KL1,KL2\np_mux1_capable = 1.5",
-             "knowledge", "p_mux1_capable must be a probability"),
-            ("levels = KL1,KL2", "levels = KL1,KL3\nshares = 1.5,0,0,0,0",
-             "knowledge", "mux_shares must be probabilities"),
-            ("used_channels = 21,24,27,30,33", "used_channels = 21,24,27,30,33\n"
-             "channel_bandwidth_mhz = 0", "plan", "channel_bandwidth_mhz must be positive"),
-        ],
-        ids=["kl3-shares-over-1", "four-channel-plan", "plan-past-band", "p-mux1-over-1",
-             "kl3-share-over-1", "zero-channel-bandwidth"],
+        "command,old,new,section,fragment",
+        [pytest.param(command, *case, id=name if command == "simulate" else f"{command}-{name}")
+         for command in ("linkbudget", "report", "simulate")
+         for name, case in _BAD_COMBINATIONS.items()],
     )
     def test_bad_combination_is_2_and_writes_nothing(
-        self, workspace, tmp_path, capsys, old, new, section, fragment
+        self, workspace, tmp_path, capsys, command, old, new, section, fragment
     ):
         workspace.write_text(workspace.read_text().replace(old, new))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(workspace), "--out", str(out)]) == 2
+        stored = tmp_path / "map.csv"
+        write_matrix_csv(stored, np.zeros((8, 8)))  # a map the grid could pair with
+        argv = {
+            "linkbudget": ["linkbudget", "--config", str(workspace),
+                           "--resolution", "1000", "--csv", str(out / "sep.csv")],
+            "report": ["report", "--config", str(workspace), "--map", str(stored),
+                       "--out", str(out)],
+            "simulate": ["simulate", "--config", str(workspace), "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"config error: {workspace}: [{section}] " in err and fragment in err
         assert not out.exists()
@@ -543,6 +558,16 @@ class TestExitCodes:
         # checked before the grid is read: a missing grid is not reached
         argv[1] = str(tmp_path / "missing.csv")
         assert main(argv) == 2
+
+    def test_compensation_to_no_valid_cells_is_3_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        src.write_text("# rows=2\n# cols=2\n# resolution_m=1000\nx,y,households\n")
+        out = tmp_path / "norm"
+        argv = ["ingest", str(src), "--out", str(out / "n.csv"), "--municipal-area-km2", "1e-12"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: grid has no valid cells; nothing to evaluate\n"
+        assert not out.exists()
 
     def test_municipal_area_past_the_grid_is_3_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"

@@ -623,15 +623,13 @@ class TestValidation:
         return ingest_grid([(1, 1, 2)], resolution_m=1000.0, rows=4, cols=4)
 
     def test_plan_must_have_five_channels(self):
-        plan = ChannelPlan(used_channels=(21, 24, 27, 30))
         with pytest.raises(ConfigError, match="5 MUX"):
-            run_combinations(self.grid(), [(LINK_FIXED, KL1)], plan)
+            ChannelPlan(used_channels=(21, 24, 27, 30))
 
     def test_grid_needs_valid_cells(self):
         counts = np.zeros((2, 2), dtype=np.int64)
-        grid = HouseholdGrid(counts, np.zeros((2, 2), bool), 1000.0, 1.0)
         with pytest.raises(DataError, match="no valid cells"):
-            run(grid, KL1)
+            HouseholdGrid(counts, np.zeros((2, 2), bool), 1000.0, 1.0)
 
     def test_realizations_and_workers_bounds(self):
         with pytest.raises(DomainError):
@@ -856,8 +854,21 @@ class TestMapStatistics:
             cdf_from_map(np.full((2, 2), np.nan), [0.0, 8.0])
 
     def test_shape_mismatch(self):
-        with pytest.raises(DataError):
+        message = r"map shape \(2, 2\) does not match grid shape \(3, 2\)"
+        with pytest.raises(DataError, match=message):
             utilization_from_map(np.zeros((2, 2)), np.zeros((3, 2)), DEFAULT_BUCKETS)
+
+    @pytest.mark.parametrize(
+        "counts,message",
+        [(np.array([[1.5]]), "whole numbers"), (np.array([[np.nan]]), "whole numbers"),
+         (np.array([[-1]]), "non-negative"),
+         (np.array([[2**63]], dtype=np.uint64), "whole numbers"),
+         (np.array([[2**62, 2**62]]), "past the int64 range")],
+        ids=["fraction", "nan", "negative", "uint64-2**63", "total-past-int64"],
+    )
+    def test_counts_follow_the_grid_rule(self, counts, message):
+        with pytest.raises(DataError, match=message):
+            utilization_from_map(np.full(counts.shape, 8.0), counts, DEFAULT_BUCKETS)
 
 
 class TestWriters:

@@ -74,8 +74,9 @@ class TestIngest:
             (np.zeros((2, 2)), np.ones((2, 3), dtype=bool), "2-D arrays of equal shape"),
             (np.zeros((0, 2)), np.ones((0, 2), dtype=bool), "at least one cell"),
             (np.array([[1, -1]]), np.ones((1, 2), dtype=bool), "must be non-negative"),
+            (np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), "no valid cells"),
         ],
-        ids=["shape-mismatch", "empty", "negative-count"],
+        ids=["shape-mismatch", "empty", "negative-count", "no-valid-cells"],
     )
     def test_grid_rejects_bad_arrays(self, counts, valid, message):
         with pytest.raises(DataError, match=message):
@@ -105,6 +106,15 @@ class TestIngest:
             with pytest.raises(DataError, match="whole numbers within the int64 range"):
                 HouseholdGrid(np.array([counts]), np.ones((1, 2), dtype=bool),
                               resolution_m=1000.0, municipal_area_km2=2.0)
+
+    def test_total_past_int64_is_rejected_both_ways(self):
+        with pytest.raises(DataError, match="total 9223372036854775808, past the int64 range"):
+            HouseholdGrid(np.array([[2**62, 2**62]]), np.ones((1, 2), dtype=bool),
+                          resolution_m=1000.0, municipal_area_km2=2.0)
+        with pytest.raises(DataError, match="total 9223372036854775808, past the int64 range"):
+            ingest_grid([(0, 0, 2**62), (1, 0, 2**62)], resolution_m=1000.0)
+        top = ingest_grid([(0, 0, 2**62), (1, 0, 2**62 - 1)], resolution_m=1000.0)
+        assert top.total_households == 2**63 - 1  # the largest total is kept
 
     def test_whole_counts_are_kept(self):
         assert ingest_grid([(0, 0, 2.0), (1, 0, 3)], resolution_m=1000.0).counts.tolist() == [

@@ -17,7 +17,6 @@ from grayspace.scenario import (
     gray_space_capacity,
     household_variates,
     receiver_rows,
-    receiver_usage,
     slot_table,
     usage_masks,
     usage_partition,
@@ -69,6 +68,17 @@ MANY_KL3 = tuple(
 )
 
 
+def receiver_masks(households, configs, seed, index):
+    """(configs, receivers) uint8 MUX masks of one realization, on the
+    engine's path: the receivers' flag rows, weighted per config."""
+    partition = usage_partition(configs)
+    return partition.mux_weights @ receiver_rows(partition, households, seed, index).T
+
+
+def adjacent_channels(plan):
+    return tuple(c for c, _ in plan.adjacent_entries())
+
+
 def usage_bools(config, u):
     """(n, 5) booleans from the usage masks: column m is MUX m + 1."""
     return unpack(usage_masks(config, u))
@@ -82,14 +92,14 @@ class TestChannelPlan:
     def test_default_plan(self):
         plan = ChannelPlan()
         assert plan.used_channels == (21, 24, 27, 30, 33)
-        assert plan.adjacent_channels == (20, 22, 23, 25, 26, 28, 29, 31, 32, 34)
+        assert adjacent_channels(plan) == (20, 22, 23, 25, 26, 28, 29, 31, 32, 34)
         assert gray_space_capacity(plan) == 120.0
         assert white_space_amount(plan) == 200.0
 
     def test_consecutive_channels_share_adjacents(self):
         plan = ChannelPlan(used_channels=(25, 27, 32, 35, 42))
         # 26 guards both 25 and 27; 33/34 collapse into single entries
-        assert plan.adjacent_channels == (24, 26, 28, 31, 33, 34, 36, 41, 43)
+        assert adjacent_channels(plan) == (24, 26, 28, 31, 33, 34, 36, 41, 43)
         assert gray_space_capacity(plan) == 112.0
         assert white_space_amount(plan) == 208.0
         entries = dict(plan.adjacent_entries())
@@ -104,7 +114,7 @@ class TestChannelPlan:
 
     def test_used_channels_never_count_as_adjacent(self):
         plan = ChannelPlan(used_channels=(21, 22, 23, 24, 25))
-        assert plan.adjacent_channels == (20, 26)
+        assert adjacent_channels(plan) == (20, 26)
 
     def test_accounting_closure(self):
         rng = np.random.default_rng(11)
@@ -383,13 +393,13 @@ class TestUsage:
 
 class TestRealizeCells:
     """One realization's flags for 200 receivers (the cells of a 10x20
-    grid) of k households each, drawn by :func:`receiver_usage`.  These
+    grid) of k households each, drawn by :func:`receiver_masks`.  These
     tests checked the per-cell raster before it was dropped for the
     receivers, and keep their names."""
 
     def usage(self, config, seed, index, k=10, cells=200):
         """(5, cells) booleans: row m is MUX m + 1."""
-        return unpack(receiver_usage(np.full(cells, k), [config], seed, index)[0]).T
+        return unpack(receiver_masks(np.full(cells, k), [config], seed, index)[0]).T
 
     def test_kl1_needs_no_sampling(self):
         assert self.usage(KL1, 0, 0).all()
@@ -437,7 +447,7 @@ class TestReceiverUsage:
     def test_matches_per_household_oracle(self, counts, configs, seed, index):
         counts = np.array(counts, dtype=np.int64)
         ys, xs = np.nonzero(counts)
-        got = receiver_usage(counts[ys, xs], configs, seed, index)
+        got = receiver_masks(counts[ys, xs], configs, seed, index)
 
         # Households in row-major cell order, one variate triple each; a
         # cell uses a MUX when any of its households does.
@@ -497,12 +507,11 @@ class TestReceiverUsage:
         ]).clip(0.0, np.nextafter(1.0, 0.0))) for cuts in partition.cuts]
         u = np.stack(np.meshgrid(*points, indexing="ij"), axis=-1).reshape(-1, 3)
         with mock.patch("grayspace.scenario.household_variates", return_value=u):
-            got = receiver_usage(np.ones(len(u), dtype=np.int64), configs, 0, 0)
             flags = receiver_rows(partition, np.ones(len(u), dtype=np.int64), 0, 0)
         assert flags.dtype == np.uint8 and flags.shape == (len(u), partition.mux_weights.shape[1])
-        for config, row in zip(configs, got, strict=True):
+        for config, row in zip(configs, partition.mux_weights @ flags.T, strict=True):
             assert np.array_equal(row, usage_masks(config, u)), config
 
     def test_rejects_receivers_without_households(self):
         with pytest.raises(DomainError):
-            receiver_usage(np.array([2, 0, 1]), [KL2], 0, 0)
+            receiver_masks(np.array([2, 0, 1]), [KL2], 0, 0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import importlib
 import json
 import os
 import re
@@ -221,14 +222,17 @@ def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, mon
     assert flagged == [["sim-1km", "wall_s"], ["sim-1km", "cells_per_s"]]
 
 
-@pytest.fixture
-def perfbench_workloads(data_dir):
+def _import_perfbench(data_dir, name):
     sys.path.insert(0, str(data_dir.parent / "perfbench"))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
-    return workloads
+
+
+@pytest.fixture
+def perfbench_workloads(data_dir):
+    return _import_perfbench(data_dir, "workloads")
 
 
 def test_benchmark_workloads_build_against_src(perfbench_workloads, data_dir, tmp_path):
@@ -247,3 +251,15 @@ def test_benchmark_workloads_build_against_src(perfbench_workloads, data_dir, tm
             parser.parse_args(argv)
     assert isinstance(grayspace.BACKEND, str)
     assert not any(tmp_path.iterdir())
+
+
+
+def test_tracer_boundaries_resolve_in_src(data_dir):
+    """Every boundary the traced benchmark wraps names a function of src,
+    apart from four that no longer exist; a rename in src shows here, where
+    the traced run would only stop recording that layer."""
+    tracing = _import_perfbench(data_dir, "tracing")
+    dead = {f"{module}.{attr}" for module, attr, _, _ in tracing.BOUNDARIES
+            if not hasattr(importlib.import_module(module), attr)}
+    assert dead == {"grayspace.engine.dilate", "grayspace.engine.realize_cells",
+                    "grayspace.engine.separation_report", "grayspace.cli.run_monte_carlo"}
