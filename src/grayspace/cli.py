@@ -358,8 +358,11 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 def _knowledge_configs(cfg: RunConfig) -> tuple[KnowledgeConfig, ...]:
     """One knowledge config per level and, for KL3 without explicit shares,
-    per period; an error names the config file and [knowledge]."""
+    per period; an error names the config file and [knowledge].  Shares
+    follow KL3's rules whatever the levels."""
     try:
+        if cfg.shares is not None:
+            KnowledgeConfig("KL3", mux_shares=cfg.shares)
         return tuple(
             KnowledgeConfig(
                 level=level,
@@ -601,7 +604,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     with _publishing(targets) as stage:
         write_grid_csv(stage(args.out), compensated)
         if args.valid_mask is not None:
-            write_matrix_csv(stage(args.valid_mask), compensated.valid.astype(np.uint8))
+            write_matrix_csv(stage(args.valid_mask), [0, 1], compensated.valid.astype(np.uint8))
     print(f"grid: {compensated.rows} rows x {compensated.cols} cols at "
           f"{_fmt(compensated.resolution_m)} m, {compensated.total_households} households")
     print(f"{invalidated} border cells invalidated "
@@ -672,7 +675,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(f"{cfg.source}: [run] {exc}") from None
         for (link, knowledge), name, result in zip(combos, names, results):
             map_path, cdf_path, table_path, summary_path = (cfg.out / name / f for f in files)
-            write_matrix_csv(stage(map_path), result.mean_map)
+            write_matrix_csv(stage(map_path), result.mean_map.levels, result.mean_map.index)
             mean_mhz = result.mean_map.mean_mhz(n_valid)
             write_cdf_csv(stage(cdf_path), result.cdf)
             write_utilization_csv(stage(table_path), result.utilization)

@@ -51,8 +51,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .griddata import (HouseholdGrid, _fmt, _household_counts, _value_runs, disc_halfwidths,
-                       receiver_segments)
+from .griddata import HouseholdGrid, _fmt, _household_counts, disc_halfwidths, receiver_segments
 from .linkbudget import SeparationReport, quantize_cells
 from .scenario import (ChannelPlan, KnowledgeConfig, UsagePartition, receiver_rows, slot_count,
                        slot_levels_mhz, slot_table, usage_partition)
@@ -165,7 +164,9 @@ class UtilizationTable:
 
     The trailing entry (label :data:`OTHER_BUCKET_LABEL`) collects every
     household whose cell value falls outside all configured buckets, so the
-    rows always sum to the total household count.
+    rows sum to the households on non-NaN cells: all of them for a run's map,
+    whose NaN cells hold none, while :func:`utilization_from_map` leaves out
+    the households of a stored map's NaN cells.
     """
 
     labels: tuple[str, ...]
@@ -494,13 +495,19 @@ def _bucket_sums(
 def _value_totals(values: np.ndarray, weights: np.ndarray | None = None,
                   capacity_mhz: float | None = None):
     """A map's distinct non-NaN values, each with its cell count or sum of
-    ``weights``; with ``capacity_mhz``, each must lie in [0, capacity_mhz]."""
-    arr = np.asarray(values, dtype=np.float64)
-    starts, token, distinct = _value_runs(arr)
-    per_run = (np.diff(starts, append=arr.size) if weights is None
+    ``weights``; with ``capacity_mhz``, each must lie in [0, capacity_mhz].
+    The map is cut into runs of one bit pattern in row-major order, and only
+    the runs' values are sorted."""
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64).ravel()
+    cut = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=cut[1:])
+    starts = np.flatnonzero(cut)
+    distinct, token = np.unique(bits[starts], return_inverse=True)
+    per_run = (np.diff(starts, append=bits.size) if weights is None
                else np.add.reduceat(weights.ravel(), starts))
     totals = np.zeros(distinct.size, dtype=np.int64)
     np.add.at(totals, token, per_run)
+    distinct = distinct.view(np.float64)
     valid = ~np.isnan(distinct)
     value = distinct[valid]
     if capacity_mhz is not None and not ((value >= 0) & (value <= capacity_mhz)).all():

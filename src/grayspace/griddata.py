@@ -26,17 +26,13 @@ bitset is non-zero.  The bitsets are a running sum along the segments:
 receiver k adds its bit where one of its runs starts and subtracts it
 where the run stops, and since its runs never overlap no bit ever carries.
 
-Matrices go by runs of equal cells: a gray-space map holds a few dozen
-distinct values in a few thousand runs over hundreds of thousands of cells.
-One run split, cut where the row-major bit pattern changes, lists each
-distinct value once.  It feeds the CSV writer, which formats each value once
-with ``%.10g`` in the array's dtype, and the report statistics in
-:mod:`grayspace.engine`.  Telling values apart by bit pattern keeps ``-0.0``
-and ``0.0`` (and differently signed NaNs) as their own text.  The writer
-gathers a fixed-width byte table per cell (a second half ends rows) and
-strips the padding, which gives the bytes of formatting every cell on its
-own; it takes an engine map as its distinct values and cell index, with no
-split.
+A matrix is written from dictionary form: its distinct values (``levels``)
+and each cell's position among them (``index``), as an engine map holds it.
+Each level is formatted once with ``%.10g`` in its dtype, so ``-0.0`` and
+``0.0`` (and differently signed NaNs) keep their own text when they are
+distinct levels.  The writer gathers a fixed-width byte table per cell (a
+second half ends rows) and strips the padding, which gives the bytes of
+formatting every cell on its own.
 """
 
 from __future__ import annotations
@@ -502,39 +498,20 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _value_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of one bit pattern in row-major order.  Run i begins at flat
-    cell ``starts[i]``; its value is ``distinct[token[i]]``, one entry per
-    distinct bit pattern."""
-    bits = arr.view(f"u{arr.dtype.itemsize}").ravel()
-    cut = np.ones(bits.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=cut[1:])
-    starts = np.flatnonzero(cut)
-    distinct, token = np.unique(bits[starts], return_inverse=True)
-    return starts, token, distinct.view(arr.dtype)
-
-
-def write_matrix_csv(path: str | Path, values) -> None:
-    """Rows of comma-separated values (%.10g); NaN marks invalid cells.  ``values``
-    is a 2-D array or a map in dictionary form: distinct ``levels`` and a 2-D
-    ``index`` of each cell's level, as :class:`~grayspace.engine.GraySpaceMap`."""
-    if hasattr(values, "levels"):
-        distinct, cell = values.levels, values.index
-    else:
-        arr = np.asarray(values)
-        if arr.ndim != 2:
-            raise DomainError("matrix must be 2-D")
-        if arr.dtype == np.bool_:
-            arr = arr.astype(np.int64)
-        if not arr.size:
-            Path(path).write_bytes(b"\n" * max(len(arr), 1))
-            return
-        starts, token, distinct = _value_runs(arr)
-        cell = np.repeat(token, np.diff(starts, append=arr.size)).reshape(arr.shape)
-    text = [_fmt(v) for v in distinct]
+def write_matrix_csv(path: str | Path, levels, index) -> None:
+    """Rows of comma-separated values (%.10g), cell (y, x) holding
+    ``levels[index[y, x]]``; NaN marks invalid cells.  ``index`` is a 2-D
+    integer array with at least one cell, each a position in ``levels``, so
+    that the reader takes the file back."""
+    index = np.asarray(index)
+    if index.ndim != 2 or not index.size:
+        raise DomainError(f"matrix must be 2-D with at least one cell, got shape {index.shape}")
+    text = [_fmt(v) for v in levels]
+    if index.min() < 0 or index.max() >= len(text):
+        raise DomainError(f"index must lie in [0, {len(text)}), the positions of the levels")
     table = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype="S")
-    out = table[cell]
-    out[:, -1] = table[cell[:, -1] + len(text)]  # the second half of the table ends rows
+    out = table[index]
+    out[:, -1] = table[len(text):][index[:, -1]]  # the second half of the table ends rows
     Path(path).write_bytes(out.tobytes().replace(b"\0", b""))
 
 

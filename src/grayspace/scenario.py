@@ -36,6 +36,7 @@ on construction otherwise, so no consumer checks them again.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,8 +65,8 @@ class ChannelPlan:
     real plans count a channel sandwiched between two used channels once
     (and clearing it requires distance from both neighbours); switching it
     off counts one adjacent slot per (used channel, side), which is the
-    abstract maximum-10 accounting.  The plan lists exactly 5 used channels,
-    one per MUX, and its used and adjacent slots fit inside its band.
+    abstract maximum-10 accounting.  The plan lists exactly 5 distinct integer
+    channels, one per MUX, and its used and adjacent slots fit inside its band.
     """
 
     total_band_mhz: float = 320.0
@@ -81,7 +82,10 @@ class ChannelPlan:
             and self.channel_bandwidth_mhz > 0
         ):
             raise DomainError("channel_bandwidth_mhz must be positive and finite")
-        used = tuple(int(c) for c in self.used_channels)
+        try:
+            used = tuple(operator.index(c) for c in self.used_channels)
+        except TypeError:
+            raise ConfigError(f"used_channels must be integers, got {self.used_channels}") from None
         if len(set(used)) != len(used):
             raise ConfigError(f"used_channels contains duplicates: {used}")
         object.__setattr__(self, "used_channels", used)

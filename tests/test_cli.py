@@ -34,6 +34,7 @@ from grayspace.griddata import (
 from grayspace.linkbudget import OFCOM
 from grayspace.propagation import ENVIRONMENTS
 from grayspace.scenario import KNOWLEDGE_LEVELS, SHARE_INTERPRETATIONS, TIME_PERIODS
+from test_griddata import _levels_and_index
 
 
 def write_grid(path: Path, municipal_area_km2=None) -> None:
@@ -210,6 +211,8 @@ _BAD_COMBINATIONS = {
     "zero-channel-bandwidth": ("used_channels = 21,24,27,30,33",
                                "used_channels = 21,24,27,30,33\nchannel_bandwidth_mhz = 0",
                                "plan", "channel_bandwidth_mhz must be positive"),
+    "shares-without-kl3": ("levels = KL1,KL2", "levels = KL1,KL2\nshares = 0.5,0.3,0.3,0.3,0.3",
+                           "knowledge", "mux_shares sum to"),
 }
 
 
@@ -277,7 +280,8 @@ class TestExitCodes:
         workspace.write_text(workspace.read_text().replace(old, new))
         out = tmp_path / "out"
         stored = tmp_path / "map.csv"
-        write_matrix_csv(stored, np.zeros((8, 8)))  # a map the grid could pair with
+        # a map the grid could pair with
+        write_matrix_csv(stored, [0.0], np.zeros((8, 8), dtype=np.intp))
         argv = {
             "linkbudget": ["linkbudget", "--config", str(workspace),
                            "--resolution", "1000", "--csv", str(out / "sep.csv")],
@@ -625,13 +629,13 @@ class TestExitCodes:
         values = np.tile(np.arange(8) * 8.0, (8, 1))
         values[0, 0] = np.nan  # an empty cell may be outside the area
         stored = tmp_path / "map.csv"
-        write_matrix_csv(stored, values)
+        write_matrix_csv(stored, *_levels_and_index(values))
         argv = ["report", "--config", str(workspace), "--map", str(stored), "--out"]
         assert main([*argv, str(tmp_path / "ok")]) == 0
         table = (tmp_path / "ok" / "utilization_from_map.csv").read_text().splitlines()[1:]
         assert sum(float(line.split(",")[1]) for line in table) == 13.0
         values[3, 5] = values[6, 6] = np.nan
-        write_matrix_csv(stored, values)
+        write_matrix_csv(stored, *_levels_and_index(values))
         out = tmp_path / "rep"
         assert main([*argv, str(out)]) == 3
         err = capsys.readouterr().err
@@ -865,12 +869,12 @@ class TestSimulate:
         stage; returns the list of the map paths written to."""
         maps = []
 
-        def write(path, values):
+        def write(path, levels, index):
             maps.append(path)
             if len(maps) == 2:
                 Path(path).write_bytes(b"0,")  # a partly written stage
                 raise OSError(errno.ENOSPC, "No space left on device")
-            write_matrix_csv(path, values)
+            write_matrix_csv(path, levels, index)
 
         monkeypatch.setattr(cli, "write_matrix_csv", write)
         return maps

@@ -46,6 +46,7 @@ from grayspace.linkbudget import (
 from grayspace.propagation import ENVIRONMENTS
 from grayspace.scenario import ChannelPlan, KnowledgeConfig, usage_partition
 from test_acceptance import ADJ_M, CO_M, _naive_flags, _naive_map
+from test_griddata import _per_cell_csv
 from test_scenario import MANY_KL3
 
 FIXED = DeviceProfile("fixed-4w", eirp_mw=4000.0, antenna_height_m=30.0)
@@ -539,9 +540,11 @@ class TestReceiverSetClasses:
     )
     @example(shape=(3, 3), density=0.0, seed=0, link=LINK_FIXED, resolution=1000.0)
     @example(shape=(12, 12), density=1.0, seed=1, link=LINK_PORTABLE, resolution=250.0)
+    @example(shape=(1, 1), density=0.0, seed=147, link=LINK_FIXED, resolution=250.0)
     def test_classes_reproduce_segment_bitsets(self, shape, density, seed, link, resolution):
         rng = np.random.default_rng(seed)
         valid = rng.random(shape) < 0.9
+        valid.flat[0] = True  # a grid needs a valid cell
         counts = np.where(valid & (rng.random(shape) < density), rng.integers(1, 4, shape), 0)
         area = counts.size * (resolution / 1000.0) ** 2
         grid = HouseholdGrid(counts, valid, resolution, municipal_area_km2=area)
@@ -672,10 +675,9 @@ class TestMapDictionaryForm:
 
     @staticmethod
     def check(mean_map, grid, directory):
-        as_map, as_values = directory / "map.csv", directory / "values.csv"
-        write_matrix_csv(as_map, mean_map)
-        write_matrix_csv(as_values, mean_map.values)
-        assert as_map.read_bytes() == as_values.read_bytes()
+        path = directory / "map.csv"
+        write_matrix_csv(path, mean_map.levels, mean_map.index)
+        assert path.read_text() == _per_cell_csv(mean_map.values)
         assert mean_map.mean_mhz(int(grid.valid.sum())) == float(np.nanmean(mean_map.values))
         with pytest.raises(ValueError):
             mean_map.values[0, 0] = 1.0

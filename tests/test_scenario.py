@@ -136,6 +136,13 @@ class TestChannelPlan:
         with pytest.raises(ConfigError):
             white_space_amount(ChannelPlan(total_band_mhz=40.0))
 
+    def test_channels_are_integers(self):
+        with pytest.raises(ConfigError, match=r"integers, got \(21\.7, 24, 27, 30, 33\)"):
+            ChannelPlan(used_channels=(21.7, 24, 27, 30, 33))
+        plan = ChannelPlan(used_channels=np.array([21, 24, 27, 30, 33], dtype=np.int16))
+        assert plan.used_channels == (21, 24, 27, 30, 33)
+        assert all(type(c) is int for c in plan.used_channels)
+
 
 class TestKnowledgeConfig:
     def test_levels(self):

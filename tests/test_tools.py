@@ -263,3 +263,28 @@ def test_tracer_boundaries_resolve_in_src(data_dir):
             if not hasattr(importlib.import_module(module), attr)}
     assert dead == {"grayspace.engine.dilate", "grayspace.engine.realize_cells",
                     "grayspace.engine.separation_report", "grayspace.cli.run_monte_carlo"}
+
+
+def test_traced_commands_count_at_every_live_boundary(data_dir, tmp_path, capsys):
+    """A traced simulate, ingest and report leave only the four dead
+    boundaries untraced and read every live boundary's arguments, so a
+    renamed parameter shows here, where the traced run would only zero its
+    metric."""
+    tracing = _import_perfbench(data_dir, "tracing")
+    root = data_dir.parent
+    out = tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["simulate", "--config", str(root / "configs" / "scattered.cfg"),
+                     "--resolution", "1000", "--realizations", "1", "--out", str(out)]) == 0
+        assert main(["ingest", str(data_dir / "scattered_1km.csv"), "--out",
+                     str(tmp_path / "grid.csv"), "--valid-mask", str(tmp_path / "mask.csv")]) == 0
+        assert main(["report", "--config", str(root / "configs" / "scattered.cfg"), "--map",
+                     str(out / "fixed-4w_KL1" / "map.csv"), "--out", str(tmp_path / "rep")]) == 0
+    finally:
+        tracer.uninstall()
+    assert sorted(tracer.missing) == ["grayspace.cli.run_monte_carlo", "grayspace.engine.dilate",
+                                      "grayspace.engine.realize_cells",
+                                      "grayspace.engine.separation_report"]
+    assert tracer.counts["griddata.write_matrix_csv_bytes"] > 0
