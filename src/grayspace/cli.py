@@ -297,7 +297,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case
     try:
-        parser.read_string(path.read_text(), source=source)
+        parser.read_string(path.read_text(encoding="utf-8-sig"), source=source)
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
@@ -604,7 +604,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     with _publishing(targets) as stage:
         write_grid_csv(stage(args.out), compensated)
         if args.valid_mask is not None:
-            write_matrix_csv(stage(args.valid_mask), [0, 1], compensated.valid.astype(np.uint8))
+            valid = compensated.valid.ravel()
+            starts = np.flatnonzero(np.diff(valid, prepend=~valid[:1]))  # where the runs begin
+            write_matrix_csv(stage(args.valid_mask), [0, 1], valid[starts].astype(np.uint8),
+                             np.diff(starts, append=valid.size), compensated.valid.shape)
     print(f"grid: {compensated.rows} rows x {compensated.cols} cols at "
           f"{_fmt(compensated.resolution_m)} m, {compensated.total_households} households")
     print(f"{invalidated} border cells invalidated "
@@ -675,8 +678,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(f"{cfg.source}: [run] {exc}") from None
         for (link, knowledge), name, result in zip(combos, names, results):
             map_path, cdf_path, table_path, summary_path = (cfg.out / name / f for f in files)
-            write_matrix_csv(stage(map_path), result.mean_map.levels, result.mean_map.index)
-            mean_mhz = result.mean_map.mean_mhz(n_valid)
+            m = result.mean_map
+            write_matrix_csv(stage(map_path), m.levels, m.run_level, m.run_length, m.shape)
+            mean_mhz = m.mean_mhz(n_valid)
             write_cdf_csv(stage(cdf_path), result.cdf)
             write_utilization_csv(stage(table_path), result.utilization)
             stage(summary_path).write_text(

@@ -7,7 +7,7 @@ to whole cells (the co-channel and adjacent-channel reaches), and once per
 run builds one state per distinct pair of reaches: the footprints of both
 reaches stamped at every household cell, and the grid cut into segments,
 stretches of consecutive cells (row-major) covered by one fixed set of
-receivers.
+receivers, none mixing valid and invalid cells.
 One table holds each footprint's distinct receiver bitsets (sets), word by
 word: a word's distinct values (tokens) and each set's token.  Segments with
 equal co-channel and adjacent sets form a class.  Per realization the sweep
@@ -21,8 +21,8 @@ record: class slot sums, then valid cells and households per slot count.  The
 outputs are read from it once:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality), kept
-  as its distinct values and each cell's index into them, one ``np.repeat``
-  of the class index; the float map is built only when read,
+  as its distinct values and one run of them per segment; the per-cell
+  index and float map are built only when read,
 * a survival-form CDF: percent of valid area with at least g MHz free,
 * a household utilization table over configurable MHz buckets.
 
@@ -132,22 +132,31 @@ def _check_bucket_overlap(buckets: Sequence[Bucket]) -> None:
 @dataclass(frozen=True)
 class GraySpaceMap:
     """Per-cell gray space in MHz; NaN outside the municipality.  Kept as the
-    distinct values (``levels``, one NaN level if any cell is invalid) and each
-    cell's level (``index``, the map's shape); ``values`` is built when first read."""
+    distinct values (``levels``, one NaN level if any cell is invalid) and row-major
+    runs of them over ``shape``; ``index`` and ``values`` are built when first read."""
 
     levels: np.ndarray
-    index: np.ndarray
+    run_level: np.ndarray
+    run_length: np.ndarray
+    shape: tuple[int, int]
+
+    def _cells(self, run_values: np.ndarray) -> np.ndarray:
+        cells = np.repeat(run_values, self.run_length).reshape(self.shape)
+        cells.setflags(write=False)
+        return cells
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        return self._cells(self.run_level)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        values = self.levels[self.index]
-        values.setflags(write=False)
-        return values
+        return self._cells(self.levels[self.run_level])
 
     def mean_mhz(self, n_valid: int) -> float:
         """``np.nanmean(values)`` to the bit, given the count of valid cells:
         the same pairwise sum over the same shape, then the same division."""
-        return float(np.nan_to_num(self.levels)[self.index].sum() / n_valid)
+        return float(self._cells(np.nan_to_num(self.levels)[self.run_level]).sum() / n_valid)
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,8 @@ class _DeviceState:
     one pair of reaches; none of it depends on the link budget that rounds
     to them or on the knowledge level."""
 
-    segment_lengths: np.ndarray  # cells per segment, in flat cell order
+    segment_lengths: np.ndarray  # cells per segment, in flat cell order; read-only
+    segment_valid: np.ndarray  # whether each segment's cells (all or none) are valid
     segment_class: np.ndarray  # class of each segment
     tokens: tuple[np.ndarray, ...]  # per word, its distinct uint64 values over the sets
     token_index: np.ndarray  # (words, sets) uint32: set s holds tokens[w][token_index[w, s]]
@@ -306,9 +316,7 @@ def _build_state(grid: HouseholdGrid, co_cells: int, adj_cells: int) -> _DeviceS
     reach_cap = grid.rows + grid.cols
     footprints = [disc_halfwidths(min(cells, reach_cap)) for cells in (co_cells, adj_cells)]
     receivers = np.flatnonzero(grid.counts)  # np.nonzero order, as _Sweep.households
-    starts, bitsets = receiver_segments(
-        grid.counts.shape, *np.divmod(receivers, grid.cols), footprints
-    )
+    starts, bitsets = receiver_segments(grid.valid, *np.divmod(receivers, grid.cols), footprints)
     (co_bits, co_of), (adj_bits, adj_of) = map(_distinct_columns, bitsets)
     del bitsets  # the largest arrays of the build: freed before the word sorts
     token_index = np.empty((len(co_bits), co_bits.shape[1] + adj_bits.shape[1]), dtype=np.uint32)
@@ -320,12 +328,14 @@ def _build_state(grid: HouseholdGrid, co_cells: int, adj_cells: int) -> _DeviceS
     _, first, segment_class = np.unique(pair, return_index=True, return_inverse=True)
     # integers: exact past 2**53; np.add.at values have the index's own shape
     class_weights = np.zeros((2, len(first)), dtype=np.int64)
-    valid = np.add.reduceat(grid.valid.ravel(), starts, dtype=np.int64)
-    np.add.at(class_weights[0], segment_class, valid)
+    segment_valid, lengths = grid.valid.ravel()[starts], np.diff(starts, append=grid.counts.size)
+    lengths.setflags(write=False)  # every map of the state shares them
+    np.add.at(class_weights[0], segment_class, lengths * segment_valid)
     receiver_class = segment_class[np.searchsorted(starts, receivers, "right") - 1]
     np.add.at(class_weights[1], receiver_class, grid.counts.ravel()[receivers])
     return _DeviceState(
-        segment_lengths=np.diff(starts, append=grid.counts.size),
+        segment_lengths=lengths,
+        segment_valid=segment_valid,
         segment_class=segment_class,
         tokens=tuple(tokens),
         token_index=token_index,
@@ -361,16 +371,14 @@ def _build_sweep(
     )
 
 
-def _mean_map(
-    class_mhz: np.ndarray, segment_class: np.ndarray, lengths: np.ndarray, grid: HouseholdGrid
-) -> GraySpaceMap:
-    """Each class's value on the cells of its segments; NaN outside the valid area."""
+def _mean_map(class_mhz: np.ndarray, segment_class: np.ndarray, lengths: np.ndarray,
+              valid: np.ndarray, grid: HouseholdGrid) -> GraySpaceMap:
+    """Each class's value on its valid segments; NaN on the invalid ones."""
     levels, level_of = np.unique(class_mhz, return_inverse=True)
-    index = np.repeat(level_of[segment_class], lengths).reshape(grid.counts.shape)
-    if not grid.valid.all():
-        index[~grid.valid] = len(levels)
+    run_level = np.where(valid, level_of[segment_class], len(levels))
+    if not valid.all():
         levels = np.append(levels, np.nan)
-    return GraySpaceMap(levels=levels, index=index)
+    return GraySpaceMap(levels, run_level, run_length=lengths, shape=grid.counts.shape)
 
 
 def single_realization_map(
@@ -393,7 +401,8 @@ def single_realization_map(
     slot_sum, _, _ = _split(record, slot_count(plan) + 1)
     state = sweep.devices[0]
     slot_mhz = slot_sum * float(plan.channel_bandwidth_mhz)
-    return _mean_map(slot_mhz, state.segment_class, state.segment_lengths, grid)
+    return _mean_map(slot_mhz, state.segment_class, state.segment_lengths, state.segment_valid,
+                     grid)
 
 
 def run_combinations(
@@ -451,7 +460,7 @@ def run_combinations(
         ) as pool:
             parts = list(pool.map(_worker_accumulate, chunks))
         totals = [sum(records) for records in zip(*parts)]  # int64 records: + is exact
-    devices = [(s.segment_class, s.segment_lengths) for s in sweep.devices]
+    devices = [(s.segment_class, s.segment_lengths, s.segment_valid) for s in sweep.devices]
     pair_devices = [d for d, _, _ in sweep.pairs]
     bandwidth = plan.channel_bandwidth_mhz
     levels = slot_levels_mhz(plan)

@@ -19,20 +19,21 @@ halfwidths only.
 Protection geometry is built from footprint *runs*: a footprint stamped at
 a receiver covers, on each grid row, one contiguous stretch of cells, which
 is one half-open interval of the row-major flat cell index.
-:func:`receiver_segments` cuts the flat cell order at every run end, so
-that each resulting segment is covered by one fixed set of receivers, and
-records that set as a bitset; a cell is protected where its segment's
-bitset is non-zero.  The bitsets are a running sum along the segments:
-receiver k adds its bit where one of its runs starts and subtracts it
-where the run stops, and since its runs never overlap no bit ever carries.
+:func:`receiver_segments` cuts the flat cell order at every run end and
+where validity changes, so that each resulting segment is covered by one
+fixed set of receivers and is wholly valid or wholly invalid, and records
+that set as a bitset; a cell is protected where its segment's bitset is
+non-zero.  The bitsets are a running sum along the segments: receiver k
+adds its bit where one of its runs starts and subtracts it where the run
+stops, and since its runs never overlap no bit ever carries.
 
-A matrix is written from dictionary form: its distinct values (``levels``)
-and each cell's position among them (``index``), as an engine map holds it.
-Each level is formatted once with ``%.10g`` in its dtype, so ``-0.0`` and
-``0.0`` (and differently signed NaNs) keep their own text when they are
-distinct levels.  The writer gathers a fixed-width byte table per cell (a
-second half ends rows) and strips the padding, which gives the bytes of
-formatting every cell on its own.
+A matrix is written from run form, as an engine map holds it: its distinct
+values (``levels``) and row-major runs of cells, each a position among them
+and a length.  Each level is formatted once with ``%.10g`` in its dtype, so
+``-0.0`` and ``0.0`` (and differently signed NaNs) keep their own text when
+they are distinct levels.  The writer repeats a fixed-width byte table's
+entry per run over its cells (a second half ends rows) and strips the
+padding, which gives the bytes of formatting every cell on its own.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -146,7 +148,7 @@ def _owned(values, dtype) -> np.ndarray:
 def _read_lines(path: str | Path) -> list[str]:
     """The lines of an input file; one that cannot be read as text is data."""
     try:
-        return Path(path).read_text().splitlines()
+        return Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -380,6 +382,10 @@ def refine_grid(grid: HouseholdGrid, factor: int) -> HouseholdGrid:
 
     Validity is inherited by all subcells; resolution shrinks accordingly.
     """
+    try:
+        factor = operator.index(factor)
+    except TypeError:
+        raise DomainError(f"factor must be an integer, got {factor!r}") from None
     if factor < 1:
         raise DomainError("factor must be >= 1")
     rows, cols = grid.counts.shape
@@ -449,28 +455,28 @@ def _footprint_runs(
 
 
 def receiver_segments(
-    shape: tuple[int, int],
+    valid: np.ndarray,
     seed_rows: np.ndarray,
     seed_cols: np.ndarray,
     footprints: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Split the grid into segments covered by fixed sets of receivers.
+    """Split the grid of mask ``valid`` into segments of fixed receiver sets.
 
     Receiver k sits at ``(seed_rows[k], seed_cols[k])``, and each footprint
     is given by its halfwidths (:func:`disc_halfwidths`).  The flat
-    row-major cell order is cut at every run end of every footprint, so
-    within a segment no footprint's coverage changes.  Returns
+    row-major cell order is cut at every run end of every footprint and
+    where validity changes, so within a segment neither changes.  Returns
     ``(starts, bitsets)``: ``starts`` are the first flat cell index of each
     segment (beginning at 0, strictly increasing), and ``bitsets[f]`` is a
     ``(words, segments)`` uint64 array, words little-endian in receiver
     order, whose bit k of word ``k // 64`` is set where footprint f of
     receiver k covers the segment.
     """
-    rows, cols = shape
-    n_cells = rows * cols
-    runs = [_footprint_runs(shape, seed_rows, seed_cols, fp) for fp in footprints]
+    n_cells = valid.size
+    runs = [_footprint_runs(valid.shape, seed_rows, seed_cols, fp) for fp in footprints]
     cut = np.zeros(n_cells + 1, dtype=bool)  # a run may stop at n_cells
     cut[0] = True
+    cut[1:n_cells] = np.diff(valid.ravel())
     for _, start, stop in runs:
         cut[start] = cut[stop] = True
     starts = np.flatnonzero(cut[:n_cells])
@@ -498,21 +504,24 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def write_matrix_csv(path: str | Path, levels, index) -> None:
-    """Rows of comma-separated values (%.10g), cell (y, x) holding
-    ``levels[index[y, x]]``; NaN marks invalid cells.  ``index`` is a 2-D
-    integer array with at least one cell, each a position in ``levels``, so
-    that the reader takes the file back."""
-    index = np.asarray(index)
-    if index.ndim != 2 or not index.size:
-        raise DomainError(f"matrix must be 2-D with at least one cell, got shape {index.shape}")
-    text = [_fmt(v) for v in levels]
-    if index.min() < 0 or index.max() >= len(text):
-        raise DomainError(f"index must lie in [0, {len(text)}), the positions of the levels")
-    table = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype="S")
-    out = table[index]
-    out[:, -1] = table[len(text):][index[:, -1]]  # the second half of the table ends rows
-    Path(path).write_bytes(out.tobytes().replace(b"\0", b""))
+def write_matrix_csv(path: str | Path, levels, run_level, run_length, shape) -> None:
+    """Rows of comma-separated values (%.10g) of a matrix given in row-major
+    runs: run i is ``run_length[i]`` >= 0 cells of ``levels[run_level[i]]``;
+    NaN marks invalid cells.  The runs cover the cells of ``shape``, which is
+    2-D with at least one cell, so that the reader takes the file back."""
+    if len(shape) != 2 or not (cells := math.prod(shape)):
+        raise DomainError(f"matrix must be 2-D with at least one cell, got shape {tuple(shape)}")
+    run_level, run_length = np.asarray(run_level), np.asarray(run_length)
+    if run_level.shape != run_length.shape or (run_length < 0).any() or run_length.sum() != cells:
+        raise DomainError(f"runs must each have a length >= 0, summing to {cells} cells")
+    if run_level.dtype.kind not in "iu" or run_level.min() < 0 or run_level.max() >= len(levels):
+        raise DomainError(f"run levels must be integers in [0, {len(levels)}), positions of levels")
+    table = np.array([_fmt(v) + end for end in ",\n" for v in levels], dtype="S")
+    out = np.repeat(table[run_level], run_length)
+    row_ends = np.arange(shape[1] - 1, cells, shape[1])  # each row's last cell
+    run_of = np.searchsorted(np.cumsum(run_length), row_ends, "right")  # the run holding it
+    out[row_ends] = table[len(levels) + run_level[run_of]]  # from the half that ends rows
+    Path(path).write_bytes(out.tobytes().translate(None, b"\0"))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -4,9 +4,11 @@ import collections
 import configparser
 import contextlib
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -34,7 +36,7 @@ from grayspace.griddata import (
 from grayspace.linkbudget import OFCOM
 from grayspace.propagation import ENVIRONMENTS
 from grayspace.scenario import KNOWLEDGE_LEVELS, SHARE_INTERPRETATIONS, TIME_PERIODS
-from test_griddata import _levels_and_index
+from test_griddata import _levels_and_runs
 
 
 def write_grid(path: Path, municipal_area_km2=None) -> None:
@@ -281,7 +283,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         stored = tmp_path / "map.csv"
         # a map the grid could pair with
-        write_matrix_csv(stored, [0.0], np.zeros((8, 8), dtype=np.intp))
+        write_matrix_csv(stored, [0.0], [0], [64], (8, 8))
         argv = {
             "linkbudget": ["linkbudget", "--config", str(workspace),
                            "--resolution", "1000", "--csv", str(out / "sep.csv")],
@@ -629,13 +631,13 @@ class TestExitCodes:
         values = np.tile(np.arange(8) * 8.0, (8, 1))
         values[0, 0] = np.nan  # an empty cell may be outside the area
         stored = tmp_path / "map.csv"
-        write_matrix_csv(stored, *_levels_and_index(values))
+        write_matrix_csv(stored, *_levels_and_runs(values))
         argv = ["report", "--config", str(workspace), "--map", str(stored), "--out"]
         assert main([*argv, str(tmp_path / "ok")]) == 0
         table = (tmp_path / "ok" / "utilization_from_map.csv").read_text().splitlines()[1:]
         assert sum(float(line.split(",")[1]) for line in table) == 13.0
         values[3, 5] = values[6, 6] = np.nan
-        write_matrix_csv(stored, *_levels_and_index(values))
+        write_matrix_csv(stored, *_levels_and_runs(values))
         out = tmp_path / "rep"
         assert main([*argv, str(out)]) == 3
         err = capsys.readouterr().err
@@ -693,6 +695,15 @@ class TestShippedConfigs:
                 for relation, key in (("co", "co_radius_m"), ("adjacent", "adjacent_radius_m")):
                     assert summary["result"][key] == quantized[device, relation], (path, key)
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_byte_order_mark_is_not_data(self, configs_dir, tmp_path, name):
+        # both copies in one directory, so that their relative paths resolve alike
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes((configs_dir / name).read_bytes())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        cfg = load_run_config(plain)
+        assert dataclasses.replace(load_run_config(marked), source=cfg.source) == cfg
+
     def test_ofcom_suburban_spells_out_the_ofcom_preset(self, configs_dir):
         assert load_run_config(configs_dir / "ofcom-suburban.cfg").criteria == OFCOM
 
@@ -747,6 +758,17 @@ class TestIngest:
                          "--valid-mask", str(tmp_path / name)]) == 0
         assert read_matrix_csv(tmp_path / "mask.csv").sum() == 63
         assert (tmp_path / "mask.rle").read_bytes() == (tmp_path / "mask.csv").read_bytes()
+
+    def test_mask_with_both_levels_keeps_its_bytes(self, data_dir, tmp_path, capsys):
+        # the one shipped grid whose mask has invalid cells; the digest was
+        # recorded when the writer still took a per-cell index
+        mask = tmp_path / "mask.csv"
+        assert main(["ingest", str(data_dir / "vinje_synthetic_1km.csv"),
+                     "--out", str(tmp_path / "n.csv"), "--valid-mask", str(mask)]) == 0
+        assert "734 border cells invalidated" in capsys.readouterr().out
+        assert hashlib.sha256(mask.read_bytes()).hexdigest() == (
+            "513920b57ea2c0ed3813ff525e67f0a57417588aeb80eeb4b5cdc1124ec9ac15"
+        )
 
     def test_mask_into_a_missing_directory(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
@@ -869,12 +891,12 @@ class TestSimulate:
         stage; returns the list of the map paths written to."""
         maps = []
 
-        def write(path, levels, index):
+        def write(path, *matrix):
             maps.append(path)
             if len(maps) == 2:
                 Path(path).write_bytes(b"0,")  # a partly written stage
                 raise OSError(errno.ENOSPC, "No space left on device")
-            write_matrix_csv(path, levels, index)
+            write_matrix_csv(path, *matrix)
 
         monkeypatch.setattr(cli, "write_matrix_csv", write)
         return maps
@@ -909,6 +931,25 @@ class TestSimulate:
         assert len(maps) == 2  # the first combination's directory was made and filled
         assert capsys.readouterr().out == ""
         assert sorted(tmp_path.rglob("*")) == before  # an existing parent stays
+
+    def test_maps_are_written_without_a_per_cell_form(self, configs_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        argv = ["simulate", "--config", str(configs_dir / "scattered.cfg"), "--resolution", "100",
+                "--realizations", "1", "--workers", "1", "--out"]
+        assert main([*argv, str(tmp_path / "plain")]) == 0
+
+        def refuse(self):
+            raise AssertionError("a per-cell map was built")
+
+        for name in ("index", "values"):
+            monkeypatch.setattr(engine.GraySpaceMap, name, property(refuse))
+        assert main([*argv, str(tmp_path / "runs")]) == 0
+        plain = sorted((tmp_path / "plain").rglob("*.*"))
+        assert len(plain) == 32
+        for path in plain:
+            runs = tmp_path / "runs" / path.relative_to(tmp_path / "plain")
+            assert runs.read_text() == path.read_text().replace(
+                str(tmp_path / "plain"), str(tmp_path / "runs")), path
 
     def test_kl3_expands_over_periods(self, workspace, tmp_path, capsys):
         text = workspace.read_text().replace(
@@ -1067,6 +1108,26 @@ class TestGoldenDigests:
                 digest.update(f"{combo}/{fname}\n".encode())
                 digest.update((tmp_path / combo / fname).read_bytes())
         assert digest.hexdigest() == self.DIGESTS[name]
+
+    #: perfbench's sim-100m reference: one SHA-256 per file, keyed out/<town>/<combo>/<file>
+    REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", ["clustered", "scattered"])
+    def test_100m_files_match_the_benchmark_reference(self, configs_dir, tmp_path, capsys, name,
+                                                      workers):
+        reference = json.loads(self.REFERENCE.read_text())
+        workload = reference["workloads"]["sim-100m"]
+        argv = ["simulate", "--config", str(configs_dir / f"{name}.cfg"), "--resolution", "100",
+                "--seed", str(reference["seed"]), "--realizations", str(workload["realizations"]),
+                "--workers", workers, "--out", str(tmp_path)]
+        assert (reference["seed"], workload["realizations"]) == (42, 4)
+        assert main(argv) == 0
+        want = {key.split("/", 2)[2]: digest for key, digest in workload["digests"].items()
+                if key.startswith(f"out/{name}/")}
+        got = {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.glob("*/*.csv")}
+        assert len(want) == 24 and got == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -292,6 +293,19 @@ class TestWorkers:
         for other in (capped, fallback):
             assert base.mean_map.values.tobytes() == other.mean_map.values.tobytes()
             assert base.cdf.percent_area.tobytes() == other.cdf.percent_area.tobytes()
+
+
+@contextlib.contextmanager
+def _built_states():
+    """Collect every device state the engine builds inside the block."""
+    states = []
+
+    def build(*args, _original=engine._build_state):
+        states.append(_original(*args))
+        return states[-1]
+
+    with mock.patch.object(engine, "_build_state", build):
+        yield states
 
 
 def _state(grid, link):
@@ -664,8 +678,9 @@ class TestValidation:
 
 
 class TestMapDictionaryForm:
-    """A mean map is its distinct levels and a per-cell index into them.
-    Written as it is, it gives the bytes of its float map; its mean is
+    """A mean map is its distinct levels and runs of them, one per segment of
+    its device state, and no segment mixes valid and invalid cells.  Written
+    as it is, it gives the bytes of its float map; its mean is
     ``np.nanmean``'s to the bit.  Other roundings differ at ties: on
     clustered 1 km (4,096 cells, a power of two), fixed-4w KL2, seed 11 and
     20 realizations, the exact mean is 84.204296875.  ``np.nanmean`` gives
@@ -676,12 +691,16 @@ class TestMapDictionaryForm:
     @staticmethod
     def check(mean_map, grid, directory):
         path = directory / "map.csv"
-        write_matrix_csv(path, mean_map.levels, mean_map.index)
+        write_matrix_csv(path, mean_map.levels, mean_map.run_level, mean_map.run_length,
+                         mean_map.shape)
         assert path.read_text() == _per_cell_csv(mean_map.values)
         assert mean_map.mean_mhz(int(grid.valid.sum())) == float(np.nanmean(mean_map.values))
-        with pytest.raises(ValueError):
-            mean_map.values[0, 0] = 1.0
+        for cells in (mean_map.values, mean_map.index, mean_map.run_length):
+            with pytest.raises(ValueError):
+                cells[0] = 1
         assert mean_map.index.dtype == np.intp and mean_map.index.shape == grid.counts.shape
+        assert np.array_equal(mean_map.index.ravel(),
+                              np.repeat(mean_map.run_level, mean_map.run_length))
         real = mean_map.levels[~np.isnan(mean_map.levels)]
         assert len(np.unique(real)) == len(real)  # each level is formatted once
         assert np.isnan(mean_map.levels).sum() == (not grid.valid.all())
@@ -701,17 +720,32 @@ class TestMapDictionaryForm:
         valid.flat[0] = True
         counts = np.where(valid & (rng.random(shape) < 0.3), rng.integers(1, 4, shape), 0)
         grid = HouseholdGrid(counts, valid, 250.0, municipal_area_km2=counts.size / 16)
-        result = run(grid, knowledge, realizations=realizations, master_seed=seed)
+        with _built_states() as states:
+            result = run(grid, knowledge, realizations=realizations, master_seed=seed)
+            single = single_realization_map(grid, LINK_FIXED, PLAN, knowledge, seed)
         self.check(result.mean_map, grid, tmp_path_factory.mktemp("map"))
-        single = single_realization_map(grid, LINK_FIXED, PLAN, knowledge, seed)
         self.check(single, grid, tmp_path_factory.mktemp("single"))
+        self.check_segments(states, grid)
+
+    @staticmethod
+    def check_segments(states, grid):
+        """Every segment is wholly valid or wholly invalid, as its state says."""
+        valid = grid.valid.ravel()
+        for state in states:
+            starts = np.cumsum(state.segment_lengths) - state.segment_lengths
+            assert (state.segment_lengths > 0).all()
+            assert np.array_equal(np.minimum.reduceat(valid, starts),
+                                  np.maximum.reduceat(valid, starts))
+            assert np.array_equal(state.segment_valid, valid[starts])
 
     @pytest.mark.parametrize("name", ["vinje_synthetic_1km.csv", "clustered_1km.csv"])
     def test_shipped_grids(self, data_dir, tmp_path, name):
         grid, invalidated = compensate_area(load_grid_csv(data_dir / name))
         assert invalidated == {"vinje_synthetic_1km.csv": 734, "clustered_1km.csv": 0}[name]
-        result = run(grid, KL2, realizations=20, master_seed=11)
+        with _built_states() as states:
+            result = run(grid, KL2, realizations=20, master_seed=11)
         self.check(result.mean_map, grid, tmp_path)
+        self.check_segments(states, grid)
         if name == "clustered_1km.csv":
             assert f"{result.mean_map.mean_mhz(grid.counts.size):.10g}" == "84.20429687"
 

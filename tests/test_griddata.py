@@ -291,6 +291,37 @@ class TestCompensation:
         assert once.municipal_area_km2 - once.cell_area_km2 < valid_km2 <= once.municipal_area_km2
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before an input's first line is not data;
+    every other byte keeps its rules."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (Path(__file__).parents[1] / "data").glob("*.csv"))
+    )
+    def test_grid(self, data_dir, tmp_path, name):
+        marked = tmp_path / name
+        marked.write_bytes(self.BOM + (data_dir / name).read_bytes())
+        want, got = load_grid_csv(data_dir / name), load_grid_csv(marked)
+        assert np.array_equal(got.counts, want.counts) and np.array_equal(got.valid, want.valid)
+        assert (got.resolution_m, got.municipal_area_km2) == (
+            want.resolution_m, want.municipal_area_km2
+        )
+
+    def test_map(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_matrix_csv(plain, [np.nan, 8.0, 120.0], [0, 1, 2, 1], [3, 4, 1, 4], (3, 4))
+        marked.write_bytes(self.BOM + plain.read_bytes())
+        assert np.array_equal(read_matrix_csv(marked), read_matrix_csv(plain), equal_nan=True)
+
+    def test_second_mark_is_data(self, data_dir, tmp_path):
+        marked = tmp_path / "grid.csv"
+        marked.write_bytes(2 * self.BOM + (data_dir / "scattered_1km.csv").read_bytes())
+        with pytest.raises(DataError, match="expected header 'x,y,households'"):
+            load_grid_csv(marked)
+
+
 class TestRefine:
     def test_counts_move_to_center_subcell(self):
         grid = ingest_grid([(1, 0, 5)], resolution_m=1000.0, rows=2, cols=2)
@@ -306,6 +337,14 @@ class TestRefine:
         grid = ingest_grid([(0, 0, 2)], resolution_m=1000.0, rows=1, cols=1)
         with pytest.raises(DomainError, match="factor must be >= 1"):
             refine_grid(grid, factor)
+
+    @pytest.mark.parametrize("factor", [2.5, 2.0])
+    def test_factor_must_be_an_integer(self, factor):
+        grid = ingest_grid([(0, 0, 2)], resolution_m=1000.0, rows=1, cols=1)
+        with pytest.raises(DomainError, match=f"factor must be an integer, got {factor}"):
+            refine_grid(grid, factor)
+        fine = refine_grid(grid, np.int64(2))
+        assert fine.counts.shape == (2, 2) and fine.resolution_m == 500.0
 
     def test_odd_factor(self):
         grid = ingest_grid([(0, 0, 2)], resolution_m=900.0, rows=1, cols=1)
@@ -397,7 +436,7 @@ def naive_protection_scan(
 
 def segment_coverage(mask, hw):
     """Cells whose segment bitset holds any receiver."""
-    starts, (bits,) = receiver_segments(mask.shape, *np.nonzero(mask), [hw])
+    starts, (bits,) = receiver_segments(np.ones(mask.shape, bool), *np.nonzero(mask), [hw])
     return np.repeat(bits.any(axis=0), np.diff(starts, append=mask.size)).reshape(mask.shape)
 
 
@@ -502,9 +541,12 @@ class TestReceiverSegments:
         res = 100.0
         ys, xs = np.divmod(cells, cols)
         footprints = [disc_halfwidths(r) for r in reaches]
-        starts, bitsets = receiver_segments((rows, cols), ys, xs, footprints)
+        valid = (np.arange(rows * cols) % 7 != 3).reshape(rows, cols)
+        starts, bitsets = receiver_segments(valid, ys, xs, footprints)
         assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < rows * cols
         lengths = np.diff(starts, append=rows * cols)
+        # no segment mixes valid and invalid cells
+        assert np.array_equal(np.repeat(valid.ravel()[starts], lengths), valid.ravel())
         words = -(-len(cells) // 64)
         for reach, bits in zip(reaches, bitsets):
             assert bits.dtype == np.uint64 and bits.shape == (words, len(starts))
@@ -527,12 +569,25 @@ def _per_cell_csv(values: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:.10g}" for v in row) for row in arr) + "\n"
 
 
-def _levels_and_index(values):
-    """``values`` in dictionary form: its distinct bit patterns as levels, so
-    that both zeros and both NaN signs stay apart, and each cell's position."""
+def _runs(index):
+    """A per-cell index in runs: cut where the flattened index changes."""
+    flat = np.ravel(index)
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    return flat[starts], np.diff(starts, append=flat.size)
+
+
+def _levels_and_runs(values):
+    """``values`` in run form: its distinct bit patterns as levels, so that
+    both zeros and both NaN signs stay apart, each run's position among
+    them and its length, and the shape."""
     arr = np.asarray(values)
     levels, index = np.unique(arr.view(f"u{arr.dtype.itemsize}").ravel(), return_inverse=True)
-    return levels.view(arr.dtype), index.reshape(arr.shape)
+    return (levels.view(arr.dtype), *_runs(index), arr.shape)
+
+
+def _strided(a, step):
+    """A view of ``a``'s values whose stride is ``step`` elements."""
+    return np.repeat(a if step > 0 else a[::-1], abs(step))[::step]
 
 
 _MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)
@@ -605,7 +660,7 @@ class TestMatrixIO:
     def test_csv_roundtrip_with_nan(self, tmp_path):
         levels = np.array([1.0, np.nan, 0.25, 120.0])
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, levels, [[0, 1], [2, 3]])
+        write_matrix_csv(path, levels, [0, 1, 2, 3], [1, 1, 1, 1], (2, 2))
         back = read_matrix_csv(path)
         assert np.array_equal(back, levels.reshape(2, 2), equal_nan=True)
 
@@ -627,7 +682,7 @@ class TestMatrixIO:
         index = full[:: steps[0], :: steps[1]]  # a strided view where a step is not 1
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
-            write_matrix_csv(path, levels, index)
+            write_matrix_csv(path, levels, *_runs(index), index.shape)
             back = read_matrix_csv(path)
 
         def bits(a):  # NaN's sign does not survive the text
@@ -643,7 +698,20 @@ class TestMatrixIO:
     def test_csv_bytes_match_per_cell_formatting(self, values):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
-            write_matrix_csv(path, *_levels_and_index(values))
+            write_matrix_csv(path, *_levels_and_runs(values))
+            assert path.read_text() == _per_cell_csv(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MATRICES, st.data())
+    def test_zero_length_runs_write_nothing(self, values, data):
+        levels, run_level, run_length, shape = _levels_and_runs(values)
+        at = data.draw(st.lists(st.integers(0, len(run_level)), min_size=1, max_size=5))
+        empty = data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=len(at),
+                                   max_size=len(at)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            write_matrix_csv(path, levels, np.insert(run_level, at, empty),
+                             np.insert(run_length, at, 0), shape)
             assert path.read_text() == _per_cell_csv(values)
 
     # the 0-size shapes too: the reader takes no empty matrix back
@@ -652,22 +720,39 @@ class TestMatrixIO:
     def test_writers_reject_arrays_not_2d(self, tmp_path, writer, shape):
         path = tmp_path / "m.csv"
         with pytest.raises(DomainError, match="matrix must be 2-D"):
-            writer(path, np.zeros(1), np.zeros(shape, dtype=np.intp))
+            writer(path, np.zeros(1), [0], [1], shape)
         assert not path.exists()
 
-    @pytest.mark.parametrize("position", [-1, 2])
-    def test_writer_rejects_index_past_the_levels(self, tmp_path, position):
-        # a position past the levels would pick a row-ending token mid-row
+    @pytest.mark.parametrize(
+        "run_level,run_length",
+        [([0, 1, 0], [2, -1, 2]), ([0, 1], [1, 1]), ([0, 1], [2, 2]), ([], []), ([0, 1], [3])],
+        ids=["negative", "short", "long", "none", "unpaired"],
+    )
+    def test_writer_rejects_runs_that_do_not_tile(self, tmp_path, run_level, run_length):
         path = tmp_path / "m.csv"
-        with pytest.raises(DomainError, match=r"index must lie in \[0, 2\)"):
-            write_matrix_csv(path, [0.0, 1.0], np.array([[0, position, 1]]))
+        with pytest.raises(DomainError, match="runs must each have a length >= 0, summing to 3 "):
+            write_matrix_csv(path, [0.0, 1.0], run_level, run_length, (1, 3))
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "run_level",
+        [[0, -1, 1], [0, 2, 1], [0.0, 1.0, 1.0], [True, False, True]],
+        ids=["-1", "2", "float", "bool"],
+    )
+    def test_writer_rejects_index_past_the_levels(self, tmp_path, run_level):
+        # a position past the levels would pick a row-ending token mid-row,
+        # and bools would mask the table
+        path = tmp_path / "m.csv"
+        with pytest.raises(DomainError, match=r"run levels must be integers in \[0, 2\)"):
+            write_matrix_csv(path, [0.0, 1.0], run_level, [1, 1, 1], (1, 3))
         assert not path.exists()
 
     def test_csv_bytes_of_strided_view(self, tmp_path):
         values = np.arange(48, dtype=np.float64).reshape(6, 8) / 7.0
         values[1, 1] = -0.0
-        levels, index = _levels_and_index(values)
-        write_matrix_csv(tmp_path / "m.csv", levels, index[::2, ::3])
+        levels, run_level, run_length, shape = _levels_and_runs(values[::2, ::3])
+        write_matrix_csv(tmp_path / "m.csv", levels, _strided(run_level, 2),
+                         _strided(run_length, -3), shape)
         assert (tmp_path / "m.csv").read_text() == _per_cell_csv(values[::2, ::3])
 
     def test_csv_reads_single_row_and_column(self, tmp_path):
