@@ -37,6 +37,7 @@ from .griddata import (
     HouseholdGrid,
     compensate_area,
     disc_halfwidths,
+    footprints,
     ingest_grid,
     load_grid_csv,
     refine_grid,
@@ -116,6 +117,7 @@ __all__ = [
     "distance_for_loss",
     "eirp_to_field_strength",
     "environment_correction",
+    "footprints",
     "gray_space_capacity",
     "ingest_grid",
     "load_grid_csv",

@@ -65,6 +65,7 @@ from .griddata import (
     HouseholdGrid,
     _fmt,
     compensate_area,
+    footprints,
     load_grid_csv,
     read_matrix_csv,
     write_grid_csv,
@@ -671,10 +672,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     done = []
     with _publishing(cfg.out / name / f for name in names for f in files) as stage:
         try:
-            results = run_combinations(grid, combos, cfg.plan, realizations=cfg.realizations,
-                                       master_seed=cfg.seed, buckets=cfg.buckets,
-                                       workers=cfg.workers)
-        except DomainError as exc:  # a realization count past the totals' range
+            links = dict.fromkeys(link for link, _ in combos)
+            device = {link: footprints(link, grid) for link in links}
+            results = run_combinations(grid, [(device[link], k) for link, k in combos], cfg.plan,
+                                       realizations=cfg.realizations, master_seed=cfg.seed,
+                                       buckets=cfg.buckets, workers=cfg.workers)
+        except DomainError as exc:  # a realization count, or a reach in cells, past its range
             raise ConfigError(f"{cfg.source}: [run] {exc}") from None
         for (link, knowledge), name, result in zip(combos, names, results):
             map_path, cdf_path, table_path, summary_path = (cfg.out / name / f for f in files)

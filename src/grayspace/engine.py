@@ -1,11 +1,11 @@
 """Monte Carlo gray-space engine.
 
 A cell's usable gray space depends only on which receiver cells' protection
-footprints cover it.  The engine takes each device's link budget, a
-:class:`~grayspace.linkbudget.SeparationReport`, rounds its two distances up
-to whole cells (the co-channel and adjacent-channel reaches), and once per
-run builds one state per distinct pair of reaches: the footprints of both
-reaches stamped at every household cell, and the grid cut into segments,
+footprints cover it.  The engine takes each device as its pair of footprints,
+co-channel and adjacent, each a 1-D int64 array of per-row halfwidths
+(:func:`~grayspace.griddata.footprints` builds a link budget's pair), and once
+per run builds one state per distinct pair: both footprints stamped at every
+household cell, and the grid cut into segments,
 stretches of consecutive cells (row-major) covered by one fixed set of
 receivers, none mixing valid and invalid cells.
 One table holds each footprint's distinct receiver bitsets (sets), word by
@@ -21,8 +21,8 @@ record: class slot sums, then valid cells and households per slot count.  The
 outputs are read from it once:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality), kept
-  as its distinct values and one run of them per segment; the per-cell
-  index and float map are built only when read,
+  as its distinct values and one run of them per segment; the float map is
+  built only when read,
 * a survival-form CDF: percent of valid area with at least g MHz free,
 * a household utilization table over configurable MHz buckets.
 
@@ -36,7 +36,8 @@ bit-identical for any worker count, and each pair's result is the same
 whether it runs alone or with others.  The per-realization RNG is keyed on
 (master_seed, realization_index); see :mod:`grayspace.scenario`.  The plan,
 the knowledge configs and the grid check their own rules when built; the
-engine checks only what spans its inputs, such as the 64-bit totals.
+engine checks the footprints, which are plain arrays, and what spans its
+inputs, such as the 64-bit totals.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .griddata import HouseholdGrid, _fmt, _household_counts, disc_halfwidths, receiver_segments
-from .linkbudget import SeparationReport, quantize_cells
+from .griddata import (Footprints, HouseholdGrid, _fmt, _footprint_pair, _household_counts,
+                       receiver_segments)
 from .scenario import (ChannelPlan, KnowledgeConfig, UsagePartition, receiver_rows, slot_count,
                        slot_levels_mhz, slot_table, usage_partition)
 
@@ -133,7 +134,7 @@ def _check_bucket_overlap(buckets: Sequence[Bucket]) -> None:
 class GraySpaceMap:
     """Per-cell gray space in MHz; NaN outside the municipality.  Kept as the
     distinct values (``levels``, one NaN level if any cell is invalid) and row-major
-    runs of them over ``shape``; ``index`` and ``values`` are built when first read."""
+    runs of them over ``shape``; ``values`` is built when first read."""
 
     levels: np.ndarray
     run_level: np.ndarray
@@ -144,10 +145,6 @@ class GraySpaceMap:
         cells = np.repeat(run_values, self.run_length).reshape(self.shape)
         cells.setflags(write=False)
         return cells
-
-    @functools.cached_property
-    def index(self) -> np.ndarray:
-        return self._cells(self.run_level)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -192,8 +189,7 @@ class MonteCarloResult:
 @dataclass(frozen=True)
 class _DeviceState:
     """Segments, receiver-set classes and the distinct receiver bitsets of
-    one pair of reaches; none of it depends on the link budget that rounds
-    to them or on the knowledge level."""
+    one pair of footprints; none of it depends on the knowledge level."""
 
     segment_lengths: np.ndarray  # cells per segment, in flat cell order; read-only
     segment_valid: np.ndarray  # whether each segment's cells (all or none) are valid
@@ -310,11 +306,8 @@ def _distinct_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[:, new], index
 
 
-def _build_state(grid: HouseholdGrid, co_cells: int, adj_cells: int) -> _DeviceState:
-    # Past this reach every receiver already covers every cell, so a larger
-    # footprint gives the same coverage at a cost growing with the reach.
-    reach_cap = grid.rows + grid.cols
-    footprints = [disc_halfwidths(min(cells, reach_cap)) for cells in (co_cells, adj_cells)]
+def _build_state(grid: HouseholdGrid, footprints: Footprints) -> _DeviceState:
+    footprints = _footprint_pair(footprints)
     receivers = np.flatnonzero(grid.counts)  # np.nonzero order, as _Sweep.households
     starts, bitsets = receiver_segments(grid.valid, *np.divmod(receivers, grid.cols), footprints)
     (co_bits, co_of), (adj_bits, adj_of) = map(_distinct_columns, bitsets)
@@ -347,24 +340,24 @@ def _build_state(grid: HouseholdGrid, co_cells: int, adj_cells: int) -> _DeviceS
 
 def _build_sweep(
     grid: HouseholdGrid,
-    pairs: Sequence[tuple[SeparationReport, KnowledgeConfig]],
+    pairs: Sequence[tuple[Footprints, KnowledgeConfig]],
     plan: ChannelPlan,
     master_seed: int,
     realizations: Sequence[int],
 ) -> _Sweep:
-    """Build the state of each distinct pair of reaches once."""
-    reaches = [(quantize_cells(link.min_distance_co_m, grid.resolution_m),
-                quantize_cells(link.min_distance_adjacent_m, grid.resolution_m))
-               for link, _ in pairs]
-    distinct = list(dict.fromkeys(reaches))
+    """Check every pair's footprints, then build the state of each distinct
+    pair of them (equal halfwidth bytes) once."""
+    devices = [_footprint_pair(fp) for fp, _ in pairs]
+    keys = [(co.tobytes(), adj.tobytes()) for co, adj in devices]
+    distinct = list(dict.fromkeys(keys))
     knowledge = list(dict.fromkeys(k for _, k in pairs))
     return _Sweep(
         households=grid.counts[np.nonzero(grid.counts)],
-        devices=tuple(_build_state(grid, *cells) for cells in distinct),
+        devices=tuple(_build_state(grid, devices[keys.index(key)]) for key in distinct),
         partition=usage_partition(knowledge),
         pairs=tuple(
-            (distinct.index(cells), knowledge.index(k), n)
-            for cells, (_, k), n in zip(reaches, pairs, realizations)
+            (distinct.index(key), knowledge.index(k), n)
+            for key, (_, k), n in zip(keys, pairs, realizations)
         ),
         master_seed=master_seed,
         slot_table=slot_table(plan),
@@ -383,7 +376,7 @@ def _mean_map(class_mhz: np.ndarray, segment_class: np.ndarray, lengths: np.ndar
 
 def single_realization_map(
     grid: HouseholdGrid,
-    link: SeparationReport,
+    footprints: Footprints,
     plan: ChannelPlan,
     knowledge: KnowledgeConfig,
     master_seed: int,
@@ -396,7 +389,8 @@ def single_realization_map(
     """
     # The pair takes part in every index up to realization_index, and the
     # sweep visits that one.
-    sweep = _build_sweep(grid, [(link, knowledge)], plan, master_seed, [realization_index + 1])
+    sweep = _build_sweep(grid, [(footprints, knowledge)], plan, master_seed,
+                         [realization_index + 1])
     (record,) = _accumulate(sweep, [realization_index])
     slot_sum, _, _ = _split(record, slot_count(plan) + 1)
     state = sweep.devices[0]
@@ -407,7 +401,7 @@ def single_realization_map(
 
 def run_combinations(
     grid: HouseholdGrid,
-    pairs: Sequence[tuple[SeparationReport, KnowledgeConfig]],
+    pairs: Sequence[tuple[Footprints, KnowledgeConfig]],
     plan: ChannelPlan,
     realizations: int = 100,
     master_seed: int = 0,
@@ -416,15 +410,17 @@ def run_combinations(
 ) -> Iterator[MonteCarloResult]:
     """Run the Monte Carlo evaluation of every (device, knowledge) pair.
 
-    A pair is ``(link, knowledge)``: a device's link budget, as
-    :func:`~grayspace.linkbudget.separation_report` gives it, and a
-    knowledge config.  Links that round to the same whole-cell reaches
-    share one state of segments and classes, built once, and the
-    realizations are swept once: per index the household variates are drawn
-    once and every pair reads them, so each result equals that of the pair
-    run alone with the same seed.  KL1 is deterministic (usage is assumed,
-    not sampled), so its pairs evaluate index 0 only; the output is
-    identical for any ``realizations`` value.
+    A pair is ``(footprints, knowledge)``: a device's (co-channel, adjacent)
+    footprints, per-row halfwidth arrays as
+    :func:`~grayspace.griddata.footprints` builds them from a link budget,
+    and a knowledge config.  Each adjacent row must lie inside its
+    co-channel row.  Pairs with equal footprints share one state of
+    segments and classes, built once, and the realizations are swept
+    once: per index the household variates are drawn once and every pair
+    reads them, so each result equals that of the pair run alone with the
+    same seed.  KL1 is deterministic (usage is assumed, not sampled), so its
+    pairs evaluate index 0 only; the output is identical for any
+    ``realizations`` value.
     With ``workers > 1`` the indices are split across processes, at most
     one per usable CPU; integer partial sums keep the result bit-identical
     to the single-process run.

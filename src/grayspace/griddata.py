@@ -14,7 +14,8 @@ malformed value, a repeated metadata key, a count or total past int64, a
 grid with no valid cell or a declared size numpy cannot allocate is a
 :class:`DataError`.  A disc footprint's
 reach is a whole number of cells, and the footprint is kept as per-row
-halfwidths only.
+halfwidths only; :func:`footprints` is where a link budget becomes the
+engine's (co-channel, adjacent) pair of them.
 
 Protection geometry is built from footprint *runs*: a footprint stamped at
 a receiver covers, on each grid row, one contiguous stretch of cells, which
@@ -49,6 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, DomainError
+from .linkbudget import SeparationReport, quantize_cells
 
 _METADATA_KEYS = ("rows", "cols", "resolution_m", "municipal_area_km2")
 
@@ -422,6 +424,43 @@ def disc_halfwidths(reach: int) -> np.ndarray:
     return halfwidths
 
 
+def footprints(link: SeparationReport, grid: HouseholdGrid) -> tuple[np.ndarray, ...]:
+    """The (co-channel, adjacent) footprints of ``link`` on ``grid``, the pair
+    the engine sweeps: each separation rounded up to whole cells
+    (:func:`~grayspace.linkbudget.quantize_cells`) and capped at ``rows + cols``
+    cells, past which every receiver already covers every cell, as
+    :func:`disc_halfwidths`."""
+    cap = grid.rows + grid.cols
+    return tuple(disc_halfwidths(min(quantize_cells(distance, grid.resolution_m), cap))
+                 for distance in (link.min_distance_co_m, link.min_distance_adjacent_m))
+
+
+#: A device's (co-channel, adjacent) footprints, each as per-row halfwidths.
+Footprints = Sequence[np.ndarray]
+
+
+def _footprint_pair(pair: Footprints) -> tuple[np.ndarray, np.ndarray]:
+    """``pair`` as int64 (co-channel, adjacent) footprints, checked: each is a
+    1-D integer array of odd length with entries >= 0, and each adjacent row
+    lies inside its co-channel row, so that no receiver covers a cell with its
+    adjacent footprint and not with its co-channel one."""
+    try:
+        co, adj = map(np.asarray, pair)
+        odd_rows = all(f.ndim == 1 and f.dtype.kind in "iu" and len(f) % 2 for f in (co, adj))
+    except (TypeError, ValueError):  # say, a link budget where its footprints belong
+        odd_rows = False
+    if not odd_rows:
+        raise DomainError("footprints must be a (co-channel, adjacent) pair of 1-D integer "
+                          "arrays of odd length, as footprints(link, grid) builds them")
+    co, adj = co.astype(np.int64), adj.astype(np.int64)  # uint64 past int64 wraps below 0
+    if (co < 0).any() or (adj < 0).any():
+        raise DomainError("footprint halfwidths must be >= 0 within int64")
+    c, a = len(co) // 2, len(adj) // 2
+    if a > c or (adj > co[c - a : c + a + 1]).any():
+        raise DomainError("an adjacent footprint must lie inside its co-channel one, row by row")
+    return co, adj
+
+
 def _footprint_runs(
     shape: tuple[int, int],
     seed_rows: np.ndarray,
@@ -441,7 +480,7 @@ def _footprint_runs(
     full = len(halfwidths) // 2
     reach = min(full, rows - 1)  # farther rows never land on the grid
     dy = np.arange(-reach, reach + 1, dtype=np.int64)
-    hw = halfwidths[full - reach : full + reach + 1]
+    hw = np.minimum(halfwidths[full - reach : full + reach + 1], cols)  # no int64 overflow
     run_rows = seed_rows[:, None] + dy
     inside = (run_rows >= 0) & (run_rows < rows)
     lo = np.maximum(seed_cols[:, None] - hw, 0)

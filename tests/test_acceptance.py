@@ -17,6 +17,7 @@ from grayspace.cli import main
 from grayspace.engine import run_combinations, single_realization_map
 from grayspace.griddata import (
     compensate_area,
+    footprints,
     ingest_grid,
     load_grid_csv,
     refine_grid,
@@ -134,7 +135,8 @@ def test_criterion_6(data_dir):
     for name in ("scattered_1km.csv", "vinje_synthetic_1km.csv"):
         grid, _ = compensate_area(load_grid_csv(data_dir / name))
         start = time.perf_counter()
-        (result,) = run_combinations(grid, [(LINK_FIXED, KL1)], PLAN, realizations=100)
+        (result,) = run_combinations(grid, [(footprints(LINK_FIXED, grid), KL1)], PLAN,
+                                     realizations=100)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, name
 
@@ -202,7 +204,8 @@ def test_criterion_7a():
         knowledge = (KL2, KL3_COND)[seed % 3 == 0]
         flags = _naive_flags(grid, knowledge, seed)
         expected = _naive_map(grid, flags, CO_M[device.label], ADJ_M[device.label])
-        got = single_realization_map(grid, link_for(device), PLAN, knowledge, seed)
+        got = single_realization_map(grid, footprints(link_for(device), grid), PLAN, knowledge,
+                                     seed)
         assert np.array_equal(got.values, expected, equal_nan=True), seed
 
 
@@ -214,7 +217,7 @@ def test_criterion_7b():
     grid = ingest_grid(records, resolution_m=1000.0, rows=20, cols=20)
     for r in range(10):
         maps = [
-            single_realization_map(grid, LINK_FIXED, PLAN, k, 99, r).values
+            single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, k, 99, r).values
             for k in (KL1, KL2, KL3_COND)
         ]
         assert (maps[0] <= maps[1]).all(), r
@@ -228,8 +231,8 @@ def test_criterion_7c():
     records = [(int(c % 20), int(c // 20), int(rng.integers(1, 8))) for c in cells]
     grid = ingest_grid(records, resolution_m=1000.0, rows=20, cols=20)
     for r in range(10):
-        big = single_realization_map(grid, LINK_FIXED, PLAN, KL2, 5, r)
-        small = single_realization_map(grid, LINK_PORTABLE, PLAN, KL2, 5, r)
+        big = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, KL2, 5, r)
+        small = single_realization_map(grid, footprints(LINK_PORTABLE, grid), PLAN, KL2, 5, r)
         assert (small.values >= big.values).all(), r
 
 
@@ -241,8 +244,8 @@ def test_criterion_7d():
     coarse = ingest_grid(records, resolution_m=1000.0, rows=16, cols=16)
     for factor in (2, 5):
         fine = refine_grid(coarse, factor)
-        coarse_map = single_realization_map(coarse, LINK_FIXED, PLAN, KL1, 0)
-        fine_map = single_realization_map(fine, LINK_FIXED, PLAN, KL1, 0)
+        coarse_map = single_realization_map(coarse, footprints(LINK_FIXED, coarse), PLAN, KL1, 0)
+        fine_map = single_realization_map(fine, footprints(LINK_FIXED, fine), PLAN, KL1, 0)
         upsampled = np.kron(coarse_map.values, np.ones((factor, factor)))
         assert (fine_map.values >= upsampled).all(), factor
 
@@ -254,7 +257,8 @@ def test_criterion_7e(data_dir):
         result
         for w in (1, 4, 8)
         for result in run_combinations(
-            grid, [(LINK_FIXED, KL3_COND)], PLAN, realizations=16, master_seed=42, workers=w
+            grid, [(footprints(LINK_FIXED, grid), KL3_COND)], PLAN, realizations=16,
+            master_seed=42, workers=w,
         )
     ]
     assert len(results) == 3

@@ -941,8 +941,7 @@ class TestSimulate:
         def refuse(self):
             raise AssertionError("a per-cell map was built")
 
-        for name in ("index", "values"):
-            monkeypatch.setattr(engine.GraySpaceMap, name, property(refuse))
+        monkeypatch.setattr(engine.GraySpaceMap, "values", property(refuse))
         assert main([*argv, str(tmp_path / "runs")]) == 0
         plain = sorted((tmp_path / "plain").rglob("*.*"))
         assert len(plain) == 32

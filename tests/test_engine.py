@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from grayspace import engine
+from grayspace import engine, griddata
 from grayspace.engine import (
     DEFAULT_BUCKETS,
     OTHER_BUCKET_LABEL,
@@ -31,6 +31,7 @@ from grayspace.griddata import (
     HouseholdGrid,
     compensate_area,
     disc_halfwidths,
+    footprints,
     ingest_grid,
     load_grid_csv,
     receiver_segments,
@@ -63,8 +64,13 @@ KL3_TP2_COND = KnowledgeConfig(
 )
 
 
+def swept(grid, pairs):
+    """``(link, knowledge)`` pairs as the engine takes them: each link's footprints on ``grid``."""
+    return [(footprints(link, grid), knowledge) for link, knowledge in pairs]
+
+
 def run(grid, knowledge, link=LINK_FIXED, **kw):
-    (result,) = run_combinations(grid, [(link, knowledge)], PLAN, **kw)
+    (result,) = run_combinations(grid, swept(grid, [(link, knowledge)]), PLAN, **kw)
     return result
 
 
@@ -113,21 +119,21 @@ class TestSingleRealization:
         # one receiver in the middle; co-channel reach (8 km) spans the whole
         # grid, adjacent reach (1 km) only the surrounding 3x3 box
         grid = ingest_grid([(2, 2, 3)], resolution_m=1000.0, rows=5, cols=5)
-        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, KL1, 0)
         expected = np.full((5, 5), 80.0)  # ten 8 MHz adjacent slots
         expected[1:4, 1:4] = 0.0
         assert np.array_equal(gsm.values, expected)
 
     def test_kl1_portable_blocks_only_neighbourhood(self):
         grid = ingest_grid([(0, 0, 1)], resolution_m=1000.0, rows=4, cols=4)
-        gsm = single_realization_map(grid, LINK_PORTABLE, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, footprints(LINK_PORTABLE, grid), PLAN, KL1, 0)
         expected = np.full((4, 4), 120.0)
         expected[:2, :2] = 0.0  # footprint clipped at the corner
         assert np.array_equal(gsm.values, expected)
 
     def test_empty_grid_is_all_capacity(self):
         grid = ingest_grid([], resolution_m=1000.0, rows=3, cols=3)
-        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, KL1, 0)
         assert (gsm.values == 120.0).all()
 
     def test_invalid_cells_are_nan(self):
@@ -135,7 +141,7 @@ class TestSingleRealization:
         valid = np.ones((3, 3), dtype=bool)
         valid[0, 0] = False
         grid = HouseholdGrid(counts, valid, 1000.0, municipal_area_km2=8.0)
-        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, KL1, 0)
         assert np.isnan(gsm.values[0, 0])
         assert not np.isnan(gsm.values[1:]).any()
 
@@ -234,14 +240,14 @@ class TestKL1Shortcut:
         with mock.patch("grayspace.scenario.household_variates",
                         side_effect=AssertionError("drawn")):
             results = run_combinations(
-                grid, [(LINK_FIXED, KL1), (LINK_PORTABLE, KL1)], PLAN, realizations=5
+                grid, swept(grid, [(LINK_FIXED, KL1), (LINK_PORTABLE, KL1)]), PLAN, realizations=5
             )
             assert [r.mean_map.values.min() for r in results] == [0.0, 0.0]
 
     def test_mean_equals_single_realization(self):
         grid = ingest_grid([(1, 1, 2), (4, 3, 6)], resolution_m=1000.0, rows=6, cols=6)
         result = run(grid, KL1, realizations=50)
-        gsm = single_realization_map(grid, LINK_FIXED, PLAN, KL1, 0)
+        gsm = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, KL1, 0)
         assert np.array_equal(result.mean_map.values, gsm.values)
 
 
@@ -309,9 +315,8 @@ def _built_states():
 
 
 def _state(grid, link):
-    """The device state of ``link``'s two reaches in whole cells of ``grid``."""
-    return engine._build_state(grid, quantize_cells(link.min_distance_co_m, grid.resolution_m),
-                               quantize_cells(link.min_distance_adjacent_m, grid.resolution_m))
+    """The device state of ``link``'s footprints on ``grid``."""
+    return engine._build_state(grid, footprints(link, grid))
 
 
 def _set_bits(state):
@@ -331,7 +336,7 @@ def _scattered_grid(seed, side, receivers):
 
 
 class TestReachCap:
-    """A footprint's reach is capped at rows + cols cells, past which every
+    """``footprints`` caps a reach at rows + cols cells, past which every
     receiver already covers every cell.  Fixed-4w's co-channel reach is 8
     cells at 1 km, so on these grids the cap applies wherever rows + cols < 8;
     the map still equals the brute-force oracle's, which knows no cap."""
@@ -346,8 +351,9 @@ class TestReachCap:
                               rng.integers(1, 5, (rows, cols)), 0)
             grid = HouseholdGrid(counts, valid, 1000.0, municipal_area_km2=rows * cols)
             knowledge = (KL2, KL3_TP2_COND)[seed % 2]
-            with mock.patch.object(engine, "disc_halfwidths", wraps=disc_halfwidths) as spy:
-                got = single_realization_map(grid, LINK_FIXED, PLAN, knowledge, seed)
+            with mock.patch.object(griddata, "disc_halfwidths", wraps=disc_halfwidths) as spy:
+                got = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, knowledge,
+                                             seed)
             assert [c.args for c in spy.call_args_list] == [(min(8, rows + cols),), (1,)]
             expected = _naive_map(grid, _naive_flags(grid, knowledge, seed),
                                   CO_M["fixed-4w"], ADJ_M["fixed-4w"])
@@ -371,7 +377,8 @@ class TestMultiWordReceivers:
                 flags = _naive_flags(self.GRID, knowledge, seed)
                 label = link.device.label
                 expected = _naive_map(self.GRID, flags, CO_M[label], ADJ_M[label])
-                got = single_realization_map(self.GRID, link, PLAN, knowledge, seed)
+                got = single_realization_map(self.GRID, footprints(link, self.GRID), PLAN,
+                                             knowledge, seed)
                 assert np.array_equal(got.values, expected), (knowledge.level, seed)
                 assert len(np.unique(expected)) >= 3  # the oracle is not trivial
 
@@ -382,8 +389,8 @@ class TestMultiWordReceivers:
         knowledge = MANY_KL3[:4]
         assert engine.LANE < usage_partition(knowledge).mux_weights.shape[1] <= 2 * engine.LANE
         seed = 4
-        results = run_combinations(self.GRID, [(link, k) for k in knowledge], PLAN,
-                                   realizations=1, master_seed=seed)
+        pairs = swept(self.GRID, [(link, k) for k in knowledge])
+        results = run_combinations(self.GRID, pairs, PLAN, realizations=1, master_seed=seed)
         label = link.device.label
         for k, result in zip(knowledge, results, strict=True):
             flags = _naive_flags(self.GRID, k, seed)
@@ -395,7 +402,8 @@ class TestMultiWordReceivers:
     def test_mean_of_one_realization_equals_single_realization(self, link):
         for knowledge in self.KNOWLEDGE:
             result = run(self.GRID, knowledge, link, realizations=1, master_seed=5)
-            gsm = single_realization_map(self.GRID, link, PLAN, knowledge, 5, 0)
+            gsm = single_realization_map(self.GRID, footprints(link, self.GRID), PLAN, knowledge,
+                                         5, 0)
             assert result.mean_map.values.tobytes() == gsm.values.tobytes(), knowledge.level
 
     def test_totals_are_sums_over_single_realizations(self):
@@ -407,14 +415,14 @@ class TestMultiWordReceivers:
         pairs = [(link, k) for link in self.LINKS for k in self.KNOWLEDGE]
         n_valid = int(self.GRID.valid.sum())
         for buckets in (DEFAULT_BUCKETS, parse_buckets("0-0,40-88,104<")):
-            results = run_combinations(self.GRID, pairs, PLAN, realizations=R,
+            results = run_combinations(self.GRID, swept(self.GRID, pairs), PLAN, realizations=R,
                                        master_seed=seed, buckets=buckets)
             filled = np.zeros(len(buckets) + 1, dtype=bool)
             for (link, knowledge), result in zip(pairs, results, strict=True):
                 area, households = [], []
                 for r in range(R):
                     values = single_realization_map(
-                        self.GRID, link, PLAN, knowledge, seed, r
+                        self.GRID, footprints(link, self.GRID), PLAN, knowledge, seed, r
                     ).values
                     percent = cdf_from_map(values, result.cdf.levels_mhz).percent_area
                     area.append(np.rint(percent * n_valid / 100.0))
@@ -435,7 +443,7 @@ class TestMultiWordReceivers:
     def test_bit_identical_across_worker_counts(self):
         pairs = [(link, k) for link in self.LINKS for k in self.KNOWLEDGE]
         base, other = (
-            list(run_combinations(self.GRID, pairs, PLAN, realizations=6,
+            list(run_combinations(self.GRID, swept(self.GRID, pairs), PLAN, realizations=6,
                                   master_seed=21, workers=workers))
             for workers in (1, 2)
         )
@@ -500,19 +508,26 @@ class TestRunCombinations:
         assert twin != LINK_FIXED
         pairs = [(LINK_FIXED, KL2), (twin, KL2), (twin, KL3_TP1), (LINK_FIXED, KL1)]
         assert self.check_joint(self.GRID, pairs, 5, 1) == 1
+        # past rows + cols cells every receiver covers every cell, so a link
+        # that reaches farther still has the same (capped) footprints
+        far = dataclasses.replace(LINK_FIXED, min_distance_co_m=2 * LINK_FIXED.min_distance_co_m)
+        small = ingest_grid([(1, 1, 4), (3, 2, 3)], resolution_m=1000.0, rows=3, cols=4)
+        reaches = [quantize_cells(link.min_distance_co_m, 1000.0) for link in (LINK_FIXED, far)]
+        assert small.rows + small.cols < reaches[0] < reaches[1]
+        pairs = [(LINK_FIXED, KL2), (far, KL2), (far, KL3_TP1), (LINK_FIXED, KL1)]
+        assert self.check_joint(small, pairs, 5, 1) == 1
 
     def check_joint(self, grid, pairs, realizations, workers):
         """Checks that each pair's result in a joint sweep equals the pair run
         alone, and returns the number of device states the joint sweep built."""
         with mock.patch.object(engine, "_build_state", wraps=engine._build_state) as spy:
-            joint = list(run_combinations(
-                grid, pairs, PLAN, realizations=realizations, master_seed=3, workers=workers
-            ))
+            joint = list(run_combinations(grid, swept(grid, pairs), PLAN,
+                                          realizations=realizations, master_seed=3,
+                                          workers=workers))
         assert len(joint) == len(pairs)
         for (link, knowledge), got in zip(pairs, joint):
-            (alone,) = run_combinations(
-                grid, [(link, knowledge)], PLAN, realizations=realizations, master_seed=3
-            )
+            (alone,) = run_combinations(grid, swept(grid, [(link, knowledge)]), PLAN,
+                                        realizations=realizations, master_seed=3)
             assert got.mean_map.values.tobytes() == alone.mean_map.values.tobytes()
             assert got.cdf.levels_mhz.tobytes() == alone.cdf.levels_mhz.tobytes()
             assert got.cdf.percent_area.tobytes() == alone.cdf.percent_area.tobytes()
@@ -532,11 +547,60 @@ class TestRunCombinations:
         assert list(run_combinations(self.GRID, [], PLAN)) == []
 
     def test_input_errors_raise_before_any_result(self):
-        pairs = [(LINK_FIXED, KL2)]
+        pairs = swept(self.GRID, [(LINK_FIXED, KL2)])
         with pytest.raises(DomainError):
             run_combinations(self.GRID, pairs, PLAN, realizations=0)
         with pytest.raises(ConfigError, match="5 MUX"):
             run_combinations(self.GRID, pairs, ChannelPlan(used_channels=(21, 24, 27, 30)))
+
+
+class TestFootprintChecks:
+    """The engine takes footprints as plain arrays, so it checks what it
+    relies on before it builds any state: each footprint is 1-D, of odd
+    length, of integers >= 0, and each adjacent row lies inside its
+    co-channel row."""
+
+    GRID = ingest_grid([(1, 1, 2), (3, 2, 5)], resolution_m=1000.0, rows=4, cols=5)
+    DISC = disc_halfwidths(1)  # [1, 1, 1]
+    BAD = {
+        "even-length": ((np.ones(4, dtype=np.int64), DISC), "odd length"),
+        "2-d": ((DISC[None], DISC), "1-D integer array"),
+        "float": ((DISC, DISC.astype(np.float64)), "1-D integer array"),
+        "negative": ((DISC, np.array([1, -1, 1])), ">= 0"),
+        "past-int64": ((np.full(3, 2**63, dtype=np.uint64), DISC), ">= 0 within int64"),
+        "adjacent-longer": ((DISC, disc_halfwidths(2)), "inside its co-channel"),
+        "adjacent-row-wider": ((np.array([1, 3, 1]), np.array([2, 2, 2])), "inside its co-channel"),
+        "link-budget": (LINK_FIXED, "pair of 1-D integer arrays"),
+    }
+
+    @pytest.mark.parametrize("entry", ["run_combinations", "single_realization_map"])
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_rejected_before_any_state(self, entry, case):
+        bad, message = self.BAD[case]
+        with mock.patch.object(engine, "_build_state", side_effect=AssertionError("built")):
+            with pytest.raises(DomainError, match=message):
+                if entry == "run_combinations":  # after a good pair, whose state is not built
+                    run_combinations(self.GRID, [((self.DISC, self.DISC), KL2), (bad, KL2)], PLAN)
+                else:
+                    single_realization_map(self.GRID, bad, PLAN, KL2, 0)
+
+    def test_any_integer_dtype_and_reach(self):
+        # halfwidths past the grid clip to it and a one-row footprint is
+        # allowed; equal arrays of another integer dtype share one state
+        wide = np.full(3, np.iinfo(np.int64).max), np.array([0], dtype=np.uint8)
+        clipped = np.full(3, self.GRID.cols), np.array([0])
+        got, again = (single_realization_map(self.GRID, fp, PLAN, KL1, 0).values
+                      for fp in (wide, clipped))
+        assert np.array_equal(got, again)
+        # KL1: every co-channel slot is blocked on every row, and the
+        # adjacent slots (ten of 8 MHz) only in the receivers' own cells
+        expected = np.full((4, 5), 80.0)
+        expected[1, 1] = expected[2, 3] = 0.0
+        assert np.array_equal(got, expected)
+        narrow = tuple(halfwidths.astype(np.int16) for halfwidths in clipped)
+        with _built_states() as states:
+            list(run_combinations(self.GRID, [(clipped, KL1), (narrow, KL2)], PLAN))
+        assert len(states) == 1
 
 
 class TestReceiverSetClasses:
@@ -695,12 +759,12 @@ class TestMapDictionaryForm:
                          mean_map.shape)
         assert path.read_text() == _per_cell_csv(mean_map.values)
         assert mean_map.mean_mhz(int(grid.valid.sum())) == float(np.nanmean(mean_map.values))
-        for cells in (mean_map.values, mean_map.index, mean_map.run_length):
+        for cells in (mean_map.values, mean_map.run_length):
             with pytest.raises(ValueError):
                 cells[0] = 1
-        assert mean_map.index.dtype == np.intp and mean_map.index.shape == grid.counts.shape
-        assert np.array_equal(mean_map.index.ravel(),
-                              np.repeat(mean_map.run_level, mean_map.run_length))
+        index = np.repeat(mean_map.run_level, mean_map.run_length).reshape(mean_map.shape)
+        assert index.shape == grid.counts.shape
+        assert np.array_equal(mean_map.levels[index], mean_map.values, equal_nan=True)
         real = mean_map.levels[~np.isnan(mean_map.levels)]
         assert len(np.unique(real)) == len(real)  # each level is formatted once
         assert np.isnan(mean_map.levels).sum() == (not grid.valid.all())
@@ -722,7 +786,8 @@ class TestMapDictionaryForm:
         grid = HouseholdGrid(counts, valid, 250.0, municipal_area_km2=counts.size / 16)
         with _built_states() as states:
             result = run(grid, knowledge, realizations=realizations, master_seed=seed)
-            single = single_realization_map(grid, LINK_FIXED, PLAN, knowledge, seed)
+            single = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, knowledge,
+                                            seed)
         self.check(result.mean_map, grid, tmp_path_factory.mktemp("map"))
         self.check(single, grid, tmp_path_factory.mktemp("single"))
         self.check_segments(states, grid)

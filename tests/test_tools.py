@@ -222,6 +222,66 @@ def test_bench_pairs_prints_raw_seconds_and_flags_opposed_moves(bench_pairs, mon
     assert flagged == [["sim-1km", "wall_s"], ["sim-1km", "cells_per_s"]]
 
 
+TINY_CONFIG = """\
+[run]
+realizations = 3
+
+[criteria]
+preset = ofcom
+
+[hata]
+frequency_mhz = 650
+environment = suburban
+
+[device.cpe-4w]
+eirp_mw = 4000
+antenna_height_m = 30
+
+[plan]
+used_channels = 21,24,27,30,33
+
+[knowledge]
+levels = KL1,KL2
+
+[grid]
+path_1000m = ../data/town.csv
+"""
+
+
+def test_check_identity_names_a_planted_byte(data_dir, tmp_path, monkeypatch, capsys):
+    # two equal trees of the tool's inputs, standing in for clean copies
+    sys.path.insert(0, str(data_dir.parent / "tools"))
+    try:
+        import check_identity
+    finally:
+        sys.path.pop(0)
+    copies = {}
+    for side in ("base", "head"):
+        copy = copies[side] = tmp_path / side
+        shutil.copytree(data_dir.parent / "src", copy / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / "configs").mkdir()
+        (copy / "configs" / "town.cfg").write_text(TINY_CONFIG)
+        (copy / "data").mkdir()
+        (copy / "data" / "town.csv").write_text(
+            "# rows=6\n# cols=7\n# resolution_m=1000\nx,y,households\n1,1,3\n5,4,2\n")
+    monkeypatch.setattr(check_identity, "extract", lambda rev, scratch: copies[rev])
+    argv = ["base", "head", "--scratch", str(tmp_path / "scratch")]
+    assert check_identity.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    # 4 simulate runs (2 seeds, 2 worker counts), 1 ingest, a report per seed-11 map
+    assert out[-3:] == ["base: 7 commands, exit codes 0: 7", "head: 7 commands, exit codes 0: 7",
+                        "identical"]
+    town = copies["head"] / "data" / "town.csv"
+    town.write_text(town.read_text().replace("5,4,2", "5,4,3"))
+    assert check_identity.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "differs: ingest/town/grid.csv" in out
+    assert "differs: simulate/town_1000m_seed42_w2/cpe-4w_KL1/utilization.csv" in out
+    assert "differs: simulate/town_1000m_seed11_w1/cpe-4w_KL2/summary.txt" in out
+    assert not any(line.startswith(("only in", "exit code")) for line in out)
+
+
 def _import_perfbench(data_dir, name):
     sys.path.insert(0, str(data_dir.parent / "perfbench"))
     try:
