@@ -21,8 +21,8 @@ record: class slot sums, then valid cells and households per slot count.  The
 outputs are read from it once:
 
 * a per-cell mean gray-space map (MHz, NaN outside the municipality), kept
-  as its distinct values and one run of them per segment; the float map is
-  built only when read,
+  as its distinct values and maximal runs of them, which merge neighbouring
+  segments of one value; the float map is built only when read,
 * a survival-form CDF: percent of valid area with at least g MHz free,
 * a household utilization table over configurable MHz buckets.
 
@@ -133,8 +133,10 @@ def _check_bucket_overlap(buckets: Sequence[Bucket]) -> None:
 @dataclass(frozen=True)
 class GraySpaceMap:
     """Per-cell gray space in MHz; NaN outside the municipality.  Kept as the
-    distinct values (``levels``, one NaN level if any cell is invalid) and row-major
-    runs of them over ``shape``; ``values`` is built when first read."""
+    distinct values (``levels``, one NaN level if any cell is invalid) and
+    maximal row-major runs of them over ``shape``: neighbouring runs differ in
+    level; ``run_length`` is the map's own, read-only.  ``values`` is built
+    when first read."""
 
     levels: np.ndarray
     run_level: np.ndarray
@@ -191,7 +193,7 @@ class _DeviceState:
     """Segments, receiver-set classes and the distinct receiver bitsets of
     one pair of footprints; none of it depends on the knowledge level."""
 
-    segment_lengths: np.ndarray  # cells per segment, in flat cell order; read-only
+    segment_lengths: np.ndarray  # cells per segment, in flat cell order
     segment_valid: np.ndarray  # whether each segment's cells (all or none) are valid
     segment_class: np.ndarray  # class of each segment
     tokens: tuple[np.ndarray, ...]  # per word, its distinct uint64 values over the sets
@@ -306,23 +308,38 @@ def _distinct_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[:, new], index
 
 
+def _distinct_sparse_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_distinct_columns` of mostly empty bitsets, sorting only the
+    non-empty columns and one empty column, if there is one: the empty set
+    sorts first, so it is set 0, the set of every other empty column."""
+    keep = bits.any(axis=0)
+    keep[np.argmin(keep)] = True  # the first empty column; a no-op if none is
+    distinct, index = _distinct_columns(bits[:, keep])
+    every = np.zeros(bits.shape[1], dtype=np.intp)
+    every[keep] = index
+    return distinct, every
+
+
 def _build_state(grid: HouseholdGrid, footprints: Footprints) -> _DeviceState:
     footprints = _footprint_pair(footprints)
     receivers = np.flatnonzero(grid.counts)  # np.nonzero order, as _Sweep.households
     starts, bitsets = receiver_segments(grid.valid, *np.divmod(receivers, grid.cols), footprints)
-    (co_bits, co_of), (adj_bits, adj_of) = map(_distinct_columns, bitsets)
+    co_bits, co_of = _distinct_columns(bitsets[0])
+    # adjacent footprints are small: most segments have an empty adjacent set
+    adj_bits, adj_of = _distinct_sparse_columns(bitsets[1])
     del bitsets  # the largest arrays of the build: freed before the word sorts
     token_index = np.empty((len(co_bits), co_bits.shape[1] + adj_bits.shape[1]), dtype=np.uint32)
     tokens = []
     for w, word in enumerate(token_index):  # one sort per word: its tokens, each set's token
         distinct, word[:] = _distinct_columns(np.concatenate((co_bits[w], adj_bits[w]))[None])
         tokens.append(distinct[0])
-    pair = co_of * adj_bits.shape[1] + adj_of  # segments of one pair form a class
-    _, first, segment_class = np.unique(pair, return_index=True, return_inverse=True)
+    n_adj = adj_bits.shape[1]
+    pair = co_of * n_adj + adj_of  # segments of one pair form a class
+    classes, segment_class = np.unique(pair, return_inverse=True)
+    co_index, adj_index = np.divmod(classes, n_adj)
     # integers: exact past 2**53; np.add.at values have the index's own shape
-    class_weights = np.zeros((2, len(first)), dtype=np.int64)
+    class_weights = np.zeros((2, len(classes)), dtype=np.int64)
     segment_valid, lengths = grid.valid.ravel()[starts], np.diff(starts, append=grid.counts.size)
-    lengths.setflags(write=False)  # every map of the state shares them
     np.add.at(class_weights[0], segment_class, lengths * segment_valid)
     receiver_class = segment_class[np.searchsorted(starts, receivers, "right") - 1]
     np.add.at(class_weights[1], receiver_class, grid.counts.ravel()[receivers])
@@ -332,8 +349,8 @@ def _build_state(grid: HouseholdGrid, footprints: Footprints) -> _DeviceState:
         segment_class=segment_class,
         tokens=tuple(tokens),
         token_index=token_index,
-        co_index=co_of[first],
-        adj_index=co_bits.shape[1] + adj_of[first],
+        co_index=co_index,
+        adj_index=co_bits.shape[1] + adj_index,
         class_weights=class_weights,
     )
 
@@ -366,12 +383,16 @@ def _build_sweep(
 
 def _mean_map(class_mhz: np.ndarray, segment_class: np.ndarray, lengths: np.ndarray,
               valid: np.ndarray, grid: HouseholdGrid) -> GraySpaceMap:
-    """Each class's value on its valid segments; NaN on the invalid ones."""
+    """Each class's value on its valid segments, NaN on the invalid ones, in
+    maximal runs: neighbouring segments of one level merge into one run."""
     levels, level_of = np.unique(class_mhz, return_inverse=True)
-    run_level = np.where(valid, level_of[segment_class], len(levels))
+    segment_level = np.where(valid, level_of[segment_class], len(levels))
+    starts = np.flatnonzero(np.concatenate(([True], segment_level[1:] != segment_level[:-1])))
+    run_length = np.add.reduceat(lengths, starts)
+    run_length.setflags(write=False)
     if not valid.all():
         levels = np.append(levels, np.nan)
-    return GraySpaceMap(levels, run_level, run_length=lengths, shape=grid.counts.shape)
+    return GraySpaceMap(levels, segment_level[starts], run_length, shape=grid.counts.shape)
 
 
 def single_realization_map(

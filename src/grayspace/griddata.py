@@ -258,7 +258,7 @@ def load_grid_csv(
                 if key in meta:
                     raise DataError(f"{path}:{lineno}: metadata key {key!r} repeated")
                 try:
-                    number = float(value.strip())
+                    number = _number(float, raw.partition("=")[2])  # unstripped, as below
                 except ValueError:
                     number = math.nan  # rejected below
                 if key in ("rows", "cols"):
@@ -277,13 +277,14 @@ def load_grid_csv(
                 raise DataError(f"{path}:{lineno}: expected header 'x,y,households'")
             header_seen = True
             continue
-        parts = line.split(",")
+        parts = raw.split(",")  # str.strip takes non-ASCII spaces, which _number rejects
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
         try:
-            records.append((int(parts[0]), int(parts[1]), int(parts[2])))
+            x, y, households = (_number(int, part) for part in parts)
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer field") from None
+        records.append((x, y, households))
     if not header_seen:
         raise DataError(f"{path}: missing 'x,y,households' header")
 
@@ -302,6 +303,13 @@ def load_grid_csv(
         rows=rows,
         cols=cols,
     )
+
+
+def _number(kind: type, text: str):
+    """``kind(text)``, but a ValueError on ``_`` or non-ASCII, which ``int`` and ``float`` read."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return kind(text)
 
 
 def write_grid_csv(path: str | Path, grid: HouseholdGrid) -> None:
@@ -513,14 +521,18 @@ def receiver_segments(
     """
     n_cells = valid.size
     runs = [_footprint_runs(valid.shape, seed_rows, seed_cols, fp) for fp in footprints]
-    cut = np.zeros(n_cells + 1, dtype=bool)  # a run may stop at n_cells
-    cut[0] = True
+    cut = np.zeros(n_cells + 1, dtype=bool)
+    cut[0] = cut[n_cells] = True  # a run may stop at n_cells: the last column takes those
     cut[1:n_cells] = np.diff(valid.ravel())
     for _, start, stop in runs:
         cut[start] = cut[stop] = True
     starts = np.flatnonzero(cut[:n_cells])
+    # count[j], the cuts at or before cell j (at most n_cells + 1): cut cell j
+    # starts segment count[j] - 1, and n_cells is the last column
+    count = cut.astype(np.int32 if n_cells < 2**31 - 1 else np.intp)
+    np.cumsum(count, out=count)
     words = -(-len(seed_rows) // 64)
-    width = len(starts) + 1  # the last column takes the stops at n_cells
+    width = len(starts) + 1
     bitsets = []
     for seed, start, stop in runs:
         # Add bit k where a run of receiver k begins and subtract it (mod
@@ -528,10 +540,10 @@ def receiver_segments(
         # leaves it set in between.  A receiver's runs lie on distinct rows
         # and never overlap, so each bit counts 0 or 1 and never carries.
         bit = np.left_shift(np.uint64(1), (seed % 64).astype(np.uint64))
-        at = np.tile(seed // 64 * width, 2) + np.searchsorted(starts, np.concatenate((start, stop)))
+        at = np.tile(seed // 64 * width - 1, 2) + count[np.concatenate((start, stop))]
         bits = np.zeros((words, width), dtype=np.uint64)
         np.add.at(bits.reshape(-1), at, np.concatenate((bit, -bit)))
-        bitsets.append(np.cumsum(bits, axis=1, dtype=np.uint64)[:, :-1])
+        bitsets.append(np.cumsum(bits, axis=1, out=bits)[:, :-1])
     return starts, tuple(bitsets)
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from grayspace import engine, griddata
+from grayspace.cli import _load_selected_grid, _separation_reports, load_run_config
 from grayspace.engine import (
     DEFAULT_BUCKETS,
     OTHER_BUCKET_LABEL,
@@ -653,6 +654,91 @@ class TestReceiverSetClasses:
             assert households == counts.ravel()[cell_class == c].sum()
 
 
+def _reference_state(grid, pair):
+    """A reference device state, built the long way: each footprint run's
+    segment by ``np.searchsorted``, every adjacent set sorted, and each
+    class's sets read at its first segment (``return_index``)."""
+    receivers = np.flatnonzero(grid.counts)
+    rows, cols = np.divmod(receivers, grid.cols)
+    runs = [griddata._footprint_runs(grid.counts.shape, rows, cols, fp) for fp in pair]
+    n_cells = grid.counts.size
+    cut = np.zeros(n_cells + 1, dtype=bool)
+    cut[0] = True
+    cut[1:n_cells] = np.diff(grid.valid.ravel())
+    for _, start, stop in runs:
+        cut[start] = cut[stop] = True
+    starts = np.flatnonzero(cut[:n_cells])
+    words, width = -(-len(receivers) // 64), len(starts) + 1
+    sets = []
+    for seed, start, stop in runs:
+        bit = np.left_shift(np.uint64(1), (seed % 64).astype(np.uint64))
+        at = np.tile(seed // 64 * width, 2) + np.searchsorted(starts, np.concatenate((start, stop)))
+        bits = np.zeros((words, width), dtype=np.uint64)
+        np.add.at(bits.reshape(-1), at, np.concatenate((bit, -bit)))
+        sets.append(engine._distinct_columns(np.cumsum(bits, axis=1, dtype=np.uint64)[:, :-1]))
+    (co_bits, co_of), (adj_bits, adj_of) = sets
+    table = np.concatenate((co_bits, adj_bits), axis=1)
+    tokens, token_index = [], np.empty(table.shape, dtype=np.uint32)
+    for w in range(words):
+        distinct, token_index[w] = engine._distinct_columns(table[w][None])
+        tokens.append(distinct[0])
+    _, first, segment_class = np.unique(co_of * adj_bits.shape[1] + adj_of, return_index=True,
+                                        return_inverse=True)
+    lengths, segment_valid = np.diff(starts, append=n_cells), grid.valid.ravel()[starts]
+    class_weights = np.zeros((2, len(first)), dtype=np.int64)
+    np.add.at(class_weights[0], segment_class, lengths * segment_valid)
+    receiver_class = segment_class[np.searchsorted(starts, receivers, "right") - 1]
+    np.add.at(class_weights[1], receiver_class, grid.counts.ravel()[receivers])
+    return engine._DeviceState(lengths, segment_valid, segment_class, tuple(tokens),
+                               token_index, co_of[first], co_bits.shape[1] + adj_of[first],
+                               class_weights)
+
+
+class TestStateReference:
+    """Every shipped and dense grid's state, for each configured device, has
+    the reference's arrays, dtypes included."""
+
+    @pytest.mark.parametrize("name", ["scattered", "clustered", "vinje", "scattered_dense",
+                                      "clustered_dense", "ofcom-suburban"])
+    def test_shipped_and_dense_grids(self, configs_dir, name):
+        cfg = load_run_config(configs_dir / f"{name}.cfg")
+        for resolution in sorted(cfg.grid_paths):
+            cfg.resolution = resolution
+            grid, _ = _load_selected_grid(cfg)
+            for link in _separation_reports(cfg):
+                pair = footprints(link, grid)
+                got, want = _state(grid, link), _reference_state(grid, pair)
+                for field in dataclasses.fields(got):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    for x, y in zip(*((a, b) if field.name == "tokens" else ([a], [b]))):
+                        assert x.dtype == y.dtype and np.array_equal(x, y), (
+                            resolution, link.device.label, field.name)
+
+
+@st.composite
+def _bitset_tables(draw):
+    """(words, n) uint64 bitsets, some columns empty, over a few values so
+    that columns repeat."""
+    words, n = draw(st.integers(0, 3)), draw(st.integers(1, 24))
+    bits = draw(hnp.arrays(np.uint64, (words, n),
+                           elements=st.sampled_from([0, 1, 6, 2**63, 2**64 - 1])))
+    bits[:, draw(hnp.arrays(bool, n))] = 0
+    return bits
+
+
+class TestDistinctSparseColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(bits=_bitset_tables())
+    @example(bits=np.zeros((2, 5), dtype=np.uint64))  # every column empty
+    @example(bits=np.array([[3, 1, 3, 2]], dtype=np.uint64))  # none empty
+    @example(bits=np.zeros((0, 4), dtype=np.uint64))  # no receivers: no words
+    def test_equals_the_full_sort(self, bits):
+        (got, got_of), (want, want_of) = (f(bits) for f in (engine._distinct_sparse_columns,
+                                                             engine._distinct_columns))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got_of.dtype == want_of.dtype and np.array_equal(got_of, want_of)
+
+
 class TestAdjacentInsideCo:
     """Criteria require co-channel C/I above adjacent C/I, so the adjacent
     loss is the smaller one; the Hata inversion, the rounding up to the grid
@@ -741,9 +827,24 @@ class TestValidation:
             result.mean_map.values[0, 0] = 1.0
 
 
+@contextlib.contextmanager
+def _mean_maps():
+    """Collect the (class values, segment class, lengths, validity) of every
+    mean map the engine builds inside the block, each with the map."""
+    maps = []
+
+    def build(*args, _original=engine._mean_map):
+        maps.append((args[:4], _original(*args)))
+        return maps[-1][1]
+
+    with mock.patch.object(engine, "_mean_map", build):
+        yield maps
+
+
 class TestMapDictionaryForm:
-    """A mean map is its distinct levels and runs of them, one per segment of
-    its device state, and no segment mixes valid and invalid cells.  Written
+    """A mean map is its distinct levels and maximal runs of them: neighbouring
+    runs differ in level, and together they repeat each segment's class value
+    over its cells; no segment mixes valid and invalid cells.  Written
     as it is, it gives the bytes of its float map; its mean is
     ``np.nanmean``'s to the bit.  Other roundings differ at ties: on
     clustered 1 km (4,096 cells, a power of two), fixed-4w KL2, seed 11 and
@@ -769,6 +870,17 @@ class TestMapDictionaryForm:
         assert len(np.unique(real)) == len(real)  # each level is formatted once
         assert np.isnan(mean_map.levels).sum() == (not grid.valid.all())
 
+    @staticmethod
+    def check_runs(maps):
+        """Each map's runs are maximal and cover each segment with its class's
+        value, NaN on the invalid segments."""
+        assert maps
+        for (class_mhz, segment_class, lengths, valid), m in maps:
+            assert (m.run_level[1:] != m.run_level[:-1]).all() and (m.run_length > 0).all()
+            segment_mhz = np.where(valid, class_mhz[segment_class], np.nan)
+            assert np.array_equal(np.repeat(m.levels[m.run_level], m.run_length),
+                                  np.repeat(segment_mhz, lengths), equal_nan=True)
+
     @settings(max_examples=40, deadline=None)
     @given(
         shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
@@ -784,13 +896,14 @@ class TestMapDictionaryForm:
         valid.flat[0] = True
         counts = np.where(valid & (rng.random(shape) < 0.3), rng.integers(1, 4, shape), 0)
         grid = HouseholdGrid(counts, valid, 250.0, municipal_area_km2=counts.size / 16)
-        with _built_states() as states:
+        with _built_states() as states, _mean_maps() as maps:
             result = run(grid, knowledge, realizations=realizations, master_seed=seed)
             single = single_realization_map(grid, footprints(LINK_FIXED, grid), PLAN, knowledge,
                                             seed)
         self.check(result.mean_map, grid, tmp_path_factory.mktemp("map"))
         self.check(single, grid, tmp_path_factory.mktemp("single"))
         self.check_segments(states, grid)
+        self.check_runs(maps)
 
     @staticmethod
     def check_segments(states, grid):
@@ -807,10 +920,11 @@ class TestMapDictionaryForm:
     def test_shipped_grids(self, data_dir, tmp_path, name):
         grid, invalidated = compensate_area(load_grid_csv(data_dir / name))
         assert invalidated == {"vinje_synthetic_1km.csv": 734, "clustered_1km.csv": 0}[name]
-        with _built_states() as states:
+        with _built_states() as states, _mean_maps() as maps:
             result = run(grid, KL2, realizations=20, master_seed=11)
         self.check(result.mean_map, grid, tmp_path)
         self.check_segments(states, grid)
+        self.check_runs(maps)
         if name == "clustered_1km.csv":
             assert f"{result.mean_map.mean_mhz(grid.counts.size):.10g}" == "84.20429687"
 

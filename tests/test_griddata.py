@@ -188,13 +188,18 @@ class TestGridCsv:
             "# resolution_m=-5", "# resolution_m=0",
             "# municipal_area_km2=nan", "# municipal_area_km2=-1",
             "# rows=2\n# rows=3",
+            # float() reads digit separators and non-ASCII digits and spaces
+            "# rows=1_0", "# resolution_m=1_000", "# cols=\u0661", "# rows=\u00a02",
+            "# rows=2\u00a0",
         ],
     )
     def test_rejects_bad_metadata(self, tmp_path, meta):
         path = tmp_path / "grid.csv"
         path.write_text(f"{meta}\nx,y,households\n0,0,3\n")
-        with pytest.raises(DataError):  # checked even where an argument overrides it
+        with pytest.raises(DataError) as error:  # checked even where an argument overrides it
             load_grid_csv(path, resolution_m=1000.0)
+        if "1e30" not in meta:  # a size numpy cannot allocate is past the metadata lines
+            assert f"grid.csv:{meta.count(chr(10)) + 1}: " in str(error.value)
 
     @pytest.mark.parametrize(
         "records",
@@ -237,6 +242,12 @@ class TestGridCsv:
         path.write_text("# resolution_m=1000\nnope\n")
         with pytest.raises(DataError):
             load_grid_csv(path)
+        # int() reads digit separators and non-ASCII digits and spaces
+        for record in ("1_0,0,5", "0,0,1_0", "\u0661,0,5", "0,0,\uff15", "0,\u00a00,5",
+                       "0,0,5\u00a0", "\u20030,0,5"):
+            path.write_text(f"# resolution_m=1000\nx,y,households\n0,1,2\n{record}\n")
+            with pytest.raises(DataError, match=":4: non-integer field"):
+                load_grid_csv(path)
 
 
 class TestCompensation:

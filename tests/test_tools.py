@@ -139,6 +139,22 @@ def test_bench_pairs_runs_a_no_op_control(bench_pairs, monkeypatch, tmp_path, ca
                         for name in bench_pairs.BETTER]
 
 
+def test_bench_pairs_runs_ten_pairs_by_default(bench_pairs, monkeypatch, tmp_path, capsys):
+    # verdict()'s "better" needs 9 of 10 pairs
+    runs = []
+
+    def fake_run_once(copy, workload, seed, seconds):
+        runs.append(copy.name)
+        return {bench_pairs.RAW: 0.3, "wall_s": 0.3, "setup_s": 0.16, "cells_per_s": 1e7,
+                "peak_rss_mb": 42.0}
+
+    monkeypatch.setattr(bench_pairs, "extract", _fake_extract)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(["base", "head", "--scratch", str(tmp_path)]) == 0
+    assert len(runs) == 3 * (1 + 10)  # one warm-up run per copy, then 10 rounds
+    assert "sim-1km pair 10: " in capsys.readouterr().out
+
+
 def test_bench_pairs_warm_up_reaches_no_summary(bench_pairs, monkeypatch, tmp_path, capsys):
     # each copy's first run reads 100 times slower; the pairs read the same on all copies
     calls = collections.Counter()

@@ -14,7 +14,7 @@ against the base beside it, and last the line count of
 ``src/grayspace/*.py`` in each copy:
 
     python3 tools/bench_pairs.py 5e9ef34 WORKTREE --scratch /tmp/pairs \\
-        --workload sim-1km --pairs 5 --seconds 8 --seed 42
+        --workload sim-1km --pairs 10 --seconds 8 --seed 42
 
 ``WORKTREE`` stands for the tracked files of the working tree, staged new
 files included (``git stash create``, which changes nothing in the
@@ -193,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory for the copies (made if missing)")
     parser.add_argument("--workload", action="append",
                         help="perfbench workload; repeat for several (default sim-1km)")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="rounds per workload (default 10: a gain needs 9 of 10 pairs)")
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
