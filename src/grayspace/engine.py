@@ -207,7 +207,7 @@ class _DeviceState:
 class _Sweep:
     """Everything a worker needs to evaluate realizations of every pair."""
 
-    households: np.ndarray  # households per receiver cell, np.nonzero order
+    households: np.ndarray  # households per receiver cell, in flat cell order
     devices: tuple[_DeviceState, ...]
     partition: UsagePartition  # of the variates, by the knowledge configs' thresholds
     pairs: tuple[tuple[int, int, int], ...]  # (device, knowledge, realizations)
@@ -320,9 +320,10 @@ def _distinct_sparse_columns(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, every
 
 
-def _build_state(grid: HouseholdGrid, footprints: Footprints) -> _DeviceState:
-    footprints = _footprint_pair(footprints)
-    receivers = np.flatnonzero(grid.counts)  # np.nonzero order, as _Sweep.households
+def _build_state(grid: HouseholdGrid, receivers: np.ndarray, households: np.ndarray,
+                 footprints: tuple[np.ndarray, np.ndarray]) -> _DeviceState:
+    """The state of one checked footprint pair on ``grid``, whose receiver
+    cells are the flat indices ``receivers`` holding ``households``."""
     starts, bitsets = receiver_segments(grid.valid, *np.divmod(receivers, grid.cols), footprints)
     co_bits, co_of = _distinct_columns(bitsets[0])
     # adjacent footprints are small: most segments have an empty adjacent set
@@ -342,7 +343,7 @@ def _build_state(grid: HouseholdGrid, footprints: Footprints) -> _DeviceState:
     segment_valid, lengths = grid.valid.ravel()[starts], np.diff(starts, append=grid.counts.size)
     np.add.at(class_weights[0], segment_class, lengths * segment_valid)
     receiver_class = segment_class[np.searchsorted(starts, receivers, "right") - 1]
-    np.add.at(class_weights[1], receiver_class, grid.counts.ravel()[receivers])
+    np.add.at(class_weights[1], receiver_class, households)
     return _DeviceState(
         segment_lengths=lengths,
         segment_valid=segment_valid,
@@ -368,9 +369,12 @@ def _build_sweep(
     keys = [(co.tobytes(), adj.tobytes()) for co, adj in devices]
     distinct = list(dict.fromkeys(keys))
     knowledge = list(dict.fromkeys(k for _, k in pairs))
+    receivers = np.flatnonzero(grid.counts)
+    households = grid.counts.ravel()[receivers]
     return _Sweep(
-        households=grid.counts[np.nonzero(grid.counts)],
-        devices=tuple(_build_state(grid, devices[keys.index(key)]) for key in distinct),
+        households=households,
+        devices=tuple(_build_state(grid, receivers, households, devices[keys.index(key)])
+                      for key in distinct),
         partition=usage_partition(knowledge),
         pairs=tuple(
             (distinct.index(key), knowledge.index(k), n)

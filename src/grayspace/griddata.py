@@ -53,6 +53,7 @@ from .errors import DataError, DomainError
 from .linkbudget import SeparationReport, quantize_cells
 
 _METADATA_KEYS = ("rows", "cols", "resolution_m", "municipal_area_km2")
+_BLANK = " \t"  # all that the readers strip around lines, keys and fields
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,9 @@ def _owned(values, dtype) -> np.ndarray:
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    """The lines of an input file; one that cannot be read as text is data."""
+    """The lines of an input file, split at ``"\\n"`` only; one not read as text is data."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig").splitlines()
+        return Path(path).read_text(encoding="utf-8-sig").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -245,20 +246,20 @@ def load_grid_csv(
     records: list[tuple[int, int, int]] = []
     header_seen = False
     for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
+        line = raw.strip(_BLANK)
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
+            body = line[1:].strip(_BLANK)
             if "=" in body:
                 key, _, value = body.partition("=")
-                key = key.strip()
+                key = key.strip(_BLANK)
                 if key not in _METADATA_KEYS:
                     raise DataError(f"{path}:{lineno}: unknown metadata key {key!r}")
                 if key in meta:
                     raise DataError(f"{path}:{lineno}: metadata key {key!r} repeated")
                 try:
-                    number = _number(float, raw.partition("=")[2])  # unstripped, as below
+                    number = _number(float, value)
                 except ValueError:
                     number = math.nan  # rejected below
                 if key in ("rows", "cols"):
@@ -268,16 +269,16 @@ def load_grid_csv(
                 if not ok:
                     raise DataError(
                         f"{path}:{lineno}: metadata key {key!r} must be {need}, "
-                        f"got {value.strip()!r}"
+                        f"got {value.strip(_BLANK)!r}"
                     )
                 meta[key] = number
             continue
         if not header_seen:
-            if [c.strip().lower() for c in line.split(",")] != ["x", "y", "households"]:
+            if [c.strip(_BLANK).lower() for c in line.split(",")] != ["x", "y", "households"]:
                 raise DataError(f"{path}:{lineno}: expected header 'x,y,households'")
             header_seen = True
             continue
-        parts = raw.split(",")  # str.strip takes non-ASCII spaces, which _number rejects
+        parts = line.split(",")
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
         try:
@@ -306,14 +307,15 @@ def load_grid_csv(
 
 
 def _number(kind: type, text: str):
-    """``kind(text)``, but a ValueError on ``_`` or non-ASCII, which ``int`` and ``float`` read."""
-    if "_" in text or not text.isascii():
+    """``kind(text)``, but a ValueError on ``_``, non-ASCII or a control other than end blanks:
+    ``int`` and ``float`` read the first two and strip the last."""
+    if "_" in text or not (text.isascii() and text.strip(_BLANK).isprintable()):
         raise ValueError(text)
     return kind(text)
 
 
 def write_grid_csv(path: str | Path, grid: HouseholdGrid) -> None:
-    """Write a grid in the normalized ingestion format (sorted records)."""
+    """Write a grid in the normalized ingestion format, records in row-major order."""
     lines = [
         f"# rows={grid.rows}",
         f"# cols={grid.cols}",
@@ -321,62 +323,45 @@ def write_grid_csv(path: str | Path, grid: HouseholdGrid) -> None:
         f"# municipal_area_km2={_fmt(grid.municipal_area_km2)}",
         "x,y,households",
     ]
-    ys, xs = np.nonzero(grid.counts)
-    order = np.lexsort((xs, ys))
-    for y, x in zip(ys[order], xs[order]):
+    for y, x in zip(*np.nonzero(grid.counts)):  # np.nonzero goes in row-major order
         lines.append(f"{x},{y},{grid.counts[y, x]}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _border_scan(rows: int, cols: int) -> Iterable[tuple[int, int]]:
-    """Yield (row, col) border-inward: per ring, top row left-to-right, then
-    bottom row, then left column top-to-bottom, then right column."""
-    ring = 0
-    while True:
-        top, bottom = ring, rows - 1 - ring
-        left, right = ring, cols - 1 - ring
-        if top > bottom or left > right:
-            return
-        for x in range(left, right + 1):
-            yield top, x
-        if bottom != top:
-            for x in range(left, right + 1):
-                yield bottom, x
-        for y in range(top + 1, bottom):
-            yield y, left
-        if right != left:
-            for y in range(top + 1, bottom):
-                yield y, right
-        ring += 1
 
 
 def compensate_area(grid: HouseholdGrid) -> tuple[HouseholdGrid, int]:
     """Invalidate border cells so the valid area matches the municipal area.
 
-    Zero-household cells, scanned border-inward in a fixed order, are
-    invalidated until floor((grid_area - municipal_area) / cell_area) cells
-    are invalid, counting those already invalid, so the result is
-    deterministic and a second call changes nothing.  Household cells are
-    never touched; if too few empty cells are reachable the shortfall is a
-    data error.  Returns the grid and the number of cells this call invalidated.
+    Zero-household cells are invalidated until
+    floor((grid_area - municipal_area) / cell_area) cells are invalid,
+    counting those already invalid, taking the border rings from the outside
+    in.  Within a ring the order is its top row left to right, its bottom row
+    (if it is another row), then its left and its right column (if another
+    column) top to bottom between those rows, so the result is deterministic
+    and a second call changes nothing.  Household cells are never touched; if
+    too few empty cells are reachable the shortfall is a data error.  Returns
+    the grid and the number of cells this call invalidated.
     """
     # The epsilon absorbs IEEE dust in cell_area (e.g. 0.1**2 != 0.01) that
     # could otherwise flip the floor by one whole cell.
     excess = (grid.physical_area_km2 - grid.municipal_area_km2) / grid.cell_area_km2
-    target = int(math.floor(excess + 1e-9))
-    if target <= 0:
-        return grid, 0
-    target -= grid.valid.size - int(np.count_nonzero(grid.valid))
+    target = int(math.floor(excess + 1e-9)) - grid.valid.size + int(np.count_nonzero(grid.valid))
     if target <= 0:
         return grid, 0
     valid = grid.valid.copy()
+    flat_valid, flat_counts = valid.reshape(-1), grid.counts.reshape(-1)
+    rows, cols = grid.counts.shape
     remaining = target
-    for y, x in _border_scan(grid.rows, grid.cols):
-        if remaining == 0:
+    for top in range((min(rows, cols) + 1) // 2):  # the ring `top` cells in from each edge
+        bottom, right = rows - 1 - top, cols - 1 - top
+        across = np.arange(top, right + 1)
+        down = np.arange(top + 1, bottom) * cols
+        ring = np.concatenate([y * cols + across for y in dict.fromkeys((top, bottom))]
+                              + [down + x for x in dict.fromkeys((top, right))])
+        free = ring[flat_valid[ring] & (flat_counts[ring] == 0)][:remaining]
+        flat_valid[free] = False
+        remaining -= len(free)
+        if not remaining:
             break
-        if valid[y, x] and grid.counts[y, x] == 0:
-            valid[y, x] = False
-            remaining -= 1
     if remaining:
         raise DataError(
             f"area compensation needs {target} empty cells but only "
@@ -583,7 +568,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     """
     text = _read_lines(path)
     # loadtxt does not skip whitespace-only lines itself
-    lines = [line for line in text if line.strip()]
+    lines = [line for line in text if line.strip(_BLANK)]
     if not lines:
         raise DataError(f"{path}: empty matrix")
     distinct: dict[str, int] = {}  # each distinct row, in first-seen order
@@ -594,7 +579,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     except ValueError as exc:
         width = None
         for number, line in enumerate(text, start=1):  # the first bad line, for the message
-            if line.strip():
+            if line.strip(_BLANK):
                 try:
                     n = parse([line]).shape[1]
                 except ValueError as bad:  # numpy counts the one line it was given as row 0

@@ -317,7 +317,9 @@ def _built_states():
 
 def _state(grid, link):
     """The device state of ``link``'s footprints on ``grid``."""
-    return engine._build_state(grid, footprints(link, grid))
+    receivers = np.flatnonzero(grid.counts)
+    return engine._build_state(grid, receivers, grid.counts.ravel()[receivers],
+                               footprints(link, grid))
 
 
 def _set_bits(state):

@@ -191,6 +191,8 @@ class TestGridCsv:
             # float() reads digit separators and non-ASCII digits and spaces
             "# rows=1_0", "# resolution_m=1_000", "# cols=\u0661", "# rows=\u00a02",
             "# rows=2\u00a0",
+            # str.strip takes non-ASCII spaces, and int and float take controls
+            "# resolution_m\u00a0=1000", "#\u00a0rows=2", "# rows=2\f", "# rows=\x1c2",
         ],
     )
     def test_rejects_bad_metadata(self, tmp_path, meta):
@@ -244,13 +246,106 @@ class TestGridCsv:
             load_grid_csv(path)
         # int() reads digit separators and non-ASCII digits and spaces
         for record in ("1_0,0,5", "0,0,1_0", "\u0661,0,5", "0,0,\uff15", "0,\u00a00,5",
-                       "0,0,5\u00a0", "\u20030,0,5"):
+                       "0,0,5\u00a0", "\u20030,0,5", "0,0,5\f", "\x0b0,0,5", "0,\x1f0,5"):
             path.write_text(f"# resolution_m=1000\nx,y,households\n0,1,2\n{record}\n")
             with pytest.raises(DataError, match=":4: non-integer field"):
                 load_grid_csv(path)
+        path.write_text("# resolution_m=1000\nx,y,households\n0,1,2\n \t0 ,\t0,5\t\n")
+        assert load_grid_csv(path).counts.tolist() == [[5], [2]]  # blanks are spaces and tabs
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\f", "\x0b", "\x1c"])
+    def test_lines_end_at_newlines_only(self, tmp_path, separator):
+        # str.splitlines also breaks lines at these, which made one line two records
+        path = tmp_path / "grid.csv"
+        path.write_text(f"# resolution_m=1000\nx,y,households\n0,0,5{separator}1,1,3\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"grid\.csv:3: expected 3 fields, got 5"):
+            load_grid_csv(path)
+
+    def test_header_blanks_are_spaces_and_tabs(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("# resolution_m=1000\n\t x , Y,households \n0,0,5\n")
+        assert load_grid_csv(path).counts.tolist() == [[5]]
+        path.write_text("# resolution_m=1000\n\u00a0x,y,households\n0,0,5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"grid\.csv:2: expected header"):
+            load_grid_csv(path)
+
+
+def _walked_compensation(grid):
+    """Area compensation walked one cell at a time: (valid mask, count) or the
+    shortfall's message.  Rings go from the outside in; each is its top row,
+    its bottom row, its left column and its right column, a row or column
+    once where two coincide."""
+    rows, cols = grid.counts.shape
+    order = []
+    for ring in itertools.count():
+        top, bottom, left, right = ring, rows - 1 - ring, ring, cols - 1 - ring
+        if top > bottom or left > right:
+            break
+        for y in sorted({top, bottom}):
+            order += [(y, x) for x in range(left, right + 1)]
+        for x in sorted({left, right}):
+            order += [(y, x) for y in range(top + 1, bottom)]
+    assert sorted(order) == list(itertools.product(range(rows), range(cols)))
+    excess = (grid.physical_area_km2 - grid.municipal_area_km2) / grid.cell_area_km2
+    target = math.floor(excess + 1e-9) - int((~grid.valid).sum())
+    valid, taken = grid.valid.copy(), 0
+    for y, x in order:
+        if taken >= target:
+            break
+        if valid[y, x] and grid.counts[y, x] == 0:
+            valid[y, x], taken = False, taken + 1
+    if taken < target:
+        return (f"area compensation needs {target} empty cells but only {taken} were "
+                f"available ({target - taken} short)")
+    return valid, max(target, 0)
+
+
+def _check_against_walk(grid):
+    want = _walked_compensation(grid)
+    if isinstance(want, str):
+        with pytest.raises(DataError) as raised:
+            compensate_area(grid)
+        assert str(raised.value) == want
+        return
+    out, n = compensate_area(grid)
+    assert (out.valid.tolist(), n) == (want[0].tolist(), want[1])
+    assert out.counts is grid.counts and not out.valid.flags.writeable
+    assert (out is grid) == (n == 0)
+
+
+@st.composite
+def _compensable_grids(draw):
+    """Small grids, 1xN and Nx1 included, with some cells invalid and some
+    holding households, and a municipal area from no excess to past what
+    their empty valid cells can give."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    counts = draw(hnp.arrays(np.int64, (rows, cols), elements=st.sampled_from([0, 0, 0, 1, 7])))
+    valid = draw(hnp.arrays(bool, (rows, cols), elements=st.sampled_from([True, True, False])))
+    valid[np.unravel_index(draw(st.integers(0, rows * cols - 1)), valid.shape)] = True
+    counts[~valid] = 0
+    resolution = draw(st.sampled_from([1000.0, 100.0, 250.0]))
+    cell = (resolution / 1000.0) ** 2
+    cells = draw(st.integers(1, rows * cols)) - draw(st.sampled_from([0.0, 0.5, 0.999]))
+    return HouseholdGrid(counts, valid, resolution, municipal_area_km2=cells * cell)
 
 
 class TestCompensation:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_compensable_grids())
+    @example(grid=HouseholdGrid(np.zeros((1, 7), np.int64), np.ones((1, 7), bool), 1000.0, 2.0))
+    @example(grid=HouseholdGrid(np.zeros((7, 1), np.int64), np.ones((7, 1), bool), 1000.0, 2.0))
+    @example(grid=HouseholdGrid(np.eye(3, dtype=np.int64), np.ones((3, 3), bool), 1000.0, 1.0))
+    @example(grid=HouseholdGrid(np.asfortranarray(np.eye(4, 5, 1, dtype=np.int64)),
+                                np.asfortranarray(np.ones((4, 5), bool)), 1000.0, 9.0))
+    def test_equals_a_cell_by_cell_walk(self, grid):
+        _check_against_walk(grid)
+
+    def test_refined_vinje_equals_a_cell_by_cell_walk(self, data_dir):
+        fine = refine_grid(load_grid_csv(data_dir / "vinje_synthetic_1km.csv"), 10)
+        assert compensate_area(fine)[1] > 10**4  # many rings deep
+        _check_against_walk(fine)
+
     def test_scan_order(self):
         grid = ingest_grid(
             [(2, 3, 9)], resolution_m=1000.0, rows=6, cols=6, municipal_area_km2=32.0
@@ -798,9 +893,12 @@ class TestMatrixIO:
             ("\n  \n1,2\n3,abc\n", 4, "could not convert string 'abc'"),
             ("1,2\n  \n1,2\n\n3\n", 5, "expected 2 values, got 1"),
             ("\n\n1,,3\n", 3, "could not convert string ''"),
+            ("1,2\u20283,4\n1,x\n", 1, "could not convert string '2\\u20283'"),
+            ("1,2\f3,4\n1,x\n", 1, "could not convert string '2\\x0c3'"),
         ],
         ids=["token-after-two-blanks", "ragged-after-blank", "token-after-leading-blanks",
-             "ragged-after-repeats", "empty-field-after-blanks"],
+             "ragged-after-repeats", "empty-field-after-blanks", "line-separator-inside",
+             "form-feed-inside"],
     )
     def test_csv_error_names_the_files_line(self, tmp_path, text, where, fragment):
         path = tmp_path / "m.csv"

@@ -285,8 +285,9 @@ def test_check_identity_names_a_planted_byte(data_dir, tmp_path, monkeypatch, ca
     argv = ["base", "head", "--scratch", str(tmp_path / "scratch")]
     assert check_identity.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
-    # 4 simulate runs (2 seeds, 2 worker counts), 1 ingest, a report per seed-11 map
-    assert out[-3:] == ["base: 7 commands, exit codes 0: 7", "head: 7 commands, exit codes 0: 7",
+    # 4 simulate runs (2 seeds, 2 worker counts), 1 ingest, 1 linkbudget, a
+    # report per seed-11 map
+    assert out[-3:] == ["base: 8 commands, exit codes 0: 8", "head: 8 commands, exit codes 0: 8",
                         "identical"]
     town = copies["head"] / "data" / "town.csv"
     town.write_text(town.read_text().replace("5,4,2", "5,4,3"))
@@ -295,7 +296,15 @@ def test_check_identity_names_a_planted_byte(data_dir, tmp_path, monkeypatch, ca
     assert "differs: ingest/town/grid.csv" in out
     assert "differs: simulate/town_1000m_seed42_w2/cpe-4w_KL1/utilization.csv" in out
     assert "differs: simulate/town_1000m_seed11_w1/cpe-4w_KL2/summary.txt" in out
-    assert not any(line.startswith(("only in", "exit code")) for line in out)
+    assert not any(line.startswith(("only in", "exit code")) or "linkbudget" in line
+                   for line in out)
+    # the link budget reads the config alone: a planted antenna height shows in its table
+    config = copies["head"] / "configs" / "town.cfg"
+    config.write_text(config.read_text().replace("antenna_height_m = 30", "antenna_height_m = 31"))
+    assert check_identity.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "differs: linkbudget/town/linkbudget.csv" in out
+    assert "stdout of linkbudget/town differs" in out
 
 
 def _import_perfbench(data_dir, name):

@@ -9,13 +9,15 @@ new files included) and runs in each copy, with its own ``src/``:
 * ``simulate`` of every ``configs/*.cfg`` at each resolution of its
   ``[grid]`` section, at seeds 11 and 42 and ``--workers`` 1 and 2;
 * ``report`` of every map of the seed-11 runs on one worker;
-* ``ingest --valid-mask`` of every ``data/*.csv``.
+* ``ingest --valid-mask`` of every ``data/*.csv``;
+* ``linkbudget --csv`` of every ``configs/*.cfg``.
 
 Every command of a copy runs through ``grayspace.cli.main`` in one
 interpreter.  Then every file either side wrote is compared: the output
-trio, the report tables and the ingest outputs byte for byte, ``summary.txt``
-and each command's stdout after the copy's and the output directory's
-paths are replaced by placeholders, and each command's exit code.  The tool
+trio, the report tables, the ingest outputs and the link-budget tables byte
+for byte, ``summary.txt`` and each command's stdout after the copy's and the
+output directory's paths are replaced by placeholders, and each command's
+exit code.  The tool
 prints every file that differs or that one side lacks, every command whose
 exit code or stdout differs, and the count of each exit code on both sides.
 It exits 1 if anything differs, else 0.  It changes nothing in the
@@ -90,6 +92,16 @@ def ingests(copy: Path, out: Path) -> dict[str, list[str]]:
     return commands
 
 
+def linkbudgets(copy: Path, out: Path) -> dict[str, list[str]]:
+    """``linkbudget --csv`` argv by output name, for every config of ``copy``."""
+    commands = {}
+    for config in sorted((copy / "configs").glob("*.cfg")):
+        name = f"linkbudget/{config.stem}"
+        commands[name] = ["linkbudget", "--config", str(config),
+                          "--csv", str(out / name / "linkbudget.csv")]
+    return commands
+
+
 def reports(simulated: dict[str, list[str]], out: Path) -> dict[str, list[str]]:
     """``report`` argv by output name, for every map the seed-11 runs on one
     worker wrote, with the config and resolution of its run."""
@@ -120,7 +132,7 @@ def run_all(copy: Path, out: Path) -> dict[str, list]:
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     simulated = simulations(copy, out)
-    results = run(copy, simulated | ingests(copy, out))
+    results = run(copy, simulated | ingests(copy, out) | linkbudgets(copy, out))
     return results | run(copy, reports(simulated, out))
 
 
