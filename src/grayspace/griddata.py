@@ -43,6 +43,7 @@ import dataclasses
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -306,10 +307,15 @@ def load_grid_csv(
     )
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII with no control character but blanks at its ends."""
+    return text.isascii() and text.strip(_BLANK).isprintable()
+
+
 def _number(kind: type, text: str):
     """``kind(text)``, but a ValueError on ``_``, non-ASCII or a control other than end blanks:
     ``int`` and ``float`` read the first two and strip the last."""
-    if "_" in text or not (text.isascii() and text.strip(_BLANK).isprintable()):
+    if "_" in text or not _plain(text):
         raise ValueError(text)
     return kind(text)
 
@@ -560,28 +566,30 @@ def write_matrix_csv(path: str | Path, levels, run_level, run_length, shape) -> 
     Path(path).write_bytes(out.tobytes().translate(None, b"\0"))
 
 
+_CHUNK = 1 << 17  # bytes of whole rows that the map reader tokenizes at once
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # low n bytes
+_PARSE = functools.partial(np.loadtxt, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Inverse of :func:`write_matrix_csv`; blank lines are skipped, and
-    each distinct row is parsed once.  A non-numeric token (``#`` lines
-    included), a ragged row or an empty file is a data error; the first two
-    name the file's line.
+    """Inverse of :func:`write_matrix_csv`; blank lines are skipped.  Each run
+    of byte-equal fields in a row is parsed once, at its first field.  A
+    field that is no number (``#`` lines included) or that breaks the grid
+    files' character rule, a ragged row or an empty file is a data error;
+    the first two name the file's line.
     """
-    text = _read_lines(path)
-    # loadtxt does not skip whitespace-only lines itself
-    lines = [line for line in text if line.strip(_BLANK)]
-    if not lines:
-        raise DataError(f"{path}: empty matrix")
-    distinct: dict[str, int] = {}  # each distinct row, in first-seen order
-    row = [distinct.setdefault(line, len(distinct)) for line in lines]
-    parse = functools.partial(np.loadtxt, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
     try:
-        values = parse(list(distinct))
+        runs = _matrix_runs(path)
     except ValueError as exc:
         width = None
-        for number, line in enumerate(text, start=1):  # the first bad line, for the message
+        for number, line in enumerate(_read_lines(path), start=1):  # the first bad line
             if line.strip(_BLANK):
+                for column, field in enumerate(line.split(","), start=1):
+                    if not _plain(field):  # in numpy's words, though its parser strips some
+                        raise DataError(f"{path}:{number}: could not convert string {field!r} "
+                                        f"to float64 at column {column}.")
                 try:
-                    n = parse([line]).shape[1]
+                    n = _PARSE([line]).shape[1]
                 except ValueError as bad:  # numpy counts the one line it was given as row 0
                     reason = str(bad).replace("at row 0, ", "at ")
                     raise DataError(f"{path}:{number}: {reason}") from None
@@ -589,4 +597,88 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
                 if n != width:
                     raise DataError(f"{path}:{number}: expected {width} values, got {n}")
         raise DataError(f"{path}: {exc}") from None
-    return values if len(distinct) == len(lines) else values[row]
+    if runs is None:
+        raise DataError(f"{path}: empty matrix")
+    values, lengths, shape = runs  # the file's bytes are freed before the matrix is filled
+    return np.repeat(values, lengths).reshape(shape)
+
+
+def _matrix_runs(path: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, int]] | None:
+    """``(values, lengths, shape)`` of the CSV matrix in ``path``, in
+    row-major runs of byte-equal fields; None if every line is blank.
+
+    The file is read as bytes, as :func:`_read_lines` reads it as text, in
+    chunks of whole rows.  A field starts a run unless it has the length and
+    the bytes of the field before it in its row; the bytes are compared as
+    little-endian 8-byte keys, read through a view that starts one at every
+    byte.  Only the first field of each run (its head) is parsed, as one
+    ``loadtxt`` line per chunk.
+    A DataError if the file cannot be read; a ValueError if a head is no
+    number or holds a byte that is not ASCII text, space or tab, or if the
+    rows' widths differ.
+    """
+    try:
+        with open(path, "rb") as file:  # with room for a last "\n" and the last key, uncopied
+            data = bytearray(os.fstat(file.fileno()).st_size + 9)
+            del data[file.readinto(data):]
+            data += file.read()  # the rest, if the file grew or has no size
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if data.startswith(b"\xef\xbb\xbf"):  # as utf-8-sig reads it
+        del data[:3]
+    if b"\r" in data:  # as universal newlines read it
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    end = len(data)
+    data += bytes(8)  # the key of the last byte reads 7 past it
+    buf = np.frombuffer(data, dtype=np.uint8)
+    values, lengths, widths = [], [], []
+    start = 0
+    while start < end:
+        stop = data.find(b"\n", min(start + _CHUNK, end) - 1) + 1
+        chunk = buf[start:stop]
+        keys = np.ndarray((stop - start,), "<u8", data, start, (1,))
+        start = stop
+        last = np.flatnonzero((chunk == 44) | (chunk == 10))  # each field's "," or "\n"
+        first = np.concatenate(([0], last[:-1] + 1))
+        size = last - first
+        line_end = np.flatnonzero(chunk.take(last) == 10)
+        head = np.concatenate(([True], size[1:] != size[:-1]))
+        head[line_end[:-1] + 1] = True
+        # take copies the whole view, which beats indexing it for every field
+        key = keys.take(first) & _KEY_MASKS.take(size, mode="clip")
+        head[1:] |= key[1:] != key[:-1]
+        for k in range(8, int(size.max()), 8):  # index the few fields still tied, past byte k
+            tie = np.flatnonzero(~head & (size > k))
+            key = keys[first[tie] + k] ^ keys[first[tie - 1] + k]
+            head[tie] = (key & _KEY_MASKS.take(size[tie] - k, mode="clip")) != 0
+        at = np.flatnonzero(head)
+        run = np.diff(at, append=len(last))
+        width = np.diff(line_end, prepend=-1)  # fields per line
+        if (alone := np.flatnonzero(width == 1)).size:
+            # a line of one field is blank if it holds only spaces and tabs
+            filled = np.concatenate(([0], np.cumsum((chunk != 32) & (chunk != 9))))
+            field = line_end[alone]
+            blank = filled[last[field]] == filled[first[field]]
+            head[field[blank]] = False
+            keep = head[at]
+            at, run, width = at[keep], run[keep], np.delete(width, alone[blank])
+        widths.append(width)
+        if not at.size:
+            continue
+        text = chunk[np.repeat(head, size + 1)]  # the heads' bytes, each with its separator
+        control = (text < 32) & (text != 9) & (text != 10)
+        if text.max() > 126 or control.any():
+            raise ValueError("a field holds a byte that is not ASCII text, space or tab")
+        parsed = _PARSE([text[:-1].tobytes().replace(b"\n", b",").decode("ascii")]).ravel()
+        if parsed.size != at.size:
+            raise ValueError(f"{parsed.size} values from {at.size} fields")
+        values.append(parsed)
+        lengths.append(run)
+    width = np.concatenate(widths)
+    if not width.size:
+        return None
+    if (width != width[0]).any():
+        raise ValueError("rows of different widths")
+    return np.concatenate(values), np.concatenate(lengths), (width.size, width[0])

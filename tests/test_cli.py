@@ -1007,6 +1007,20 @@ class TestReport:
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("data", [b"\xc2\xa08,2\n", b"8\x0c,2\n"],
+                             ids=["no-break-space", "form-feed"])
+    def test_map_field_past_the_character_rule_is_3(self, workspace, tmp_path, capsys, data):
+        # np.loadtxt alone strips both and reads [[8.0, 2.0]]
+        bad = tmp_path / "map.csv"
+        bad.write_bytes(data)
+        out = tmp_path / "rep"
+        assert main(
+            ["report", "--config", str(workspace), "--map", str(bad), "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}:1: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_shape_mismatch_is_3_and_writes_nothing(self, workspace, tmp_path, capsys):
         small = tmp_path / "map.csv"
         small.write_text("0,8,16\n0,8,16\n0,8,16\n")
@@ -1127,6 +1141,28 @@ class TestGoldenDigests:
         got = {f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("*/*.csv")}
         assert len(want) == 24 and got == want
+
+    def test_report_100m_files_match_the_benchmark_reference(self, configs_dir, tmp_path, capsys):
+        # report of each of the 16 maps that simulate stores at 100 m
+        reference = json.loads(self.REFERENCE.read_text())
+        workload = reference["workloads"]["report-100m"]
+        assert (reference["seed"], workload["realizations"]) == (42, 4)
+        got = {}
+        for name in ("clustered", "scattered"):
+            config, prep = configs_dir / f"{name}.cfg", tmp_path / "prep" / name
+            assert main(["simulate", "--config", str(config), "--resolution", "100",
+                         "--seed", "42", "--realizations", "4", "--workers", "1",
+                         "--out", str(prep)]) == 0
+            for stored in sorted(prep.glob("*/map.csv")):
+                out = tmp_path / "out" / "report" / name / stored.parent.name
+                assert main(["report", "--config", str(config), "--resolution", "100",
+                             "--map", str(stored), "--out", str(out)]) == 0
+                for path in out.glob("*.csv"):
+                    key = path.relative_to(tmp_path).as_posix()
+                    got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+        want = {key: digest for key, digest in workload["digests"].items()
+                if key.startswith("out/report/")}
+        assert len(want) == 32 and got == want
 
 
 # ---------------------------------------------------------------------------

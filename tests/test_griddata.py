@@ -5,12 +5,14 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from grayspace import griddata
 from grayspace.errors import DataError, DomainError
 from grayspace.griddata import (
     HouseholdGrid,
@@ -762,6 +764,67 @@ def _is_float(token):
     return True
 
 
+def _loadtxt_oracle(path) -> np.ndarray:
+    """The map reader's earlier algorithm: ``np.loadtxt`` over the lines, read
+    as text, that hold more than spaces and tabs."""
+    text = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    lines = [line for line in text if line.strip(" \t")]
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", ndmin=2, comments=None)
+
+
+#: Levels whose %.10g tokens tie in length and differ only in the last
+#: byte of an 8-byte key ("12345678", "12345679"; "1234.5668", "1234.5678";
+#: "-1.234567891e-110", "...e-100") or past it ("12345678.5", "12345678.7";
+#: "-1.234567891e-100", "...e-101").
+_RUN_LEVELS = [np.nan, -np.nan, 0.0, -0.0, 2.0, 120.0, 0.25, 12345678.0, 12345679.0,
+               1234.5668, 1234.5678, 12345678.5, 12345678.7, -1.234567891e-110,
+               -1.234567891e-100, -1.234567891e-101, 1.234567891e100]
+
+
+@st.composite
+def _run_maps(draw):
+    """Up to five levels in runs that continue across row ends, in 1xN, Nx1
+    and other shapes, with rows repeated as drawn."""
+    pool = draw(st.lists(st.sampled_from(_RUN_LEVELS), min_size=1, max_size=5,
+                         unique_by=lambda v: np.float64(v).tobytes()))
+    rows, cols = draw(st.sampled_from([(1, 0), (0, 1), (0, 0)]))
+    rows, cols = rows or draw(st.integers(1, 30)), cols or draw(st.integers(1, 30))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2 * cols)),
+                         min_size=1, max_size=20))
+    cells = np.resize(np.repeat([v for v, _ in runs], [n for _, n in runs]), (rows, cols))
+    order = draw(st.lists(st.integers(0, rows - 1), min_size=rows, max_size=rows))
+    return cells[sorted(order)]  # rows repeated where an index repeats
+
+
+#: Spellings that ``loadtxt`` reads as one value each, so that equal values
+#: sit side by side in different bytes.
+_SPELLINGS = ["2", "2.0", "+2", "2e0", " 2", "2\t", "\t2 ", "nan", "NaN", "-nan", " nan\t",
+              "inf", "-inf", "Inf", "0", "-0", "0.0", "12345678.5", "12345678.7",
+              "-1.234567891e-100", "-1.234567891e-101"]
+
+
+@st.composite
+def _hand_edited_maps(draw) -> bytes:
+    """Rows of ``_SPELLINGS`` in runs, with ``\\n``, ``\\r\\n`` or a lone
+    ``\\r`` after each line, blank or tab-only lines between them, and maybe
+    a byte-order mark before them or no line end after the last."""
+    palette = draw(st.lists(st.sampled_from(_SPELLINGS), min_size=1, max_size=4))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    runs = draw(st.lists(st.tuples(st.sampled_from(palette), st.integers(1, 2 * cols)),
+                         min_size=1, max_size=12))
+    cells = np.resize(np.array([s for s, n in runs for _ in range(n)], dtype=object),
+                      (rows, cols))
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    text = draw(st.sampled_from(["", "\ufeff"]))
+    for row in cells:
+        for blank in draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2)):
+            text += blank + draw(end)
+        text += ",".join(row) + draw(end)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
 class TestMatrixIO:
     def test_csv_roundtrip_with_nan(self, tmp_path):
         levels = np.array([1.0, np.nan, 0.25, 120.0])
@@ -960,3 +1023,76 @@ class TestMatrixIO:
         for target in (path, tmp_path, tmp_path / "missing.csv"):
             with pytest.raises(DataError):
                 reader(target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_run_maps(), chunk=st.sampled_from([1, 40, 1 << 17]))
+    @example(values=np.array([[-1.234567891e-100, -1.234567891e-101, -1.234567891e-101]]),
+             chunk=1 << 17)
+    @example(values=np.array([[12345678.5], [12345678.7], [12345678.7]]), chunk=1)
+    @example(values=np.array([[12345678.0, 12345679.0, 1234.5668, 1234.5678,
+                               -1.234567891e-110, -1.234567891e-100]]), chunk=1 << 17)
+    def test_csv_reads_written_maps_as_the_loadtxt_oracle(self, values, chunk):
+        # chunk 1 reads each row on its own, and 40 cuts between rows of one chunk
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(griddata, "_CHUNK", chunk):
+            path = Path(tmp) / "m.csv"
+            write_matrix_csv(path, *_levels_and_runs(values))
+            got, want = read_matrix_csv(path), _loadtxt_oracle(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # NaN signs too
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_hand_edited_maps(), chunk=st.sampled_from([1, 40, 1 << 17]))
+    @example(data=b"\xef\xbb\xbf2,+2,2.0\r\n \r\t\n-nan,nan,NaN", chunk=1)
+    @example(data=b"2\r\r\n\t\n2\r+2", chunk=40)
+    def test_csv_reads_hand_edited_maps_as_the_loadtxt_oracle(self, data, chunk):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(griddata, "_CHUNK", chunk):
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(data)
+            got, want = read_matrix_csv(path), _loadtxt_oracle(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1,2\n\n1,2,3\n", "{path}:3: expected 2 values, got 3"),
+            ("1,2\n1,,2\n", "{path}:2: could not convert string '' to float64 at column 2."),
+            ("1,2\n# note\n",
+             "{path}:2: could not convert string '# note' to float64 at column 1."),
+            ("", "{path}: empty matrix"),
+            # a run may not carry a blank line's bytes into the next row
+            ("1,2\n \n ,2\n", "{path}:3: could not convert string ' ' to float64 at column 1."),
+        ],
+        ids=["ragged", "empty-field", "hash-line", "empty", "blank-field-after-blank-line"],
+    )
+    def test_csv_errors_read_as_the_per_line_reader_wrote_them(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as raised:
+            read_matrix_csv(path)
+        assert str(raised.value) == message.format(path=path)
+
+    @pytest.mark.parametrize(
+        "data,where,column,field",
+        [
+            (b"\xc2\xa08,2\n", 1, 1, "\xa08"),
+            (b"8\x0c,2\n", 1, 1, "8\x0c"),
+            (b"1,2\n1,\x0b2\n", 2, 2, "\x0b2"),
+            (b"1,2\n1,2\xc2\x85\n", 2, 2, "2\x85"),
+            (b"\n1\x1f,2\n", 2, 1, "1\x1f"),
+            (b"1,2\n \xc2\xa01, \xc2\xa01\n", 2, 1, " \xa01"),
+            # equal to the fields before it but for a trailing NUL, within 8 bytes or past them
+            (b"1,1,1,1\x00\n", 1, 4, "1\x00"),
+            (b"12345678,12345678,12345678,12345678\x00\n", 1, 4, "12345678\x00"),
+        ],
+        ids=["no-break-space", "form-feed", "vertical-tab", "next-line", "unit-separator",
+             "repeated", "nul-after-equal", "nul-after-equal-past-8"],
+    )
+    def test_csv_fields_follow_the_grid_files_character_rule(self, tmp_path, data, where,
+                                                             column, field):
+        # loadtxt would strip each of these around a number; a grid file
+        # keeps them as data, and so does a map
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as raised:
+            read_matrix_csv(path)
+        assert str(raised.value) == (
+            f"{path}:{where}: could not convert string {field!r} to float64 at column {column}.")
