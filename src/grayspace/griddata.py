@@ -614,8 +614,7 @@ def _matrix_runs(path: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, i
     byte.  Only the first field of each run (its head) is parsed, as one
     ``loadtxt`` line per chunk.
     A DataError if the file cannot be read; a ValueError if a head is no
-    number or holds a byte that is not ASCII text, space or tab, or if the
-    rows' widths differ.
+    number or breaks the character rule, or if the rows' widths differ.
     """
     try:
         with open(path, "rb") as file:  # with room for a last "\n" and the last key, uncopied
@@ -645,7 +644,7 @@ def _matrix_runs(path: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, i
         size = last - first
         line_end = np.flatnonzero(chunk.take(last) == 10)
         head = np.concatenate(([True], size[1:] != size[:-1]))
-        head[line_end[:-1] + 1] = True
+        head[line_end[:-1] + 1] = True  # so that a skipped blank line's run ends at its row
         # take copies the whole view, which beats indexing it for every field
         key = keys.take(first) & _KEY_MASKS.take(size, mode="clip")
         head[1:] |= key[1:] != key[:-1]
@@ -668,14 +667,16 @@ def _matrix_runs(path: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, i
         if not at.size:
             continue
         text = chunk[np.repeat(head, size + 1)]  # the heads' bytes, each with its separator
-        control = (text < 32) & (text != 9) & (text != 10)
-        if text.max() > 126 or control.any():
-            raise ValueError("a field holds a byte that is not ASCII text, space or tab")
+        # _plain is the rule; loadtxt would strip these controls around a
+        # number, decode rejects non-ASCII, and the parser DEL or inner tabs
+        if ((text < 32) & (text != 9) & (text != 10)).any():
+            raise ValueError("a field holds a control character")
         parsed = _PARSE([text[:-1].tobytes().replace(b"\n", b",").decode("ascii")]).ravel()
         if parsed.size != at.size:
             raise ValueError(f"{parsed.size} values from {at.size} fields")
         values.append(parsed)
         lengths.append(run)
+    del data, buf, chunk, keys  # the file's bytes, before the runs are joined
     width = np.concatenate(widths)
     if not width.size:
         return None

@@ -1082,9 +1082,11 @@ class TestMatrixIO:
             # equal to the fields before it but for a trailing NUL, within 8 bytes or past them
             (b"1,1,1,1\x00\n", 1, 4, "1\x00"),
             (b"12345678,12345678,12345678,12345678\x00\n", 1, 4, "12345678\x00"),
+            (b"1,2\x7f\n", 1, 2, "2\x7f"),
+            (b"1,1\t2\n", 1, 2, "1\t2"),
         ],
         ids=["no-break-space", "form-feed", "vertical-tab", "next-line", "unit-separator",
-             "repeated", "nul-after-equal", "nul-after-equal-past-8"],
+             "repeated", "nul-after-equal", "nul-after-equal-past-8", "delete", "inner-tab"],
     )
     def test_csv_fields_follow_the_grid_files_character_rule(self, tmp_path, data, where,
                                                              column, field):
